@@ -69,7 +69,7 @@ class DuplicateRowId(DataError):
 
 
 class ProbabilityOutOfRange(DataError):
-    """An externally supplied probability lies outside [0, 1]."""
+    """A probability from a file or a predictor is not a number within [0, 1]."""
 
 
 # --- explanations ----------------------------------------------------------

@@ -22,7 +22,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .data import FeatureSpec, LabeledTable
 from .errors import DataError, EmptyTable, SingularSystem, UnknownFeature
-from .model import Columns, Predictor
+from .model import Columns, Predictor, check_probabilities
 from .serialize import canonical_json_line
 
 # --- deterministic per-instance seeding ---------------------------------------
@@ -461,7 +461,8 @@ def explain(
     """Explain one prediction with a locally weighted ridge surrogate."""
     seed = instance_seed(config.seed, row_id)
     z, columns = sample_perturbations(disc, instance, config.n_samples, seed)
-    probs = predictor.predict_rows(disc.schema, columns)
+    probs = check_probabilities(predictor.predict_rows(disc.schema, columns),
+                                config.n_samples)
     width = config.kernel_width
     if width is None:
         width = default_kernel_width(len(disc.schema))

@@ -18,7 +18,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 from scipy.special import expit
 
-from .data import FeatureSpec, LabeledTable
+from .data import FeatureSpec, LabeledTable, _frozen
 from .errors import (
     DataError,
     DuplicateRowId,
@@ -49,101 +49,150 @@ class Predictor(Protocol):
         ...
 
 
+def check_probabilities(probs: object, n: int) -> np.ndarray:
+    """A predictor's output for ``n`` rows as float64, validated.
+
+    Raises DataError unless it has shape ``(n,)``, and ProbabilityOutOfRange
+    unless every value is finite and within [0, 1].
+    """
+    try:
+        out = np.asarray(probs, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"predictor output is not numeric: {exc}") from None
+    if out.shape != (n,):
+        raise DataError(f"predictor returned shape {out.shape} for {n} rows")
+    ok = (out >= 0.0) & (out <= 1.0)  # False for NaN
+    if not ok.all():
+        raise ProbabilityOutOfRange(
+            f"predictor returned {float(out[~ok][0])!r}, not a probability")
+    return out
+
+
 # --- trees -------------------------------------------------------------------
 
-
-@dataclass(frozen=True, slots=True)
-class Split:
-    """Internal node.  Continuous: go left iff x <= threshold; categorical:
-    go left iff x == category."""
-
-    feature: int
-    left: int
-    right: int
-    threshold: float | None = None
-    category: str | None = None
+# Per feature of a model's schema: None for a continuous feature, else the
+# sorted categories its splits are coded against (the training column's
+# categories, or on load those the splits name).  Every tree of one model
+# shares one such tuple, so rows are coded once per call, not once per tree.
+Categories = tuple[np.ndarray | None, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    value: float
+def _codes(col: np.ndarray, cats: np.ndarray) -> np.ndarray:
+    """Index of each value of ``col`` in the sorted ``cats``, or -1 if absent."""
+    if cats.size == 0:
+        return np.full(len(col), -1, dtype=np.intp)
+    at = np.minimum(np.searchsorted(cats, col), cats.size - 1)
+    return np.where(cats[at] == col, at, -1)
+
+
+def _pack(columns: Columns, categories: Categories) -> np.ndarray:
+    """One (n, d) float64 matrix of the columns, categorical ones as codes."""
+    x = np.empty((len(columns[0]), len(categories)))
+    for j, (col, cats) in enumerate(zip(columns, categories)):
+        x[:, j] = col if cats is None else _codes(np.asarray(col, dtype=str), cats)
+    return x
+
+
+def _depth(child: np.ndarray) -> int:
+    """Levels from the root to the deepest leaf; DataError on a cycle."""
+    at, depth = np.zeros(1, dtype=np.intp), 0
+    while True:
+        nxt = child[np.concatenate([2 * at, 2 * at + 1])]
+        at = np.unique(nxt[nxt != np.tile(at, 2)])
+        if at.size == 0:
+            return depth
+        depth += 1
+        if depth >= child.size:
+            raise DataError("tree nodes form a cycle")
 
 
 class Tree:
-    """Regression tree stored as an explicit node array (node 0 is the root)."""
+    """Regression tree as one flat node table (node 0 is the root).
 
-    def __init__(self, nodes: Sequence[Split | Leaf]):
-        self.nodes: tuple[Split | Leaf, ...] = tuple(nodes)
-        n = len(self.nodes)
-        self._feature = np.full(n, -1, dtype=np.intp)
-        self._threshold = np.full(n, np.nan)
-        self._category = np.full(n, None, dtype=object)
-        self._left = np.zeros(n, dtype=np.intp)
-        self._right = np.zeros(n, dtype=np.intp)
-        self._value = np.zeros(n)
-        for i, node in enumerate(self.nodes):
-            if isinstance(node, Leaf):
-                self._value[i] = node.value
-            else:
-                self._feature[i] = node.feature
-                self._left[i] = node.left
-                self._right[i] = node.right
-                if node.category is None:
-                    self._threshold[i] = node.threshold
-                else:
-                    self._category[i] = node.category
+    A row at node ``i`` goes left iff ``lo[i] <= x[feature[i]] <= hi[i]`` and
+    moves to ``child[2*i + went_right]``.  A continuous split stores
+    ``lo = -inf`` and ``hi = threshold``; a categorical split stores
+    ``lo = hi = code``, the category's index in ``categories[feature]``, so a
+    category the tree cannot match goes right.  Leaves point to themselves, so
+    every row takes exactly ``depth`` branch-free steps.
+    """
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tree) and self.nodes == other.nodes
+    def __init__(self, feature: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 child: np.ndarray, value: np.ndarray, categories: Categories):
+        self.feature = _frozen(np.asarray(feature, dtype=np.intp))
+        self.lo = _frozen(np.asarray(lo, dtype=np.float64))
+        self.hi = _frozen(np.asarray(hi, dtype=np.float64))
+        self.child = _frozen(np.asarray(child, dtype=np.intp))
+        self.value = _frozen(np.asarray(value, dtype=np.float64))
+        self.categories = categories
+        self.depth = _depth(self.child)
 
-    def predict(self, columns: Columns) -> np.ndarray:
-        """Leaf value per row, routing all rows level by level."""
-        n = len(columns[0]) if columns else 0
-        at = np.zeros(n, dtype=np.intp)
-        while True:
-            feats = self._feature[at]
-            live = np.flatnonzero(feats >= 0)
-            if live.size == 0:
-                return self._value[at]
-            for j in np.unique(feats[live]):
-                rows = live[feats[live] == j]
-                nodes = at[rows]
-                col = columns[j][rows]
-                cats = self._category[nodes]
-                if cats[0] is None:
-                    go_left = col <= self._threshold[nodes]
-                else:
-                    go_left = col == cats
-                at[rows] = np.where(go_left, self._left[nodes], self._right[nodes])
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Leaf value per row of a matrix packed by :func:`_pack`."""
+        n, d = x.shape
+        v = x[:, self.feature[0]]  # every row starts at the root
+        at = np.where((self.lo[0] <= v) & (v <= self.hi[0]), self.child[0], self.child[1])
+        flat, base = x.ravel(), np.arange(0, n * d, d)
+        for _ in range(self.depth - 1):
+            v = flat.take(base + self.feature.take(at))
+            go_left = (self.lo.take(at) <= v) & (v <= self.hi.take(at))
+            at = self.child.take(2 * at + ~go_left)
+        return self.value.take(at)
 
     def to_json_obj(self) -> list[dict]:
         out: list[dict] = []
-        for node in self.nodes:
-            if isinstance(node, Leaf):
-                out.append({"leaf": node.value})
-            elif node.category is not None:
-                out.append({"feature": node.feature, "category": node.category,
-                            "left": node.left, "right": node.right})
+        for i, (j, lo, hi, value) in enumerate(zip(self.feature.tolist(), self.lo.tolist(),
+                                                   self.hi.tolist(), self.value.tolist())):
+            left, right = self.child[2 * i: 2 * i + 2].tolist()
+            if left == i:
+                out.append({"leaf": value})
+            elif self.categories[j] is not None:
+                out.append({"feature": j, "category": str(self.categories[j][int(lo)]),
+                            "left": left, "right": right})
             else:
-                out.append({"feature": node.feature, "threshold": node.threshold,
-                            "left": node.left, "right": node.right})
+                out.append({"feature": j, "threshold": hi, "left": left, "right": right})
         return out
 
     @classmethod
-    def from_json_obj(cls, obj: Sequence[dict]) -> "Tree":
-        nodes: list[Split | Leaf] = []
-        for rec in obj:
+    def from_json_obj(cls, obj: Sequence[dict], categories: Categories) -> "Tree":
+        n = len(obj)
+        if n == 0:
+            raise DataError("a tree needs at least one node")
+        feature = np.zeros(n, dtype=np.intp)
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        child = np.repeat(np.arange(n, dtype=np.intp), 2)
+        value = np.zeros(n)
+        for i, rec in enumerate(obj):
             if "leaf" in rec:
-                nodes.append(Leaf(float(rec["leaf"])))
+                value[i] = float(rec["leaf"])
+                continue
+            j, left, right = int(rec["feature"]), int(rec["left"]), int(rec["right"])
+            if not (0 <= j < len(categories) and 0 <= left < n and 0 <= right < n
+                    and i not in (left, right)):
+                raise DataError(f"node {i}: feature or child index out of range")
+            cats = categories[j]
+            if ("category" in rec) != (cats is not None):
+                raise DataError(f"node {i}: split kind does not match feature {j}")
+            if cats is None:
+                hi[i] = float(rec["threshold"])
             else:
-                nodes.append(Split(
-                    feature=int(rec["feature"]),
-                    left=int(rec["left"]),
-                    right=int(rec["right"]),
-                    threshold=(float(rec["threshold"]) if "threshold" in rec else None),
-                    category=rec.get("category"),
-                ))
-        return cls(nodes)
+                lo[i] = hi[i] = np.searchsorted(cats, rec["category"])
+            feature[i] = j
+            child[2 * i: 2 * i + 2] = left, right
+        return cls(feature, lo, hi, child, value, categories)
+
+
+def _json_categories(schema: Sequence[FeatureSpec], trees: Sequence[Sequence[dict]]
+                     ) -> Categories:
+    """Per feature, the sorted categories a model's JSON trees split on."""
+    used: list[set[str] | None] = [
+        set() if f.kind == "categorical" else None for f in schema]
+    for tree in trees:
+        for rec in tree:
+            if "category" in rec and used[rec["feature"]] is not None:
+                used[rec["feature"]].add(rec["category"])
+    return tuple(None if cats is None else _frozen(np.asarray(sorted(cats), dtype=str))
+                 for cats in used)
 
 
 # --- training ----------------------------------------------------------------
@@ -174,55 +223,73 @@ class GbdtParams:
 
 
 class _TreeGrower:
-    """Grows one tree on gradient/hessian targets via exact greedy splits."""
+    """Grows one tree on gradient/hessian targets via exact greedy splits.
 
-    def __init__(self, columns: Columns, kinds: Sequence[str], g: np.ndarray,
-                 h: np.ndarray, params: GbdtParams):
-        self.columns = columns
-        self.kinds = kinds
+    ``x[j]`` is training column j, a categorical one as codes into
+    ``categories[j]``.  ``order[j]`` lists the rows by ascending value of
+    continuous column j, ties in row order, and is None for a categorical
+    column.  Each node receives its rows in ascending order together with
+    its share of every ``order[j]``, split off by stable partition, so no
+    node sorts and tie order matches a per-node stable argsort.
+    """
+
+    def __init__(self, x: Sequence[np.ndarray], order: Sequence[np.ndarray | None],
+                 categories: Categories, g: np.ndarray, h: np.ndarray,
+                 params: GbdtParams):
+        self.x = x
+        self.order = order
+        self.categories = categories
         self.g = g
         self.h = h
         self.p = params
-        self.nodes: list[Split | Leaf] = []
+        self.nodes: list[tuple[int, float, float, float]] = []  # feature, lo, hi, value
+        self.child: list[int] = []
         self.row_value = np.zeros(len(g))
+        self._goes_left = np.zeros(len(g), dtype=bool)
 
     def grow(self) -> Tree:
-        self._node(np.arange(len(self.g), dtype=np.intp), depth=0)
-        return Tree(self.nodes)
+        self._node(np.arange(len(self.g), dtype=np.intp), self.order, depth=0)
+        feature, lo, hi, value = zip(*self.nodes)
+        return Tree(feature, lo, hi, self.child, value, self.categories)
+
+    def _append(self, feature: int, lo: float, hi: float, value: float) -> int:
+        slot = len(self.nodes)
+        self.nodes.append((feature, lo, hi, value))
+        self.child += [slot, slot]
+        return slot
 
     def _leaf(self, rows: np.ndarray) -> int:
         value = -self.g[rows].sum() / (self.h[rows].sum() + self.p.l2)
-        self.nodes.append(Leaf(value))
         self.row_value[rows] = value
-        return len(self.nodes) - 1
+        return self._append(0, -np.inf, np.inf, value)
 
-    def _node(self, rows: np.ndarray, depth: int) -> int:
+    def _node(self, rows: np.ndarray, order: Sequence[np.ndarray | None],
+              depth: int) -> int:
         if depth >= self.p.max_depth or rows.size < 2 * self.p.min_leaf_count:
             return self._leaf(rows)
-        found = self._best_split(rows)
+        found = self._best_split(rows, order)
         if found is None:
             return self._leaf(rows)
-        gain, feature, threshold, category, left_mask = found
-        slot = len(self.nodes)
-        self.nodes.append(Leaf(0.0))  # placeholder until children exist
-        left = self._node(rows[left_mask], depth + 1)
-        right = self._node(rows[~left_mask], depth + 1)
-        self.nodes[slot] = Split(feature=feature, left=left, right=right,
-                                 threshold=threshold, category=category)
+        gain, feature, lo, hi, left_mask = found
+        slot = self._append(feature, lo, hi, 0.0)
+        self._goes_left[rows] = left_mask
+        left_order = [None if o is None else o[self._goes_left[o]] for o in order]
+        right_order = [None if o is None else o[~self._goes_left[o]] for o in order]
+        left = self._node(rows[left_mask], left_order, depth + 1)
+        right = self._node(rows[~left_mask], right_order, depth + 1)
+        self.child[2 * slot: 2 * slot + 2] = left, right
         return slot
 
-    def _best_split(self, rows: np.ndarray):
+    def _best_split(self, rows: np.ndarray, order: Sequence[np.ndarray | None]):
         g, h, lam, min_leaf = self.g[rows], self.h[rows], self.p.l2, self.p.min_leaf_count
         G, H = g.sum(), h.sum()
         parent = G * G / (H + lam)
-        best = None  # (gain, feature, threshold, category, left_mask)
-        for j, kind in enumerate(self.kinds):
-            col = self.columns[j][rows]
-            if kind == "continuous":
-                order = np.argsort(col, kind="stable")
-                sv = col[order]
-                cg = np.cumsum(g[order])
-                ch = np.cumsum(h[order])
+        best = None  # (gain, feature, lo, hi, left_mask)
+        for j, sorted_rows in enumerate(order):
+            if sorted_rows is not None:
+                sv = self.x[j][sorted_rows]
+                cg = np.cumsum(self.g[sorted_rows])
+                ch = np.cumsum(self.h[sorted_rows])
                 m = rows.size
                 k = np.arange(1, m)  # left side takes k smallest rows
                 ok = (sv[:-1] != sv[1:]) & (k >= min_leaf) & (m - k >= min_leaf)
@@ -234,10 +301,10 @@ class _TreeGrower:
                 gain = np.where(ok, gain, -np.inf)
                 i = int(np.argmax(gain))
                 if best is None or gain[i] > best[0]:
-                    thr = (sv[i] + sv[i + 1]) / 2.0
-                    best = (float(gain[i]), j, float(thr), None, col <= thr)
+                    thr = float((sv[i] + sv[i + 1]) / 2.0)
+                    best = (float(gain[i]), j, -np.inf, thr, self.x[j][rows] <= thr)
             else:
-                cats, inverse = np.unique(col, return_inverse=True)
+                cats, inverse = np.unique(self.x[j][rows], return_inverse=True)
                 counts = np.bincount(inverse)
                 gl = np.bincount(inverse, weights=g)
                 hl = np.bincount(inverse, weights=h)
@@ -249,7 +316,8 @@ class _TreeGrower:
                 gain = np.where(ok, gain, -np.inf)
                 i = int(np.argmax(gain))
                 if best is None or gain[i] > best[0]:
-                    best = (float(gain[i]), j, None, str(cats[i]), inverse == i)
+                    code = float(cats[i])
+                    best = (float(gain[i]), j, code, code, inverse == i)
         if best is None or best[0] <= 0.0:
             return None
         return best
@@ -274,6 +342,10 @@ class GbdtModel:
     params: GbdtParams
     train_loss: tuple[float, ...] = field(default=(), repr=False)
 
+    def __post_init__(self) -> None:
+        if any(t.categories is not self.trees[0].categories for t in self.trees):
+            raise DataError("the trees of one model must share one category coding")
+
     def predict_rows(self, schema: tuple[FeatureSpec, ...], columns: Columns) -> np.ndarray:
         if tuple(schema) != self.schema:
             raise SchemaMismatch(
@@ -281,8 +353,10 @@ class GbdtModel:
                 f"got {[f.name for f in schema]}"
             )
         raw = np.full(len(columns[0]), self.base_score)
-        for tree in self.trees:
-            raw += self.params.learning_rate * tree.predict(columns)
+        if self.trees:
+            x = _pack(columns, self.trees[0].categories)
+            for tree in self.trees:
+                raw += self.params.learning_rate * tree.predict(x)
         return np.clip(expit(raw), _P_EPS, 1.0 - _P_EPS)
 
     def predict_table(self, table: LabeledTable) -> np.ndarray:
@@ -311,14 +385,15 @@ class GbdtModel:
     def from_json_obj(cls, obj: dict) -> "GbdtModel":
         try:
             schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in obj["schema"])
+            categories = _json_categories(schema, obj["trees"])
             return cls(
                 schema=schema,
                 base_score=float(obj["base_score"]),
-                trees=tuple(Tree.from_json_obj(t) for t in obj["trees"]),
+                trees=tuple(Tree.from_json_obj(t, categories) for t in obj["trees"]),
                 params=GbdtParams(**obj["params"]),
                 train_loss=tuple(float(x) for x in obj["train_loss"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model object: {exc}") from exc
 
     def save(self, path: str) -> None:
@@ -350,14 +425,19 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
     y = table.labels.astype(np.float64)
     base_rate = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
     base_score = math.log(base_rate / (1.0 - base_rate))
-    kinds = [f.kind for f in table.schema]
+    categories = tuple(_frozen(np.unique(col)) if f.kind == "categorical" else None
+                       for f, col in zip(table.schema, table.columns))
+    x = [col if cats is None else np.searchsorted(cats, col)
+         for col, cats in zip(table.columns, categories)]
+    order = [np.argsort(col, kind="stable") if cats is None else None
+             for col, cats in zip(x, categories)]
 
     raw = np.full(table.n_rows, base_score)
     p = np.clip(expit(raw), _P_EPS, 1.0 - _P_EPS)
     losses = [_log_loss(y, p)]
     trees: list[Tree] = []
     for _ in range(params.rounds):
-        grower = _TreeGrower(table.columns, kinds, g=p - y, h=p * (1.0 - p),
+        grower = _TreeGrower(x, order, categories, g=p - y, h=p * (1.0 - p),
                              params=params)
         trees.append(grower.grow())
         raw = raw + params.learning_rate * grower.row_value
@@ -423,7 +503,7 @@ def evaluate(predictor: Predictor, table: LabeledTable,
     """Confusion metrics of a predictor on a table (p >= threshold is positive)."""
     if table.n_rows == 0:
         raise EmptyTable("cannot evaluate on an empty table")
-    probs = predictor.predict_table(table)
+    probs = check_probabilities(predictor.predict_table(table), table.n_rows)
     pred = probs >= threshold
     actual = table.labels == 1
     return Metrics(

@@ -19,7 +19,7 @@ import numpy as np
 from .data import LabeledTable
 from .errors import DataError, EmptyTable, NoExplanations
 from .lime import Condition, Discretizer, Explanation, LimeConfig, explain
-from .model import Predictor
+from .model import Predictor, check_probabilities
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +34,7 @@ class MisclassifiedSet:
 def misclassified_mask(predictor: Predictor, table: LabeledTable,
                        threshold: float) -> np.ndarray:
     """Boolean mask of rows where thresholded prediction != label."""
-    probs = predictor.predict_table(table)
+    probs = check_probabilities(predictor.predict_table(table), table.n_rows)
     return (probs >= threshold) != (table.labels == 1)
 
 

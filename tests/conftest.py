@@ -44,3 +44,11 @@ def random_table(rng: np.random.Generator, n: int, d: int) -> LabeledTable:
         [rng.normal(size=n).tolist() for _ in range(d)],
         rng.integers(0, 2, size=n).tolist(),
     )
+
+
+# Predictor outputs that are not one probability per row, keyed by test id.
+BAD_PREDICTOR_OUTPUTS = {
+    "nan": lambda cols: np.full(len(cols[0]), np.nan),
+    "outside_unit_interval": lambda cols: 3.0 * np.asarray(cols[0], dtype=float) - 1.0,
+    "wrong_length": lambda cols: np.full(len(cols[0]) - 1, 0.5),
+}

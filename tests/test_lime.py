@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import BAD_PREDICTOR_OUTPUTS, make_table
 from errlens import (
     Condition,
     FunctionPredictor,
@@ -344,6 +344,15 @@ def test_explanations_are_deterministic_and_ranked_by_weight() -> None:
     for cond, _ in first.terms:
         value = instance[table.index_of(cond.feature)]
         assert cond.matches_value(value)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PREDICTOR_OUTPUTS))
+def test_explain_rejects_predictor_outputs_that_are_not_probabilities(bad: str) -> None:
+    table = make_table([np.linspace(0.0, 1.0, 40).tolist()], [0, 1] * 20)
+    predictor = FunctionPredictor(table.schema, BAD_PREDICTOR_OUTPUTS[bad])
+    with pytest.raises(DataError, match="predictor"):
+        explain(predictor, fit_discretizer(table), "0", table.row_values(0), 0,
+                LimeConfig(n_samples=50))
 
 
 def test_explanations_depend_on_the_row_id_not_the_call_order() -> None:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from conftest import make_table, random_table
+from conftest import BAD_PREDICTOR_OUTPUTS, make_table, random_table
 from errlens import (
     ExternalPredictions,
     FunctionPredictor,
@@ -28,6 +30,7 @@ from errlens.errors import (
     ProbabilityOutOfRange,
     SchemaMismatch,
 )
+from errlens.serialize import canonical_json
 
 
 def sigmoid(x: float) -> float:
@@ -153,6 +156,94 @@ def test_vectorized_predictions_match_per_row_tree_walks() -> None:
     assert np.max(np.abs(model.predict_table(table) - expected)) < 1e-12
 
 
+def reference_probs(model: GbdtModel, columns) -> np.ndarray:
+    """Per-row tree walks, accumulated tree by tree in ensemble order."""
+    lr = model.params.learning_rate
+    raw = np.full(len(columns[0]), model.base_score)
+    for tree in model.to_json_obj()["trees"]:
+        raw += lr * np.asarray([walk_tree(tree, row) for row in zip(*columns)],
+                               dtype=np.float64)
+    return np.clip(expit(raw), 1e-12, 1.0 - 1e-12)
+
+
+def mixed_model_and_rows() -> tuple[GbdtModel, list[np.ndarray]]:
+    """A model on continuous + categorical columns, and fresh rows to score
+    that include a category it never saw."""
+    rng = np.random.default_rng(2306)
+    n = 300
+    x0 = rng.normal(size=n)
+    x1 = rng.integers(0, 5, size=n).astype(float)
+    c = rng.choice(["high", "low", "mid"], size=n)
+    y = ((x0 + (c == "high") - 0.2 * x1 > 0.1) ^ (rng.random(n) < 0.1)).astype(int)
+    table = make_table([x0.tolist(), x1.tolist(), c.tolist()], y.tolist(),
+                       kinds=["continuous", "continuous", "categorical"])
+    model = train_gbdt(table, GbdtParams(rounds=25, max_depth=4, min_leaf_count=3))
+    m = 500
+    rows = [rng.normal(size=m), rng.integers(-1, 7, size=m).astype(float),
+            rng.choice(["high", "low", "mid", "unseen"], size=m)]
+    return model, rows
+
+
+def test_predictions_are_bit_identical_to_per_row_walks_on_mixed_columns() -> None:
+    model, rows = mixed_model_and_rows()
+    assert any("category" in node for tree in model.to_json_obj()["trees"]
+               for node in tree)
+    assert "unseen" in rows[2]
+    assert np.array_equal(model.predict_rows(model.schema, rows),
+                          reference_probs(model, rows))
+
+
+def test_predictions_are_bit_identical_on_trees_of_unequal_depth() -> None:
+    model, _ = mixed_model_and_rows()
+    obj = model.to_json_obj()
+    obj["trees"] = [
+        [{"leaf": 0.25}],
+        [{"feature": 2, "category": "mid", "left": 1, "right": 2},
+         {"leaf": -0.5},
+         {"feature": 0, "threshold": 0.0, "left": 3, "right": 4},
+         {"leaf": 1.0 / 3.0},
+         {"feature": 1, "threshold": 2.5, "left": 5, "right": 6},
+         {"leaf": 0.7},
+         {"leaf": -0.1}],
+        [{"feature": 0, "threshold": -1.0, "left": 1, "right": 2},
+         {"leaf": 0.3}, {"leaf": -0.3}],
+    ]
+    hand = GbdtModel.from_json_obj(obj)
+    rows = [np.asarray([-2.0, 0.0, 0.0, 1.0, 1.0, np.inf]),
+            np.asarray([0.0, 2.5, 3.0, 2.0, 9.0, 1.0]),
+            np.asarray(["mid", "low", "high", "unseen", "", "mid"])]
+    assert np.array_equal(hand.predict_rows(hand.schema, rows),
+                          reference_probs(hand, rows))
+
+
+def test_zero_rounds_and_zero_rows_predict_exactly() -> None:
+    model, rows = mixed_model_and_rows()
+    bare = train_gbdt(make_table([[1.0, 2.0, 3.0]], [0, 1, 1]), GbdtParams(rounds=0))
+    one = [np.asarray([5.0, -5.0])]
+    assert np.array_equal(bare.predict_rows(bare.schema, one),
+                          reference_probs(bare, one))
+    empty = [col[:0] for col in rows]
+    out = model.predict_rows(model.schema, empty)
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
+# Digests of mixed_model_and_rows()'s canonical model JSON and of its
+# predict_rows output, recorded from the per-node-argsort trainer and the
+# level-by-level router that preceded the presorted trainer and the compiled
+# node tables.
+PINNED_MODEL_SHA256 = "400823f2a38407f0bb67c7ca95776f7eaf59c702d78275aa401113e6f188ac78"
+PINNED_PREDICTIONS_SHA256 = "ac2f64791e5a3d86b89557417c782b1cb0cec5c4249284dca592d0ad8ddefb8f"
+
+
+def test_model_json_and_predictions_match_the_pinned_digests() -> None:
+    model, rows = mixed_model_and_rows()
+    text = canonical_json(model.to_json_obj())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_MODEL_SHA256
+    probs = model.predict_rows(model.schema, rows)
+    digest = hashlib.sha256(probs.astype("<f8").tobytes()).hexdigest()
+    assert digest == PINNED_PREDICTIONS_SHA256
+
+
 def test_model_round_trips_through_json_with_identical_predictions(tmp_path) -> None:
     rng = np.random.default_rng(9)
     table = random_table(rng, 80, 3)
@@ -163,6 +254,28 @@ def test_model_round_trips_through_json_with_identical_predictions(tmp_path) -> 
     assert loaded.params == model.params
     assert loaded.train_loss == model.train_loss
     assert np.array_equal(loaded.predict_table(table), model.predict_table(table))
+
+
+STUMP = [{"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+         {"leaf": -0.5}, {"leaf": 0.5}]
+
+
+@pytest.mark.parametrize("tree", [
+    [],
+    [{**STUMP[0], "left": 3}, *STUMP[1:]],
+    [{**STUMP[0], "left": 0}, *STUMP[1:]],
+    [{**STUMP[0], "feature": 1}, *STUMP[1:]],
+    [{"feature": 0, "category": "a", "left": 1, "right": 2}, *STUMP[1:]],
+    [STUMP[0], {**STUMP[0], "left": 0}, STUMP[2]],
+], ids=["empty", "child_out_of_range", "self_child", "kind_mismatch",
+        "category_on_continuous", "cycle"])
+def test_malformed_model_trees_are_data_errors(tree: list[dict]) -> None:
+    model = train_gbdt(make_table([[1.0, 2.0], ["a", "b"]], [0, 1],
+                                  kinds=["continuous", "categorical"]),
+                       GbdtParams(rounds=0))
+    obj = {**model.to_json_obj(), "trees": [tree]}
+    with pytest.raises(DataError):
+        GbdtModel.from_json_obj(obj)
 
 
 def test_predictions_demand_the_training_schema() -> None:
@@ -200,6 +313,14 @@ def test_probability_at_the_threshold_counts_as_positive() -> None:
     table = make_table([[0.0]], [0])
     metrics = evaluate(predictor_returning([0.5], table), table, threshold=0.5)
     assert (metrics.tp, metrics.fp, metrics.tn, metrics.fn) == (0, 1, 0, 0)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PREDICTOR_OUTPUTS))
+def test_evaluate_rejects_outputs_that_are_not_probabilities(bad: str) -> None:
+    table = make_table([np.linspace(0.0, 1.0, 10).tolist()], [0, 1] * 5)
+    predictor = FunctionPredictor(table.schema, BAD_PREDICTOR_OUTPUTS[bad])
+    with pytest.raises(DataError, match="predictor"):
+        evaluate(predictor, table)
 
 
 def test_undefined_rates_degrade_to_zero() -> None:

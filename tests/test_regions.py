@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_table, random_table
+from conftest import BAD_PREDICTOR_OUTPUTS, make_table, random_table
 from errlens import (
     Condition,
     ConditionStats,
@@ -59,6 +59,14 @@ def test_find_misclassified_keeps_table_order_and_threshold_boundary() -> None:
     # row w: correct; row x: 0.5 counts as positive -> wrong; row y: missed
     assert mis.row_ids == ("x", "y")
     assert mis.split == "test" and mis.threshold == 0.5
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PREDICTOR_OUTPUTS))
+def test_find_misclassified_rejects_outputs_that_are_not_probabilities(bad: str) -> None:
+    table = make_table([np.linspace(0.0, 1.0, 10).tolist()], [0, 1] * 5)
+    predictor = FunctionPredictor(table.schema, BAD_PREDICTOR_OUTPUTS[bad])
+    with pytest.raises(DataError, match="predictor"):
+        find_misclassified(predictor, table)
 
 
 def test_find_misclassified_rejects_empty_tables() -> None:
