@@ -43,16 +43,13 @@ from .model import (
     GbdtParams,
     Metrics,
     Predictor,
-    evaluate,
     load_external_predictions,
-    predict_proba,
     train_gbdt,
 )
 from .regions import (
     ConditionStats,
     MisclassifiedSet,
     RegionReport,
-    build_report,
     explain_misclassified,
     find_misclassified,
     mine_conditions,
@@ -89,11 +86,9 @@ __all__ = [
     "RegionReport",
     "SeriesFrame",
     "SynthSpec",
-    "build_report",
     "concat_tables",
     "condition_for",
     "default_spec",
-    "evaluate",
     "explain",
     "explain_misclassified",
     "featurize_rolling",
@@ -108,11 +103,10 @@ __all__ = [
     "load_external_predictions",
     "load_series_csv",
     "mine_conditions",
-    "predict_proba",
     "region_error_rate",
     "render_error_plot",
-    "report_from_explanations",
     "render_text_table",
+    "report_from_explanations",
     "resample_series",
     "sample_perturbations",
     "split",

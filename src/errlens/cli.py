@@ -36,7 +36,6 @@ from .model import (
     GbdtParams,
     Metrics,
     Predictor,
-    evaluate,
     load_external_predictions,
     train_gbdt,
 )
@@ -394,7 +393,8 @@ def cmd_train(cfg: Mapping[str, object]) -> str:
     table = _load_table(cfg)
     model = train_gbdt(table, _gbdt_params(cfg))
     _save_model(model, cfg, os.path.join(out, "model.json"))
-    metrics = evaluate(model, table, threshold=float(cfg["threshold"]))
+    metrics = find_misclassified(model, table, threshold=float(cfg["threshold"]),
+                                 split="train").metrics
     _write_metrics(metrics, cfg, os.path.join(out, "metrics.json"))
     return (f"train: {len(model.trees)} trees on {table.n_rows} rows, "
             f"final loss {model.train_loss[-1]:.4f}, "
@@ -405,7 +405,8 @@ def cmd_eval(cfg: Mapping[str, object]) -> str:
     out = _out_dir(cfg)
     table = _load_table(cfg)
     predictor = _predictor(cfg, table)
-    metrics = evaluate(predictor, table, threshold=float(cfg["threshold"]))
+    metrics = find_misclassified(predictor, table, threshold=float(cfg["threshold"]),
+                                 split="all").metrics
     _write_metrics(metrics, cfg, os.path.join(out, "metrics.json"))
     return (f"eval: {table.n_rows} rows, error rate {metrics.error_rate:.3f}, "
             f"recall {metrics.recall:.3f}, precision {metrics.precision:.3f} "
@@ -434,24 +435,18 @@ def cmd_explain(cfg: Mapping[str, object]) -> str:
             f"-> {out}/explanations.jsonl")
 
 
-def _mine_split(cfg: Mapping[str, object], predictor: Predictor,
-                table: LabeledTable, disc, split_name: str) -> tuple:
-    mis, explanations = _explain_split(cfg, predictor, table, disc, split_name)
-    report = report_from_explanations(
-        predictor, table, explanations, mis,
-        min_support_fraction=float(cfg["min_support"]),
-        lime_config=_lime_config(cfg),
-        extra_config=_echo(cfg),
-    )
-    return explanations, report
-
-
 def cmd_mine(cfg: Mapping[str, object]) -> str:
     out = _out_dir(cfg)
     table = _load_table(cfg)
     predictor = _predictor(cfg, table)
     disc = fit_discretizer(table)
-    explanations, report = _mine_split(cfg, predictor, table, disc, "all")
+    mis, explanations = _explain_split(cfg, predictor, table, disc, "all")
+    report = report_from_explanations(
+        table, explanations, mis,
+        min_support_fraction=float(cfg["min_support"]),
+        lime_config=_lime_config(cfg),
+        extra_config=_echo(cfg),
+    )
     write_explanations_jsonl(explanations, os.path.join(out, "explanations.jsonl"))
     write_report_files(report, out)
     return (f"mine: {len(report.regions)} regions from "
@@ -469,17 +464,21 @@ def cmd_pipeline(cfg: Mapping[str, object]) -> str:
     model = train_gbdt(train_table, _gbdt_params(cfg))
     _save_model(model, cfg, os.path.join(out, "model.json"))
     disc = fit_discretizer(train_table)
-    threshold = float(cfg["threshold"])
     summaries = []
     for name, part in (("train", train_table), ("test", test_table)):
-        metrics = evaluate(model, part, threshold=threshold)
-        _write_metrics(metrics, cfg, os.path.join(out, f"metrics_{name}.json"))
-        explanations, report = _mine_split(cfg, model, part, disc, name)
+        mis, explanations = _explain_split(cfg, model, part, disc, name)
+        _write_metrics(mis.metrics, cfg, os.path.join(out, f"metrics_{name}.json"))
+        report = report_from_explanations(
+            part, explanations, mis,
+            min_support_fraction=float(cfg["min_support"]),
+            lime_config=_lime_config(cfg),
+            extra_config=_echo(cfg),
+        )
         write_explanations_jsonl(
             explanations, os.path.join(out, f"explanations_{name}.jsonl"))
         write_report_files(report, out, basename=f"report_{name}",
                            table_basename=f"table_{name}")
-        summaries.append(f"{name} error rate {metrics.error_rate:.3f}, "
+        summaries.append(f"{name} error rate {mis.metrics.error_rate:.3f}, "
                          f"{len(report.regions)} regions")
     return (f"pipeline: {train_table.n_rows}/{test_table.n_rows} train/test rows; "
             f"{'; '.join(summaries)} -> {out}")

@@ -449,11 +449,6 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
                      train_loss=tuple(losses))
 
 
-def predict_proba(predictor: Predictor, table: LabeledTable) -> np.ndarray:
-    """P(label=1) for every row of a table, in row order."""
-    return predictor.predict_table(table)
-
-
 # --- evaluation --------------------------------------------------------------
 
 
@@ -496,23 +491,6 @@ class Metrics:
             "recall": self.recall, "precision": self.precision,
             "accuracy": self.accuracy, "error_rate": self.error_rate,
         }
-
-
-def evaluate(predictor: Predictor, table: LabeledTable,
-             threshold: float = 0.5) -> Metrics:
-    """Confusion metrics of a predictor on a table (p >= threshold is positive)."""
-    if table.n_rows == 0:
-        raise EmptyTable("cannot evaluate on an empty table")
-    probs = check_probabilities(predictor.predict_table(table), table.n_rows)
-    pred = probs >= threshold
-    actual = table.labels == 1
-    return Metrics(
-        tp=int(np.sum(pred & actual)),
-        fp=int(np.sum(pred & ~actual)),
-        tn=int(np.sum(~pred & ~actual)),
-        fn=int(np.sum(~pred & actual)),
-        threshold=threshold,
-    )
 
 
 # --- external predictions and callables --------------------------------------

@@ -11,7 +11,7 @@ where the model performs poorly.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,35 +19,48 @@ import numpy as np
 from .data import LabeledTable
 from .errors import DataError, EmptyTable, NoExplanations
 from .lime import Condition, Discretizer, Explanation, LimeConfig, explain
-from .model import Predictor, check_probabilities
+from .model import Metrics, Predictor, check_probabilities
 
 
 @dataclass(frozen=True, slots=True)
 class MisclassifiedSet:
-    """Row ids a predictor got wrong on one split, in table order."""
+    """One scoring pass of a predictor over one split.
 
-    split: str  # "train" or "test"
+    ``row_ids`` are the rows it got wrong, in table order; ``wrong`` is the
+    read-only per-row verdict (thresholded prediction != label) the region
+    counts read; ``metrics`` are the confusion counts of the same pass.
+    """
+
+    split: str  # "train", "test" or "all"
     threshold: float
     row_ids: tuple[str, ...]
-
-
-def misclassified_mask(predictor: Predictor, table: LabeledTable,
-                       threshold: float) -> np.ndarray:
-    """Boolean mask of rows where thresholded prediction != label."""
-    probs = check_probabilities(predictor.predict_table(table), table.n_rows)
-    return (probs >= threshold) != (table.labels == 1)
+    wrong: np.ndarray = field(compare=False, repr=False)
+    metrics: Metrics
 
 
 def find_misclassified(predictor: Predictor, table: LabeledTable,
                        threshold: float = 0.5,
                        split: str = "test") -> MisclassifiedSet:
+    """Score a table once (p >= threshold is positive)."""
     if table.n_rows == 0:
         raise EmptyTable("cannot scan an empty table")
-    mask = misclassified_mask(predictor, table, threshold)
+    probs = check_probabilities(predictor.predict_table(table), table.n_rows)
+    pred = probs >= threshold
+    actual = table.labels == 1
+    wrong = pred != actual
+    wrong.flags.writeable = False
     return MisclassifiedSet(
         split=split,
         threshold=threshold,
-        row_ids=tuple(rid for rid, bad in zip(table.row_ids, mask) if bad),
+        row_ids=tuple(rid for rid, bad in zip(table.row_ids, wrong) if bad),
+        wrong=wrong,
+        metrics=Metrics(
+            tp=int(np.sum(pred & actual)),
+            fp=int(np.sum(pred & ~actual)),
+            tn=int(np.sum(~pred & ~actual)),
+            fn=int(np.sum(~pred & actual)),
+            threshold=threshold,
+        ),
     )
 
 
@@ -152,19 +165,18 @@ class ConditionStats:
 
 def region_error_rate(
     condition: Condition,
-    predictor: Predictor,
     table: LabeledTable,
-    threshold: float = 0.5,
+    misclassified: MisclassifiedSet,
 ) -> ConditionStats:
-    """Coverage and error rate of one condition on a table.
+    """Coverage and error rate of one condition on the table ``misclassified``
+    scored.
 
-    Support fields are zeroed; :func:`build_report` fills them from mining.
-    An empty region reports error_rate 0.
+    Support fields are zeroed; :func:`report_from_explanations` fills them
+    from mining.  An empty region reports error_rate 0.
     """
     in_region = condition.matches(table.column(condition.feature))
-    wrong = misclassified_mask(predictor, table, threshold)
     coverage = int(in_region.sum())
-    errors = int((in_region & wrong).sum())
+    errors = int((in_region & misclassified.wrong).sum())
     return ConditionStats(
         condition=condition,
         support=0,
@@ -235,7 +247,6 @@ class RegionReport:
 
 
 def report_from_explanations(
-    predictor: Predictor,
     table: LabeledTable,
     explanations: Sequence[Explanation],
     misclassified: MisclassifiedSet,
@@ -243,16 +254,22 @@ def report_from_explanations(
     lime_config: LimeConfig = LimeConfig(),
     extra_config: Mapping[str, object] | None = None,
 ) -> RegionReport:
-    """Mine conditions from existing explanations and score them on the table.
+    """Mine conditions from the explanations of ``misclassified``'s rows and
+    score each on the table it came from.
 
-    Building block of :func:`build_report` for callers that already hold the
-    explanations (e.g. to persist them alongside the report).
+    ``explanations`` must follow ``misclassified.row_ids`` one to one, as
+    :func:`explain_misclassified` returns them.  With no misclassified rows
+    the report has zero regions and baseline 0.
     """
     if table.n_rows == 0:
         raise EmptyTable("cannot report on an empty table")
+    if misclassified.wrong.shape != (table.n_rows,):
+        raise DataError(f"misclassified set scores {misclassified.wrong.shape} "
+                        f"rows, table has {table.n_rows}")
+    if tuple(e.row_id for e in explanations) != misclassified.row_ids:
+        raise DataError("one explanation per misclassified row required, "
+                        "in misclassified order")
     n_mis = len(misclassified.row_ids)
-    if len(explanations) != n_mis:
-        raise DataError("one explanation per misclassified row required")
     config: dict[str, object] = {
         "split": misclassified.split,
         "threshold": misclassified.threshold,
@@ -269,7 +286,7 @@ def report_from_explanations(
     stats: list[ConditionStats] = []
     if explanations:
         for cond, support in mine_conditions(explanations, min_support_fraction):
-            s = region_error_rate(cond, predictor, table, misclassified.threshold)
+            s = region_error_rate(cond, table, misclassified)
             if s.coverage == 0:
                 continue
             stats.append(replace(s, support=support,
@@ -282,32 +299,4 @@ def report_from_explanations(
         baseline_error_rate=n_mis / table.n_rows,
         regions=tuple(stats),
         config=config,
-    )
-
-
-def build_report(
-    predictor: Predictor,
-    disc: Discretizer,
-    table: LabeledTable,
-    split: str = "test",
-    threshold: float = 0.5,
-    min_support_fraction: float = 0.1,
-    lime_config: LimeConfig = LimeConfig(),
-    jobs: int = 1,
-    extra_config: Mapping[str, object] | None = None,
-) -> RegionReport:
-    """End-to-end region report for one split.
-
-    Composes find_misclassified -> explain_misclassified -> mine_conditions
-    -> region_error_rate.  With no misclassified rows the report has zero
-    regions and baseline 0.
-    """
-    mis = find_misclassified(predictor, table, threshold=threshold, split=split)
-    explanations = explain_misclassified(predictor, table, mis, disc,
-                                         config=lime_config, jobs=jobs)
-    return report_from_explanations(
-        predictor, table, explanations, mis,
-        min_support_fraction=min_support_fraction,
-        lime_config=lime_config,
-        extra_config=extra_config,
     )

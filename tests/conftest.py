@@ -7,7 +7,15 @@ from typing import Sequence
 import numpy as np
 from hypothesis import settings
 
-from errlens import FeatureSpec, LabeledTable
+from errlens import (
+    FeatureSpec,
+    LabeledTable,
+    LimeConfig,
+    RegionReport,
+    explain_misclassified,
+    find_misclassified,
+    report_from_explanations,
+)
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -52,3 +60,27 @@ BAD_PREDICTOR_OUTPUTS = {
     "outside_unit_interval": lambda cols: 3.0 * np.asarray(cols[0], dtype=float) - 1.0,
     "wrong_length": lambda cols: np.full(len(cols[0]) - 1, 0.5),
 }
+
+
+def find_explain_report(predictor, disc, table: LabeledTable, split: str = "test",
+                        lime_config: LimeConfig = LimeConfig()) -> RegionReport:
+    """The library's find -> explain -> report sequence on one split."""
+    mis = find_misclassified(predictor, table, split=split)
+    explanations = explain_misclassified(predictor, table, mis, disc,
+                                         config=lime_config)
+    return report_from_explanations(table, explanations, mis,
+                                    lime_config=lime_config)
+
+
+def count_table_scores(monkeypatch, predictor_class) -> list[int]:
+    """Patch ``predictor_class.predict_table`` to record the row count of every
+    table it scores; returns the (live) list of those counts."""
+    calls: list[int] = []
+    original = predictor_class.predict_table
+
+    def counting(self, table):
+        calls.append(table.n_rows)
+        return original(self, table)
+
+    monkeypatch.setattr(predictor_class, "predict_table", counting)
+    return calls

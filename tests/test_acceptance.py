@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import find_explain_report, make_table
 from errlens import (
     Condition,
     Explanation,
@@ -31,9 +31,7 @@ from errlens import (
     Metrics,
     Predictor,
     RegionReport,
-    build_report,
     default_spec,
-    evaluate,
     explain,
     explain_misclassified,
     find_misclassified,
@@ -73,7 +71,7 @@ def planted_run() -> PlantedRun:
     mis = find_misclassified(model, test_table, threshold=0.5, split="test")
     explanations = explain_misclassified(model, test_table, mis, disc,
                                          config=LimeConfig(), jobs=1)
-    report = report_from_explanations(model, test_table, explanations, mis)
+    report = report_from_explanations(test_table, explanations, mis)
     return PlantedRun(
         test_table=test_table,
         model=model,
@@ -91,8 +89,8 @@ def test_criterion_1_metrics_match_hand_built_confusion_matrices() -> None:
     # scored 0.9,0.8,0.6,0.1,0.7,0.2 at threshold 0.5 -> tp=3 fn=1 fp=1 tn=1
     table = make_table([[0.0] * 6], [1, 1, 1, 1, 0, 0])
     probs = np.asarray([0.9, 0.8, 0.6, 0.1, 0.7, 0.2])
-    metrics = evaluate(FunctionPredictor(table.schema, lambda c: probs),
-                       table, threshold=0.5)
+    metrics = find_misclassified(FunctionPredictor(table.schema, lambda c: probs),
+                                 table, threshold=0.5).metrics
     assert (metrics.tp, metrics.fp, metrics.tn, metrics.fn) == (3, 1, 1, 1)
     assert metrics.recall == 0.75          # 3 / (3 + 1)
     assert metrics.precision == 0.75       # 3 / (3 + 1)
@@ -101,8 +99,9 @@ def test_criterion_1_metrics_match_hand_built_confusion_matrices() -> None:
 
     # a probability exactly at the threshold predicts positive
     one = make_table([[0.0]], [0])
-    boundary = evaluate(FunctionPredictor(one.schema,
-                                          lambda c: np.asarray([0.5])), one)
+    boundary = find_misclassified(FunctionPredictor(one.schema,
+                                                    lambda c: np.asarray([0.5])),
+                                  one).metrics
     assert (boundary.tp, boundary.fp, boundary.tn, boundary.fn) == (0, 1, 0, 0)
 
     # degenerate denominators degrade to 0.0 instead of raising
@@ -347,8 +346,8 @@ def test_criterion_6_region_counts_survive_a_brute_force_rescan(
         kinds=["continuous", "continuous", "categorical"],
     )
     model = train_gbdt(table.subset(range(250)), GbdtParams(rounds=20))
-    report = build_report(model, fit_discretizer(table), table, split="all",
-                          lime_config=LimeConfig(n_samples=400, seed=1))
+    report = find_explain_report(model, fit_discretizer(table), table, split="all",
+                                 lime_config=LimeConfig(n_samples=400, seed=1))
     recount_regions(report, table, model)
 
 

@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from conftest import count_table_scores
+from errlens import ExternalPredictions, GbdtModel
 from errlens.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -226,6 +228,32 @@ def test_eval_without_model_or_predictions_is_a_usage_error(tmp_path) -> None:
     data.write_text("x,label\n1.0,0\n", encoding="utf-8")
     assert run("eval", "--data", str(data),
                "--out-dir", str(tmp_path / "o")) == EXIT_USAGE
+
+
+# --- one scoring pass per split ---------------------------------------------------
+
+
+def test_pipeline_scores_each_split_once(tmp_path, synth_dir, monkeypatch) -> None:
+    calls = count_table_scores(monkeypatch, GbdtModel)
+    out = str(tmp_path / "pipe")
+    assert run("pipeline", "--data", f"{synth_dir}/synth.csv", "--rounds", "8",
+               "--n-samples", "200", "--seed", "7", "--out-dir", out) == EXIT_OK
+    assert calls == [90, 30]  # train split, then test split
+    assert json.load(open(f"{out}/report_train.json"))["regions"]
+
+
+def test_mine_with_external_predictions_scores_the_table_once(
+    tmp_path, synth_dir, monkeypatch,
+) -> None:
+    preds = tmp_path / "p.csv"
+    preds.write_text("row_id,probability\n" + "".join(
+        f"{i},{0.9 if i % 3 == 0 else 0.1}\n" for i in range(120)), encoding="utf-8")
+    calls = count_table_scores(monkeypatch, ExternalPredictions)
+    out = str(tmp_path / "mine")
+    assert run("mine", "--data", f"{synth_dir}/synth.csv", "--predictions",
+               str(preds), "--n-samples", "50", "--out-dir", out) == EXIT_OK
+    assert calls == [120]
+    assert json.load(open(f"{out}/report.json"))["regions"]
 
 
 # --- exit codes -------------------------------------------------------------------

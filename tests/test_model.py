@@ -16,9 +16,8 @@ from errlens import (
     GbdtModel,
     GbdtParams,
     Metrics,
-    evaluate,
+    find_misclassified,
     load_external_predictions,
-    predict_proba,
     train_gbdt,
 )
 from errlens.errors import (
@@ -286,12 +285,6 @@ def test_predictions_demand_the_training_schema() -> None:
         model.predict_table(other)
 
 
-def test_predict_proba_matches_the_predictor_method() -> None:
-    table = make_table([[1.0, 2.0, 3.0]], [0, 1, 1])
-    model = train_gbdt(table, GbdtParams(rounds=2))
-    assert np.array_equal(predict_proba(model, table), model.predict_table(table))
-
-
 # --- metrics ---------------------------------------------------------------------
 
 
@@ -302,7 +295,8 @@ def predictor_returning(values: list[float], table) -> FunctionPredictor:
 
 def test_confusion_counts_match_hand_checks() -> None:
     table = make_table([[0.0] * 4], [1, 1, 1, 1], row_ids=list("abcd"))
-    metrics = evaluate(predictor_returning([0.9, 0.8, 0.6, 0.1], table), table)
+    metrics = find_misclassified(
+        predictor_returning([0.9, 0.8, 0.6, 0.1], table), table).metrics
     assert (metrics.tp, metrics.fp, metrics.tn, metrics.fn) == (3, 0, 0, 1)
     assert metrics.recall == 0.75
     assert metrics.accuracy == 0.75
@@ -311,7 +305,8 @@ def test_confusion_counts_match_hand_checks() -> None:
 
 def test_probability_at_the_threshold_counts_as_positive() -> None:
     table = make_table([[0.0]], [0])
-    metrics = evaluate(predictor_returning([0.5], table), table, threshold=0.5)
+    metrics = find_misclassified(predictor_returning([0.5], table), table,
+                                 threshold=0.5).metrics
     assert (metrics.tp, metrics.fp, metrics.tn, metrics.fn) == (0, 1, 0, 0)
 
 
@@ -320,7 +315,7 @@ def test_evaluate_rejects_outputs_that_are_not_probabilities(bad: str) -> None:
     table = make_table([np.linspace(0.0, 1.0, 10).tolist()], [0, 1] * 5)
     predictor = FunctionPredictor(table.schema, BAD_PREDICTOR_OUTPUTS[bad])
     with pytest.raises(DataError, match="predictor"):
-        evaluate(predictor, table)
+        find_misclassified(predictor, table).metrics
 
 
 def test_undefined_rates_degrade_to_zero() -> None:
@@ -349,7 +344,8 @@ def test_external_predictions_answer_tables_by_exact_row_id(tmp_path) -> None:
     path.write_text("row_id,probability\na,0.1\nb,0.9\nc,0.4\n", encoding="utf-8")
     preds = load_external_predictions(str(path), table)
     assert preds.predict_table(table).tolist() == [0.1, 0.9, 0.4]
-    assert evaluate(preds, table).error_rate == pytest.approx(1 / 3)
+    metrics = find_misclassified(preds, table).metrics
+    assert metrics.error_rate == pytest.approx(1 / 3)
 
 
 def test_external_predictions_answer_bare_rows_by_nearest_reference() -> None:

@@ -7,18 +7,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import BAD_PREDICTOR_OUTPUTS, make_table, random_table
+from conftest import (
+    BAD_PREDICTOR_OUTPUTS,
+    count_table_scores,
+    find_explain_report,
+    make_table,
+    random_table,
+)
 from errlens import (
     Condition,
     ConditionStats,
     Explanation,
     FunctionPredictor,
+    GbdtModel,
     GbdtParams,
     LimeConfig,
+    Metrics,
     MisclassifiedSet,
     RegionReport,
-    build_report,
-    evaluate,
     explain_misclassified,
     find_misclassified,
     fit_discretizer,
@@ -90,7 +96,9 @@ def test_explanations_follow_the_misclassified_order_even_in_parallel() -> None:
 
 def test_explaining_an_unknown_row_id_fails_loudly() -> None:
     table = make_table([[1.0, 2.0]], [0, 1], row_ids=["a", "b"])
-    ghost = MisclassifiedSet(split="test", threshold=0.5, row_ids=("ghost",))
+    ghost = MisclassifiedSet(split="test", threshold=0.5, row_ids=("ghost",),
+                             wrong=np.array([False, False]),
+                             metrics=Metrics(tp=1, fp=0, tn=1, fn=0, threshold=0.5))
     with pytest.raises(DataError):
         explain_misclassified(fixed_predictor(table, [0.5, 0.5]), table, ghost,
                               fit_discretizer(table))
@@ -156,8 +164,8 @@ def test_region_stats_count_covered_rows_and_their_errors() -> None:
     table = make_table([list(range(10))], [0] * 10)
     probs = [0.1] * 10
     probs[7] = 0.9  # the one mistake, inside the region
-    stats = region_error_rate(Condition(feature="f0", low=5.5),
-                              fixed_predictor(table, probs), table)
+    mis = find_misclassified(fixed_predictor(table, probs), table)
+    stats = region_error_rate(Condition(feature="f0", low=5.5), table, mis)
     assert stats.coverage == 4
     assert stats.errors_in_region == 1
     assert stats.error_rate == 0.25
@@ -166,8 +174,8 @@ def test_region_stats_count_covered_rows_and_their_errors() -> None:
 
 def test_an_uncovered_region_has_zero_error_rate() -> None:
     table = make_table([[1.0, 2.0]], [0, 0])
-    stats = region_error_rate(Condition(feature="f0", low=100.0),
-                              fixed_predictor(table, [0.9, 0.9]), table)
+    mis = find_misclassified(fixed_predictor(table, [0.9, 0.9]), table)
+    stats = region_error_rate(Condition(feature="f0", low=100.0), table, mis)
     assert stats.coverage == 0
     assert stats.error_rate == 0.0
 
@@ -185,7 +193,7 @@ def test_report_orders_regions_by_rate_then_coverage_then_text() -> None:
     low = Condition(feature="f0", high=2.5)        # covers 3, errors 0
     explanations = [explanation("4", top, half, low),
                     explanation("5", top, half, low)]
-    report = report_from_explanations(predictor, table, explanations, mis)
+    report = report_from_explanations(table, explanations, mis)
     ordering = [(r.condition.text, r.coverage, r.error_rate)
                 for r in report.regions]
     assert ordering == [
@@ -204,8 +212,7 @@ def test_report_drops_conditions_that_cover_nothing() -> None:
     predictor = fixed_predictor(table, [0.9, 0.1])
     mis = find_misclassified(predictor, table, split="test")
     nowhere = Condition(feature="f0", low=50.0)
-    report = report_from_explanations(
-        predictor, table, [explanation("0", nowhere)], mis)
+    report = report_from_explanations(table, [explanation("0", nowhere)], mis)
     assert report.regions == ()
 
 
@@ -214,7 +221,25 @@ def test_report_requires_one_explanation_per_misclassified_row() -> None:
     predictor = fixed_predictor(table, [0.9, 0.1])
     mis = find_misclassified(predictor, table, split="test")
     with pytest.raises(DataError):
-        report_from_explanations(predictor, table, [], mis)
+        report_from_explanations(table, [], mis)
+
+
+def test_report_rejects_a_misclassified_set_scored_on_another_table() -> None:
+    three = make_table([[1.0, 2.0, 3.0]], [0, 0, 0])
+    four = make_table([[1.0, 2.0, 3.0, 4.0]], [0, 0, 1, 1])
+    mis = find_misclassified(fixed_predictor(three, [0.1, 0.1, 0.9]), three)
+    with pytest.raises(DataError, match="rows"):
+        report_from_explanations(four, [explanation("2", greater("f0"))], mis)
+
+
+def test_report_requires_explanations_of_the_misclassified_rows_in_order() -> None:
+    table = make_table([[1.0, 2.0, 3.0]], [0, 0, 0])
+    mis = find_misclassified(fixed_predictor(table, [0.1, 0.9, 0.9]), table)
+    assert mis.row_ids == ("1", "2")
+    for ids in (["0", "2"], ["2", "1"]):  # a correct row; the right rows reordered
+        explanations = [explanation(rid, greater("f0")) for rid in ids]
+        with pytest.raises(DataError, match="misclassified"):
+            report_from_explanations(table, explanations, mis)
 
 
 def test_report_config_echoes_every_knob_plus_extras() -> None:
@@ -222,7 +247,7 @@ def test_report_config_echoes_every_knob_plus_extras() -> None:
     predictor = fixed_predictor(table, [0.9, 0.1])
     mis = find_misclassified(predictor, table, threshold=0.4, split="train")
     report = report_from_explanations(
-        predictor, table, [explanation("0", greater("f0"))], mis,
+        table, [explanation("0", greater("f0"))], mis,
         min_support_fraction=0.2,
         lime_config=LimeConfig(n_samples=100, top_k=3, seed=8),
         extra_config={"rows": 2},
@@ -238,9 +263,9 @@ def test_build_report_is_consistent_with_the_evaluation_metrics() -> None:
     rng = np.random.default_rng(12)
     table = random_table(rng, 80, 3)
     model = train_gbdt(table.subset(range(50)), GbdtParams(rounds=5))
-    report = build_report(model, fit_discretizer(table), table, split="all",
-                          lime_config=LimeConfig(n_samples=150, seed=1))
-    metrics = evaluate(model, table)
+    report = find_explain_report(model, fit_discretizer(table), table, split="all",
+                                 lime_config=LimeConfig(n_samples=150, seed=1))
+    metrics = find_misclassified(model, table).metrics
     assert report.baseline_error_rate == pytest.approx(metrics.error_rate)
     assert report.n_misclassified == metrics.fp + metrics.fn
     for region in report.regions:
@@ -249,10 +274,29 @@ def test_build_report_is_consistent_with_the_evaluation_metrics() -> None:
         assert region.errors_in_region <= report.n_misclassified
 
 
+def test_find_explain_report_scores_the_table_once(monkeypatch) -> None:
+    rng = np.random.default_rng(12)
+    table = random_table(rng, 80, 3)
+    model = train_gbdt(table.subset(range(50)), GbdtParams(rounds=5))
+    calls = count_table_scores(monkeypatch, GbdtModel)
+    report = find_explain_report(model, fit_discretizer(table), table, split="all",
+                                 lime_config=LimeConfig(n_samples=150, seed=1))
+    assert calls == [80]
+    assert report.regions  # every region was counted without a second pass
+
+
+def test_the_misclassified_mask_is_read_only() -> None:
+    table = make_table([[1.0, 2.0]], [0, 0])
+    mis = find_misclassified(fixed_predictor(table, [0.9, 0.1]), table)
+    assert mis.wrong.tolist() == [True, False]
+    with pytest.raises(ValueError):
+        mis.wrong[1] = True
+
+
 def test_a_perfect_predictor_yields_an_empty_report() -> None:
     table = make_table([[1.0, 2.0]], [0, 1])
     perfect = fixed_predictor(table, [0.1, 0.9])
-    report = build_report(perfect, fit_discretizer(table), table)
+    report = find_explain_report(perfect, fit_discretizer(table), table)
     assert report.regions == ()
     assert report.baseline_error_rate == 0.0
 
