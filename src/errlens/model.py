@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -512,6 +513,46 @@ class FunctionPredictor:
         return self.predict_rows(table.schema, table.columns)
 
 
+# Bare rows are answered through a k-d tree over the reference rows embedded so
+# that squared Euclidean distance is the answering metric: a continuous value
+# becomes ``value / scale``, a categorical one a one-hot block of weight
+# sqrt(0.5) with a last slot for categories the reference lacks, so each
+# mismatch adds 1.  The tree proposes the _K nearest rows; their distances are
+# then recomputed exactly as the full scan computes them.  That answer stands
+# only when every other reference row is provably farther, by these bounds
+# (u is the unit roundoff, d the number of features, dim the number of tree
+# coordinates, n the number of reference rows):
+#
+# * The scan's squared distance D sums d terms, each a square of a quotient of
+#   a difference and so within (1 +- u)**5 of its exact value, in d roundings.
+#   All terms are non-negative, so D is within a factor (1 +- u)**(d + 5) of
+#   the exact squared distance delta whatever the magnitudes (the difference
+#   of two floats is correctly rounded; it does not cancel).
+# * The tree works on rounded coordinates ``fl(x / scale)``.  Their
+#   differences are off by at most 3u * (|q_c| + M_c) per coordinate, where
+#   M_c bounds the reference's |coordinate| -- an absolute error that grows
+#   with the magnitude of the values, not with their spread.  So a row's norm
+#   sqrt(delta) exceeds its tree coordinates' norm by at most
+#   H = 3u * sqrt(sum_c (|q_c| + M_c)**2).
+# * The tree's own distance is a sum of squares with a square root, and its
+#   pruning updates a squared bound once per level of a path no longer than
+#   the reference: a relative error below rho = (dim + 2n + 8)u, with margin
+#   for evaluating the test.
+#
+# A reference row the tree did not return is at least dist_K (1 - rho) from
+# the row in tree coordinates, hence sqrt(delta) >= dist_K (1 - rho) - H =:
+# reach, and D >= reach**2 (1 - gamma) with gamma = (d + 16)u, which leaves
+# margin for rounding the test itself.  The absolute term TINY covers
+# subnormal results.  A row whose bound is not above the candidates' exact
+# best -- exact ties, duplicate reference rows, non-finite distances -- falls
+# back to the full scan.
+_K = 2
+_U = np.finfo(np.float64).eps / 2.0
+_TINY = np.finfo(np.float64).tiny
+_ONE_HOT = math.sqrt(0.5)
+_UNBUILT = object()
+
+
 class ExternalPredictions:
     """Predictor backed by a per-row-id probability file.
 
@@ -520,6 +561,9 @@ class ExternalPredictions:
     stored probability of the nearest reference row: continuous features are
     compared on a per-feature standardized scale, each categorical mismatch
     adds one unit of squared distance, and ties go to the lowest row index.
+    An exact nearest-neighbour index, built on the first bare-row call, finds
+    that row without comparing against every reference row; the answer is the
+    same as a full scan's, bit for bit.
     """
 
     def __init__(self, probabilities: dict[str, float], reference: LabeledTable):
@@ -531,6 +575,9 @@ class ExternalPredictions:
         self._ref_probs = np.asarray(
             [probabilities[r] for r in reference.row_ids], dtype=np.float64
         )
+        self._categories: Categories = tuple(
+            _frozen(np.unique(col)) if f.kind == "categorical" else None
+            for f, col in zip(reference.schema, reference.columns))
         self._scale = []
         for spec, col in zip(reference.schema, reference.columns):
             if spec.kind == "continuous":
@@ -538,6 +585,9 @@ class ExternalPredictions:
                 self._scale.append(sd if sd > 0 else 1.0)
             else:
                 self._scale.append(None)
+        self._ref = _pack(reference.columns, self._categories).T.copy()
+        self._index_lock = threading.Lock()
+        self._index = _UNBUILT
 
     def predict_table(self, table: LabeledTable) -> np.ndarray:
         try:
@@ -548,22 +598,91 @@ class ExternalPredictions:
     def predict_rows(self, schema: tuple[FeatureSpec, ...], columns: Columns) -> np.ndarray:
         if tuple(schema) != self.reference.schema:
             raise SchemaMismatch("rows do not match the reference table schema")
+        if len(columns) != len(schema):
+            raise DataError(f"expected {len(schema)} columns, got {len(columns)}")
         n = len(columns[0])
-        out = np.empty(n)
-        ref_cols = self.reference.columns
-        # distance matrix in manageable row blocks
-        block = max(1, 2_000_000 // max(1, self.reference.n_rows))
-        for start in range(0, n, block):
-            stop = min(n, start + block)
-            d2 = np.zeros((stop - start, self.reference.n_rows))
-            for j, spec in enumerate(schema):
-                if spec.kind == "continuous":
-                    diff = (columns[j][start:stop, None] - ref_cols[j][None, :])
-                    d2 += (diff / self._scale[j]) ** 2
+        if any(np.ndim(col) != 1 or len(col) != n for col in columns):
+            raise DataError("columns must be one-dimensional and of equal length")
+        try:
+            x = _pack(columns, self._categories)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"rows are not numeric where the schema says so: {exc}") from None
+        if not np.isfinite(x).all():
+            raise DataError("continuous cells must be finite")
+        if n and not self.reference.n_rows:
+            raise EmptyTable("no reference rows to answer bare rows with")
+        return self._ref_probs[self._nearest(x)]
+
+    def _sq_distances(self, x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """Squared distances of packed rows ``x`` to reference rows ``ref``.
+
+        ``ref`` holds reference indices, ``(len(x), k)`` or ``(1, n_ref)``.
+        Terms are added in schema order: a continuous term is
+        ``((x - r) / scale) ** 2`` and a categorical mismatch, compared on
+        codes, adds 1.  Every answer's distance is computed here.
+        """
+        d2 = np.zeros(np.broadcast_shapes((len(x), 1), ref.shape))
+        for j, scale in enumerate(self._scale):
+            r = self._ref[j][ref]
+            if scale is None:
+                d2 += x[:, j, None] != r
+            else:
+                d2 += ((x[:, j, None] - r) / scale) ** 2
+        return d2
+
+    def _embed(self, x: np.ndarray) -> np.ndarray:
+        """Packed rows in the tree's coordinates (see the note above _K)."""
+        parts = []
+        for j, (scale, cats) in enumerate(zip(self._scale, self._categories)):
+            if cats is None:
+                parts.append(x[:, j, None] / scale)
+            else:
+                one_hot = np.zeros((len(x), cats.size + 1))
+                # an absent category's code -1 picks the last, extra slot
+                one_hot[np.arange(len(x)), x[:, j].astype(np.intp)] = _ONE_HOT
+                parts.append(one_hot)
+        return np.hstack(parts)
+
+    def _neighbour_index(self):
+        """``(tree, M_c, rho)``, built on first use; None when a full scan is
+        as cheap (at most _K reference rows) or the coordinates overflow."""
+        with self._index_lock:
+            if self._index is _UNBUILT:
+                ref = self._embed(self._ref.T)
+                if self.reference.n_rows <= _K or not np.isfinite(ref).all():
+                    self._index = None
                 else:
-                    d2 += columns[j][start:stop, None] != ref_cols[j][None, :]
-            out[start:stop] = self._ref_probs[np.argmin(d2, axis=1)]
-        return out
+                    from scipy.spatial import cKDTree
+
+                    rho = (ref.shape[1] + 2 * len(ref) + 8) * _U
+                    self._index = (cKDTree(ref), np.abs(ref).max(axis=0), rho)
+        return self._index
+
+    def _nearest(self, x: np.ndarray) -> np.ndarray:
+        """Lowest index of a reference row at the least distance, per row."""
+        n_ref = self.reference.n_rows
+        best = np.full(len(x), -1, dtype=np.intp)
+        index = self._neighbour_index()
+        if index is not None:
+            tree, ref_max, rho = index
+            q = self._embed(x)
+            finite = np.isfinite(q).all(axis=1)
+            dist, cand = tree.query(np.where(finite[:, None], q, 0.0), k=_K)
+            d2 = self._sq_distances(x, cand)
+            best_d2 = d2.min(axis=1)
+            best = np.where(d2 == best_d2[:, None], cand, n_ref).min(axis=1)
+            slack = 3.0 * _U * np.sqrt(((np.abs(q) + ref_max) ** 2).sum(axis=1))
+            reach = dist[:, -1] * (1.0 - rho) - slack - _TINY
+            bound = reach * reach * (1.0 - (len(self._scale) + 16) * _U) - _TINY
+            proven = finite & (reach >= 0.0) & np.isfinite(bound) & (bound > best_d2)
+            best[~proven] = -1
+        todo = np.flatnonzero(best < 0)
+        block = max(1, 2_000_000 // max(1, n_ref))
+        everyone = np.arange(n_ref)[None, :]
+        for start in range(0, todo.size, block):
+            rows = todo[start:start + block]
+            best[rows] = np.argmin(self._sq_distances(x[rows], everyone), axis=1)
+        return best
 
 
 def load_external_predictions(path: str, table: LabeledTable) -> ExternalPredictions:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from conftest import BAD_PREDICTOR_OUTPUTS, make_table, random_table
@@ -387,3 +390,183 @@ def test_external_prediction_files_are_strictly_validated(tmp_path) -> None:
     path.write_text("id,prob\na,0.5\nb,0.5\n", encoding="utf-8")
     with pytest.raises(MissingColumn):
         load_external_predictions(str(path), table)
+
+
+# --- external predictions: bare rows ------------------------------------------------
+
+
+def scan_answers(ext: ExternalPredictions, columns) -> np.ndarray:
+    """Bare-row answers by a full scan over the reference, in the arithmetic of
+    the original brute-force predictor (kept here as the reference)."""
+    reference = ext.reference
+    scale = []
+    for spec, col in zip(reference.schema, reference.columns):
+        if spec.kind == "continuous":
+            sd = float(col.std())
+            scale.append(sd if sd > 0 else 1.0)
+        else:
+            scale.append(None)
+    n = len(columns[0])
+    out = np.empty(n)
+    ref_cols = reference.columns
+    block = max(1, 2_000_000 // max(1, reference.n_rows))
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        d2 = np.zeros((stop - start, reference.n_rows))
+        for j, spec in enumerate(reference.schema):
+            if spec.kind == "continuous":
+                diff = (columns[j][start:stop, None] - ref_cols[j][None, :])
+                d2 += (diff / scale[j]) ** 2
+            else:
+                d2 += columns[j][start:stop, None] != ref_cols[j][None, :]
+        out[start:stop] = ext._ref_probs[np.argmin(d2, axis=1)]
+    return out
+
+
+def external_on(ref_columns, kinds, probs=None) -> ExternalPredictions:
+    n_ref = len(ref_columns[0])
+    table = make_table(ref_columns, [0] * n_ref, kinds=kinds)
+    if probs is None:
+        probs = [(i + 1) / (n_ref + 1) for i in range(n_ref)]
+    return ExternalPredictions(dict(zip(table.row_ids, probs)), table)
+
+
+def bare(columns, kinds) -> list[np.ndarray]:
+    return [np.asarray(col, dtype=(str if kind == "categorical" else np.float64))
+            for col, kind in zip(columns, kinds)]
+
+
+_CONT, _CAT = "continuous", "categorical"
+_RNG = np.random.default_rng(11)
+_ANGLES = _RNG.uniform(0.0, 2.0 * np.pi, size=40)
+_SPREAD = _RNG.uniform(-1.5, 1.5, size=20)
+
+# name -> (reference columns, kinds, reference probabilities or None, rows)
+BARE_ROW_CASES = {
+    "duplicate_reference_rows": (  # more rows than one k-d tree leaf holds
+        [[0.0, 1.0, 1.0, 2.0, 1.0, 0.0] * 8, ["a", "b", "b", "a", "b", "a"] * 8],
+        [_CONT, _CAT], _RNG.uniform(size=48).tolist(),
+        [[0.0, 1.0, 1.1, 0.9, 2.0, 0.5], ["a", "b", "b", "b", "a", "a"]]),
+    "exact_midpoint_ties": (
+        [[0.0, 2.0, 4.0, 6.0], [0.0, 0.0, 2.0, 2.0]], [_CONT, _CONT], None,
+        [[1.0, 3.0, 5.0, 2.0, 4.0], [0.0, 1.0, 2.0, 1.0, 1.0]]),
+    "unseen_query_category": (
+        [[0.0, 1.0, 2.0, 3.0], ["a", "b", "a", "c"]], [_CONT, _CAT], None,
+        [[0.1, 1.9, 3.0, 2.5], ["z", "zz", "c", "z"]]),
+    "all_categorical": (
+        [_RNG.choice(list("ab"), size=40).tolist(), _RNG.choice(list("xy"), size=40).tolist(),
+         _RNG.choice(list("pq"), size=40).tolist()],
+        [_CAT, _CAT, _CAT], None,
+        [list(col) for col in zip(*itertools.product("abz", "xy", "pq"))]),
+    "zero_std_column": (
+        [[5.0] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]], [_CONT, _CONT], None,
+        [[5.0, 4.0, 7.0, 5.0], [0.2, 2.6, 4.9, 2.5]]),
+    "one_row_reference": (
+        [[3.0], ["a"]], [_CONT, _CAT], [0.7], [[0.0, 3.0, 100.0], ["a", "b", "a"]]),
+    "zero_row_query": (
+        [[0.0, 1.0, 2.0, 3.0]], [_CONT], None, [[]]),
+    # unit spread around 1e8, the same in both columns so that their scales
+    # agree to about 1e-6, plus a ring of reference rows 1e5 units in the last
+    # place of 1e8 from (1e8, 1e8) and query rows near its centre: their
+    # squared distances differ by about 1e-5 of themselves, which the tree's
+    # rounded coordinates cannot resolve
+    "values_near_1e8_with_unit_spread": (
+        [(1e8 + np.concatenate([_SPREAD, 2.0 ** -26 * np.round(1e5 * ring(_ANGLES))])).tolist()
+         for ring in (np.cos, np.sin)], [_CONT, _CONT], None,
+        [(1e8 + np.concatenate([_RNG.uniform(-1.5, 1.5, size=50),
+                                2.0 ** -26 * _RNG.integers(-50, 50, size=100)])).tolist()
+         for _ in range(2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BARE_ROW_CASES))
+def test_bare_rows_get_the_answer_of_a_full_scan(case: str) -> None:
+    ref_columns, kinds, probs, rows = BARE_ROW_CASES[case]
+    ext = external_on(ref_columns, kinds, probs)
+    columns = bare(rows, kinds)
+    out = ext.predict_rows(ext.reference.schema, columns)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, scan_answers(ext, columns))
+
+
+_GRID = st.integers(-3, 3).map(float)  # a coarse grid makes exact ties common
+_WIDE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def reference_and_rows(draw):
+    kinds = draw(st.lists(st.sampled_from([_CONT, _CAT]), min_size=1, max_size=4))
+    n_ref, n = draw(st.integers(1, 40)), draw(st.integers(0, 12))
+    values = draw(st.sampled_from([_GRID, _WIDE]))
+    ref_columns, columns = [], []
+    for kind in kinds:
+        cells = values if kind == _CONT else st.sampled_from("abc")
+        ref_columns.append(draw(st.lists(cells, min_size=n_ref, max_size=n_ref)))
+        cells = values if kind == _CONT else st.sampled_from("abcz")
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n_ref, max_size=n_ref))
+    return ref_columns, kinds, probs, columns
+
+
+@given(reference_and_rows())
+@settings(max_examples=300)
+def test_bare_row_answers_are_bit_identical_to_a_full_scan(drawn) -> None:
+    ref_columns, kinds, probs, rows = drawn
+    ext = external_on(ref_columns, kinds, probs)
+    columns = bare(rows, kinds)
+    assert np.array_equal(ext.predict_rows(ext.reference.schema, columns),
+                          scan_answers(ext, columns))
+
+
+def test_the_index_spares_distinct_rows_a_full_scan(monkeypatch) -> None:
+    rng = np.random.default_rng(3)
+    ext = external_on([rng.uniform(size=300).tolist() for _ in range(3)]
+                      + [rng.choice(list("abcd"), size=300).tolist()],
+                      [_CONT, _CONT, _CONT, _CAT])
+    scanned: list[int] = []
+    original = ExternalPredictions._sq_distances
+
+    def recording(self, x, ref):
+        if ref.shape[1] == self.reference.n_rows:  # every reference row at once
+            scanned.append(len(x))
+        return original(self, x, ref)
+
+    monkeypatch.setattr(ExternalPredictions, "_sq_distances", recording)
+    columns = [rng.uniform(size=500) for _ in range(3)] + [rng.choice(list("abcz"), size=500)]
+    out = ext.predict_rows(ext.reference.schema, columns)
+    assert scanned == []
+    assert np.array_equal(out, scan_answers(ext, columns))
+
+    # a row sitting on a reference row is settled by the index, unless that
+    # reference row has a duplicate: two candidates then cannot rule out a third
+    ext.predict_rows(ext.reference.schema, [col[:1] for col in ext.reference.columns])
+    assert scanned == []
+    dup = external_on([[0.0, 0.0, 1.0, 2.0]], [_CONT])
+    assert dup.predict_rows(dup.reference.schema, [np.asarray([0.0, 1.9])]).tolist() == [0.2, 0.8]
+    assert scanned == [1]
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param([np.asarray([np.nan]), np.asarray(["x"])], id="nan"),
+    pytest.param([np.asarray([np.inf]), np.asarray(["x"])], id="inf"),
+    pytest.param([np.asarray([1.0]), np.asarray(["x"]), np.asarray([2.0])],
+                 id="extra_column"),
+    pytest.param([], id="no_columns"),
+    pytest.param([np.asarray([1.0, 2.0]), np.asarray(["x"])], id="ragged"),
+    pytest.param([np.asarray(["one"]), np.asarray(["x"])], id="text_in_a_continuous_column"),
+])
+def test_external_predictions_reject_malformed_bare_rows(columns) -> None:
+    table = make_table([[0.0, 10.0], ["x", "y"]], [0, 1],
+                       kinds=["continuous", "categorical"])
+    ext = ExternalPredictions({"0": 0.2, "1": 0.8}, table)
+    with pytest.raises(DataError):
+        ext.predict_rows(table.schema, columns)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the std of an empty column
+def test_external_predictions_without_reference_rows_reject_bare_rows() -> None:
+    table = make_table([[]], [])
+    ext = ExternalPredictions({}, table)
+    assert ext.predict_rows(table.schema, [np.asarray([])]).shape == (0,)
+    with pytest.raises(EmptyTable):
+        ext.predict_rows(table.schema, [np.asarray([1.0])])
