@@ -87,71 +87,105 @@ def _codes(col: np.ndarray, cats: np.ndarray) -> np.ndarray:
 
 
 def _pack(columns: Columns, categories: Categories) -> np.ndarray:
-    """One (n, d) float64 matrix of the columns, categorical ones as codes."""
-    x = np.empty((len(columns[0]), len(categories)))
+    """One (n, d) float64 matrix of the columns, categorical ones as codes,
+    stored column by column so that a block of rows of one column is
+    contiguous."""
+    x = np.empty((len(categories), len(columns[0]))).T
     for j, (col, cats) in enumerate(zip(columns, categories)):
         x[:, j] = col if cats is None else _codes(np.asarray(col, dtype=str), cats)
     return x
 
 
-def _depth(child: np.ndarray) -> int:
-    """Levels from the root to the deepest leaf; DataError on a cycle."""
-    at, depth = np.zeros(1, dtype=np.intp), 0
-    while True:
-        nxt = child[np.concatenate([2 * at, 2 * at + 1])]
-        at = np.unique(nxt[nxt != np.tile(at, 2)])
-        if at.size == 0:
-            return depth
-        depth += 1
-        if depth >= child.size:
-            raise DataError("tree nodes form a cycle")
+def _packed_rows(expected: tuple[FeatureSpec, ...], schema: Sequence[FeatureSpec],
+                 columns: Columns, categories: Categories) -> np.ndarray:
+    """Bare rows packed by :func:`_pack`, checked at a predictor's boundary.
+
+    Raises SchemaMismatch unless ``schema`` is ``expected``, and DataError
+    unless there is one column per feature, all one-dimensional and of one
+    length, with numeric cells where the feature is continuous.  Whether
+    non-finite cells are allowed is each predictor's own rule.
+    """
+    if tuple(schema) != expected:
+        raise SchemaMismatch(f"rows have features {[f.name for f in schema]}, "
+                             f"expected {[f.name for f in expected]}")
+    if len(columns) != len(expected):
+        raise DataError(f"expected {len(expected)} columns, got {len(columns)}")
+    n = len(columns[0])
+    if any(np.ndim(col) != 1 or len(col) != n for col in columns):
+        raise DataError("columns must be one-dimensional and of equal length")
+    try:
+        return _pack(columns, categories)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"rows are not numeric where the schema says so: {exc}") from None
+
+
+def _walk(child: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Depth-first walk from the root, left before right.
+
+    Returns the leaves in left-to-right order, the split nodes in walk order,
+    and per split node the half-open range ``[first, end)`` of the numbers of
+    the leaves in its left subtree.  DataError when a node is reached twice:
+    a shared child or a cycle.
+    """
+    n = child.size // 2
+    seen = np.zeros(n, dtype=bool)
+    span = np.zeros((n, 2), dtype=np.intp)
+    leaves: list[int] = []
+    splits: list[int] = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if i < 0:  # the left subtree of split ~i is done
+            span[~i, 1] = len(leaves)
+            continue
+        if seen[i]:
+            raise DataError(f"tree node {i} has two parents or lies on a cycle")
+        seen[i] = True
+        left, right = int(child[2 * i]), int(child[2 * i + 1])
+        if left == i:
+            leaves.append(i)
+            continue
+        splits.append(i)
+        span[i, 0] = len(leaves)
+        stack += [right, ~i, left]
+    return np.asarray(leaves, dtype=np.intp), np.asarray(splits, dtype=np.intp), span[splits]
 
 
 class Tree:
     """Regression tree as one flat node table (node 0 is the root).
 
-    A row at node ``i`` goes left iff ``lo[i] <= x[feature[i]] <= hi[i]`` and
-    moves to ``child[2*i + went_right]``.  A continuous split stores
-    ``lo = -inf`` and ``hi = threshold``; a categorical split stores
-    ``lo = hi = code``, the category's index in ``categories[feature]``, so a
-    category the tree cannot match goes right.  Leaves point to themselves, so
-    every row takes exactly ``depth`` branch-free steps.
+    Node ``i`` is a leaf with value ``value[i]`` iff ``child[2*i] == i``.
+    Otherwise a row moves to ``child[2*i]`` (left) if it passes the split and
+    to ``child[2*i + 1]`` (right) if not.  It passes a continuous split iff
+    ``x[feature[i]] <= cut[i]``, the threshold, and a categorical split iff
+    its category is ``categories[feature[i]][cut[i]]``, so a category the tree
+    cannot match goes right.  Construction walks the tree once, numbering its
+    leaves left to right for :class:`_LeafBitvectors`.
     """
 
-    def __init__(self, feature: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 child: np.ndarray, value: np.ndarray, categories: Categories):
+    def __init__(self, feature: np.ndarray, cut: np.ndarray, child: np.ndarray,
+                 value: np.ndarray, categories: Categories):
         self.feature = _frozen(np.asarray(feature, dtype=np.intp))
-        self.lo = _frozen(np.asarray(lo, dtype=np.float64))
-        self.hi = _frozen(np.asarray(hi, dtype=np.float64))
+        self.cut = _frozen(np.asarray(cut, dtype=np.float64))
         self.child = _frozen(np.asarray(child, dtype=np.intp))
         self.value = _frozen(np.asarray(value, dtype=np.float64))
         self.categories = categories
-        self.depth = _depth(self.child)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Leaf value per row of a matrix packed by :func:`_pack`."""
-        n, d = x.shape
-        v = x[:, self.feature[0]]  # every row starts at the root
-        at = np.where((self.lo[0] <= v) & (v <= self.hi[0]), self.child[0], self.child[1])
-        flat, base = x.ravel(), np.arange(0, n * d, d)
-        for _ in range(self.depth - 1):
-            v = flat.take(base + self.feature.take(at))
-            go_left = (self.lo.take(at) <= v) & (v <= self.hi.take(at))
-            at = self.child.take(2 * at + ~go_left)
-        return self.value.take(at)
+        if np.isnan(self.cut).any():
+            raise DataError("a split threshold is NaN")
+        self.leaves, self.splits, self.left_leaves = map(_frozen, _walk(self.child))
 
     def to_json_obj(self) -> list[dict]:
         out: list[dict] = []
-        for i, (j, lo, hi, value) in enumerate(zip(self.feature.tolist(), self.lo.tolist(),
-                                                   self.hi.tolist(), self.value.tolist())):
+        for i, (j, cut, value) in enumerate(zip(self.feature.tolist(), self.cut.tolist(),
+                                                self.value.tolist())):
             left, right = self.child[2 * i: 2 * i + 2].tolist()
             if left == i:
                 out.append({"leaf": value})
             elif self.categories[j] is not None:
-                out.append({"feature": j, "category": str(self.categories[j][int(lo)]),
+                out.append({"feature": j, "category": str(self.categories[j][int(cut)]),
                             "left": left, "right": right})
             else:
-                out.append({"feature": j, "threshold": hi, "left": left, "right": right})
+                out.append({"feature": j, "threshold": cut, "left": left, "right": right})
         return out
 
     @classmethod
@@ -160,7 +194,7 @@ class Tree:
         if n == 0:
             raise DataError("a tree needs at least one node")
         feature = np.zeros(n, dtype=np.intp)
-        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        cut = np.zeros(n)
         child = np.repeat(np.arange(n, dtype=np.intp), 2)
         value = np.zeros(n)
         for i, rec in enumerate(obj):
@@ -175,12 +209,12 @@ class Tree:
             if ("category" in rec) != (cats is not None):
                 raise DataError(f"node {i}: split kind does not match feature {j}")
             if cats is None:
-                hi[i] = float(rec["threshold"])
+                cut[i] = float(rec["threshold"])
             else:
-                lo[i] = hi[i] = np.searchsorted(cats, rec["category"])
+                cut[i] = np.searchsorted(cats, rec["category"])
             feature[i] = j
             child[2 * i: 2 * i + 2] = left, right
-        return cls(feature, lo, hi, child, value, categories)
+        return cls(feature, cut, child, value, categories)
 
 
 def _json_categories(schema: Sequence[FeatureSpec], trees: Sequence[Sequence[dict]]
@@ -194,6 +228,102 @@ def _json_categories(schema: Sequence[FeatureSpec], trees: Sequence[Sequence[dic
                 used[rec["feature"]].add(rec["category"])
     return tuple(None if cats is None else _frozen(np.asarray(sorted(cats), dtype=str))
                  for cats in used)
+
+
+# Leaves per bitvector word, a word with every bit set, and rows x trees
+# scored at once, which keeps each block's (rows, trees) temporaries near
+# 1 MiB whatever the call's size.
+_WORD = 16
+_ONES = (1 << _WORD) - 1
+_BLOCK = 2 ** 16
+
+
+class _LeafBitvectors:
+    """An ensemble compiled for QuickScorer-style scoring (Lucchese et al.,
+    SIGIR 2015).
+
+    Each tree's leaves are numbered left to right and a row's state in a tree
+    is a bitvector over them, ``words`` 16-bit words per tree.  A split the
+    row fails (it goes right) clears the bits of the leaves in its left
+    subtree; the row's exit leaf is then the lowest bit still set.  The masks
+    are gathered per feature, not per split.  For a continuous feature,
+    ``cuts`` holds its distinct thresholds in ascending order and row ``k``
+    of its table ANDs the masks of the splits at ``cuts[:k]``, so
+    ``searchsorted(cuts, x)`` (the number of thresholds strictly below
+    ``x``, exactly the splits ``x <= threshold`` fails) picks the row.  For
+    a categorical feature, row ``c`` ANDs the masks of the splits code ``c``
+    fails, and the last row, picked by code -1, those of every split.
+    """
+
+    def __init__(self, trees: Sequence[Tree], categories: Categories,
+                 learning_rate: float):
+        n_trees = len(trees)
+        n_leaves = max((t.leaves.size for t in trees), default=1)
+        self.words = -(-n_leaves // _WORD)
+        width = _WORD * self.words
+        self.n_trees = n_trees
+        self.categories = categories
+        # leaf values premultiplied by the learning rate, one row per tree
+        value = np.zeros((n_trees, width))
+        for t, tree in enumerate(trees):
+            value[t, :tree.leaves.size] = learning_rate * tree.value[tree.leaves]
+        self.leaf_value = value.ravel()
+        self.leaf_base = np.arange(n_trees, dtype=np.intp) * width
+        self.ctz = np.full(1 << _WORD, _WORD, dtype=np.uint8)  # trailing zeros
+        for bit in range(_WORD):
+            self.ctz[1 << bit::2 << bit] = bit
+
+        # every split of the ensemble: its tree, feature, cut and mask
+        tree_of = np.repeat(np.arange(n_trees), [t.splits.size for t in trees])
+        feature = np.concatenate([np.empty(0, np.intp), *(t.feature[t.splits] for t in trees)])
+        cut = np.concatenate([np.empty(0), *(t.cut[t.splits] for t in trees)])
+        span = np.concatenate([np.empty((0, 2), np.intp), *(t.left_leaves for t in trees)])
+        lane = np.arange(width)
+        keep = (lane < span[:, :1]) | (lane >= span[:, 1:])
+        mask = np.packbits(keep, axis=1, bitorder="little").view("<u2").astype(np.uint16)
+        # per used feature: (column, sorted thresholds or None, table)
+        self.tables: list[tuple[int, np.ndarray | None, np.ndarray]] = []
+        for j, cats in enumerate(categories):
+            on = feature == j
+            if not on.any():
+                continue
+            if cats is None:
+                cuts, rank = np.unique(cut[on], return_inverse=True)
+                fails, split = rank + 1, np.arange(rank.size)
+                n_rows = cuts.size + 1
+            else:
+                cuts, code = None, cut[on].astype(np.intp)
+                n_rows = cats.size + 1
+                fails, split = np.nonzero(np.arange(n_rows)[:, None] != code)
+            table = np.full((n_rows, n_trees, self.words), _ONES, dtype=np.uint16)
+            np.bitwise_and.at(table, (fails, tree_of[on][split]), mask[on][split])
+            if cats is None:
+                np.bitwise_and.accumulate(table, axis=0, out=table)
+            self.tables.append((j, cuts, table))
+
+    def raw_scores(self, x: np.ndarray, base_score: float) -> np.ndarray:
+        """``base_score`` plus every tree's leaf value, added tree by tree in
+        ensemble order, per row of a matrix packed by :func:`_pack`."""
+        n = len(x)
+        raw = np.full(n, base_score)
+        step = max(1, _BLOCK // max(1, self.n_trees))
+        for start in range(0, n, step):
+            rows = slice(start, min(n, start + step))
+            bits = np.full((rows.stop - start, self.n_trees, self.words), _ONES,
+                           dtype=np.uint16)
+            for j, cuts, table in self.tables:
+                col = x[rows, j]
+                bits &= table[col.astype(np.intp) if cuts is None else np.searchsorted(cuts, col)]
+            # the lowest set bit of the lowest nonzero word; ctz[0] is _WORD,
+            # so a zero word leaves ``leaf`` at the start of the next word
+            leaf = self.ctz.take(bits[..., 0]) + self.leaf_base
+            for w in range(1, self.words):
+                start_w = self.leaf_base + _WORD * w
+                leaf = np.where(leaf == start_w, start_w + self.ctz.take(bits[..., w]), leaf)
+            value, out = self.leaf_value.take(leaf), raw[rows]
+            for t in range(self.n_trees):  # in ensemble order, as a per-row walk adds
+                out += value[:, t]
+        return raw
 
 
 # --- training ----------------------------------------------------------------
@@ -243,26 +373,26 @@ class _TreeGrower:
         self.g = g
         self.h = h
         self.p = params
-        self.nodes: list[tuple[int, float, float, float]] = []  # feature, lo, hi, value
+        self.nodes: list[tuple[int, float, float]] = []  # feature, cut, value
         self.child: list[int] = []
         self.row_value = np.zeros(len(g))
         self._goes_left = np.zeros(len(g), dtype=bool)
 
     def grow(self) -> Tree:
         self._node(np.arange(len(self.g), dtype=np.intp), self.order, depth=0)
-        feature, lo, hi, value = zip(*self.nodes)
-        return Tree(feature, lo, hi, self.child, value, self.categories)
+        feature, cut, value = zip(*self.nodes)
+        return Tree(feature, cut, self.child, value, self.categories)
 
-    def _append(self, feature: int, lo: float, hi: float, value: float) -> int:
+    def _append(self, feature: int, cut: float, value: float) -> int:
         slot = len(self.nodes)
-        self.nodes.append((feature, lo, hi, value))
+        self.nodes.append((feature, cut, value))
         self.child += [slot, slot]
         return slot
 
     def _leaf(self, rows: np.ndarray) -> int:
         value = -self.g[rows].sum() / (self.h[rows].sum() + self.p.l2)
         self.row_value[rows] = value
-        return self._append(0, -np.inf, np.inf, value)
+        return self._append(0, 0.0, value)
 
     def _node(self, rows: np.ndarray, order: Sequence[np.ndarray | None],
               depth: int) -> int:
@@ -271,8 +401,8 @@ class _TreeGrower:
         found = self._best_split(rows, order)
         if found is None:
             return self._leaf(rows)
-        gain, feature, lo, hi, left_mask = found
-        slot = self._append(feature, lo, hi, 0.0)
+        gain, feature, cut, left_mask = found
+        slot = self._append(feature, cut, 0.0)
         self._goes_left[rows] = left_mask
         left_order = [None if o is None else o[self._goes_left[o]] for o in order]
         right_order = [None if o is None else o[~self._goes_left[o]] for o in order]
@@ -285,7 +415,7 @@ class _TreeGrower:
         g, h, lam, min_leaf = self.g[rows], self.h[rows], self.p.l2, self.p.min_leaf_count
         G, H = g.sum(), h.sum()
         parent = G * G / (H + lam)
-        best = None  # (gain, feature, lo, hi, left_mask)
+        best = None  # (gain, feature, cut, left_mask)
         for j, sorted_rows in enumerate(order):
             if sorted_rows is not None:
                 sv = self.x[j][sorted_rows]
@@ -303,7 +433,7 @@ class _TreeGrower:
                 i = int(np.argmax(gain))
                 if best is None or gain[i] > best[0]:
                     thr = float((sv[i] + sv[i + 1]) / 2.0)
-                    best = (float(gain[i]), j, -np.inf, thr, self.x[j][rows] <= thr)
+                    best = (float(gain[i]), j, thr, self.x[j][rows] <= thr)
             else:
                 cats, inverse = np.unique(self.x[j][rows], return_inverse=True)
                 counts = np.bincount(inverse)
@@ -317,8 +447,7 @@ class _TreeGrower:
                 gain = np.where(ok, gain, -np.inf)
                 i = int(np.argmax(gain))
                 if best is None or gain[i] > best[0]:
-                    code = float(cats[i])
-                    best = (float(gain[i]), j, code, code, inverse == i)
+                    best = (float(gain[i]), j, float(cats[i]), inverse == i)
         if best is None or best[0] <= 0.0:
             return None
         return best
@@ -342,22 +471,26 @@ class GbdtModel:
     trees: tuple[Tree, ...]
     params: GbdtParams
     train_loss: tuple[float, ...] = field(default=(), repr=False)
+    _scorer: _LeafBitvectors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(t.categories is not self.trees[0].categories for t in self.trees):
+        if self.trees:
+            categories = self.trees[0].categories
+        else:
+            categories = _json_categories(self.schema, ())
+        if any(t.categories is not categories for t in self.trees):
             raise DataError("the trees of one model must share one category coding")
+        object.__setattr__(self, "_scorer", _LeafBitvectors(
+            self.trees, categories, self.params.learning_rate))
 
     def predict_rows(self, schema: tuple[FeatureSpec, ...], columns: Columns) -> np.ndarray:
-        if tuple(schema) != self.schema:
-            raise SchemaMismatch(
-                f"model expects {[f.name for f in self.schema]}, "
-                f"got {[f.name for f in schema]}"
-            )
-        raw = np.full(len(columns[0]), self.base_score)
-        if self.trees:
-            x = _pack(columns, self.trees[0].categories)
-            for tree in self.trees:
-                raw += self.params.learning_rate * tree.predict(x)
+        """Probabilities for bare rows; DataError on malformed rows (see
+        :func:`_packed_rows`) and on NaN.  Infinite values are ordered like any
+        other, so they are scored."""
+        x = _packed_rows(self.schema, schema, columns, self._scorer.categories)
+        if np.isnan(x).any():
+            raise DataError("continuous cells must not be NaN")
+        raw = self._scorer.raw_scores(x, self.base_score)
         return np.clip(expit(raw), _P_EPS, 1.0 - _P_EPS)
 
     def predict_table(self, table: LabeledTable) -> np.ndarray:
@@ -596,20 +729,10 @@ class ExternalPredictions:
             raise MissingRowId(str(exc.args[0])) from None
 
     def predict_rows(self, schema: tuple[FeatureSpec, ...], columns: Columns) -> np.ndarray:
-        if tuple(schema) != self.reference.schema:
-            raise SchemaMismatch("rows do not match the reference table schema")
-        if len(columns) != len(schema):
-            raise DataError(f"expected {len(schema)} columns, got {len(columns)}")
-        n = len(columns[0])
-        if any(np.ndim(col) != 1 or len(col) != n for col in columns):
-            raise DataError("columns must be one-dimensional and of equal length")
-        try:
-            x = _pack(columns, self._categories)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"rows are not numeric where the schema says so: {exc}") from None
+        x = _packed_rows(self.reference.schema, schema, columns, self._categories)
         if not np.isfinite(x).all():
             raise DataError("continuous cells must be finite")
-        if n and not self.reference.n_rows:
+        if len(x) and not self.reference.n_rows:
             raise EmptyTable("no reference rows to answer bare rows with")
         return self._ref_probs[self._nearest(x)]
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -23,6 +25,7 @@ from errlens import (
     load_external_predictions,
     train_gbdt,
 )
+from errlens import model as model_module
 from errlens.errors import (
     DataError,
     DuplicateRowId,
@@ -229,6 +232,72 @@ def test_zero_rounds_and_zero_rows_predict_exactly() -> None:
     assert out.shape == (0,) and out.dtype == np.float64
 
 
+# every threshold of a model trained on integers, plus the integers themselves
+_HALVES = st.integers(-14, 14).map(lambda k: k / 2.0)
+_CONT, _CAT = "continuous", "categorical"
+
+
+@st.composite
+def model_and_rows(draw):
+    """A model trained with min_leaf_count 1 on random integers in [-6, 6]
+    and categories "abc", rows to score that hit its thresholds exactly, lie
+    at +-inf or carry an unseen category, and a block size for the row count
+    to straddle."""
+    kinds = draw(st.lists(st.sampled_from([_CONT, _CAT]), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_train, n = int(rng.integers(2, 121)), draw(st.integers(0, 40))
+    columns = [rng.integers(-6, 7, size=n_train).astype(float) if kind == _CONT
+               else rng.choice(list("abc"), size=n_train) for kind in kinds]
+    params = GbdtParams(rounds=draw(st.integers(0, 4)), max_depth=draw(st.integers(1, 6)),
+                        min_leaf_count=1, l2=draw(st.sampled_from([0.0, 1.0])))
+    model = train_gbdt(make_table([col.tolist() for col in columns],
+                                  rng.integers(0, 2, size=n_train).tolist(), kinds=kinds),
+                       params)
+    rows = []
+    for kind in kinds:
+        cells = (st.one_of(_HALVES, st.sampled_from([-math.inf, math.inf])) if kind == _CONT
+                 else st.sampled_from("abcz"))
+        rows.append(np.asarray(draw(st.lists(cells, min_size=n, max_size=n)),
+                               dtype=(str if kind == _CAT else np.float64)))
+    return model, rows, draw(st.integers(1, 64))
+
+
+@given(model_and_rows())
+@settings(max_examples=200)
+def test_predictions_are_bit_identical_to_per_row_walks(drawn) -> None:
+    model, rows, block = drawn
+    # steer generation toward trees wider than one 16-leaf word
+    target(float(max((t.leaves.size for t in model.trees), default=0)))
+    with mock.patch.object(model_module, "_BLOCK", block):  # row counts straddle blocks
+        out = model.predict_rows(model.schema, rows)
+    assert np.array_equal(out, reference_probs(model, rows))
+
+
+def test_trees_wider_than_one_word_predict_exactly() -> None:
+    rng = np.random.default_rng(17)
+    table = random_table(rng, 400, 2)
+    model = train_gbdt(table, GbdtParams(rounds=3, max_depth=8, min_leaf_count=1))
+    assert max(len(t.leaves) for t in model.trees) > 32  # three 16-leaf words
+    rows = [np.concatenate([col, [-np.inf, np.inf]]) for col in
+            (rng.normal(size=300), rng.normal(size=300))]
+    assert np.array_equal(model.predict_rows(model.schema, rows),
+                          reference_probs(model, rows))
+
+
+def test_scoring_memory_stays_flat_in_the_number_of_rows() -> None:
+    rng = np.random.default_rng(4)
+    table = random_table(rng, 400, 6)
+    model = train_gbdt(table, GbdtParams(rounds=100, max_depth=4))
+    rows = [rng.normal(size=20_000) for _ in range(6)]
+    tracemalloc.start()
+    try:
+        model.predict_rows(model.schema, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
 # Digests of mixed_model_and_rows()'s canonical model JSON and of its
 # predict_rows output, recorded from the per-node-argsort trainer and the
 # level-by-level router that preceded the presorted trainer and the compiled
@@ -269,8 +338,10 @@ STUMP = [{"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
     [{**STUMP[0], "feature": 1}, *STUMP[1:]],
     [{"feature": 0, "category": "a", "left": 1, "right": 2}, *STUMP[1:]],
     [STUMP[0], {**STUMP[0], "left": 0}, STUMP[2]],
+    [{**STUMP[0], "right": 3}, {**STUMP[0], "left": 3, "right": 2}, STUMP[2], STUMP[1]],
+    [{**STUMP[0], "threshold": math.nan}, *STUMP[1:]],
 ], ids=["empty", "child_out_of_range", "self_child", "kind_mismatch",
-        "category_on_continuous", "cycle"])
+        "category_on_continuous", "cycle", "shared_child", "nan_threshold"])
 def test_malformed_model_trees_are_data_errors(tree: list[dict]) -> None:
     model = train_gbdt(make_table([[1.0, 2.0], ["a", "b"]], [0, 1],
                                   kinds=["continuous", "categorical"]),
@@ -278,6 +349,23 @@ def test_malformed_model_trees_are_data_errors(tree: list[dict]) -> None:
     obj = {**model.to_json_obj(), "trees": [tree]}
     with pytest.raises(DataError):
         GbdtModel.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param([np.asarray([np.nan]), np.asarray(["x"])], id="nan"),
+    pytest.param([np.asarray([1.0]), np.asarray(["x"]), np.asarray([2.0])],
+                 id="extra_column"),
+    pytest.param([], id="no_columns"),
+    pytest.param([np.asarray([1.0, 2.0]), np.asarray(["x"])], id="ragged"),
+    pytest.param([np.asarray(["one"]), np.asarray(["x"])], id="text_in_a_continuous_column"),
+])
+def test_gbdt_predictions_reject_malformed_bare_rows(columns) -> None:
+    table = make_table([[0.0, 10.0, 1.0, 11.0], ["x", "y", "y", "x"]], [0, 1, 0, 1],
+                       kinds=["continuous", "categorical"])
+    model = train_gbdt(table, GbdtParams(rounds=2, max_depth=1, min_leaf_count=1))
+    assert model.trees[0].to_json_obj()[0]["feature"] == 0
+    with pytest.raises(DataError):
+        model.predict_rows(table.schema, columns)
 
 
 def test_predictions_demand_the_training_schema() -> None:
@@ -436,7 +524,6 @@ def bare(columns, kinds) -> list[np.ndarray]:
             for col, kind in zip(columns, kinds)]
 
 
-_CONT, _CAT = "continuous", "categorical"
 _RNG = np.random.default_rng(11)
 _ANGLES = _RNG.uniform(0.0, 2.0 * np.pi, size=40)
 _SPREAD = _RNG.uniform(-1.5, 1.5, size=20)
