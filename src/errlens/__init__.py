@@ -32,7 +32,6 @@ from .lime import (
     fit_local_model,
     instance_seed,
     kernel_weights,
-    load_explanations_jsonl,
     sample_perturbations,
     write_explanations_jsonl,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "instance_seed",
     "kernel_weights",
     "load_csv",
-    "load_explanations_jsonl",
     "load_external_predictions",
     "load_series_csv",
     "mine_conditions",

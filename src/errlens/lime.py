@@ -11,7 +11,6 @@ local influence.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -412,41 +411,12 @@ class Explanation:
             "surrogate_r2": self.surrogate_r2,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Explanation":
-        try:
-            return cls(
-                row_id=str(obj["row_id"]),
-                true_label=int(obj["true_label"]),
-                predicted_label=int(obj["predicted_label"]),
-                predicted_probability=float(obj["predicted_probability"]),
-                terms=tuple((Condition.from_text(t), float(wt))
-                            for t, wt in obj["terms"]),
-                intercept=float(obj["intercept"]),
-                surrogate_r2=float(obj["surrogate_r2"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed explanation object: {exc}") from exc
-
 
 def write_explanations_jsonl(explanations: Sequence[Explanation], path: str) -> None:
     """One canonical JSON object per line, in the given order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for exp in explanations:
             fh.write(canonical_json_line(exp.to_json_obj()))
-
-
-def load_explanations_jsonl(path: str) -> tuple[Explanation, ...]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            if not line.strip():
-                continue
-            try:
-                out.append(Explanation.from_json_obj(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no + 1}: not valid JSON: {exc}") from exc
-    return tuple(out)
 
 
 def explain(

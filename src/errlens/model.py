@@ -230,12 +230,42 @@ def _json_categories(schema: Sequence[FeatureSpec], trees: Sequence[Sequence[dic
                  for cats in used)
 
 
-# Leaves per bitvector word, a word with every bit set, and rows x trees
-# scored at once, which keeps each block's (rows, trees) temporaries near
-# 1 MiB whatever the call's size.
+# Leaves per bitvector word, a word with every bit set, rows x trees scored
+# at once, which keeps each block's temporaries near 1 MiB whatever the
+# call's size, and the most bytes one group's tables may take.
 _WORD = 16
 _ONES = (1 << _WORD) - 1
 _BLOCK = 2 ** 16
+_GROUP_BYTES = 2 ** 20
+
+
+def _group_ends(trees: Sequence[Tree], categories: Categories) -> list[int]:
+    """Where each group of consecutive trees ends: a group grows while its
+    tables (see :class:`_LeafBitvectors`) fit in _GROUP_BYTES, and a tree
+    that alone takes more is a group of its own."""
+    def table_bytes(n_cuts: dict[int, int], n_trees: int, n_leaves: int) -> int:
+        rows = sum(n + 1 if categories[j] is None else categories[j].size + 1
+                   for j, n in n_cuts.items())
+        return 2 * n_trees * -(-n_leaves // _WORD) * rows
+
+    ends: list[int] = []
+    # the open group's first tree, distinct cuts per feature and widest tree
+    start, cuts, leaves = 0, {}, 0
+    for t, tree in enumerate(trees):
+        mine: dict[int, set[float]] = {}
+        for j, cut in zip(tree.feature[tree.splits].tolist(), tree.cut[tree.splits].tolist()):
+            mine.setdefault(j, set()).add(cut)
+        n_cuts = {j: len(c) for j, c in cuts.items()}
+        for j, c in mine.items():
+            n_cuts[j] = n_cuts.get(j, 0) + len(c - cuts.get(j, set()))
+        if t > start and table_bytes(n_cuts, t + 1 - start,
+                                     max(leaves, tree.leaves.size)) > _GROUP_BYTES:
+            ends.append(t)
+            start, cuts, leaves = t, {}, 0
+        for j, c in mine.items():
+            cuts.setdefault(j, set()).update(c)
+        leaves = max(leaves, tree.leaves.size)
+    return [*ends, len(trees)] if trees else []
 
 
 class _LeafBitvectors:
@@ -248,32 +278,54 @@ class _LeafBitvectors:
     subtree; the row's exit leaf is then the lowest bit still set.  The masks
     are gathered per feature, not per split.  For a continuous feature,
     ``cuts`` holds its distinct thresholds in ascending order and row ``k``
-    of its table ANDs the masks of the splits at ``cuts[:k]``, so
-    ``searchsorted(cuts, x)`` (the number of thresholds strictly below
-    ``x``, exactly the splits ``x <= threshold`` fails) picks the row.  For
-    a categorical feature, row ``c`` ANDs the masks of the splits code ``c``
-    fails, and the last row, picked by code -1, those of every split.
+    of its table ANDs the masks of the splits at ``cuts[:k]``, so the number
+    of thresholds strictly below ``x`` (exactly the splits ``x <= threshold``
+    fails) picks the row.  For a categorical feature, row ``c`` ANDs the
+    masks of the splits code ``c`` fails, and the last row, picked by code
+    -1, those of every split.
+
+    A table has a row per distinct threshold and a column per tree, so the
+    trees are compiled in consecutive groups (:func:`_group_ends`), each with
+    its own tables, and memory grows linearly with the ensemble.
     """
 
     def __init__(self, trees: Sequence[Tree], categories: Categories,
                  learning_rate: float):
+        self.categories = categories
+        self.ctz = np.full(1 << _WORD, _WORD, dtype=np.uint8)  # trailing zeros
+        for bit in range(_WORD):
+            self.ctz[1 << bit::2 << bit] = bit
+        starts = [0, *_group_ends(trees, categories)]
+        self.groups = [_TreeGroup(trees[a:b], categories, learning_rate)
+                       for a, b in zip(starts, starts[1:])]
+
+    def raw_scores(self, x: np.ndarray, base_score: float) -> np.ndarray:
+        """``base_score`` plus every tree's leaf value, added tree by tree in
+        ensemble order, per row of a matrix packed by :func:`_pack`."""
+        raw = np.full(len(x), base_score)
+        for group in self.groups:
+            group.add_scores(x, raw, self.ctz)
+        return raw
+
+
+class _TreeGroup:
+    """The tables of consecutive trees of one ensemble (see
+    :class:`_LeafBitvectors`)."""
+
+    def __init__(self, trees: Sequence[Tree], categories: Categories,
+                 learning_rate: float):
         n_trees = len(trees)
-        n_leaves = max((t.leaves.size for t in trees), default=1)
-        self.words = -(-n_leaves // _WORD)
+        self.words = -(-max(t.leaves.size for t in trees) // _WORD)
         width = _WORD * self.words
         self.n_trees = n_trees
-        self.categories = categories
         # leaf values premultiplied by the learning rate, one row per tree
         value = np.zeros((n_trees, width))
         for t, tree in enumerate(trees):
             value[t, :tree.leaves.size] = learning_rate * tree.value[tree.leaves]
         self.leaf_value = value.ravel()
-        self.leaf_base = np.arange(n_trees, dtype=np.intp) * width
-        self.ctz = np.full(1 << _WORD, _WORD, dtype=np.uint8)  # trailing zeros
-        for bit in range(_WORD):
-            self.ctz[1 << bit::2 << bit] = bit
+        self.leaf_base = np.arange(n_trees, dtype=np.intp)[:, None] * width
 
-        # every split of the ensemble: its tree, feature, cut and mask
+        # every split of the group: its tree, feature, cut and mask
         tree_of = np.repeat(np.arange(n_trees), [t.splits.size for t in trees])
         feature = np.concatenate([np.empty(0, np.intp), *(t.feature[t.splits] for t in trees)])
         cut = np.concatenate([np.empty(0), *(t.cut[t.splits] for t in trees)])
@@ -281,7 +333,7 @@ class _LeafBitvectors:
         lane = np.arange(width)
         keep = (lane < span[:, :1]) | (lane >= span[:, 1:])
         mask = np.packbits(keep, axis=1, bitorder="little").view("<u2").astype(np.uint16)
-        # per used feature: (column, sorted thresholds or None, table)
+        # per used feature: (column, ascending thresholds or None, table)
         self.tables: list[tuple[int, np.ndarray | None, np.ndarray]] = []
         for j, cats in enumerate(categories):
             on = feature == j
@@ -301,29 +353,36 @@ class _LeafBitvectors:
                 np.bitwise_and.accumulate(table, axis=0, out=table)
             self.tables.append((j, cuts, table))
 
-    def raw_scores(self, x: np.ndarray, base_score: float) -> np.ndarray:
-        """``base_score`` plus every tree's leaf value, added tree by tree in
-        ensemble order, per row of a matrix packed by :func:`_pack`."""
-        n = len(x)
-        raw = np.full(n, base_score)
-        step = max(1, _BLOCK // max(1, self.n_trees))
+    def add_scores(self, x: np.ndarray, raw: np.ndarray, ctz: np.ndarray) -> None:
+        """Add the group's leaf values to ``raw`` tree by tree, in order."""
+        n, n_trees = len(x), self.n_trees
+        # each row's table row per feature, looked up once for the whole call
+        keys = [(x[:, j].astype(np.intp) if cuts is None else np.searchsorted(cuts, x[:, j]),
+                 table) for j, cuts, table in self.tables]
+        step = max(1, _BLOCK // n_trees)
+        # row 0 carries the raw score and rows 1.. the trees' values, so one
+        # reduce over axis 0 adds them in ensemble order.  numpy folds away
+        # an axis of length 1 and would then sum a lone column pairwise, so a
+        # one-row block is reduced beside a column of zeros.
+        buf = np.zeros((n_trees + 1, max(2, min(n, step))))
         for start in range(0, n, step):
             rows = slice(start, min(n, start + step))
-            bits = np.full((rows.stop - start, self.n_trees, self.words), _ONES,
-                           dtype=np.uint16)
-            for j, cuts, table in self.tables:
-                col = x[rows, j]
-                bits &= table[col.astype(np.intp) if cuts is None else np.searchsorted(cuts, col)]
+            bits = np.full((rows.stop - start, n_trees, self.words), _ONES, dtype=np.uint16)
+            for key, table in keys:
+                bits &= table[key[rows]]
+            bits = np.ascontiguousarray(bits.transpose(2, 1, 0))  # (words, trees, rows)
             # the lowest set bit of the lowest nonzero word; ctz[0] is _WORD,
             # so a zero word leaves ``leaf`` at the start of the next word
-            leaf = self.ctz.take(bits[..., 0]) + self.leaf_base
+            leaf = ctz.take(bits[0]) + self.leaf_base
             for w in range(1, self.words):
                 start_w = self.leaf_base + _WORD * w
-                leaf = np.where(leaf == start_w, start_w + self.ctz.take(bits[..., w]), leaf)
-            value, out = self.leaf_value.take(leaf), raw[rows]
-            for t in range(self.n_trees):  # in ensemble order, as a per-row walk adds
-                out += value[:, t]
-        return raw
+                leaf = np.where(leaf == start_w, start_w + ctz.take(bits[w]), leaf)
+            width = rows.stop - start
+            out = buf[:, :max(2, width)]
+            out[:, width:] = 0
+            out[0, :width] = raw[rows]
+            out[1:, :width] = self.leaf_value.take(leaf)
+            raw[rows] = np.add.reduce(out, axis=0)[:width]
 
 
 # --- training ----------------------------------------------------------------
@@ -357,17 +416,20 @@ class _TreeGrower:
     """Grows one tree on gradient/hessian targets via exact greedy splits.
 
     ``x[j]`` is training column j, a categorical one as codes into
-    ``categories[j]``.  ``order[j]`` lists the rows by ascending value of
-    continuous column j, ties in row order, and is None for a categorical
-    column.  Each node receives its rows in ascending order together with
-    its share of every ``order[j]``, split off by stable partition, so no
-    node sorts and tie order matches a per-node stable argsort.
+    ``categories[j]``.  ``xc`` stacks the continuous columns, in schema
+    order, into one ``(c, n)`` matrix, and row r of ``order`` lists the rows
+    by ascending value of ``xc[r]``, ties in row order.  Each node receives
+    its rows in ascending order together with its ``(c, m)`` share of
+    ``order``, split off by stable partition, so no node sorts, tie order
+    matches a per-node stable argsort, and one pass searches every
+    continuous feature of the node.
     """
 
-    def __init__(self, x: Sequence[np.ndarray], order: Sequence[np.ndarray | None],
+    def __init__(self, x: Sequence[np.ndarray], xc: np.ndarray, order: np.ndarray,
                  categories: Categories, g: np.ndarray, h: np.ndarray,
                  params: GbdtParams):
         self.x = x
+        self.xc = xc
         self.order = order
         self.categories = categories
         self.g = g
@@ -394,63 +456,75 @@ class _TreeGrower:
         self.row_value[rows] = value
         return self._append(0, 0.0, value)
 
-    def _node(self, rows: np.ndarray, order: Sequence[np.ndarray | None],
-              depth: int) -> int:
+    def _node(self, rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         if depth >= self.p.max_depth or rows.size < 2 * self.p.min_leaf_count:
             return self._leaf(rows)
         found = self._best_split(rows, order)
         if found is None:
             return self._leaf(rows)
-        gain, feature, cut, left_mask = found
+        feature, cut = found
+        column = self.x[feature][rows]
+        left_mask = column <= cut if self.categories[feature] is None else column == cut
         slot = self._append(feature, cut, 0.0)
         self._goes_left[rows] = left_mask
-        left_order = [None if o is None else o[self._goes_left[o]] for o in order]
-        right_order = [None if o is None else o[~self._goes_left[o]] for o in order]
+        # every row of ``order`` holds the node's rows, so each keeps n_left
+        goes_left = self._goes_left[order]
+        n_left = int(left_mask.sum())
+        left_order = order[goes_left].reshape(len(order), n_left)
+        right_order = order[~goes_left].reshape(len(order), rows.size - n_left)
         left = self._node(rows[left_mask], left_order, depth + 1)
         right = self._node(rows[~left_mask], right_order, depth + 1)
         self.child[2 * slot: 2 * slot + 2] = left, right
         return slot
 
-    def _best_split(self, rows: np.ndarray, order: Sequence[np.ndarray | None]):
+    def _best_split(self, rows: np.ndarray, order: np.ndarray) -> tuple[int, float] | None:
+        """The split of most gain, as (feature, cut), or None if none gains.
+
+        The first maximum wins within a feature, and a strictly greater gain
+        across features in schema order.
+        """
         g, h, lam, min_leaf = self.g[rows], self.h[rows], self.p.l2, self.p.min_leaf_count
         G, H = g.sum(), h.sum()
         parent = G * G / (H + lam)
-        best = None  # (gain, feature, cut, left_mask)
-        for j, sorted_rows in enumerate(order):
-            if sorted_rows is not None:
-                sv = self.x[j][sorted_rows]
-                cg = np.cumsum(self.g[sorted_rows])
-                ch = np.cumsum(self.h[sorted_rows])
-                m = rows.size
-                k = np.arange(1, m)  # left side takes k smallest rows
-                ok = (sv[:-1] != sv[1:]) & (k >= min_leaf) & (m - k >= min_leaf)
-                if not ok.any():
-                    continue
-                gl, hl = cg[:-1], ch[:-1]
-                gain = 0.5 * (gl**2 / (hl + lam)
-                              + (G - gl)**2 / (H - hl + lam) - parent)
-                gain = np.where(ok, gain, -np.inf)
-                i = int(np.argmax(gain))
-                if best is None or gain[i] > best[0]:
-                    thr = float((sv[i] + sv[i + 1]) / 2.0)
-                    best = (float(gain[i]), j, thr, self.x[j][rows] <= thr)
-            else:
-                cats, inverse = np.unique(self.x[j][rows], return_inverse=True)
-                counts = np.bincount(inverse)
-                gl = np.bincount(inverse, weights=g)
-                hl = np.bincount(inverse, weights=h)
-                ok = (counts >= min_leaf) & (rows.size - counts >= min_leaf)
-                if not ok.any():
-                    continue
-                gain = 0.5 * (gl**2 / (hl + lam)
-                              + (G - gl)**2 / (H - hl + lam) - parent)
-                gain = np.where(ok, gain, -np.inf)
-                i = int(np.argmax(gain))
-                if best is None or gain[i] > best[0]:
-                    best = (float(gain[i]), j, float(cats[i]), inverse == i)
+        m = rows.size
+        # continuous features, all at once: the left side takes the i + 1
+        # smallest rows, and min_leaf <= i + 1 <= m - min_leaf
+        lo, hi = min_leaf - 1, m - min_leaf
+        sv = np.take_along_axis(self.xc, order, axis=1)
+        gl = np.cumsum(self.g[order], axis=1)[:, lo:hi]
+        hl = np.cumsum(self.h[order], axis=1)[:, lo:hi]
+        ok = sv[:, lo:hi] != sv[:, lo + 1:hi + 1]
+        gains = 0.5 * (gl**2 / (hl + lam) + (G - gl)**2 / (H - hl + lam) - parent)
+        gains = np.where(ok, gains, -np.inf)
+        at = gains.argmax(axis=1)
+        splittable = ok.any(axis=1)
+
+        best = None  # (gain, feature, cut)
+        r = 0  # the next continuous feature's row of ``order``
+        for j, cats in enumerate(self.categories):
+            if cats is None:
+                i = at[r]
+                if splittable[r] and (best is None or gains[r, i] > best[0]):
+                    cut = float((sv[r, lo + i] + sv[r, lo + i + 1]) / 2.0)
+                    best = (float(gains[r, i]), j, cut)
+                r += 1
+                continue
+            codes, inverse = np.unique(self.x[j][rows], return_inverse=True)
+            counts = np.bincount(inverse)
+            gl = np.bincount(inverse, weights=g)
+            hl = np.bincount(inverse, weights=h)
+            ok = (counts >= min_leaf) & (m - counts >= min_leaf)
+            if not ok.any():
+                continue
+            gain = 0.5 * (gl**2 / (hl + lam)
+                          + (G - gl)**2 / (H - hl + lam) - parent)
+            gain = np.where(ok, gain, -np.inf)
+            i = int(np.argmax(gain))
+            if best is None or gain[i] > best[0]:
+                best = (float(gain[i]), j, float(codes[i]))
         if best is None or best[0] <= 0.0:
             return None
-        return best
+        return best[1], best[2]
 
 
 def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
@@ -563,15 +637,16 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
                        for f, col in zip(table.schema, table.columns))
     x = [col if cats is None else np.searchsorted(cats, col)
          for col, cats in zip(table.columns, categories)]
-    order = [np.argsort(col, kind="stable") if cats is None else None
-             for col, cats in zip(x, categories)]
+    xc = np.asarray([col for col, cats in zip(x, categories) if cats is None],
+                    dtype=np.float64).reshape(-1, table.n_rows)
+    order = np.argsort(xc, axis=1, kind="stable")
 
     raw = np.full(table.n_rows, base_score)
     p = np.clip(expit(raw), _P_EPS, 1.0 - _P_EPS)
     losses = [_log_loss(y, p)]
     trees: list[Tree] = []
     for _ in range(params.rounds):
-        grower = _TreeGrower(x, order, categories, g=p - y, h=p * (1.0 - p),
+        grower = _TreeGrower(x, xc, order, categories, g=p - y, h=p * (1.0 - p),
                              params=params)
         trees.append(grower.grow())
         raw = raw + params.learning_rate * grower.row_value

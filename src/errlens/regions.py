@@ -133,10 +133,6 @@ def _json_bound(x: float | None) -> float | str | None:
     return repr(x)
 
 
-def _parse_bound(v: float | str | None) -> float | None:
-    return None if v is None else float(v)
-
-
 @dataclass(frozen=True, slots=True)
 class ConditionStats:
     """A mined condition scored as a region of one data split."""
@@ -213,37 +209,6 @@ class RegionReport:
             "regions": [r.to_json_obj() for r in self.regions],
             "config": dict(self.config),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RegionReport":
-        try:
-            regions = tuple(
-                ConditionStats(
-                    condition=(
-                        Condition(feature=r["feature"], category=r["category"])
-                        if r["category"] is not None
-                        else Condition(feature=r["feature"],
-                                       low=_parse_bound(r["low"]),
-                                       high=_parse_bound(r["high"]))
-                    ),
-                    support=int(r["support"]),
-                    support_fraction=float(r["support_fraction"]),
-                    coverage=int(r["coverage"]),
-                    errors_in_region=int(r["errors_in_region"]),
-                    error_rate=float(r["error_rate"]),
-                )
-                for r in obj["regions"]
-            )
-            return cls(
-                split=str(obj["split"]),
-                n_total=int(obj["n_total"]),
-                n_misclassified=int(obj["n_misclassified"]),
-                baseline_error_rate=float(obj["baseline_error_rate"]),
-                regions=regions,
-                config=dict(obj["config"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed region report: {exc}") from exc
 
 
 def report_from_explanations(

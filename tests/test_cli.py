@@ -22,6 +22,16 @@ def run(*argv: str) -> int:
     return main(list(argv))
 
 
+def read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
 @pytest.fixture()
 def synth_dir(tmp_path) -> str:
     out = str(tmp_path / "synth")
@@ -47,7 +57,7 @@ def test_synth_writes_table_truth_and_config(synth_dir) -> None:
     assert sorted(os.listdir(synth_dir)) == [
         "ground_truth.json", "run_config.json", "synth.csv",
     ]
-    truth = json.load(open(f"{synth_dir}/ground_truth.json"))
+    truth = read_json(f"{synth_dir}/ground_truth.json")
     assert truth["box"][0] == [0.75, None]
     assert truth["config"]["rows"] == 120
 
@@ -63,10 +73,10 @@ def test_train_writes_model_and_metrics(model_dir) -> None:
     assert sorted(os.listdir(model_dir)) == [
         "metrics.json", "model.json", "run_config.json",
     ]
-    model = json.load(open(f"{model_dir}/model.json"))
+    model = read_json(f"{model_dir}/model.json")
     assert len(model["trees"]) == 8
     assert model["config"]["rounds"] == 8
-    metrics = json.load(open(f"{model_dir}/metrics.json"))
+    metrics = read_json(f"{model_dir}/metrics.json")
     assert metrics["n"] == 120
 
 
@@ -88,8 +98,8 @@ def test_explain_writes_one_explanation_per_misclassified_row(
                "--n-samples", "200", "--out-dir", out)
     assert code == EXIT_OK
     assert capsys.readouterr().out.startswith("explain:")
-    lines = open(f"{out}/explanations.jsonl").read().splitlines()
-    metrics = json.load(open(f"{model_dir}/metrics.json"))
+    lines = read_lines(f"{out}/explanations.jsonl")
+    metrics = read_json(f"{model_dir}/metrics.json")
     assert len(lines) == metrics["fp"] + metrics["fn"]
     first = json.loads(lines[0])
     assert first["true_label"] != first["predicted_label"]
@@ -106,7 +116,7 @@ def test_mine_writes_report_files(tmp_path, synth_dir, model_dir, capsys) -> Non
         "explanations.jsonl", "report.csv", "report.json", "report.svg",
         "run_config.json", "table.txt",
     ]
-    report = json.load(open(f"{out}/report.json"))
+    report = read_json(f"{out}/report.json")
     assert report["split"] == "all"
     assert report["config"]["n_samples"] == 200
 
@@ -125,8 +135,8 @@ def test_pipeline_writes_the_full_artifact_set(tmp_path, synth_dir, capsys) -> N
             f"table_{name}.txt",
         }
     assert set(os.listdir(out)) == expected
-    train = json.load(open(f"{out}/metrics_train.json"))
-    test = json.load(open(f"{out}/metrics_test.json"))
+    train = read_json(f"{out}/metrics_train.json")
+    test = read_json(f"{out}/metrics_test.json")
     assert train["n"] == 90 and test["n"] == 30
 
 
@@ -141,7 +151,7 @@ def test_featurize_turns_series_into_a_feature_table(tmp_path, capsys) -> None:
                "--windows", "2,3", "--lags", "1", "--out-dir", out)
     assert code == EXIT_OK
     assert capsys.readouterr().out.startswith("featurize:")
-    header, *body = open(f"{out}/features.csv").read().splitlines()
+    header, *body = read_lines(f"{out}/features.csv")
     assert header == "row_id,hr,hr_mean_2,hr_mean_3,hr_std_2,hr_std_3,hr_lag_1,label"
     assert len(body) == 16  # 10 steps per entity minus 2 warm-up rows each
     assert body[0].startswith("a:600,")
@@ -156,7 +166,7 @@ def test_flags_override_the_config_file_which_overrides_defaults(tmp_path) -> No
     out = str(tmp_path / "o")
     assert run("synth", "--config", str(config), "--rows", "70",
                "--out-dir", out) == EXIT_OK
-    effective = json.load(open(f"{out}/run_config.json"))
+    effective = read_json(f"{out}/run_config.json")
     assert effective["seed"] == 5       # from the file
     assert effective["rows"] == 70      # flag wins
     assert effective["threshold"] == 0.5  # untouched default
@@ -166,7 +176,7 @@ def test_flags_override_the_config_file_which_overrides_defaults(tmp_path) -> No
 def test_every_json_artifact_echoes_the_effective_config(synth_dir, model_dir) -> None:
     for path in (f"{synth_dir}/ground_truth.json", f"{model_dir}/model.json",
                  f"{model_dir}/metrics.json"):
-        config = json.load(open(path))["config"]
+        config = read_json(path)["config"]
         assert config["seed"] == 7
         assert "out_dir" not in config and "jobs" not in config
 
@@ -202,7 +212,7 @@ def test_custom_column_names_and_categorical_kinds(tmp_path) -> None:
                "--id-column", "rid", "--categorical", "grp",
                "--rounds", "3", "--out-dir", out)
     assert code == EXIT_OK
-    schema = json.load(open(f"{out}/model.json"))["schema"]
+    schema = read_json(f"{out}/model.json")["schema"]
     assert schema == [{"name": "x", "kind": "continuous"},
                       {"name": "grp", "kind": "categorical"}]
 
@@ -219,7 +229,7 @@ def test_eval_accepts_external_predictions_instead_of_a_model(tmp_path) -> None:
     code = run("eval", "--data", str(data), "--predictions", str(preds),
                "--out-dir", out)
     assert code == EXIT_OK
-    metrics = json.load(open(f"{out}/metrics.json"))
+    metrics = read_json(f"{out}/metrics.json")
     assert (metrics["fp"], metrics["fn"]) == (1, 1)
 
 
@@ -239,7 +249,7 @@ def test_pipeline_scores_each_split_once(tmp_path, synth_dir, monkeypatch) -> No
     assert run("pipeline", "--data", f"{synth_dir}/synth.csv", "--rounds", "8",
                "--n-samples", "200", "--seed", "7", "--out-dir", out) == EXIT_OK
     assert calls == [90, 30]  # train split, then test split
-    assert json.load(open(f"{out}/report_train.json"))["regions"]
+    assert read_json(f"{out}/report_train.json")["regions"]
 
 
 def test_mine_with_external_predictions_scores_the_table_once(
@@ -253,7 +263,7 @@ def test_mine_with_external_predictions_scores_the_table_once(
     assert run("mine", "--data", f"{synth_dir}/synth.csv", "--predictions",
                str(preds), "--n-samples", "50", "--out-dir", out) == EXIT_OK
     assert calls == [120]
-    assert json.load(open(f"{out}/report.json"))["regions"]
+    assert read_json(f"{out}/report.json")["regions"]
 
 
 # --- exit codes -------------------------------------------------------------------

@@ -3,6 +3,7 @@ per-instance explanations."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from errlens import (
     fit_local_model,
     instance_seed,
     kernel_weights,
-    load_explanations_jsonl,
     sample_perturbations,
     write_explanations_jsonl,
 )
@@ -391,7 +391,9 @@ def test_explanations_round_trip_through_jsonl(tmp_path) -> None:
     ]
     path = str(tmp_path / "e.jsonl")
     write_explanations_jsonl(explanations, path)
-    assert load_explanations_jsonl(path) == tuple(explanations)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert [json.loads(line) for line in lines] == [e.to_json_obj() for e in explanations]
 
 
 def test_lime_config_validates_every_knob() -> None:

@@ -21,8 +21,11 @@ from errlens import (
     GbdtModel,
     GbdtParams,
     Metrics,
+    default_spec,
     find_misclassified,
+    generate,
     load_external_predictions,
+    split,
     train_gbdt,
 )
 from errlens import model as model_module
@@ -122,6 +125,128 @@ def test_training_rejects_empty_tables_and_bad_params() -> None:
             GbdtParams(**bad)
 
 
+class PerNodeGrower:
+    """The grower that preceded the batched split search, kept as the oracle:
+    each node searches its continuous features one at a time.  It takes the
+    batched grower's arguments and presorts each continuous column itself."""
+
+    def __init__(self, x, xc, order, categories, g, h, params):
+        self.x = x
+        self.order = [np.argsort(col, kind="stable") if cats is None else None
+                      for col, cats in zip(x, categories)]
+        self.categories = categories
+        self.g = g
+        self.h = h
+        self.p = params
+        self.nodes: list[tuple[int, float, float]] = []
+        self.child: list[int] = []
+        self.row_value = np.zeros(len(g))
+        self._goes_left = np.zeros(len(g), dtype=bool)
+
+    def grow(self):
+        self._node(np.arange(len(self.g), dtype=np.intp), self.order, depth=0)
+        feature, cut, value = zip(*self.nodes)
+        return model_module.Tree(feature, cut, self.child, value, self.categories)
+
+    def _append(self, feature, cut, value):
+        slot = len(self.nodes)
+        self.nodes.append((feature, cut, value))
+        self.child += [slot, slot]
+        return slot
+
+    def _leaf(self, rows):
+        value = -self.g[rows].sum() / (self.h[rows].sum() + self.p.l2)
+        self.row_value[rows] = value
+        return self._append(0, 0.0, value)
+
+    def _node(self, rows, order, depth):
+        if depth >= self.p.max_depth or rows.size < 2 * self.p.min_leaf_count:
+            return self._leaf(rows)
+        found = self._best_split(rows, order)
+        if found is None:
+            return self._leaf(rows)
+        gain, feature, cut, left_mask = found
+        slot = self._append(feature, cut, 0.0)
+        self._goes_left[rows] = left_mask
+        left_order = [None if o is None else o[self._goes_left[o]] for o in order]
+        right_order = [None if o is None else o[~self._goes_left[o]] for o in order]
+        left = self._node(rows[left_mask], left_order, depth + 1)
+        right = self._node(rows[~left_mask], right_order, depth + 1)
+        self.child[2 * slot: 2 * slot + 2] = left, right
+        return slot
+
+    def _best_split(self, rows, order):
+        g, h, lam, min_leaf = self.g[rows], self.h[rows], self.p.l2, self.p.min_leaf_count
+        G, H = g.sum(), h.sum()
+        parent = G * G / (H + lam)
+        best = None
+        for j, sorted_rows in enumerate(order):
+            if sorted_rows is not None:
+                sv = self.x[j][sorted_rows]
+                cg = np.cumsum(self.g[sorted_rows])
+                ch = np.cumsum(self.h[sorted_rows])
+                m = rows.size
+                k = np.arange(1, m)
+                ok = (sv[:-1] != sv[1:]) & (k >= min_leaf) & (m - k >= min_leaf)
+                if not ok.any():
+                    continue
+                gl, hl = cg[:-1], ch[:-1]
+                gain = 0.5 * (gl**2 / (hl + lam)
+                              + (G - gl)**2 / (H - hl + lam) - parent)
+                gain = np.where(ok, gain, -np.inf)
+                i = int(np.argmax(gain))
+                if best is None or gain[i] > best[0]:
+                    thr = float((sv[i] + sv[i + 1]) / 2.0)
+                    best = (float(gain[i]), j, thr, self.x[j][rows] <= thr)
+            else:
+                cats, inverse = np.unique(self.x[j][rows], return_inverse=True)
+                counts = np.bincount(inverse)
+                gl = np.bincount(inverse, weights=g)
+                hl = np.bincount(inverse, weights=h)
+                ok = (counts >= min_leaf) & (rows.size - counts >= min_leaf)
+                if not ok.any():
+                    continue
+                gain = 0.5 * (gl**2 / (hl + lam)
+                              + (G - gl)**2 / (H - hl + lam) - parent)
+                gain = np.where(ok, gain, -np.inf)
+                i = int(np.argmax(gain))
+                if best is None or gain[i] > best[0]:
+                    best = (float(gain[i]), j, float(cats[i]), inverse == i)
+        if best is None or best[0] <= 0.0:
+            return None
+        return best
+
+
+@st.composite
+def training_runs(draw):
+    """A mixed table whose continuous values are few and heavily tied or
+    spread out, and parameters with min_leaf_count at or near half the rows,
+    where the first split is just possible or just impossible."""
+    kinds = draw(st.lists(st.sampled_from(["continuous", "categorical"]),
+                          min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 80))
+    levels = draw(st.sampled_from([1, 2, 3, 5, 1000]))
+    columns = [rng.integers(0, levels, size=n).astype(float) / 4.0 if kind == "continuous"
+               else rng.choice(list("abcde")[:min(levels, 5)], size=n) for kind in kinds]
+    min_leaf = draw(st.one_of(st.integers(1, 3),
+                              st.sampled_from([max(1, n // 2 + d) for d in (-1, 0, 1)])))
+    params = GbdtParams(rounds=draw(st.integers(1, 3)), max_depth=draw(st.integers(1, 6)),
+                        min_leaf_count=min_leaf, l2=draw(st.sampled_from([0.0, 1.0])))
+    table = make_table([col.tolist() for col in columns],
+                       rng.integers(0, 2, size=n).tolist(), kinds=kinds)
+    return table, params
+
+
+@given(training_runs())
+@settings(max_examples=300)
+def test_the_batched_split_search_grows_the_per_node_growers_trees(drawn) -> None:
+    table, params = drawn
+    with mock.patch.object(model_module, "_TreeGrower", PerNodeGrower):
+        expected = train_gbdt(table, params).to_json_obj()
+    assert train_gbdt(table, params).to_json_obj() == expected
+
+
 # --- prediction ----------------------------------------------------------------
 
 
@@ -161,14 +286,18 @@ def test_vectorized_predictions_match_per_row_tree_walks() -> None:
     assert np.max(np.abs(model.predict_table(table) - expected)) < 1e-12
 
 
-def reference_probs(model: GbdtModel, columns) -> np.ndarray:
+def reference_raw(model: GbdtModel, columns) -> np.ndarray:
     """Per-row tree walks, accumulated tree by tree in ensemble order."""
     lr = model.params.learning_rate
     raw = np.full(len(columns[0]), model.base_score)
     for tree in model.to_json_obj()["trees"]:
         raw += lr * np.asarray([walk_tree(tree, row) for row in zip(*columns)],
                                dtype=np.float64)
-    return np.clip(expit(raw), 1e-12, 1.0 - 1e-12)
+    return raw
+
+
+def reference_probs(model: GbdtModel, columns) -> np.ndarray:
+    return np.clip(expit(reference_raw(model, columns)), 1e-12, 1.0 - 1e-12)
 
 
 def mixed_model_and_rows() -> tuple[GbdtModel, list[np.ndarray]]:
@@ -273,6 +402,30 @@ def test_predictions_are_bit_identical_to_per_row_walks(drawn) -> None:
     assert np.array_equal(out, reference_probs(model, rows))
 
 
+@given(model_and_rows(), st.integers(0, 2 ** 10))
+@settings(max_examples=200)
+def test_predictions_are_bit_identical_across_tree_groups(drawn, group_bytes) -> None:
+    model, rows, block = drawn
+    with mock.patch.object(model_module, "_GROUP_BYTES", group_bytes):
+        grouped = GbdtModel(model.schema, model.base_score, model.trees, model.params)
+    target(float(len(grouped._scorer.groups)))
+    with mock.patch.object(model_module, "_BLOCK", block):
+        out = grouped.predict_rows(model.schema, rows)
+    assert np.array_equal(out, reference_probs(model, rows))
+
+
+def test_a_long_ensemble_adds_its_trees_in_ensemble_order() -> None:
+    rng = np.random.default_rng(23)
+    model = train_gbdt(random_table(rng, 300, 3), GbdtParams(rounds=150, max_depth=3))
+    assert len(model._scorer.groups) == 1
+    step = model_module._BLOCK // len(model.trees)
+    for n in (202, 1, step + 1):  # the last two end in a block of one row
+        rows = [np.concatenate([[-np.inf, np.inf], rng.normal(size=n)])[:n] for _ in range(3)]
+        x = np.stack(rows, axis=1)
+        assert np.array_equal(model._scorer.raw_scores(x, model.base_score),
+                              reference_raw(model, rows))
+
+
 def test_trees_wider_than_one_word_predict_exactly() -> None:
     rng = np.random.default_rng(17)
     table = random_table(rng, 400, 2)
@@ -282,6 +435,20 @@ def test_trees_wider_than_one_word_predict_exactly() -> None:
             (rng.normal(size=300), rng.normal(size=300))]
     assert np.array_equal(model.predict_rows(model.schema, rows),
                           reference_probs(model, rows))
+
+
+def table_bytes(model: GbdtModel) -> int:
+    return sum(table.nbytes for group in model._scorer.groups for _, _, table in group.tables)
+
+
+def test_table_memory_grows_linearly_with_the_ensemble() -> None:
+    table, _ = generate(default_spec(n_rows=2000, n_features=6, flip_rate=0.4, seed=7))
+    train, _ = split(table, test_fraction=0.25, seed=7)
+    assert len(train_gbdt(train)._scorer.groups) == 1  # the defaults: one group
+    long = train_gbdt(train, GbdtParams(rounds=300, max_depth=8, min_leaf_count=1))
+    short = GbdtModel(long.schema, long.base_score, long.trees[:100], long.params)
+    assert len(short._scorer.groups) > 1
+    assert table_bytes(long) / table_bytes(short) <= 3.3
 
 
 def test_scoring_memory_stays_flat_in_the_number_of_rows() -> None:

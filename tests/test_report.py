@@ -134,7 +134,10 @@ def test_report_bundle_writes_four_files_byte_identically(tmp_path) -> None:
     report = report_with((region(), region("f1", coverage=20, errors=4)))
     paths = write_report_files(report, str(tmp_path))
     assert sorted(paths) == ["csv", "json", "svg", "table"]
-    first = {kind: open(p, "rb").read() for kind, p in paths.items()}
+    first = {}
+    for kind, p in paths.items():
+        with open(p, "rb") as fh:
+            first[kind] = fh.read()
     paths_again = write_report_files(report, str(tmp_path))
     assert paths_again == paths
     for kind, p in paths.items():
