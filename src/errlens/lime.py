@@ -12,7 +12,6 @@ local influence.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,9 +45,6 @@ def instance_seed(base_seed: int, row_id: str) -> int:
 
 # --- conditions ----------------------------------------------------------------
 
-_RANGE_RE = re.compile(r"^(\S+) < (\S+) <= (\S+)$")
-
-
 @dataclass(frozen=True, slots=True)
 class Condition:
     """A single-feature predicate with a canonical text form.
@@ -56,7 +52,7 @@ class Condition:
     Continuous predicates are one of ``f <= hi``, ``lo < f <= hi``,
     ``f > lo``; categorical ones are ``f = category``.  Unused bounds are
     None.  Bounds render with full (shortest round-trip) precision, so the
-    text form is a faithful key for counting and re-parsing.
+    text form is a faithful key for counting.
     """
 
     feature: str
@@ -102,29 +98,6 @@ class Condition:
 
     def matches_value(self, value: float | str) -> bool:
         return bool(self.matches(np.asarray([value]))[0])
-
-    @classmethod
-    def from_text(cls, text: str) -> "Condition":
-        m = _RANGE_RE.match(text)
-        if m:
-            try:
-                return cls(feature=m.group(2), low=float(m.group(1)),
-                           high=float(m.group(3)))
-            except ValueError:
-                pass
-        for token, key in ((" <= ", "high"), (" > ", "low"), (" = ", "category")):
-            if token not in text:
-                continue
-            feature, _, rest = text.partition(token)
-            if " " in feature:
-                continue  # feature names never contain whitespace
-            if key == "category":
-                return cls(feature=feature, category=rest)
-            try:
-                return cls(feature=feature, **{key: float(rest)})
-            except ValueError:
-                continue
-        raise DataError(f"unparseable condition {text!r}")
 
 
 # --- discretizer ----------------------------------------------------------------

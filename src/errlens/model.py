@@ -217,6 +217,12 @@ class Tree:
         return cls(feature, cut, child, value, categories)
 
 
+def _table_categories(table: LabeledTable) -> Categories:
+    """Per feature, the sorted distinct values of a categorical column."""
+    return tuple(_frozen(np.unique(col)) if f.kind == "categorical" else None
+                 for f, col in zip(table.schema, table.columns))
+
+
 def _json_categories(schema: Sequence[FeatureSpec], trees: Sequence[Sequence[dict]]
                      ) -> Categories:
     """Per feature, the sorted categories a model's JSON trees split on."""
@@ -633,8 +639,7 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
     y = table.labels.astype(np.float64)
     base_rate = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
     base_score = math.log(base_rate / (1.0 - base_rate))
-    categories = tuple(_frozen(np.unique(col)) if f.kind == "categorical" else None
-                       for f, col in zip(table.schema, table.columns))
+    categories = _table_categories(table)
     x = [col if cats is None else np.searchsorted(cats, col)
          for col, cats in zip(table.columns, categories)]
     xc = np.asarray([col for col, cats in zip(x, categories) if cats is None],
@@ -783,9 +788,7 @@ class ExternalPredictions:
         self._ref_probs = np.asarray(
             [probabilities[r] for r in reference.row_ids], dtype=np.float64
         )
-        self._categories: Categories = tuple(
-            _frozen(np.unique(col)) if f.kind == "categorical" else None
-            for f, col in zip(reference.schema, reference.columns))
+        self._categories = _table_categories(reference)
         self._scale = []
         for spec, col in zip(reference.schema, reference.columns):
             if spec.kind == "continuous":

@@ -14,6 +14,8 @@ from errlens.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    OPTIONS,
+    build_parser,
     main,
 )
 
@@ -278,6 +280,66 @@ def test_usage_errors_exit_one(tmp_path) -> None:
                "--out-dir", str(tmp_path / "a")) == EXIT_USAGE     # bad value
     assert run("pipeline", "--data", "x.csv", "--split-fraction", "1.5",
                "--out-dir", str(tmp_path / "b")) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("config, flags, key", [
+    ({"top_k": "x"}, (), "top_k"),
+    ({"threshold": None}, (), "threshold"),
+    ({"seed": "x"}, (), "seed"),
+    ({"rounds": 2.5}, (), "rounds"),
+    ({"n_samples": True}, (), "n_samples"),
+    ({"l2": float("inf")}, (), "l2"),  # a non-finite value could not be echoed
+    (None, ("--learning-rate", "2"), "learning_rate"),
+])
+def test_bad_values_are_one_line_usage_errors_before_any_read(
+    tmp_path, capsys, config, flags, key,
+) -> None:
+    argv = ["train", "--data", str(tmp_path / "absent.csv"), *flags,
+            "--out-dir", str(tmp_path / "o")]
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert run(*argv) == EXIT_USAGE  # not EXIT_DATA: the data is never read
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+_COMMON = {"-h", "--help", "--config", "--seed", "--out-dir", "--threshold", "--top-k",
+           "--n-samples", "--kernel-width", "--ridge-lambda", "--min-support",
+           "--split-fraction", "--predictions", "--jobs"}
+_TABLE_IO = {"--data", "--label-column", "--id-column", "--categorical"}
+_FIT = {"--rounds", "--max-depth", "--learning-rate", "--min-leaf-count", "--l2"}
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+def test_each_subcommand_accepts_exactly_its_flags() -> None:
+    flags = {name: {s for a in p._actions for s in a.option_strings}
+             for name, p in _subparsers().items()}
+    assert flags == {
+        "synth": _COMMON | {"--rows", "--features", "--flip-rate"},
+        "featurize": _COMMON | {"--data", "--label-column", "--channels",
+                                "--static-columns", "--entity-column", "--time-column",
+                                "--windows", "--lags", "--interval"},
+        "train": _COMMON | _TABLE_IO | _FIT,
+        "eval": _COMMON | _TABLE_IO | {"--model"},
+        "explain": _COMMON | _TABLE_IO | {"--model"},
+        "mine": _COMMON | _TABLE_IO | {"--model"},
+        "pipeline": _COMMON | _TABLE_IO | _FIT,
+    }
+
+
+def test_every_config_key_is_a_flag_and_every_flag_a_config_key() -> None:
+    dests = {a.dest for p in _subparsers().values() for a in p._actions}
+    keys = {opt.key for opt in OPTIONS}
+    assert len(keys) == len(OPTIONS) == 31
+    assert dests - {"help", "config"} == keys
 
 
 def test_missing_and_malformed_inputs_exit_two(tmp_path) -> None:

