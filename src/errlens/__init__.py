@@ -52,10 +52,9 @@ from .regions import (
     explain_misclassified,
     find_misclassified,
     mine_conditions,
-    region_error_rate,
     report_from_explanations,
 )
-from .report import PlotStyle, render_error_plot, render_text_table, write_report_files
+from .report import render_error_plot, render_text_table, write_report_files
 from .synth import GroundTruth, SynthSpec, default_spec, generate
 
 __version__ = "0.1.0"
@@ -80,7 +79,6 @@ __all__ = [
     "Metrics",
     "MisclassifiedSet",
     "NumericalError",
-    "PlotStyle",
     "Predictor",
     "RegionReport",
     "SeriesFrame",
@@ -101,7 +99,6 @@ __all__ = [
     "load_external_predictions",
     "load_series_csv",
     "mine_conditions",
-    "region_error_rate",
     "render_error_plot",
     "render_text_table",
     "report_from_explanations",

@@ -53,10 +53,9 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    data problems, so usage errors exit 1."""
+    data problems, so usage errors exit 1, with a one-line message."""
 
     def error(self, message: str):  # noqa: D102 - argparse hook
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -431,8 +430,7 @@ def cmd_pipeline(cfg: RunConfig) -> str:
         )
         write_explanations_jsonl(
             explanations, os.path.join(out, f"explanations_{name}.jsonl"))
-        write_report_files(report, out, basename=f"report_{name}",
-                           table_basename=f"table_{name}")
+        write_report_files(report, out)
         summaries.append(f"{name} error rate {mis.metrics.error_rate:.3f}, "
                          f"{len(report.regions)} regions")
     return (f"pipeline: {train_table.n_rows}/{test_table.n_rows} train/test rows; "
@@ -458,7 +456,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command is None:
-        parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: a subcommand is required", file=sys.stderr)
         return EXIT_USAGE
     try:

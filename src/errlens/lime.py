@@ -303,7 +303,7 @@ def fit_local_model(
         raise DataError("z, y, and weights must agree on the sample count")
     if (w < 0).any() or not w.sum() > 0:
         raise DataError("weights must be non-negative with positive sum")
-    if ridge_lambda < 0:
+    if not ridge_lambda >= 0:
         raise DataError("ridge_lambda must be non-negative")
 
     x = np.hstack([np.ones((z.shape[0], 1)), z])
@@ -350,7 +350,7 @@ class LimeConfig:
             raise DataError("n_samples must be at least 2")
         if self.kernel_width is not None and not self.kernel_width > 0:
             raise DataError("kernel_width must be positive")
-        if self.ridge_lambda < 0:
+        if not self.ridge_lambda >= 0:
             raise DataError("ridge_lambda must be non-negative")
         if self.top_k < 1:
             raise DataError("top_k must be at least 1")

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -73,8 +73,8 @@ def check_probabilities(probs: object, n: int) -> np.ndarray:
 
 # Per feature of a model's schema: None for a continuous feature, else the
 # sorted categories its splits are coded against (the training column's
-# categories, or on load those the splits name).  Every tree of one model
-# shares one such tuple, so rows are coded once per call, not once per tree.
+# categories, or on load those the splits name).  A model holds one such tuple
+# for all its trees, so rows are coded once per call, not once per tree.
 Categories = tuple[np.ndarray | None, ...]
 
 
@@ -158,31 +158,31 @@ class Tree:
     Otherwise a row moves to ``child[2*i]`` (left) if it passes the split and
     to ``child[2*i + 1]`` (right) if not.  It passes a continuous split iff
     ``x[feature[i]] <= cut[i]``, the threshold, and a categorical split iff
-    its category is ``categories[feature[i]][cut[i]]``, so a category the tree
-    cannot match goes right.  Construction walks the tree once, numbering its
-    leaves left to right for :class:`_LeafBitvectors`.
+    its category is ``categories[feature[i]][cut[i]]`` under its model's
+    coding, so a category the tree cannot match goes right.  Construction
+    walks the tree once, numbering its leaves left to right for
+    :class:`_TreeGroup`.
     """
 
     def __init__(self, feature: np.ndarray, cut: np.ndarray, child: np.ndarray,
-                 value: np.ndarray, categories: Categories):
+                 value: np.ndarray):
         self.feature = _frozen(np.asarray(feature, dtype=np.intp))
         self.cut = _frozen(np.asarray(cut, dtype=np.float64))
         self.child = _frozen(np.asarray(child, dtype=np.intp))
         self.value = _frozen(np.asarray(value, dtype=np.float64))
-        self.categories = categories
         if np.isnan(self.cut).any():
             raise DataError("a split threshold is NaN")
         self.leaves, self.splits, self.left_leaves = map(_frozen, _walk(self.child))
 
-    def to_json_obj(self) -> list[dict]:
+    def to_json_obj(self, categories: Categories) -> list[dict]:
         out: list[dict] = []
         for i, (j, cut, value) in enumerate(zip(self.feature.tolist(), self.cut.tolist(),
                                                 self.value.tolist())):
             left, right = self.child[2 * i: 2 * i + 2].tolist()
             if left == i:
                 out.append({"leaf": value})
-            elif self.categories[j] is not None:
-                out.append({"feature": j, "category": str(self.categories[j][int(cut)]),
+            elif categories[j] is not None:
+                out.append({"feature": j, "category": str(categories[j][int(cut)]),
                             "left": left, "right": right})
             else:
                 out.append({"feature": j, "threshold": cut, "left": left, "right": right})
@@ -214,7 +214,7 @@ class Tree:
                 cut[i] = np.searchsorted(cats, rec["category"])
             feature[i] = j
             child[2 * i: 2 * i + 2] = left, right
-        return cls(feature, cut, child, value, categories)
+        return cls(feature, cut, child, value)
 
 
 def _table_categories(table: LabeledTable) -> Categories:
@@ -244,10 +244,15 @@ _ONES = (1 << _WORD) - 1
 _BLOCK = 2 ** 16
 _GROUP_BYTES = 2 ** 20
 
+# The trailing zeros of every word, and _WORD for the zero word.
+_CTZ = np.full(1 << _WORD, _WORD, dtype=np.uint8)
+for _bit in range(_WORD):
+    _CTZ[1 << _bit::2 << _bit] = _bit
+
 
 def _group_ends(trees: Sequence[Tree], categories: Categories) -> list[int]:
     """Where each group of consecutive trees ends: a group grows while its
-    tables (see :class:`_LeafBitvectors`) fit in _GROUP_BYTES, and a tree
+    tables (see :class:`_TreeGroup`) fit in _GROUP_BYTES, and a tree
     that alone takes more is a group of its own."""
     def table_bytes(n_cuts: dict[int, int], n_trees: int, n_leaves: int) -> int:
         rows = sum(n + 1 if categories[j] is None else categories[j].size + 1
@@ -274,9 +279,9 @@ def _group_ends(trees: Sequence[Tree], categories: Categories) -> list[int]:
     return [*ends, len(trees)] if trees else []
 
 
-class _LeafBitvectors:
-    """An ensemble compiled for QuickScorer-style scoring (Lucchese et al.,
-    SIGIR 2015).
+class _TreeGroup:
+    """Consecutive trees of an ensemble compiled for QuickScorer-style scoring
+    (Lucchese et al., SIGIR 2015).
 
     Each tree's leaves are numbered left to right and a row's state in a tree
     is a bitvector over them, ``words`` 16-bit words per tree.  A split the
@@ -290,33 +295,10 @@ class _LeafBitvectors:
     masks of the splits code ``c`` fails, and the last row, picked by code
     -1, those of every split.
 
-    A table has a row per distinct threshold and a column per tree, so the
-    trees are compiled in consecutive groups (:func:`_group_ends`), each with
-    its own tables, and memory grows linearly with the ensemble.
+    A table has a row per distinct threshold and a column per tree, so an
+    ensemble is compiled as consecutive groups (:func:`_group_ends`), each
+    with its own tables, and memory grows linearly with the ensemble.
     """
-
-    def __init__(self, trees: Sequence[Tree], categories: Categories,
-                 learning_rate: float):
-        self.categories = categories
-        self.ctz = np.full(1 << _WORD, _WORD, dtype=np.uint8)  # trailing zeros
-        for bit in range(_WORD):
-            self.ctz[1 << bit::2 << bit] = bit
-        starts = [0, *_group_ends(trees, categories)]
-        self.groups = [_TreeGroup(trees[a:b], categories, learning_rate)
-                       for a, b in zip(starts, starts[1:])]
-
-    def raw_scores(self, x: np.ndarray, base_score: float) -> np.ndarray:
-        """``base_score`` plus every tree's leaf value, added tree by tree in
-        ensemble order, per row of a matrix packed by :func:`_pack`."""
-        raw = np.full(len(x), base_score)
-        for group in self.groups:
-            group.add_scores(x, raw, self.ctz)
-        return raw
-
-
-class _TreeGroup:
-    """The tables of consecutive trees of one ensemble (see
-    :class:`_LeafBitvectors`)."""
 
     def __init__(self, trees: Sequence[Tree], categories: Categories,
                  learning_rate: float):
@@ -359,7 +341,7 @@ class _TreeGroup:
                 np.bitwise_and.accumulate(table, axis=0, out=table)
             self.tables.append((j, cuts, table))
 
-    def add_scores(self, x: np.ndarray, raw: np.ndarray, ctz: np.ndarray) -> None:
+    def add_scores(self, x: np.ndarray, raw: np.ndarray) -> None:
         """Add the group's leaf values to ``raw`` tree by tree, in order."""
         n, n_trees = len(x), self.n_trees
         # each row's table row per feature, looked up once for the whole call
@@ -377,12 +359,12 @@ class _TreeGroup:
             for key, table in keys:
                 bits &= table[key[rows]]
             bits = np.ascontiguousarray(bits.transpose(2, 1, 0))  # (words, trees, rows)
-            # the lowest set bit of the lowest nonzero word; ctz[0] is _WORD,
+            # the lowest set bit of the lowest nonzero word; _CTZ[0] is _WORD,
             # so a zero word leaves ``leaf`` at the start of the next word
-            leaf = ctz.take(bits[0]) + self.leaf_base
+            leaf = _CTZ.take(bits[0]) + self.leaf_base
             for w in range(1, self.words):
                 start_w = self.leaf_base + _WORD * w
-                leaf = np.where(leaf == start_w, start_w + ctz.take(bits[w]), leaf)
+                leaf = np.where(leaf == start_w, start_w + _CTZ.take(bits[w]), leaf)
             width = rows.stop - start
             out = buf[:, :max(2, width)]
             out[:, width:] = 0
@@ -414,7 +396,7 @@ class GbdtParams:
             raise DataError("rounds >= 0, max_depth >= 1, min_leaf_count >= 1 required")
         if not 0.0 < self.learning_rate <= 1.0:
             raise DataError("learning_rate must be within (0, 1]")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise DataError("l2 must be non-negative")
 
 
@@ -449,7 +431,7 @@ class _TreeGrower:
     def grow(self) -> Tree:
         self._node(np.arange(len(self.g), dtype=np.intp), self.order, depth=0)
         feature, cut, value = zip(*self.nodes)
-        return Tree(feature, cut, self.child, value, self.categories)
+        return Tree(feature, cut, self.child, value)
 
     def _append(self, feature: int, cut: float, value: float) -> int:
         slot = len(self.nodes)
@@ -542,35 +524,45 @@ class GbdtModel:
     """Trained boosted-tree classifier.
 
     Raw score of a row is ``base_score + learning_rate * sum(tree values)``;
-    the probability is its sigmoid.  ``train_loss`` holds the mean logistic
-    loss on the training data after 0..rounds rounds.
+    the probability is its sigmoid.  ``categories`` is the coding every
+    tree's categorical splits use (see :data:`Categories`).  ``train_loss``
+    holds the mean logistic loss on the training data after 0..rounds rounds.
     """
 
     schema: tuple[FeatureSpec, ...]
     base_score: float
     trees: tuple[Tree, ...]
     params: GbdtParams
+    categories: Categories = field(repr=False, compare=False)
     train_loss: tuple[float, ...] = field(default=(), repr=False)
-    _scorer: _LeafBitvectors = field(init=False, repr=False, compare=False)
+    _groups: tuple[_TreeGroup, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.trees:
-            categories = self.trees[0].categories
-        else:
-            categories = _json_categories(self.schema, ())
-        if any(t.categories is not categories for t in self.trees):
-            raise DataError("the trees of one model must share one category coding")
-        object.__setattr__(self, "_scorer", _LeafBitvectors(
-            self.trees, categories, self.params.learning_rate))
+        kinds = ["continuous" if cats is None else "categorical" for cats in self.categories]
+        if kinds != [f.kind for f in self.schema]:
+            raise DataError("categories must have one entry per feature, "
+                            "None exactly for the continuous ones")
+        starts = [0, *_group_ends(self.trees, self.categories)]
+        object.__setattr__(self, "_groups", tuple(
+            _TreeGroup(self.trees[a:b], self.categories, self.params.learning_rate)
+            for a, b in zip(starts, starts[1:])))
+
+    def _raw_scores(self, x: np.ndarray) -> np.ndarray:
+        """``base_score`` plus every tree's leaf value, added tree by tree in
+        ensemble order, per row of a matrix packed by :func:`_pack`."""
+        raw = np.full(len(x), self.base_score)
+        for group in self._groups:
+            group.add_scores(x, raw)
+        return raw
 
     def predict_rows(self, schema: tuple[FeatureSpec, ...], columns: Columns) -> np.ndarray:
         """Probabilities for bare rows; DataError on malformed rows (see
         :func:`_packed_rows`) and on NaN.  Infinite values are ordered like any
         other, so they are scored."""
-        x = _packed_rows(self.schema, schema, columns, self._scorer.categories)
+        x = _packed_rows(self.schema, schema, columns, self.categories)
         if np.isnan(x).any():
             raise DataError("continuous cells must not be NaN")
-        raw = self._scorer.raw_scores(x, self.base_score)
+        raw = self._raw_scores(x)
         return np.clip(expit(raw), _P_EPS, 1.0 - _P_EPS)
 
     def predict_table(self, table: LabeledTable) -> np.ndarray:
@@ -583,16 +575,9 @@ class GbdtModel:
             "kind": "gbdt",
             "schema": [{"name": f.name, "kind": f.kind} for f in self.schema],
             "base_score": self.base_score,
-            "params": {
-                "rounds": self.params.rounds,
-                "max_depth": self.params.max_depth,
-                "learning_rate": self.params.learning_rate,
-                "min_leaf_count": self.params.min_leaf_count,
-                "l2": self.params.l2,
-                "seed": self.params.seed,
-            },
+            "params": asdict(self.params),
             "train_loss": list(self.train_loss),
-            "trees": [t.to_json_obj() for t in self.trees],
+            "trees": [t.to_json_obj(self.categories) for t in self.trees],
         }
 
     @classmethod
@@ -605,6 +590,7 @@ class GbdtModel:
                 base_score=float(obj["base_score"]),
                 trees=tuple(Tree.from_json_obj(t, categories) for t in obj["trees"]),
                 params=GbdtParams(**obj["params"]),
+                categories=categories,
                 train_loss=tuple(float(x) for x in obj["train_loss"]),
             )
         except (IndexError, KeyError, TypeError, ValueError) as exc:
@@ -659,7 +645,7 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
         losses.append(_log_loss(y, p))
 
     return GbdtModel(schema=table.schema, base_score=base_score,
-                     trees=tuple(trees), params=params,
+                     trees=tuple(trees), params=params, categories=categories,
                      train_loss=tuple(losses))
 
 

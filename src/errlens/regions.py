@@ -11,7 +11,7 @@ where the model performs poorly.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -159,30 +159,6 @@ class ConditionStats:
         }
 
 
-def region_error_rate(
-    condition: Condition,
-    table: LabeledTable,
-    misclassified: MisclassifiedSet,
-) -> ConditionStats:
-    """Coverage and error rate of one condition on the table ``misclassified``
-    scored.
-
-    Support fields are zeroed; :func:`report_from_explanations` fills them
-    from mining.  An empty region reports error_rate 0.
-    """
-    in_region = condition.matches(table.column(condition.feature))
-    coverage = int(in_region.sum())
-    errors = int((in_region & misclassified.wrong).sum())
-    return ConditionStats(
-        condition=condition,
-        support=0,
-        support_fraction=0.0,
-        coverage=coverage,
-        errors_in_region=errors,
-        error_rate=(errors / coverage if coverage else 0.0),
-    )
-
-
 @dataclass(frozen=True)
 class RegionReport:
     """Scored regions of one split, sorted worst-first.
@@ -223,8 +199,9 @@ def report_from_explanations(
     score each on the table it came from.
 
     ``explanations`` must follow ``misclassified.row_ids`` one to one, as
-    :func:`explain_misclassified` returns them.  With no misclassified rows
-    the report has zero regions and baseline 0.
+    :func:`explain_misclassified` returns them.  A condition that covers no
+    row of the table is dropped.  With no misclassified rows the report has
+    zero regions and baseline 0.
     """
     if table.n_rows == 0:
         raise EmptyTable("cannot report on an empty table")
@@ -251,11 +228,15 @@ def report_from_explanations(
     stats: list[ConditionStats] = []
     if explanations:
         for cond, support in mine_conditions(explanations, min_support_fraction):
-            s = region_error_rate(cond, table, misclassified)
-            if s.coverage == 0:
+            in_region = cond.matches(table.column(cond.feature))
+            coverage = int(in_region.sum())
+            if coverage == 0:
                 continue
-            stats.append(replace(s, support=support,
-                                 support_fraction=support / n_mis))
+            errors = int((in_region & misclassified.wrong).sum())
+            stats.append(ConditionStats(
+                condition=cond, support=support, support_fraction=support / n_mis,
+                coverage=coverage, errors_in_region=errors, error_rate=errors / coverage,
+            ))
     stats.sort(key=lambda s: (-s.error_rate, -s.coverage, s.condition.text))
     return RegionReport(
         split=misclassified.split,

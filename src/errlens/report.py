@@ -13,66 +13,48 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import escape
 
 from .regions import RegionReport
-from .serialize import canonical_json
+from .serialize import canonical_json, write_text
 
 
-@dataclass(frozen=True, slots=True)
-class PlotStyle:
-    """Geometry and colors of the error-rate chart."""
-
-    width: int = 900
-    height: int = 480
-    margin: int = 48
-    bar_color: str = "#4a90d9"
-    baseline_color: str = "#c0392b"
-    axis_color: str = "#333333"
-    font_size: int = 12
-    max_regions: int = 20
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0 or self.font_size <= 0:
-            raise ValueError("plot dimensions must be positive")
-        if self.margin < 0 or 2 * self.margin >= min(self.width, self.height):
-            raise ValueError("margin must leave a positive chart area")
-        if self.max_regions < 1:
-            raise ValueError("max_regions must be >= 1")
+# Geometry and colours of the error-rate chart, and the most regions it draws.
+_WIDTH = 900
+_HEIGHT = 480
+_MARGIN = 48
+_FONT_SIZE = 12
+_BAR_COLOR = "#4a90d9"
+_BASELINE_COLOR = "#c0392b"
+_AXIS_COLOR = "#333333"
+_MAX_REGIONS = 20
 
 
 def _num(x: float) -> str:
     return f"{x:.2f}"
 
 
-def render_error_plot(
-    report: RegionReport,
-    style: PlotStyle = PlotStyle(),
-    path: str | None = None,
-) -> str:
+def render_error_plot(report: RegionReport) -> str:
     """SVG chart of per-region error rates, worst regions on top.
 
     Bars span ``error_rate * chart width``; the dashed vertical line marks
-    the baseline error rate.  At most ``style.max_regions`` regions are
-    drawn.  An empty report still renders the axes and baseline.  When
-    ``path`` is given the markup is also written there.
+    the baseline error rate.  At most _MAX_REGIONS regions are drawn.  An
+    empty report still renders the axes and baseline.
     """
-    regions = report.regions[: style.max_regions]
-    left = style.margin
-    top = style.margin
-    chart_w = style.width - 2 * style.margin
-    chart_h = style.height - 2 * style.margin
+    regions = report.regions[:_MAX_REGIONS]
+    left = top = _MARGIN
+    chart_w = _WIDTH - 2 * _MARGIN
+    chart_h = _HEIGHT - 2 * _MARGIN
     bottom = top + chart_h
-    fs = style.font_size
+    fs = _FONT_SIZE
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{style.width}" height="{style.height}" '
-        f'viewBox="0 0 {style.width} {style.height}">',
+        f'width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<text x="{_num(left)}" y="{_num(top - fs)}" '
-        f'font-size="{fs + 2}" fill="{style.axis_color}">'
+        f'font-size="{fs + 2}" fill="{_AXIS_COLOR}">'
         f'{escape(report.split)} split: region error rates '
         f'(baseline {report.baseline_error_rate:.3f}, '
         f'{report.n_misclassified}/{report.n_total} misclassified)</text>',
@@ -81,23 +63,23 @@ def render_error_plot(
     # axes and x ticks
     parts.append(
         f'<line class="axis" x1="{_num(left)}" y1="{_num(top)}" '
-        f'x2="{_num(left)}" y2="{_num(bottom)}" stroke="{style.axis_color}"/>'
+        f'x2="{_num(left)}" y2="{_num(bottom)}" stroke="{_AXIS_COLOR}"/>'
     )
     parts.append(
         f'<line class="axis" x1="{_num(left)}" y1="{_num(bottom)}" '
         f'x2="{_num(left + chart_w)}" y2="{_num(bottom)}" '
-        f'stroke="{style.axis_color}"/>'
+        f'stroke="{_AXIS_COLOR}"/>'
     )
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         x = left + tick * chart_w
         parts.append(
             f'<line class="tick" x1="{_num(x)}" y1="{_num(bottom)}" '
-            f'x2="{_num(x)}" y2="{_num(bottom + 4)}" stroke="{style.axis_color}"/>'
+            f'x2="{_num(x)}" y2="{_num(bottom + 4)}" stroke="{_AXIS_COLOR}"/>'
         )
         parts.append(
             f'<text x="{_num(x)}" y="{_num(bottom + 4 + fs)}" '
             f'font-size="{fs}" text-anchor="middle" '
-            f'fill="{style.axis_color}">{tick:.2f}</text>'
+            f'fill="{_AXIS_COLOR}">{tick:.2f}</text>'
         )
 
     if regions:
@@ -110,28 +92,24 @@ def render_error_plot(
                      f"n={region.coverage})")
             parts.append(
                 f'<text x="{_num(left + 4)}" y="{_num(y_row + fs)}" '
-                f'font-size="{fs}" fill="{style.axis_color}">'
+                f'font-size="{fs}" fill="{_AXIS_COLOR}">'
                 f'{escape(label)}</text>'
             )
             parts.append(
                 f'<rect class="bar" x="{_num(left)}" '
                 f'y="{_num(y_row + row_h - bar_h - 2)}" '
                 f'width="{_num(region.error_rate * chart_w)}" '
-                f'height="{_num(bar_h)}" fill={quoteattr(style.bar_color)}/>'
+                f'height="{_num(bar_h)}" fill="{_BAR_COLOR}"/>'
             )
 
     x_base = left + report.baseline_error_rate * chart_w
     parts.append(
         f'<line class="baseline" x1="{_num(x_base)}" y1="{_num(top)}" '
         f'x2="{_num(x_base)}" y2="{_num(bottom)}" '
-        f'stroke={quoteattr(style.baseline_color)} stroke-dasharray="4 3"/>'
+        f'stroke="{_BASELINE_COLOR}" stroke-dasharray="4 3"/>'
     )
     parts.append("</svg>")
-    markup = "\n".join(parts) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(markup)
-    return markup
+    return "\n".join(parts) + "\n"
 
 
 _COLUMNS = ("condition", "support", "coverage", "errors", "error_rate")
@@ -173,30 +151,21 @@ def write_report_csv(report: RegionReport, path: str) -> None:
         writer.writerows(_table_rows(report))
 
 
-def write_report_files(
-    report: RegionReport,
-    out_dir: str,
-    style: PlotStyle = PlotStyle(),
-    basename: str = "report",
-    table_basename: str = "table",
-) -> dict[str, str]:
-    """Write ``<basename>.json/.csv/.svg`` and ``<table_basename>.txt``.
+def write_report_files(report: RegionReport, out_dir: str) -> dict[str, str]:
+    """Write ``report.json/.csv/.svg`` and ``table.txt`` for the split
+    ``"all"``, and ``report_<split>.*`` and ``table_<split>.txt`` for any
+    other split.
 
     Returns the written paths keyed by artifact kind.  Writing the same
     report twice produces byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "json": os.path.join(out_dir, f"{basename}.json"),
-        "csv": os.path.join(out_dir, f"{basename}.csv"),
-        "svg": os.path.join(out_dir, f"{basename}.svg"),
-        "table": os.path.join(out_dir, f"{table_basename}.txt"),
-    }
-    with open(paths["json"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(report.to_json_obj()))
+    suffix = "" if report.split == "all" else f"_{report.split}"
+    paths = {kind: os.path.join(out_dir, f"report{suffix}.{kind}")
+             for kind in ("json", "csv", "svg")}
+    paths["table"] = os.path.join(out_dir, f"table{suffix}.txt")
+    write_text(paths["json"], canonical_json(report.to_json_obj()))
     write_report_csv(report, paths["csv"])
-    with open(paths["svg"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_error_plot(report, style))
-    with open(paths["table"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_text_table(report))
+    write_text(paths["svg"], render_error_plot(report))
+    write_text(paths["table"], render_text_table(report))
     return paths

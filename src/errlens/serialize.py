@@ -21,6 +21,11 @@ def canonical_json_line(obj: object) -> str:
                       allow_nan=False, ensure_ascii=False) + "\n"
 
 
-def dump_json(obj: object, path: str) -> None:
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``"\\n"`` newlines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
+
+
+def dump_json(obj: object, path: str) -> None:
+    write_text(path, canonical_json(obj))

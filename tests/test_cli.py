@@ -271,8 +271,9 @@ def test_mine_with_external_predictions_scores_the_table_once(
 # --- exit codes -------------------------------------------------------------------
 
 
-def test_usage_errors_exit_one(tmp_path) -> None:
+def test_usage_errors_exit_one(tmp_path, capsys) -> None:
     assert run() == EXIT_USAGE                             # no subcommand
+    assert capsys.readouterr().err.count("\n") == 1
     assert run("frobnicate") == EXIT_USAGE                 # unknown subcommand
     assert run("synth", "--frobnicate") == EXIT_USAGE      # unknown flag
     assert run("train", "--out-dir", str(tmp_path)) == EXIT_USAGE  # missing --data
@@ -290,6 +291,7 @@ def test_usage_errors_exit_one(tmp_path) -> None:
     ({"n_samples": True}, (), "n_samples"),
     ({"l2": float("inf")}, (), "l2"),  # a non-finite value could not be echoed
     (None, ("--learning-rate", "2"), "learning_rate"),
+    (None, ("--ridge-lambda", "x"), "ridge-lambda"),
 ])
 def test_bad_values_are_one_line_usage_errors_before_any_read(
     tmp_path, capsys, config, flags, key,

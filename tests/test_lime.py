@@ -242,8 +242,9 @@ def test_fit_rejects_malformed_inputs() -> None:
         fit_local_model(z, y, np.asarray([1.0, -1.0, 1.0]), 1.0)
     with pytest.raises(DataError):
         fit_local_model(z, y, np.zeros(3), 1.0)
-    with pytest.raises(DataError):
-        fit_local_model(z, y, np.ones(3), -1.0)
+    for bad_lambda in (-1.0, math.nan):
+        with pytest.raises(DataError):
+            fit_local_model(z, y, np.ones(3), bad_lambda)
 
 
 # --- perturbation sampling ------------------------------------------------------------
@@ -398,6 +399,6 @@ def test_explanations_round_trip_through_jsonl(tmp_path) -> None:
 
 def test_lime_config_validates_every_knob() -> None:
     for bad in (dict(n_samples=1), dict(kernel_width=0.0), dict(ridge_lambda=-1.0),
-                dict(top_k=0)):
+                dict(ridge_lambda=math.nan), dict(top_k=0)):
         with pytest.raises(DataError):
             LimeConfig(**bad)

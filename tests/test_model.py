@@ -55,7 +55,7 @@ def test_single_stump_splits_at_the_separating_midpoint() -> None:
     # base rate 0.5 -> base score 0, g = +-0.5, h = 0.25 per row;
     # the only clean cut is between 2 and 3, leaves -G/(H + l2) = -+2/3
     assert model.base_score == 0.0
-    root, left, right = model.trees[0].to_json_obj()
+    root, left, right = model.trees[0].to_json_obj(model.categories)
     assert root == {"feature": 0, "threshold": 2.5, "left": 1, "right": 2}
     assert left["leaf"] == pytest.approx(-2.0 / 3.0)
     assert right["leaf"] == pytest.approx(2.0 / 3.0)
@@ -70,7 +70,7 @@ def test_min_leaf_count_blocks_the_only_available_split() -> None:
     table = make_table([[1.0, 2.0, 3.0, 4.0]], [0, 0, 1, 1])
     model = train_gbdt(table, GbdtParams(rounds=1, max_depth=1,
                                          min_leaf_count=3, l2=1.0))
-    assert model.trees[0].to_json_obj() == [{"leaf": 0.0}]
+    assert model.trees[0].to_json_obj(model.categories) == [{"leaf": 0.0}]
     assert np.all(model.predict_table(table) == 0.5)
 
 
@@ -81,7 +81,7 @@ def test_categorical_split_sends_matching_rows_left() -> None:
     )
     model = train_gbdt(table, GbdtParams(rounds=1, max_depth=1,
                                          min_leaf_count=1, l2=1.0))
-    root = model.trees[0].to_json_obj()[0]
+    root = model.trees[0].to_json_obj(model.categories)[0]
     assert root["feature"] == 0 and "category" in root
     probs = model.predict_table(table)
     assert np.all(probs[[0, 1, 5]] > 0.5)
@@ -120,7 +120,8 @@ def test_training_rejects_empty_tables_and_bad_params() -> None:
     with pytest.raises(EmptyTable):
         train_gbdt(make_table([[1.0]], [0]).subset([]))
     for bad in (dict(rounds=-1), dict(max_depth=0), dict(min_leaf_count=0),
-                dict(l2=-0.1), dict(learning_rate=0.0), dict(learning_rate=1.5)):
+                dict(l2=-0.1), dict(l2=math.nan), dict(learning_rate=0.0),
+                dict(learning_rate=1.5)):
         with pytest.raises(DataError):
             GbdtParams(**bad)
 
@@ -146,7 +147,7 @@ class PerNodeGrower:
     def grow(self):
         self._node(np.arange(len(self.g), dtype=np.intp), self.order, depth=0)
         feature, cut, value = zip(*self.nodes)
-        return model_module.Tree(feature, cut, self.child, value, self.categories)
+        return model_module.Tree(feature, cut, self.child, value)
 
     def _append(self, feature, cut, value):
         slot = len(self.nodes)
@@ -276,7 +277,7 @@ def test_vectorized_predictions_match_per_row_tree_walks() -> None:
         kinds=["continuous", "continuous", "categorical"],
     )
     model = train_gbdt(table, GbdtParams(rounds=10, max_depth=3))
-    trees = [t.to_json_obj() for t in model.trees]
+    trees = [t.to_json_obj(model.categories) for t in model.trees]
     lr = model.params.learning_rate
     expected = np.asarray([
         sigmoid(model.base_score
@@ -407,8 +408,9 @@ def test_predictions_are_bit_identical_to_per_row_walks(drawn) -> None:
 def test_predictions_are_bit_identical_across_tree_groups(drawn, group_bytes) -> None:
     model, rows, block = drawn
     with mock.patch.object(model_module, "_GROUP_BYTES", group_bytes):
-        grouped = GbdtModel(model.schema, model.base_score, model.trees, model.params)
-    target(float(len(grouped._scorer.groups)))
+        grouped = GbdtModel(model.schema, model.base_score, model.trees, model.params,
+                            model.categories)
+    target(float(len(grouped._groups)))
     with mock.patch.object(model_module, "_BLOCK", block):
         out = grouped.predict_rows(model.schema, rows)
     assert np.array_equal(out, reference_probs(model, rows))
@@ -417,12 +419,12 @@ def test_predictions_are_bit_identical_across_tree_groups(drawn, group_bytes) ->
 def test_a_long_ensemble_adds_its_trees_in_ensemble_order() -> None:
     rng = np.random.default_rng(23)
     model = train_gbdt(random_table(rng, 300, 3), GbdtParams(rounds=150, max_depth=3))
-    assert len(model._scorer.groups) == 1
+    assert len(model._groups) == 1
     step = model_module._BLOCK // len(model.trees)
     for n in (202, 1, step + 1):  # the last two end in a block of one row
         rows = [np.concatenate([[-np.inf, np.inf], rng.normal(size=n)])[:n] for _ in range(3)]
         x = np.stack(rows, axis=1)
-        assert np.array_equal(model._scorer.raw_scores(x, model.base_score),
+        assert np.array_equal(model._raw_scores(x),
                               reference_raw(model, rows))
 
 
@@ -438,16 +440,17 @@ def test_trees_wider_than_one_word_predict_exactly() -> None:
 
 
 def table_bytes(model: GbdtModel) -> int:
-    return sum(table.nbytes for group in model._scorer.groups for _, _, table in group.tables)
+    return sum(table.nbytes for group in model._groups for _, _, table in group.tables)
 
 
 def test_table_memory_grows_linearly_with_the_ensemble() -> None:
     table, _ = generate(default_spec(n_rows=2000, n_features=6, flip_rate=0.4, seed=7))
     train, _ = split(table, test_fraction=0.25, seed=7)
-    assert len(train_gbdt(train)._scorer.groups) == 1  # the defaults: one group
+    assert len(train_gbdt(train)._groups) == 1  # the defaults: one group
     long = train_gbdt(train, GbdtParams(rounds=300, max_depth=8, min_leaf_count=1))
-    short = GbdtModel(long.schema, long.base_score, long.trees[:100], long.params)
-    assert len(short._scorer.groups) > 1
+    short = GbdtModel(long.schema, long.base_score, long.trees[:100], long.params,
+                      long.categories)
+    assert len(short._groups) > 1
     assert table_bytes(long) / table_bytes(short) <= 3.3
 
 
@@ -518,6 +521,21 @@ def test_malformed_model_trees_are_data_errors(tree: list[dict]) -> None:
         GbdtModel.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("categories", [
+    pytest.param((None,), id="too_short"),
+    pytest.param((None, np.asarray(["a", "b"]), None), id="too_long"),
+    pytest.param((np.asarray(["a"]), np.asarray(["a", "b"])), id="categories_on_continuous"),
+    pytest.param((None, None), id="none_on_categorical"),
+])
+def test_a_model_needs_one_category_coding_entry_per_feature(categories) -> None:
+    model = train_gbdt(make_table([[1.0, 2.0], ["a", "b"]], [0, 1],
+                                  kinds=["continuous", "categorical"]),
+                       GbdtParams(rounds=1, max_depth=1, min_leaf_count=1))
+    GbdtModel(model.schema, model.base_score, model.trees, model.params, model.categories)
+    with pytest.raises(DataError):
+        GbdtModel(model.schema, model.base_score, model.trees, model.params, categories)
+
+
 @pytest.mark.parametrize("columns", [
     pytest.param([np.asarray([np.nan]), np.asarray(["x"])], id="nan"),
     pytest.param([np.asarray([1.0]), np.asarray(["x"]), np.asarray([2.0])],
@@ -530,7 +548,7 @@ def test_gbdt_predictions_reject_malformed_bare_rows(columns) -> None:
     table = make_table([[0.0, 10.0, 1.0, 11.0], ["x", "y", "y", "x"]], [0, 1, 0, 1],
                        kinds=["continuous", "categorical"])
     model = train_gbdt(table, GbdtParams(rounds=2, max_depth=1, min_leaf_count=1))
-    assert model.trees[0].to_json_obj()[0]["feature"] == 0
+    assert model.trees[0].to_json_obj(model.categories)[0]["feature"] == 0
     with pytest.raises(DataError):
         model.predict_rows(table.schema, columns)
 

@@ -29,7 +29,6 @@ from errlens import (
     find_misclassified,
     fit_discretizer,
     mine_conditions,
-    region_error_rate,
     report_from_explanations,
     train_gbdt,
 )
@@ -165,19 +164,13 @@ def test_region_stats_count_covered_rows_and_their_errors() -> None:
     probs = [0.1] * 10
     probs[7] = 0.9  # the one mistake, inside the region
     mis = find_misclassified(fixed_predictor(table, probs), table)
-    stats = region_error_rate(Condition(feature="f0", low=5.5), table, mis)
+    report = report_from_explanations(
+        table, [explanation("7", Condition(feature="f0", low=5.5))], mis)
+    (stats,) = report.regions
     assert stats.coverage == 4
     assert stats.errors_in_region == 1
     assert stats.error_rate == 0.25
-    assert stats.support == 0 and stats.support_fraction == 0.0
-
-
-def test_an_uncovered_region_has_zero_error_rate() -> None:
-    table = make_table([[1.0, 2.0]], [0, 0])
-    mis = find_misclassified(fixed_predictor(table, [0.9, 0.9]), table)
-    stats = region_error_rate(Condition(feature="f0", low=100.0), table, mis)
-    assert stats.coverage == 0
-    assert stats.error_rate == 0.0
+    assert stats.support == 1 and stats.support_fraction == 1.0
 
 
 # --- assembling reports ------------------------------------------------------------

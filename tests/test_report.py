@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from errlens import Condition, ConditionStats, PlotStyle, RegionReport
+from errlens import Condition, ConditionStats, RegionReport
+from errlens import report as report_module
 from errlens.report import (
     render_error_plot,
     render_text_table,
@@ -55,17 +57,16 @@ def test_chart_with_no_regions_still_has_axes_and_baseline() -> None:
 
 
 def test_a_total_failure_bar_spans_the_full_chart_width() -> None:
-    style = PlotStyle()
     svg = render_error_plot(report_with(
         (region(coverage=10, errors=10),)
-    ), style)
+    ))
     width = float(BAR.search(svg).group(1))
-    assert abs(width - (style.width - 2 * style.margin)) <= 0.5
+    assert abs(width - (report_module._WIDTH - 2 * report_module._MARGIN)) <= 0.5
 
 
 def test_chart_truncates_to_the_configured_region_limit() -> None:
     regions = tuple(region(f"f{i}") for i in range(25))
-    svg = render_error_plot(report_with(regions), PlotStyle(max_regions=20))
+    svg = render_error_plot(report_with(regions))
     assert len(BAR.findall(svg)) == 20
 
 
@@ -95,13 +96,6 @@ def test_error_rates_display_with_three_decimals() -> None:
     table = render_text_table(report_with((third,)))
     assert "0.333" in svg
     assert "0.333" in table
-
-
-def test_chart_can_write_itself_to_a_file(tmp_path) -> None:
-    path = str(tmp_path / "plot.svg")
-    svg = render_error_plot(report_with((region(),)), path=path)
-    with open(path, encoding="utf-8") as fh:
-        assert fh.read() == svg
 
 
 def test_text_table_is_a_header_plus_one_line_per_region() -> None:
@@ -145,10 +139,13 @@ def test_report_bundle_writes_four_files_byte_identically(tmp_path) -> None:
             assert fh.read() == first[kind]
 
 
-def test_plot_style_rejects_degenerate_geometry() -> None:
-    with pytest.raises(ValueError):
-        PlotStyle(width=0)
-    with pytest.raises(ValueError):
-        PlotStyle(margin=500)
-    with pytest.raises(ValueError):
-        PlotStyle(max_regions=0)
+@pytest.mark.parametrize("split, names", [
+    ("all", ["report.csv", "report.json", "report.svg", "table.txt"]),
+    ("test", ["report_test.csv", "report_test.json", "report_test.svg", "table_test.txt"]),
+])
+def test_report_files_are_named_from_the_split(tmp_path, split, names) -> None:
+    report = RegionReport(split=split, n_total=40, n_misclassified=8,
+                          baseline_error_rate=0.2, regions=(region(),), config={})
+    paths = write_report_files(report, str(tmp_path))
+    assert sorted(os.path.basename(p) for p in paths.values()) == names
+    assert sorted(os.listdir(tmp_path)) == names
