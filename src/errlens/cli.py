@@ -14,8 +14,6 @@ Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -23,7 +21,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .data import (
-    FeatureSpec,
     LabeledTable,
     concat_tables,
     featurize_rolling,
@@ -33,12 +30,12 @@ from .data import (
     split,
     write_csv,
 )
-from .errors import DataError, MissingColumn, NumericalError
+from .errors import DataError, NumericalError
 from .lime import LimeConfig, fit_discretizer, write_explanations_jsonl
 from .model import GbdtModel, GbdtParams, Predictor, load_external_predictions, train_gbdt
 from .regions import explain_misclassified, find_misclassified, report_from_explanations
 from .report import write_report_files
-from .serialize import dump_json
+from .serialize import dump_json, load_json
 from .synth import SynthSpec, default_spec, generate
 
 EXIT_OK = 0
@@ -189,11 +186,7 @@ class RunConfig:
 
 
 def _read_config(path: str) -> dict[str, object]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    file_cfg = load_json(path)
     if not isinstance(file_cfg, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     unknown = sorted(set(file_cfg) - {opt.key for opt in OPTIONS})
@@ -264,30 +257,9 @@ def _out_dir(cfg: RunConfig) -> str:
     return out
 
 
-def _infer_schema(path: str, label_column: str, id_column: str | None,
-                  categorical: Sequence[str]) -> tuple[FeatureSpec, ...]:
-    """Every non-label, non-id column is a feature; kinds come from the
-    --categorical list (default: continuous)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise MissingColumn("empty file: header row required") from None
-    unknown = sorted(set(categorical) - set(header))
-    if unknown:
-        raise MissingColumn(f"categorical columns not in header: {', '.join(unknown)}")
-    skip = {label_column, id_column}
-    return tuple(
-        FeatureSpec(name, "categorical" if name in categorical else "continuous")
-        for name in header if name not in skip
-    )
-
-
 def _load_table(cfg: RunConfig) -> LabeledTable:
-    path = _require(cfg, "data")
-    label_column, id_column = cfg["label_column"], cfg["id_column"]
-    schema = _infer_schema(path, label_column, id_column, cfg["categorical"])
-    return load_csv(path, schema, label_column=label_column, id_column=id_column)
+    return load_csv(_require(cfg, "data"), label_column=cfg["label_column"],
+                    id_column=cfg["id_column"], categorical=cfg["categorical"])
 
 
 def _predictor(cfg: RunConfig, table: LabeledTable) -> Predictor:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -154,62 +154,75 @@ def concat_tables(tables: Sequence[LabeledTable]) -> LabeledTable:
     )
 
 
-# --- CSV loading -------------------------------------------------------------
+# --- CSV reading -------------------------------------------------------------
 
 
-def load_csv(
-    path: str,
-    schema: Sequence[FeatureSpec],
-    label_column: str = "label",
-    id_column: str | None = None,
-) -> LabeledTable:
+def read_csv(path: str, required: Iterable[str] = ()) -> Iterator[list[str]]:
+    """The header row of a UTF-8 CSV file, then its data rows as they are read.
+
+    Raises MissingColumn for an empty file or a ``required`` name the header
+    lacks, and DataError for a name the header repeats, a row whose cell
+    count differs from the header's, or a file that is not UTF-8 CSV.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumn("empty file: header row required")
+            for name in required:
+                if name not in header:
+                    raise MissingColumn(f"column {name!r} not in header")
+            for name in header:
+                if header.count(name) > 1:
+                    raise DataError(f"column {name!r} repeats in header")
+            yield header
+            for row_idx, row in enumerate(reader):
+                if len(row) != len(header):
+                    raise DataError(f"row {row_idx}: expected {len(header)} cells")
+                yield row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not UTF-8 CSV: {exc}") from None
+
+
+def load_csv(path: str, *, label_column: str = "label", id_column: str | None = None,
+             categorical: Sequence[str] = ()) -> LabeledTable:
     """Read a labeled table from a CSV file with a header row.
 
-    Continuous cells must parse as finite numbers, labels must be 0 or 1.
-    Without ``id_column``, row ids are the 0-based data-row indices.
+    Every column but the label and id columns is a feature, in header order:
+    categorical if named in ``categorical``, else continuous.  Continuous
+    cells must parse as finite numbers, labels must be 0 or 1.  Without
+    ``id_column``, row ids are the 0-based data-row indices.
     """
-    schema = tuple(schema)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("empty file: header row required") from None
-        pos = {name: i for i, name in enumerate(header)}
-        needed = [f.name for f in schema] + [label_column]
-        if id_column is not None:
-            needed.append(id_column)
-        for name in needed:
-            if name not in pos:
-                raise MissingColumn(name)
-
-        raw_cols: list[list] = [[] for _ in schema]
-        labels: list[int] = []
-        ids: list[str] = []
-        for row_idx, row in enumerate(reader):
-            if len(row) != len(header):
-                raise DataError(f"row {row_idx}: expected {len(header)} cells")
-            for j, spec in enumerate(schema):
-                cell = row[pos[spec.name]]
-                if spec.kind == "continuous":
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise NonNumericCell(
-                            f"row {row_idx}, column {spec.name!r}: {cell!r}"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise NonNumericCell(
-                            f"row {row_idx}, column {spec.name!r}: {cell!r}"
-                        )
-                    raw_cols[j].append(value)
-                else:
-                    raw_cols[j].append(cell)
-            label_cell = row[pos[label_column]].strip()
-            if label_cell not in ("0", "1"):
-                raise InvalidLabel(f"row {row_idx}: {label_cell!r}")
-            labels.append(int(label_cell))
-            ids.append(row[pos[id_column]] if id_column is not None else str(row_idx))
+    keys = (label_column,) if id_column is None else (label_column, id_column)
+    rows = read_csv(path, (*keys, *categorical))
+    header = next(rows)
+    schema = tuple(FeatureSpec(name, "categorical" if name in categorical else "continuous")
+                   for name in header if name not in keys)
+    pos = [header.index(f.name) for f in schema]
+    label_at = header.index(label_column)
+    id_at = None if id_column is None else header.index(id_column)
+    raw_cols: list[list] = [[] for _ in schema]
+    labels: list[int] = []
+    ids: list[str] = []
+    for row_idx, row in enumerate(rows):
+        for j, spec in enumerate(schema):
+            cell = row[pos[j]]
+            if spec.kind == "continuous":
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise NonNumericCell(f"row {row_idx}, column {spec.name!r}: {cell!r}")
+                raw_cols[j].append(value)
+            else:
+                raw_cols[j].append(cell)
+        label_cell = row[label_at].strip()
+        if label_cell not in ("0", "1"):
+            raise InvalidLabel(f"row {row_idx}: {label_cell!r}")
+        labels.append(int(label_cell))
+        ids.append(str(row_idx) if id_at is None else row[id_at])
 
     return LabeledTable(
         schema=schema,
@@ -396,45 +409,41 @@ def load_series_csv(
     columns.  Rows may appear in any order; they are sorted by timestamp
     within each entity.  Entities appear in the output in first-seen order.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise MissingColumn("empty file: header row required")
-        for name in (entity_column, time_column, label_column, *channel_columns,
-                     *static_columns):
-            if name not in reader.fieldnames:
-                raise MissingColumn(name)
-        grouped: dict[str, dict] = {}
-        for row_idx, row in enumerate(reader):
-            ent = row[entity_column]
-            rec = grouped.setdefault(
-                ent, {"t": [], "ch": {c: [] for c in channel_columns},
-                      "label": None, "static": None}
-            )
+    rows = read_csv(path, (entity_column, time_column, label_column, *channel_columns,
+                           *static_columns))
+    header = next(rows)
+    grouped: dict[str, dict] = {}
+    for row_idx, cells in enumerate(rows):
+        row = dict(zip(header, cells))
+        ent = row[entity_column]
+        rec = grouped.setdefault(
+            ent, {"t": [], "ch": {c: [] for c in channel_columns},
+                  "label": None, "static": None}
+        )
+        try:
+            rec["t"].append(int(row[time_column]))
+        except ValueError:
+            raise NonNumericCell(
+                f"row {row_idx}, column {time_column!r}: {row[time_column]!r}"
+            ) from None
+        for c in channel_columns:
             try:
-                rec["t"].append(int(row[time_column]))
+                value = float(row[c])
             except ValueError:
                 raise NonNumericCell(
-                    f"row {row_idx}, column {time_column!r}: {row[time_column]!r}"
+                    f"row {row_idx}, column {c!r}: {row[c]!r}"
                 ) from None
-            for c in channel_columns:
-                try:
-                    value = float(row[c])
-                except ValueError:
-                    raise NonNumericCell(
-                        f"row {row_idx}, column {c!r}: {row[c]!r}"
-                    ) from None
-                rec["ch"][c].append(value)
-            if row[label_column].strip() not in ("0", "1"):
-                raise InvalidLabel(f"row {row_idx}: {row[label_column]!r}")
-            label = int(row[label_column])
-            if rec["label"] not in (None, label):
-                raise InvalidLabel(f"entity {ent!r} has conflicting labels")
-            rec["label"] = label
-            static = {c: row[c] for c in static_columns}
-            if rec["static"] not in (None, static):
-                raise DataError(f"entity {ent!r} has conflicting static attributes")
-            rec["static"] = static
+            rec["ch"][c].append(value)
+        if row[label_column].strip() not in ("0", "1"):
+            raise InvalidLabel(f"row {row_idx}: {row[label_column]!r}")
+        label = int(row[label_column])
+        if rec["label"] not in (None, label):
+            raise InvalidLabel(f"entity {ent!r} has conflicting labels")
+        rec["label"] = label
+        static = {c: row[c] for c in static_columns}
+        if rec["static"] not in (None, static):
+            raise DataError(f"entity {ent!r} has conflicting static attributes")
+        rec["static"] = static
 
     frames = []
     for ent, rec in grouped.items():

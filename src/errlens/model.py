@@ -9,8 +9,6 @@ or arbitrary callables plug in the same way.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import threading
 from dataclasses import asdict, dataclass, field
@@ -19,7 +17,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 from scipy.special import expit
 
-from .data import FeatureSpec, LabeledTable, _frozen
+from .data import FeatureSpec, LabeledTable, _frozen, read_csv
 from .errors import (
     DataError,
     DuplicateRowId,
@@ -29,6 +27,7 @@ from .errors import (
     ProbabilityOutOfRange,
     SchemaMismatch,
 )
+from .serialize import load_json
 
 Columns = Sequence[np.ndarray]
 
@@ -170,6 +169,11 @@ class Tree:
         self.cut = _frozen(np.asarray(cut, dtype=np.float64))
         self.child = _frozen(np.asarray(child, dtype=np.intp))
         self.value = _frozen(np.asarray(value, dtype=np.float64))
+        n = self.value.size
+        if n == 0 or any(a.shape != (n,) for a in (self.feature, self.cut, self.value)):
+            raise DataError("a tree needs a node, and a feature, cut and value per node")
+        if self.child.shape != (2 * n,) or not ((self.child >= 0) & (self.child < n)).all():
+            raise DataError(f"a tree of {n} nodes needs two child indices below {n} per node")
         if np.isnan(self.cut).any():
             raise DataError("a split threshold is NaN")
         self.leaves, self.splits, self.left_leaves = map(_frozen, _walk(self.child))
@@ -191,8 +195,6 @@ class Tree:
     @classmethod
     def from_json_obj(cls, obj: Sequence[dict], categories: Categories) -> "Tree":
         n = len(obj)
-        if n == 0:
-            raise DataError("a tree needs at least one node")
         feature = np.zeros(n, dtype=np.intp)
         cut = np.zeros(n)
         child = np.repeat(np.arange(n, dtype=np.intp), 2)
@@ -202,10 +204,9 @@ class Tree:
                 value[i] = float(rec["leaf"])
                 continue
             j, left, right = int(rec["feature"]), int(rec["left"]), int(rec["right"])
-            if not (0 <= j < len(categories) and 0 <= left < n and 0 <= right < n
-                    and i not in (left, right)):
-                raise DataError(f"node {i}: feature or child index out of range")
-            cats = categories[j]
+            if left == i:
+                raise DataError(f"node {i}: a split is its own left child")
+            cats = categories[j] if 0 <= j < len(categories) else None  # GbdtModel rejects j
             if ("category" in rec) != (cats is not None):
                 raise DataError(f"node {i}: split kind does not match feature {j}")
             if cats is None:
@@ -542,6 +543,13 @@ class GbdtModel:
         if kinds != [f.kind for f in self.schema]:
             raise DataError("categories must have one entry per feature, "
                             "None exactly for the continuous ones")
+        for tree in self.trees:
+            for j, cut in zip(tree.feature[tree.splits].tolist(), tree.cut[tree.splits].tolist()):
+                if not 0 <= j < len(self.schema):
+                    raise DataError(f"a split on feature {j} lies outside the schema")
+                cats = self.categories[j]
+                if cats is not None and not (cut.is_integer() and 0 <= cut < cats.size):
+                    raise DataError(f"categorical cut {cut!r} on feature {j} is not a code")
         starts = [0, *_group_ends(self.trees, self.categories)]
         object.__setattr__(self, "_groups", tuple(
             _TreeGroup(self.trees[a:b], self.categories, self.params.learning_rate)
@@ -596,19 +604,9 @@ class GbdtModel:
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model object: {exc}") from exc
 
-    def save(self, path: str) -> None:
-        from .serialize import dump_json
-
-        dump_json(self.to_json_obj(), path)
-
     @classmethod
     def load(cls, path: str) -> "GbdtModel":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: not valid JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
+        return cls.from_json_obj(load_json(path))
 
 
 def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtModel:
@@ -874,26 +872,19 @@ class ExternalPredictions:
 
 def load_external_predictions(path: str, table: LabeledTable) -> ExternalPredictions:
     """Read a ``row_id,probability`` CSV covering every row of ``table``."""
+    rows = read_csv(path, ("row_id", "probability"))
+    header = next(rows)
+    if header != ["row_id", "probability"]:
+        raise MissingColumn(f"expected header row_id,probability, got {header!r}")
     probs: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for rid, cell in rows:
+        if rid in probs:
+            raise DuplicateRowId(rid)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("empty file: header row required") from None
-        if header != ["row_id", "probability"]:
-            raise MissingColumn(f"expected header row_id,probability, got {header!r}")
-        for row_idx, row in enumerate(reader):
-            if len(row) != 2:
-                raise DataError(f"row {row_idx}: expected 2 cells")
-            rid, cell = row
-            if rid in probs:
-                raise DuplicateRowId(rid)
-            try:
-                p = float(cell)
-            except ValueError:
-                raise ProbabilityOutOfRange(f"{rid}: {cell!r}") from None
-            if not (0.0 <= p <= 1.0):
-                raise ProbabilityOutOfRange(f"{rid}: {p!r}")
-            probs[rid] = p
+            p = float(cell)
+        except ValueError:
+            raise ProbabilityOutOfRange(f"{rid}: {cell!r}") from None
+        if not (0.0 <= p <= 1.0):
+            raise ProbabilityOutOfRange(f"{rid}: {p!r}")
+        probs[rid] = p
     return ExternalPredictions(probs, table)

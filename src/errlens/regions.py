@@ -11,7 +11,7 @@ where the model performs poorly.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +28,8 @@ class MisclassifiedSet:
 
     ``row_ids`` are the rows it got wrong, in table order; ``wrong`` is the
     read-only per-row verdict (thresholded prediction != label) the region
-    counts read; ``metrics`` are the confusion counts of the same pass.
+    counts read; ``metrics`` are the confusion counts of the same pass, and
+    ``probabilities`` its read-only per-row scores, which explanations state.
     """
 
     split: str  # "train", "test" or "all"
@@ -36,6 +37,7 @@ class MisclassifiedSet:
     row_ids: tuple[str, ...]
     wrong: np.ndarray = field(compare=False, repr=False)
     metrics: Metrics
+    probabilities: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def find_misclassified(predictor: Predictor, table: LabeledTable,
@@ -44,11 +46,12 @@ def find_misclassified(predictor: Predictor, table: LabeledTable,
     """Score a table once (p >= threshold is positive)."""
     if table.n_rows == 0:
         raise EmptyTable("cannot scan an empty table")
-    probs = check_probabilities(predictor.predict_table(table), table.n_rows)
+    # a copy, so that freezing it leaves the predictor's own array writable
+    probs = check_probabilities(predictor.predict_table(table), table.n_rows).copy()
     pred = probs >= threshold
     actual = table.labels == 1
     wrong = pred != actual
-    wrong.flags.writeable = False
+    wrong.flags.writeable = probs.flags.writeable = False
     return MisclassifiedSet(
         split=split,
         threshold=threshold,
@@ -61,6 +64,7 @@ def find_misclassified(predictor: Predictor, table: LabeledTable,
             fn=int(np.sum(~pred & actual)),
             threshold=threshold,
         ),
+        probabilities=probs,
     )
 
 
@@ -74,25 +78,31 @@ def explain_misclassified(
 ) -> tuple[Explanation, ...]:
     """One explanation per misclassified row.
 
-    Rows are independent (each derives its own RNG stream from its row id),
-    so they may be explained in parallel; results are returned in
-    ``misclassified.row_ids`` order regardless of scheduling.
+    Each explanation states the probability ``misclassified``'s scoring pass
+    gave its row.  Rows are independent (each derives its own RNG stream
+    from its row id), so they may be explained in parallel; results are
+    returned in ``misclassified.row_ids`` order regardless of scheduling.
     """
     index = {rid: i for i, rid in enumerate(table.row_ids)}
     try:
         rows = [index[rid] for rid in misclassified.row_ids]
     except KeyError as exc:
         raise DataError(f"row id {exc.args[0]!r} not present in table") from None
+    probs, threshold = misclassified.probabilities, misclassified.threshold
+    if probs is None or probs.shape != (table.n_rows,):
+        raise DataError("misclassified set holds no probability per row of the table")
 
     def one(i: int) -> Explanation:
-        return explain(
+        exp = explain(
             predictor, disc,
             row_id=table.row_ids[i],
             instance=table.row_values(i),
             true_label=int(table.labels[i]),
             config=config,
-            threshold=misclassified.threshold,
+            threshold=threshold,
         )
+        p = float(probs[i])
+        return replace(exp, predicted_probability=p, predicted_label=int(p >= threshold))
 
     if jobs <= 1 or len(rows) <= 1:
         return tuple(one(i) for i in rows)

@@ -1,4 +1,4 @@
-"""Canonical JSON output.
+"""Canonical JSON output, and the one JSON input reader.
 
 All JSON artifacts are written with sorted keys, two-space indent, a trailing
 newline, and shortest-round-trip float formatting, so identical in-memory
@@ -8,6 +8,8 @@ values always produce byte-identical files.
 from __future__ import annotations
 
 import json
+
+from .errors import DataError
 
 
 def canonical_json(obj: object) -> str:
@@ -29,3 +31,12 @@ def write_text(path: str, text: str) -> None:
 
 def dump_json(obj: object, path: str) -> None:
     write_text(path, canonical_json(obj))
+
+
+def load_json(path: str) -> object:
+    """The JSON value in a UTF-8 file; DataError if it does not decode or parse."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # undecodable bytes, malformed JSON
+        raise DataError(f"{path}: not valid UTF-8 JSON: {exc}") from None

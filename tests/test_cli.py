@@ -353,6 +353,35 @@ def test_missing_and_malformed_inputs_exit_two(tmp_path) -> None:
                "--out-dir", str(tmp_path / "o2")) == EXIT_DATA
 
 
+_TABLE = b"x,label\n1.0,0\n2.0,1\n"
+
+
+@pytest.mark.parametrize("files, argv", [
+    pytest.param({"s.csv": b"entity_id,timestamp_s,hr,label\na,0,1.0,1\na,300\n"},
+                 ["featurize", "--data", "s.csv", "--channels", "hr"], id="short_series_row"),
+    pytest.param({"d.csv": b"x,label\n\xff,0\n"}, ["train", "--data", "d.csv"],
+                 id="non_utf8_data"),
+    pytest.param({"d.csv": _TABLE, "p.csv": b"row_id,probability\n0,\xff\n1,0.5\n"},
+                 ["eval", "--data", "d.csv", "--predictions", "p.csv"],
+                 id="non_utf8_predictions"),
+    pytest.param({"d.csv": _TABLE, "c.json": b'{"seed": "\xff"}'},
+                 ["train", "--data", "d.csv", "--config", "c.json"], id="non_utf8_config"),
+    pytest.param({"d.csv": _TABLE, "m.json": b'{"kind": "\xff"}'},
+                 ["eval", "--data", "d.csv", "--model", "m.json"], id="non_utf8_model"),
+    pytest.param({"d.csv": b"f0,f0,label\n1.0,2.0,0\n"}, ["train", "--data", "d.csv"],
+                 id="repeated_header_name"),
+    pytest.param({"d.csv": _TABLE}, ["train", "--data", "d.csv", "--categorical", "nope"],
+                 id="unknown_categorical_name"),
+])
+def test_malformed_input_files_are_one_line_data_errors(tmp_path, capsys, files, argv) -> None:
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(*argv, "--out-dir", str(tmp_path / "o")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("errlens: data error: ")
+
+
 def test_singular_surrogate_systems_exit_three(tmp_path) -> None:
     # A constant feature makes its similarity column identical to the
     # intercept column, so an unregularized surrogate solve cannot proceed.

@@ -118,7 +118,8 @@ def test_csv_round_trip_preserves_values_exactly(tmp_path) -> None:
     )
     path = str(tmp_path / "t.csv")
     write_csv(table, path, include_row_id=True)
-    back = load_csv(path, table.schema, id_column="row_id")
+    back = load_csv(path, id_column="row_id", categorical=["c"])
+    assert back.schema == table.schema
     assert back.row_ids == table.row_ids
     assert back.labels.tolist() == table.labels.tolist()
     assert back.column("x").tolist() == table.column("x").tolist()
@@ -129,29 +130,29 @@ def test_csv_without_id_column_numbers_rows(tmp_path) -> None:
     table = make_table([[5.0, 6.0]], [1, 0])
     path = str(tmp_path / "t.csv")
     write_csv(table, path)
-    back = load_csv(path, table.schema)
+    back = load_csv(path)
+    assert back.schema == table.schema
     assert back.row_ids == ("0", "1")
 
 
 def test_load_csv_rejects_missing_column_bad_label_and_ragged_row(tmp_path) -> None:
-    schema = (FeatureSpec("x", "continuous"),)
     path = tmp_path / "t.csv"
 
-    path.write_text("y,label\n1.0,0\n", encoding="utf-8")
+    path.write_text("x,y\n1.0,0\n", encoding="utf-8")
     with pytest.raises(MissingColumn):
-        load_csv(str(path), schema)
+        load_csv(str(path))
 
     path.write_text("x,label\n1.0,yes\n", encoding="utf-8")
     with pytest.raises(InvalidLabel):
-        load_csv(str(path), schema)
+        load_csv(str(path))
 
     path.write_text("x,label\n1.0\n", encoding="utf-8")
     with pytest.raises(DataError):
-        load_csv(str(path), schema)
+        load_csv(str(path))
 
     path.write_text("x,label\noops,0\n", encoding="utf-8")
     with pytest.raises(NonNumericCell):
-        load_csv(str(path), schema)
+        load_csv(str(path))
 
 
 # --- time-series resampling and featurization ----------------------------------
@@ -271,6 +272,20 @@ def test_load_series_csv_groups_sorts_and_validates(tmp_path) -> None:
 
     path.write_text("entity_id,timestamp_s,label\na,0,1\n", encoding="utf-8")
     with pytest.raises(MissingColumn):
+        load_series_csv(str(path), channel_columns=["hr"])
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"entity_id,timestamp_s,hr,label\na,0,1.0,1,extra\n", id="extra_cell"),
+    pytest.param(b"entity_id,timestamp_s,hr,label\na,0\n", id="short_row"),
+    pytest.param(b"entity_id,timestamp_s,hr,hr,label\na,0,1.0,2.0,1\n", id="repeated_name"),
+    pytest.param(b"entity_id,timestamp_s,hr,label\n\xe9,0,1.0,1\n", id="latin1_bytes"),
+    pytest.param(b"", id="empty_file"),
+])
+def test_series_csv_rejects_malformed_files(tmp_path, content: bytes) -> None:
+    path = tmp_path / "s.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError):
         load_series_csv(str(path), channel_columns=["hr"])
 
 

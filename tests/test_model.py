@@ -17,6 +17,7 @@ from scipy.special import expit
 from conftest import BAD_PREDICTOR_OUTPUTS, make_table, random_table
 from errlens import (
     ExternalPredictions,
+    FeatureSpec,
     FunctionPredictor,
     GbdtModel,
     GbdtParams,
@@ -38,7 +39,7 @@ from errlens.errors import (
     ProbabilityOutOfRange,
     SchemaMismatch,
 )
-from errlens.serialize import canonical_json
+from errlens.serialize import canonical_json, dump_json
 
 
 def sigmoid(x: float) -> float:
@@ -490,7 +491,7 @@ def test_model_round_trips_through_json_with_identical_predictions(tmp_path) -> 
     table = random_table(rng, 80, 3)
     model = train_gbdt(table, GbdtParams(rounds=8, max_depth=3))
     path = str(tmp_path / "model.json")
-    model.save(path)
+    dump_json(model.to_json_obj(), path)
     loaded = GbdtModel.load(path)
     assert loaded.params == model.params
     assert loaded.train_loss == model.train_loss
@@ -534,6 +535,33 @@ def test_a_model_needs_one_category_coding_entry_per_feature(categories) -> None
     GbdtModel(model.schema, model.base_score, model.trees, model.params, model.categories)
     with pytest.raises(DataError):
         GbdtModel(model.schema, model.base_score, model.trees, model.params, categories)
+
+
+@pytest.mark.parametrize("feature, cut, child, value", [
+    pytest.param([], [], [], [], id="no_nodes"),
+    pytest.param([0, 0, 0], [0.5, 0.0, 0.0], [1, 2, 1, 1], [0.0, -1.0, 1.0],
+                 id="child_array_too_short"),
+    pytest.param([0, 0, 0], [0.5, 0.0, 0.0], [1, 7, 1, 1, 2, 2], [0.0, -1.0, 1.0],
+                 id="child_out_of_range"),
+    pytest.param([0, 0], [0.5, 0.0, 0.0], [1, 2, 1, 1, 2, 2], [0.0, -1.0, 1.0],
+                 id="feature_array_too_short"),
+])
+def test_trees_reject_malformed_node_tables(feature, cut, child, value) -> None:
+    with pytest.raises(DataError):
+        model_module.Tree(feature, cut, child, value)
+
+
+@pytest.mark.parametrize("kind, feature, cut", [
+    pytest.param("continuous", 5, 0.5, id="feature_outside_schema"),
+    pytest.param("categorical", 0, 9.0, id="category_code_out_of_range"),
+    pytest.param("categorical", 0, 0.5, id="fractional_category_code"),
+])
+def test_a_model_rejects_splits_its_schema_cannot_score(kind, feature, cut) -> None:
+    tree = model_module.Tree([feature, 0, 0], [cut, 0.0, 0.0], [1, 2, 1, 1, 2, 2],
+                             [0.0, -1.0, 1.0])
+    categories = (None,) if kind == "continuous" else (np.asarray(["a", "b"]),)
+    with pytest.raises(DataError):
+        GbdtModel((FeatureSpec("f0", kind),), 0.0, (tree,), GbdtParams(rounds=1), categories)
 
 
 @pytest.mark.parametrize("columns", [

@@ -18,6 +18,7 @@ from errlens import (
     Condition,
     ConditionStats,
     Explanation,
+    ExternalPredictions,
     FunctionPredictor,
     GbdtModel,
     GbdtParams,
@@ -101,6 +102,18 @@ def test_explaining_an_unknown_row_id_fails_loudly() -> None:
     with pytest.raises(DataError):
         explain_misclassified(fixed_predictor(table, [0.5, 0.5]), table, ghost,
                               fit_discretizer(table))
+
+
+def test_an_explanation_states_the_probability_the_scoring_pass_gave_its_row() -> None:
+    # a and b share their features; b is the one misclassified row, but the
+    # bare-row answer for its features is a's probability
+    table = make_table([[0.5, 0.5, 0.0, 1.0]], [1, 1, 0, 1], row_ids=list("abcd"))
+    predictor = ExternalPredictions({"a": 0.7, "b": 0.3, "c": 0.2, "d": 0.9}, table)
+    mis = find_misclassified(predictor, table, split="all")
+    assert mis.row_ids == ("b",)
+    (exp,) = explain_misclassified(predictor, table, mis, fit_discretizer(table),
+                                   config=LimeConfig(n_samples=50))
+    assert (exp.predicted_probability, exp.predicted_label) == (0.3, 0)
 
 
 # --- mining ---------------------------------------------------------------------
