@@ -162,24 +162,25 @@ def read_csv(path: str, required: Iterable[str] = ()) -> Iterator[list[str]]:
 
     Raises MissingColumn for an empty file or a ``required`` name the header
     lacks, and DataError for a name the header repeats, a row whose cell
-    count differs from the header's, or a file that is not UTF-8 CSV.
+    count differs from the header's, or a file that is not UTF-8 CSV.  Each
+    message starts with ``path``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise MissingColumn("empty file: header row required")
+                raise MissingColumn(f"{path}: empty file: header row required")
             for name in required:
                 if name not in header:
-                    raise MissingColumn(f"column {name!r} not in header")
+                    raise MissingColumn(f"{path}: column {name!r} not in header")
             for name in header:
                 if header.count(name) > 1:
-                    raise DataError(f"column {name!r} repeats in header")
+                    raise DataError(f"{path}: column {name!r} repeats in header")
             yield header
             for row_idx, row in enumerate(reader):
                 if len(row) != len(header):
-                    raise DataError(f"row {row_idx}: expected {len(header)} cells")
+                    raise DataError(f"{path}: row {row_idx}: expected {len(header)} cells")
                 yield row
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: not UTF-8 CSV: {exc}") from None

@@ -96,9 +96,6 @@ class Condition:
             return values > self.low
         return (values > self.low) & (values <= self.high)
 
-    def matches_value(self, value: float | str) -> bool:
-        return bool(self.matches(np.asarray([value]))[0])
-
 
 # --- discretizer ----------------------------------------------------------------
 
@@ -227,6 +224,15 @@ def condition_for(disc: Discretizer, feature: str, value: float | str) -> Condit
 # --- perturbation sampling -------------------------------------------------------
 
 
+def _choice(rng: np.random.Generator, frequencies: Sequence[float], m: int) -> np.ndarray:
+    """``rng.choice(len(frequencies), size=m, p=frequencies)`` by the steps
+    numpy takes inside it, so the same stream gives the same draws, without
+    its checks of ``p``, which training frequencies always pass."""
+    cdf = np.cumsum(frequencies)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(m), side="right")
+
+
 def sample_perturbations(
     disc: Discretizer,
     instance: Sequence[float | str],
@@ -255,16 +261,17 @@ def sample_perturbations(
         if isinstance(bins, CategoricalBins):
             inst_cat = str(instance[j])
             cats = np.asarray(bins.categories, dtype=str)
-            drawn = rng.choice(len(cats), size=m, p=np.asarray(bins.frequencies))
+            drawn = _choice(rng, bins.frequencies, m)
             z[1:, j] = cats[drawn] == inst_cat
             col = np.concatenate([[inst_cat], cats[drawn]])
             columns.append(np.asarray(col, dtype=str))
         else:
             inst_value = float(instance[j])
             inst_bin = bins.bin_of(inst_value)
-            drawn = rng.choice(bins.n_bins, size=m, p=np.asarray(bins.frequencies))
-            raw = rng.normal(loc=np.asarray(bins.means)[drawn],
-                             scale=np.asarray(bins.stds)[drawn])
+            drawn = _choice(rng, bins.frequencies, m)
+            # what rng.normal(loc, scale) computes, from the same draws
+            raw = np.asarray(bins.stds)[drawn] * rng.standard_normal(m)
+            raw += np.asarray(bins.means)[drawn]
             raw = np.clip(raw, np.asarray(bins.mins)[drawn],
                           np.asarray(bins.maxs)[drawn])
             z[1:, j] = drawn == inst_bin
@@ -400,12 +407,23 @@ def explain(
     true_label: int,
     config: LimeConfig = LimeConfig(),
     threshold: float = 0.5,
+    *,
+    probability: float | None = None,
 ) -> Explanation:
-    """Explain one prediction with a locally weighted ridge surrogate."""
+    """Explain one prediction with a locally weighted ridge surrogate.
+
+    ``probability``, when given, is the score a scoring pass already gave
+    the instance: sample 0, the unperturbed instance, is fitted to it and
+    the explanation states it.  Without it, both use the predictor's answer
+    for sample 0, which differs where the predictor answers a bare row with
+    another row's score, as :class:`ExternalPredictions` does.
+    """
     seed = instance_seed(config.seed, row_id)
     z, columns = sample_perturbations(disc, instance, config.n_samples, seed)
     probs = check_probabilities(predictor.predict_rows(disc.schema, columns),
                                 config.n_samples)
+    if probability is not None:
+        probs = np.concatenate([[probability], probs[1:]])
     width = config.kernel_width
     if width is None:
         width = default_kernel_width(len(disc.schema))

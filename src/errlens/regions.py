@@ -11,7 +11,7 @@ where the model performs poorly.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,9 +79,10 @@ def explain_misclassified(
     """One explanation per misclassified row.
 
     Each explanation states the probability ``misclassified``'s scoring pass
-    gave its row.  Rows are independent (each derives its own RNG stream
-    from its row id), so they may be explained in parallel; results are
-    returned in ``misclassified.row_ids`` order regardless of scheduling.
+    gave its row, and fits its unperturbed sample 0 to it.  Rows are
+    independent (each derives its own RNG stream from its row id), so they
+    may be explained in parallel; results are returned in
+    ``misclassified.row_ids`` order regardless of scheduling.
     """
     index = {rid: i for i, rid in enumerate(table.row_ids)}
     try:
@@ -93,16 +94,15 @@ def explain_misclassified(
         raise DataError("misclassified set holds no probability per row of the table")
 
     def one(i: int) -> Explanation:
-        exp = explain(
+        return explain(
             predictor, disc,
             row_id=table.row_ids[i],
             instance=table.row_values(i),
             true_label=int(table.labels[i]),
             config=config,
             threshold=threshold,
+            probability=float(probs[i]),
         )
-        p = float(probs[i])
-        return replace(exp, predicted_probability=p, predicted_label=int(p >= threshold))
 
     if jobs <= 1 or len(rows) <= 1:
         return tuple(one(i) for i in rows)

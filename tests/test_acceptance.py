@@ -293,7 +293,7 @@ def test_criterion_5c_every_instance_satisfies_its_own_conditions(
         assert explanation.terms
         for cond, _ in explanation.terms:
             value = row[table.index_of(cond.feature)]
-            assert cond.matches_value(value), (
+            assert cond.matches([value])[0], (
                 f"{explanation.row_id}: {cond.text} vs {value!r}"
             )
 

@@ -372,6 +372,8 @@ _TABLE = b"x,label\n1.0,0\n2.0,1\n"
                  id="repeated_header_name"),
     pytest.param({"d.csv": _TABLE}, ["train", "--data", "d.csv", "--categorical", "nope"],
                  id="unknown_categorical_name"),
+    pytest.param({"d.csv": _TABLE, "c.json": b'{"rounds": 1, "rounds": 3}'},
+                 ["train", "--data", "d.csv", "--config", "c.json"], id="repeated_config_key"),
 ])
 def test_malformed_input_files_are_one_line_data_errors(tmp_path, capsys, files, argv) -> None:
     for name, content in files.items():
@@ -380,6 +382,15 @@ def test_malformed_input_files_are_one_line_data_errors(tmp_path, capsys, files,
     assert run(*argv, "--out-dir", str(tmp_path / "o")) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("errlens: data error: ")
+
+
+def test_csv_row_errors_name_their_file(tmp_path, capsys) -> None:
+    (tmp_path / "d.csv").write_bytes(_TABLE)
+    (tmp_path / "p.csv").write_bytes(b"row_id,probability\n0,0.5\n1\n")
+    assert run("eval", "--data", str(tmp_path / "d.csv"), "--predictions",
+               str(tmp_path / "p.csv"), "--out-dir", str(tmp_path / "o")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "p.csv: row 1: expected 2 cells" in err
 
 
 def test_singular_surrogate_systems_exit_three(tmp_path) -> None:

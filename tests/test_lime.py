@@ -137,8 +137,8 @@ def test_interval_membership_is_open_below_and_closed_above() -> None:
     assert cond.matches(np.asarray([1.0, 1.5, 2.0, 2.5])).tolist() == [
         False, True, True, False,
     ]
-    assert not cond.matches_value(1.0)
-    assert cond.matches_value(2.0)
+    assert not cond.matches([1.0])[0]
+    assert cond.matches([2.0])[0]
 
 
 @pytest.mark.parametrize(
@@ -303,6 +303,45 @@ def test_categorical_similarity_column_is_exact_equality(mixed_table) -> None:
     assert set(np.unique(columns[1])) <= {"a", "b", "c"}
 
 
+def numpy_perturbations(disc, instance, n_samples: int, seed: int):
+    """sample_perturbations as drawn by numpy's own ``rng.choice(..., p=...)``
+    and ``rng.normal(loc, scale)``: the oracle of its inlined draws."""
+    rng = np.random.default_rng(seed)
+    z = np.ones((n_samples, len(disc.schema)))
+    columns = []
+    m = n_samples - 1
+    for j, bins in enumerate(disc.per_feature):
+        if hasattr(bins, "categories"):
+            cats = np.asarray(bins.categories, dtype=str)
+            drawn = cats[rng.choice(len(cats), size=m, p=np.asarray(bins.frequencies))]
+            z[1:, j] = drawn == instance[j]
+            columns.append(np.concatenate([[instance[j]], drawn]))
+        else:
+            drawn = rng.choice(bins.n_bins, size=m, p=np.asarray(bins.frequencies))
+            raw = rng.normal(np.asarray(bins.means)[drawn], np.asarray(bins.stds)[drawn])
+            raw = np.clip(raw, np.asarray(bins.mins)[drawn], np.asarray(bins.maxs)[drawn])
+            z[1:, j] = drawn == bins.bin_of(instance[j])
+            columns.append(np.concatenate([[instance[j]], raw]))
+    return z, columns
+
+
+def test_sampling_draws_what_numpys_choice_and_normal_draw(mixed_table) -> None:
+    # f0's quartiles are 0.175, 0.5 and 0.6, and no value lies in (0.5, 0.6]
+    table = make_table([[0.0, 0.5, 0.5, 1.0, 0.2, 0.9, 0.5, 0.1],
+                        list("xyyzxyzz"), [3.0, -1.0, 2.5, 7.0, 0.0, 1.0, 2.0, 4.0]],
+                       [0, 1, 0, 1, 0, 1, 0, 1], kinds=["continuous", "categorical",
+                                                         "continuous"])
+    disc = fit_discretizer(table)
+    assert 0.0 in disc.per_feature[0].frequencies[1:-1]  # an empty interior bin
+    for d, instance in ((disc, (0.5, "y", 2.0)), (disc, (1.0, "q", -3.0)),
+                        (fit_discretizer(mixed_table), (4.2, "b"))):
+        for seed in (0, 3, 2 ** 64 - 1):
+            z, columns = sample_perturbations(d, instance, n_samples=700, seed=seed)
+            z_ref, columns_ref = numpy_perturbations(d, instance, 700, seed)
+            assert np.array_equal(z, z_ref)
+            assert all(np.array_equal(a, b) for a, b in zip(columns, columns_ref))
+
+
 def test_sampling_validates_instance_shape_and_count(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
     with pytest.raises(DataError):
@@ -344,7 +383,7 @@ def test_explanations_are_deterministic_and_ranked_by_weight() -> None:
     )
     for cond, _ in first.terms:
         value = instance[table.index_of(cond.feature)]
-        assert cond.matches_value(value)
+        assert cond.matches([value])[0]
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_PREDICTOR_OUTPUTS))

@@ -440,6 +440,73 @@ def test_trees_wider_than_one_word_predict_exactly() -> None:
                           reference_probs(model, rows))
 
 
+def test_tableless_groups_and_padded_wide_words_predict_exactly() -> None:
+    rng = np.random.default_rng(11)
+    table = random_table(rng, 400, 2)
+    # trees of a lone leaf: their group has no tables, and every row stays in leaf 0
+    leaves = train_gbdt(table, GbdtParams(rounds=3, min_leaf_count=400))
+    assert all(t.leaves.size == 1 for t in leaves.trees)
+    assert [g.tables for g in leaves._groups] == [[]]
+    deep = train_gbdt(table, GbdtParams(rounds=5, max_depth=6, min_leaf_count=1))
+    (group,) = deep._groups
+    assert group.words == 3 and group.n_trees * group.words == 15  # padded to 16
+    rows = [np.concatenate([col, [-np.inf, np.inf]]) for col in
+            (rng.normal(size=300), rng.normal(size=300))]
+    for model in (leaves, deep):
+        assert np.array_equal(model.predict_rows(model.schema, rows),
+                              reference_probs(model, rows))
+
+
+@st.composite
+def thresholds_and_values(draw):
+    """Ascending distinct thresholds, and values to rank among them.
+
+    The thresholds are arbitrary floats (subnormal, huge and infinite ones
+    included), or normal draws around any centre at any spread, then a run
+    of thresholds one ulp apart; a single threshold is among them.  The
+    values are every threshold and its neighbours one ulp away, +-inf,
+    +-1e300, signed zeros, and arbitrary floats."""
+    anything = st.floats(allow_nan=False)
+    if draw(st.booleans()):
+        cuts = draw(st.lists(st.one_of(anything, st.floats(-1e-300, 1e-300)),
+                             min_size=1, max_size=40))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        spread = 10.0 ** draw(st.integers(-300, 300))
+        centre = draw(st.floats(-1e300, 1e300))
+        cuts = (centre + spread * rng.normal(size=draw(st.integers(1, 300)))).tolist()
+    for _ in range(draw(st.integers(0, 6))):
+        cuts.append(math.nextafter(cuts[-1], math.inf))
+    cuts = np.unique(np.asarray(cuts, dtype=np.float64))
+    with np.errstate(over="ignore"):  # the neighbours of the largest floats
+        neighbours = [np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)]
+    values = np.concatenate([cuts, *neighbours, [-np.inf, np.inf, -1e300, 1e300, 0.0, -0.0],
+                             draw(st.lists(anything, max_size=20))])
+    return cuts, values
+
+
+@given(thresholds_and_values())
+@settings(max_examples=300)
+def test_the_threshold_rank_is_searchsorted(drawn) -> None:
+    cuts, values = drawn
+    rank = model_module._ThresholdRank(cuts)
+    target(float(rank.scale is not None))
+    assert np.array_equal(rank(values), np.searchsorted(cuts, values))
+
+
+def test_the_threshold_rank_looks_most_rows_up() -> None:
+    rng = np.random.default_rng(8)
+    cuts = np.unique(rng.normal(size=150))
+    values = np.concatenate([rng.normal(size=20_000), cuts, np.nextafter(cuts, np.inf)])
+    rank = model_module._ThresholdRank(cuts)
+    assert rank.cells == 1024 and rank.base.nbytes == 8 * 1024
+    crowded = rank.base[rank._cell(values)] < 0
+    assert 0 < crowded.mean() < 0.1  # both paths taken, the search rarely
+    assert np.array_equal(rank(values), np.searchsorted(cuts, values))
+    for single in ([0.0], [-np.inf, 0.0], [0.0, 5e-324], [-1e308, 1e308]):
+        assert model_module._ThresholdRank(np.asarray(single)).scale is None
+
+
 def table_bytes(model: GbdtModel) -> int:
     return sum(table.nbytes for group in model._groups for _, _, table in group.tables)
 

@@ -29,11 +29,16 @@ from errlens import (
     explain_misclassified,
     find_misclassified,
     fit_discretizer,
+    fit_local_model,
+    instance_seed,
+    kernel_weights,
     mine_conditions,
     report_from_explanations,
+    sample_perturbations,
     train_gbdt,
 )
 from errlens.errors import DataError, EmptyTable, NoExplanations
+from errlens.lime import default_kernel_width
 from errlens.serialize import canonical_json
 
 
@@ -114,6 +119,28 @@ def test_an_explanation_states_the_probability_the_scoring_pass_gave_its_row() -
     (exp,) = explain_misclassified(predictor, table, mis, fit_discretizer(table),
                                    config=LimeConfig(n_samples=50))
     assert (exp.predicted_probability, exp.predicted_label) == (0.3, 0)
+
+
+def test_sample_zero_is_fitted_to_the_score_the_scoring_pass_gave_its_row() -> None:
+    # as above: every bare row at b's features is answered with a's 0.7, so
+    # only b's own score can be the target of its unperturbed sample 0
+    table = make_table([[0.5, 0.5, 0.0, 1.0]], [1, 1, 0, 1], row_ids=list("abcd"))
+    predictor = ExternalPredictions({"a": 0.7, "b": 0.3, "c": 0.2, "d": 0.9}, table)
+    disc, config = fit_discretizer(table), LimeConfig(n_samples=50)
+    mis = find_misclassified(predictor, table, split="all")
+    (exp,) = explain_misclassified(predictor, table, mis, disc, config=config)
+    z, columns = sample_perturbations(disc, (0.5,), 50, instance_seed(config.seed, "b"))
+    answers = predictor.predict_rows(table.schema, columns)
+    assert answers[0] == 0.7
+    weights = kernel_weights(z, default_kernel_width(1))
+    fits = {}
+    for target in (0.3, 0.7):
+        coef, intercept, _ = fit_local_model(z, np.concatenate([[target], answers[1:]]),
+                                             weights, config.ridge_lambda)
+        fits[target] = (intercept, float(coef[0]))
+    assert (exp.intercept, exp.terms[0][1]) == fits[0.3] != fits[0.7]
+    # the surrogate's value at sample 0 (z all ones) moves toward b's own score
+    assert sum(fits[0.3]) < 0.68 and sum(fits[0.7]) > 0.69
 
 
 # --- mining ---------------------------------------------------------------------
