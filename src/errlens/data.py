@@ -215,13 +215,13 @@ def load_csv(path: str, *, label_column: str = "label", id_column: str | None = 
                 except ValueError:
                     value = math.nan
                 if not math.isfinite(value):
-                    raise NonNumericCell(f"row {row_idx}, column {spec.name!r}: {cell!r}")
+                    raise NonNumericCell(f"{path}: row {row_idx}, column {spec.name!r}: {cell!r}")
                 raw_cols[j].append(value)
             else:
                 raw_cols[j].append(cell)
         label_cell = row[label_at].strip()
         if label_cell not in ("0", "1"):
-            raise InvalidLabel(f"row {row_idx}: {label_cell!r}")
+            raise InvalidLabel(f"{path}: row {row_idx}: {label_cell!r}")
         labels.append(int(label_cell))
         ids.append(str(row_idx) if id_at is None else row[id_at])
 
@@ -425,18 +425,18 @@ def load_series_csv(
             rec["t"].append(int(row[time_column]))
         except ValueError:
             raise NonNumericCell(
-                f"row {row_idx}, column {time_column!r}: {row[time_column]!r}"
+                f"{path}: row {row_idx}, column {time_column!r}: {row[time_column]!r}"
             ) from None
         for c in channel_columns:
             try:
                 value = float(row[c])
             except ValueError:
                 raise NonNumericCell(
-                    f"row {row_idx}, column {c!r}: {row[c]!r}"
+                    f"{path}: row {row_idx}, column {c!r}: {row[c]!r}"
                 ) from None
             rec["ch"][c].append(value)
         if row[label_column].strip() not in ("0", "1"):
-            raise InvalidLabel(f"row {row_idx}: {row[label_column]!r}")
+            raise InvalidLabel(f"{path}: row {row_idx}: {row[label_column]!r}")
         label = int(row[label_column])
         if rec["label"] not in (None, label):
             raise InvalidLabel(f"entity {ent!r} has conflicting labels")

@@ -10,7 +10,6 @@ or arbitrary callables plug in the same way.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -778,44 +777,61 @@ class FunctionPredictor:
         return self.predict_rows(table.schema, table.columns)
 
 
-# Bare rows are answered through a k-d tree over the reference rows embedded so
+# Bare rows are answered through a screen over the reference rows embedded so
 # that squared Euclidean distance is the answering metric: a continuous value
 # becomes ``value / scale``, a categorical one a one-hot block of weight
 # sqrt(0.5) with a last slot for categories the reference lacks, so each
-# mismatch adds 1.  The tree proposes the _K nearest rows; their distances are
-# then recomputed exactly as the full scan computes them.  That answer stands
-# only when every other reference row is provably farther, by these bounds
-# (u is the unit roundoff, d the number of features, dim the number of tree
-# coordinates, n the number of reference rows):
+# mismatch adds 1.  The continuous coordinates are centred on the reference
+# rows' mean m, the one-hot slots are not, and all are cast to float32: r for
+# a reference row, q for a query row.  One float32 matrix product of the rows
+# [-2q, 1] with the columns [r, fl(|r|**2)] scores every pair with
+# p = |r|**2 - 2 q.r = |r - q|**2 - |q|**2, up to rounding.
+# The row of least score is the candidate; its distance is then recomputed
+# exactly as the full scan computes it.  That answer stands only when every
+# other reference row is provably farther, by these bounds (u and v are the
+# float64 and float32 unit roundoffs, t = 2**-149 float32's least subnormal,
+# d the number of features, dim the number of coordinates, k = d + 1, R the
+# largest |r| and N the largest stored |r|**2):
 #
 # * The scan's squared distance D sums d terms, each a square of a quotient of
 #   a difference and so within (1 +- u)**5 of its exact value, in d roundings.
 #   All terms are non-negative, so D is within a factor (1 +- u)**(d + 5) of
 #   the exact squared distance delta whatever the magnitudes (the difference
 #   of two floats is correctly rounded; it does not cancel).
-# * The tree works on rounded coordinates ``fl(x / scale)``.  Their
-#   differences are off by at most 3u * (|q_c| + M_c) per coordinate, where
-#   M_c bounds the reference's |coordinate| -- an absolute error that grows
-#   with the magnitude of the values, not with their spread.  So a row's norm
-#   sqrt(delta) exceeds its tree coordinates' norm by at most
-#   H = 3u * sqrt(sum_c (|q_c| + M_c)**2).
-# * The tree's own distance is a sum of squares with a square root, and its
-#   pruning updates a squared bound once per level of a path no longer than
-#   the reference: a relative error below rho = (dim + 2n + 8)u, with margin
-#   for evaluating the test.
+# * A coordinate is rounded three times: ``value / scale`` (or sqrt(0.5)), the
+#   centring, the cast.  So q_c is within 2v|q_c| + 2u|m_c| + 2t of its exact
+#   centred value, and r_c likewise; the shift m cancels in r - q.  By the
+#   triangle inequality sqrt(delta) and the screen's distance
+#   sqrt(p + |q|**2) differ by at most
+#   H = 2v(|q| + R) + 4u|m| + 4t sqrt(dim), p taken exactly.
+# * p sums dim + 1 products, but at most k of them are not exactly zero: one
+#   per continuous coordinate, one per categorical column (the slots of q and
+#   r are both nonzero only where they share a category) and |r|**2.  Adding
+#   an exact zero rounds nothing, so however many slots the one-hot blocks
+#   have, p errs as a sum of k terms, whose magnitudes add up to at most
+#   T = 2|q| R + N (Cauchy-Schwarz).  In any summation order, with or without
+#   fused multiply-adds, it errs by at most gamma_k T with
+#   gamma_k = kv / (1 - kv), plus kt for products that underflow -- provided
+#   nothing overflows, which max(|q|, T) < 2**126 rules out.  The stored |r|**2 sums exact float64
+#   squares and is cast, so it errs by at most 2vN + t.  Hence the computed p
+#   errs by at most E = gamma_k T + 2vN + (k + 1)t.
 #
-# A reference row the tree did not return is at least dist_K (1 - rho) from
-# the row in tree coordinates, hence sqrt(delta) >= dist_K (1 - rho) - H =:
-# reach, and D >= reach**2 (1 - gamma) with gamma = (d + 16)u, which leaves
-# margin for rounding the test itself.  The absolute term TINY covers
-# subnormal results.  A row whose bound is not above the candidates' exact
-# best -- exact ties, duplicate reference rows, non-finite distances -- falls
-# back to the full scan.
-_K = 2
+# Every reference row but the candidate scores at least the runner-up's
+# score p2, so its exact p + |q|**2 >= p2 + |q|**2 - E, with |q|**2 summed in
+# float64 from exact squares and taken as |q|**2 (1 - v).  Then sqrt(delta) >=
+# sqrt(p2 + |q|**2 - E) - H =: reach, and D >= reach**2 (1 - gamma) with
+# gamma = (d + 16)u.  Evaluating these bounds in float64 errs by a few u of
+# their terms, far inside the slack of the v terms above.  The absolute term
+# TINY covers subnormal results.  A row whose bound is not above the
+# candidate's exact distance -- ties and near ties of its two nearest rows,
+# duplicate reference rows, rows beyond float32's range -- falls back to the
+# full scan.
 _U = np.finfo(np.float64).eps / 2.0
+_V = float(np.finfo(np.float32).eps) / 2.0
+_T = 2.0 ** -149
 _TINY = np.finfo(np.float64).tiny
+_SAFE = 2.0 ** 126
 _ONE_HOT = math.sqrt(0.5)
-_UNBUILT = object()
 
 
 class ExternalPredictions:
@@ -826,9 +842,10 @@ class ExternalPredictions:
     stored probability of the nearest reference row: continuous features are
     compared on a per-feature standardized scale, each categorical mismatch
     adds one unit of squared distance, and ties go to the lowest row index.
-    An exact nearest-neighbour index, built on the first bare-row call, finds
-    that row without comparing against every reference row; the answer is the
-    same as a full scan's, bit for bit.
+    A float32 matrix-product screen, built with the object, proves that row
+    for nearly every query without computing every distance exactly, and a
+    full scan settles the rest; the answer is the same as a full scan's, bit
+    for bit.
     """
 
     def __init__(self, probabilities: dict[str, float], reference: LabeledTable):
@@ -849,8 +866,7 @@ class ExternalPredictions:
             else:
                 self._scale.append(None)
         self._ref = _pack(reference.columns, self._categories).T.copy()
-        self._index_lock = threading.Lock()
-        self._index = _UNBUILT
+        self._screen = self._build_screen()
 
     def predict_table(self, table: LabeledTable) -> np.ndarray:
         try:
@@ -884,8 +900,9 @@ class ExternalPredictions:
         return d2
 
     def _embed(self, x: np.ndarray) -> np.ndarray:
-        """Packed rows in the tree's coordinates (see the note above _K)."""
-        parts = []
+        """Packed rows in the screen's coordinates, before centring (see the
+        note above _U)."""
+        parts = [np.empty((len(x), 0))]
         for j, (scale, cats) in enumerate(zip(self._scale, self._categories)):
             if cats is None:
                 parts.append(x[:, j, None] / scale)
@@ -896,41 +913,64 @@ class ExternalPredictions:
                 parts.append(one_hot)
         return np.hstack(parts)
 
-    def _neighbour_index(self):
-        """``(tree, M_c, rho)``, built on first use; None when a full scan is
-        as cheap (at most _K reference rows) or the coordinates overflow."""
-        with self._index_lock:
-            if self._index is _UNBUILT:
-                ref = self._embed(self._ref.T)
-                if self.reference.n_rows <= _K or not np.isfinite(ref).all():
-                    self._index = None
-                else:
-                    from scipy.spatial import cKDTree
+    def _build_screen(self):
+        """``(m, matrix, R, N)``: the centre, the float32 ``(dim + 1, n_ref)``
+        matrix of columns ``[r, fl(|r|**2)]`` and the bounds on them; None when
+        a full scan is as cheap (at most two reference rows) or a scale or a
+        coordinate overflows."""
+        if self.reference.n_rows <= 2 or not all(
+                scale is None or math.isfinite(scale) for scale in self._scale):
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = self._embed(self._ref.T)
+            widths = [1 if cats is None else cats.size + 1 for cats in self._categories]
+            continuous = np.repeat([cats is None for cats in self._categories], widths)
+            centre = np.where(continuous, ref.mean(axis=0), 0.0)
+            r = (ref - centre).astype(np.float32)
+        if not np.isfinite(r).all():
+            return None
+        sq = np.einsum("ij,ij->i", r, r, dtype=np.float64)
+        matrix = np.vstack([r.T, sq.astype(np.float32)])
+        return centre, matrix, float(np.sqrt(sq.max())), float(matrix[-1].max())
 
-                    rho = (ref.shape[1] + 2 * len(ref) + 8) * _U
-                    self._index = (cKDTree(ref), np.abs(ref).max(axis=0), rho)
-        return self._index
+    def _screened(self, x: np.ndarray) -> np.ndarray:
+        """Per packed row, the full scan's answer where the screen proves it,
+        else -1."""
+        centre, matrix, r_max, n_max = self._screen
+        dim = centre.size
+        q = np.empty((len(x), dim + 1), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q[:, :dim] = self._embed(x) - centre
+            q_sq = np.einsum("ij,ij->i", q[:, :dim], q[:, :dim], dtype=np.float64)
+            q_norm = np.sqrt(q_sq)
+            terms = 2.0 * q_norm * r_max + n_max
+            safe = np.maximum(q_norm, terms) < _SAFE  # False for inf and NaN
+        q[~safe] = q_sq[~safe] = q_norm[~safe] = terms[~safe] = 0.0
+        q[:, :dim] *= -2.0
+        q[:, dim] = 1.0
+        score = q @ matrix
+        rows = np.arange(len(x))
+        first = score.argmin(axis=1)
+        score[rows, first] = np.inf
+        k = len(self._scale) + 1
+        err = k * _V / (1.0 - k * _V) * terms + 2.0 * _V * n_max + (k + 1) * _T
+        low = score.min(axis=1) + q_sq * (1.0 - _V) - err
+        slack = (2.0 * _V * (q_norm + r_max) + 4.0 * _U * float(np.sqrt(centre @ centre))
+                 + 4.0 * _T * math.sqrt(dim))
+        reach = np.sqrt(np.maximum(low, 0.0)) - slack - _TINY
+        bound = reach * reach * (1.0 - (len(self._scale) + 16) * _U) - _TINY
+        proven = safe & (reach >= 0.0) & (bound > self._sq_distances(x, first[:, None])[:, 0])
+        return np.where(proven, first, -1)
 
     def _nearest(self, x: np.ndarray) -> np.ndarray:
         """Lowest index of a reference row at the least distance, per row."""
         n_ref = self.reference.n_rows
-        best = np.full(len(x), -1, dtype=np.intp)
-        index = self._neighbour_index()
-        if index is not None:
-            tree, ref_max, rho = index
-            q = self._embed(x)
-            finite = np.isfinite(q).all(axis=1)
-            dist, cand = tree.query(np.where(finite[:, None], q, 0.0), k=_K)
-            d2 = self._sq_distances(x, cand)
-            best_d2 = d2.min(axis=1)
-            best = np.where(d2 == best_d2[:, None], cand, n_ref).min(axis=1)
-            slack = 3.0 * _U * np.sqrt(((np.abs(q) + ref_max) ** 2).sum(axis=1))
-            reach = dist[:, -1] * (1.0 - rho) - slack - _TINY
-            bound = reach * reach * (1.0 - (len(self._scale) + 16) * _U) - _TINY
-            proven = finite & (reach >= 0.0) & np.isfinite(bound) & (bound > best_d2)
-            best[~proven] = -1
-        todo = np.flatnonzero(best < 0)
         block = max(1, 2_000_000 // max(1, n_ref))
+        best = np.full(len(x), -1, dtype=np.intp)
+        if self._screen is not None:
+            for start in range(0, len(x), block):
+                best[start:start + block] = self._screened(x[start:start + block])
+        todo = np.flatnonzero(best < 0)
         everyone = np.arange(n_ref)[None, :]
         for start in range(0, todo.size, block):
             rows = todo[start:start + block]

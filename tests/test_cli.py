@@ -392,6 +392,21 @@ def test_csv_row_errors_name_their_file(tmp_path, capsys) -> None:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "p.csv: row 1: expected 2 cells" in err
 
+    # the cell and label checks of the table and series readers
+    for name, content, argv, message in [
+            ("cell.csv", b"x,label\n1.0,0\noops,1\n", ["train"],
+             "cell.csv: row 1, column 'x': 'oops'"),
+            ("label.csv", b"x,label\n1.0,0\n2.0,7\n", ["train"], "label.csv: row 1: '7'"),
+            ("series.csv", b"entity_id,timestamp_s,hr,label\ne,0,60,0\ne,60,fast,0\n",
+             ["featurize", "--channels", "hr"], "series.csv: row 1, column 'hr': 'fast'"),
+            ("series_label.csv", b"entity_id,timestamp_s,hr,label\ne,0,60,2\n",
+             ["featurize", "--channels", "hr"], "series_label.csv: row 0: '2'")]:
+        (tmp_path / name).write_bytes(content)
+        assert run(*argv, "--data", str(tmp_path / name),
+                   "--out-dir", str(tmp_path / "o")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
 
 def test_singular_surrogate_systems_exit_three(tmp_path) -> None:
     # A constant feature makes its similarity column identical to the

@@ -808,6 +808,22 @@ _RNG = np.random.default_rng(11)
 _ANGLES = _RNG.uniform(0.0, 2.0 * np.pi, size=40)
 _SPREAD = _RNG.uniform(-1.5, 1.5, size=20)
 
+
+def _near_midpoints(seed: int):
+    # 60 reference rows in two clusters 400 apart, each a cube of side 2 in 6
+    # columns, so float32 rounding of every screen score exceeds the gap of a
+    # near tie; four query rows within 1e-4 of the midpoint of each reference
+    # row and its nearest neighbour.  Without the product's rounding bound E
+    # the screen answers some of them wrongly.
+    rng = np.random.default_rng(seed)
+    ref = rng.uniform(-1.0, 1.0, (60, 6)) + 200.0 * rng.choice([-1.0, 1.0], size=(60, 1))
+    sq = ((ref[:, None] - ref[None]) ** 2).sum(axis=-1)
+    np.fill_diagonal(sq, np.inf)
+    near, at = ref[np.repeat(sq.argmin(axis=1), 4)], np.repeat(ref, 4, axis=0)
+    rows = (at + near) / 2 + rng.uniform(-1e-4, 1e-4, size=(240, 1)) * (near - at)
+    return [col.tolist() for col in ref.T], [_CONT] * 6, None, [col.tolist() for col in rows.T]
+
+
 # name -> (reference columns, kinds, reference probabilities or None, rows)
 BARE_ROW_CASES = {
     "duplicate_reference_rows": (  # more rows than one k-d tree leaf holds
@@ -843,10 +859,29 @@ BARE_ROW_CASES = {
         [(1e8 + np.concatenate([_RNG.uniform(-1.5, 1.5, size=50),
                                 2.0 ** -26 * _RNG.integers(-50, 50, size=100)])).tolist()
          for _ in range(2)]),
+    # centred screen coordinates of 1e200 and 1e39 overflow float32, and those
+    # of 1e30 leave a rounding bound far wider than any gap between reference
+    # rows; every distance of the 1e200 rows is inf
+    "query_rows_beyond_float32_after_centring": (
+        [_SPREAD.tolist(), _RNG.choice(list("ab"), size=20).tolist()], [_CONT, _CAT], None,
+        [[1e200, -1e200, 1e39, 1e30, -1e30, 0.3, 1.4],
+         ["a", "b", "a", "z", "b", "a", "b"]]),
+    # a one-hot block of 301 coordinates, most of the screen's width
+    "categorical_column_with_300_levels": (
+        [_RNG.uniform(size=600).tolist(), [f"k{i % 300}" for i in range(600)]],
+        [_CONT, _CAT], None,
+        [_RNG.uniform(-0.2, 1.2, size=80).tolist(),
+         [f"k{i}" for i in _RNG.integers(0, 320, size=80)]]),
+    "near_ties_far_from_the_centre": _near_midpoints(3),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BARE_ROW_CASES))
+@pytest.mark.parametrize("case", [
+    # the 1e200 rows' distances overflow to inf, in the scan as in its oracle
+    pytest.param(case, marks=pytest.mark.filterwarnings(
+        "ignore:overflow encountered in square:RuntimeWarning"))
+    if case == "query_rows_beyond_float32_after_centring" else case
+    for case in sorted(BARE_ROW_CASES)])
 def test_bare_rows_get_the_answer_of_a_full_scan(case: str) -> None:
     ref_columns, kinds, probs, rows = BARE_ROW_CASES[case]
     ext = external_on(ref_columns, kinds, probs)
@@ -904,8 +939,22 @@ def test_the_index_spares_distinct_rows_a_full_scan(monkeypatch) -> None:
     assert scanned == []
     assert np.array_equal(out, scan_answers(ext, columns))
 
-    # a row sitting on a reference row is settled by the index, unless that
-    # reference row has a duplicate: two candidates then cannot rule out a third
+    # a categorical column with 2000 levels; each row is a reference row moved
+    # by at most 1e-3 per column, half of them also to a random category
+    levels = np.asarray([f"k{i}" for i in range(2000)])
+    wide = external_on([rng.uniform(size=2000).tolist() for _ in range(3)]
+                       + [levels[rng.integers(2000, size=2000)].tolist()],
+                       [_CONT, _CONT, _CONT, _CAT])
+    near = rng.integers(2000, size=500)
+    columns = [col[near] + rng.uniform(-1e-3, 1e-3, size=500) for col in wide.reference.columns[:3]]
+    columns.append(np.where(np.arange(500) % 2 == 0, wide.reference.columns[3][near],
+                            levels[rng.integers(2000, size=500)]))
+    out = wide.predict_rows(wide.reference.schema, columns)
+    assert scanned == []
+    assert np.array_equal(out, scan_answers(wide, columns))
+
+    # a row sitting on a reference row is settled by the screen, unless that
+    # reference row has a duplicate: the runner-up then scores as near
     ext.predict_rows(ext.reference.schema, [col[:1] for col in ext.reference.columns])
     assert scanned == []
     dup = external_on([[0.0, 0.0, 1.0, 2.0]], [_CONT])

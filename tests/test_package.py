@@ -19,14 +19,24 @@ def test_every_exported_name_resolves_and_the_list_is_sorted() -> None:
 
 
 def test_importing_the_cli_does_not_load_the_nearest_neighbour_index() -> None:
-    # scipy.spatial is imported only when external predictions first answer
-    # bare rows, so start-up stays as cheap for every other command
+    # external predictions answer bare rows by a numpy matrix-product screen,
+    # so neither start-up nor answering a bare row loads scipy.spatial
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import sys, errlens.cli; print('scipy.spatial' in sys.modules)"
+    probe = "\n".join([
+        "import sys, numpy as np, errlens.cli",
+        "from errlens import ExternalPredictions, FeatureSpec, LabeledTable",
+        "print('scipy.spatial' in sys.modules)",
+        "schema = (FeatureSpec('x', 'continuous'),)",
+        "table = LabeledTable(schema, (np.arange(5.0),), np.zeros(5, dtype=np.int64),",
+        "                     tuple('abcde'))",
+        "ext = ExternalPredictions(dict.fromkeys('abcde', 0.5), table)",
+        "assert ext.predict_rows(schema, [np.asarray([1.2, 3.9])]).tolist() == [0.5, 0.5]",
+        "print('scipy.spatial' in sys.modules)",
+    ])
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def _reads_files(tree: ast.AST) -> bool:
