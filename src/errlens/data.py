@@ -15,6 +15,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
+# numpy imports these on first use: numpy.random for the first split or draw,
+# numpy.ma inside np.unique.  Importing them with errlens puts that cost in
+# start-up, not in the run.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .errors import (
     DataError,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .data import FeatureSpec, LabeledTable
 from .errors import DataError, EmptyTable, SingularSystem, UnknownFeature
@@ -314,14 +313,33 @@ def fit_local_model(
         raise DataError("ridge_lambda must be non-negative")
 
     x = np.hstack([np.ones((z.shape[0], 1)), z])
-    xtw = x.T * w
-    a = xtw @ x
-    a[1:, 1:] += ridge_lambda * np.eye(z.shape[1])
-    b = xtw @ y
+    with np.errstate(over="ignore", invalid="ignore"):
+        xtw = x.T * w
+        a = xtw @ x
+        a[1:, 1:] += ridge_lambda * np.eye(z.shape[1])
+        b = xtw @ y
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("the weighted normal equations are not finite")
     try:
-        beta = cho_solve(cho_factor(a), b)
-    except LinAlgError as exc:
+        u = np.linalg.cholesky(a, upper=True)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
+    # a = u.T @ u: solve u.T @ t = b forward, then u @ beta = t backward, in
+    # Python floats: at this size a quarter of the time numpy calls take.
+    # Multiplying by the diagonal's reciprocals, as OpenBLAS's triangular
+    # solve does, keeps beta closer to scipy's cho_solve than dividing does.
+    u, beta = u.tolist(), b.tolist()
+    n = len(beta)
+    inv = [1.0 / u[i][i] for i in range(n)]
+    for i in range(n):
+        for k in range(i):
+            beta[i] -= u[k][i] * beta[k]
+        beta[i] *= inv[i]
+    for i in reversed(range(n)):
+        for k in range(i + 1, n):
+            beta[i] -= u[i][k] * beta[k]
+        beta[i] *= inv[i]
+    beta = np.asarray(beta)
 
     fitted = x @ beta
     if np.ptp(y) == 0.0:
@@ -357,8 +375,8 @@ class LimeConfig:
             raise DataError("n_samples must be at least 2")
         if self.kernel_width is not None and not self.kernel_width > 0:
             raise DataError("kernel_width must be positive")
-        if not self.ridge_lambda >= 0:
-            raise DataError("ridge_lambda must be non-negative")
+        if not 0 <= self.ridge_lambda < math.inf:
+            raise DataError("ridge_lambda must be finite and non-negative")
         if self.top_k < 1:
             raise DataError("top_k must be at least 1")
 

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
-from scipy.special import expit
 
 from .data import FeatureSpec, LabeledTable, _frozen, read_csv
 from .errors import (
@@ -33,6 +32,21 @@ Columns = Sequence[np.ndarray]
 # Probabilities are clipped into the open unit interval so that downstream
 # log-loss and thresholding never see an exact 0 or 1.
 _P_EPS = 1e-12
+
+
+def _probability(raw: np.ndarray) -> np.ndarray:
+    """``clip(1 / (1 + exp(-raw)), _P_EPS, 1 - _P_EPS)`` with the C library's
+    ``exp``, bit for bit what the logistic function of scipy gives.
+
+    numpy's float64 ``exp`` is a vectorized approximation that differs from
+    the C library's in the last bit on about 2 % of values.  Its complex
+    ``exp`` calls the C library's ``cexp``, whose real part at a zero
+    imaginary part is exactly ``exp`` of the real part as long as that part
+    is below about 709, where ``cexp`` starts to rescale; an argument above
+    700 already lands on the clip.
+    """
+    e = np.exp(np.minimum(-raw, 700.0).astype(np.complex128)).real
+    return np.clip(1.0 / (1.0 + e), _P_EPS, 1.0 - _P_EPS)
 
 
 @runtime_checkable
@@ -638,7 +652,7 @@ class GbdtModel:
         if np.isnan(x).any():
             raise DataError("continuous cells must not be NaN")
         raw = self._raw_scores(x)
-        return np.clip(expit(raw), _P_EPS, 1.0 - _P_EPS)
+        return _probability(raw)
 
     def predict_table(self, table: LabeledTable) -> np.ndarray:
         return self.predict_rows(table.schema, table.columns)
@@ -698,7 +712,7 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
     order = np.argsort(xc, axis=1, kind="stable")
 
     raw = np.full(table.n_rows, base_score)
-    p = np.clip(expit(raw), _P_EPS, 1.0 - _P_EPS)
+    p = _probability(raw)
     losses = [_log_loss(y, p)]
     trees: list[Tree] = []
     for _ in range(params.rounds):
@@ -706,7 +720,7 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
                              params=params)
         trees.append(grower.grow())
         raw = raw + params.learning_rate * grower.row_value
-        p = np.clip(expit(raw), _P_EPS, 1.0 - _P_EPS)
+        p = _probability(raw)
         losses.append(_log_loss(y, p))
 
     return GbdtModel(schema=table.schema, base_score=base_score,
@@ -888,16 +902,40 @@ class ExternalPredictions:
         ``ref`` holds reference indices, ``(len(x), k)`` or ``(1, n_ref)``.
         Terms are added in schema order: a continuous term is
         ``((x - r) / scale) ** 2`` and a categorical mismatch, compared on
-        codes, adds 1.  Every answer's distance is computed here.
+        codes, adds 1.  Every answer's distance is computed here; one beyond
+        float64's range is inf.
         """
         d2 = np.zeros(np.broadcast_shapes((len(x), 1), ref.shape))
-        for j, scale in enumerate(self._scale):
-            r = self._ref[j][ref]
-            if scale is None:
-                d2 += x[:, j, None] != r
-            else:
-                d2 += ((x[:, j, None] - r) / scale) ** 2
+        with np.errstate(over="ignore"):
+            for j, scale in enumerate(self._scale):
+                r = self._ref[j][ref]
+                if scale is None:
+                    d2 += x[:, j, None] != r
+                else:
+                    d2 += ((x[:, j, None] - r) / scale) ** 2
         return d2
+
+    def _far_nearest(self, x: np.ndarray) -> np.ndarray:
+        """Nearest reference row per packed row whose every distance overflows.
+
+        Beside such a row the gaps between reference rows vanish in float64,
+        so every distance ties.  In exact arithmetic, with ``m`` the midrange
+        and ``s`` the scale of each continuous column, a squared distance is
+        a constant, minus ``2 * sum((x - m) / s * (r - m) / s)``, plus terms
+        that vanish beside that sum.  The row with the largest sum is
+        nearest; the ``(x - m) / s`` are scaled by one power of two per row
+        so that they stay finite, and ties go to the lowest row index.
+        """
+        cont = [j for j, scale in enumerate(self._scale) if scale is not None]
+        s = np.asarray([self._scale[j] for j in cont])
+        r = self._ref[cont]
+        mid = r.min(axis=1) / 2 + r.max(axis=1) / 2
+        mx, ex = np.frexp(x[:, cont] / 2 - mid / 2)
+        ms, es = np.frexp(s)
+        # the power of two comes from the largest nonzero (x - m) / s
+        top = np.where(mx != 0, ex - es, -2 ** 30).max(axis=1, keepdims=True)
+        xi = np.ldexp(mx / ms, ex - es - top)
+        return np.argmax(xi @ ((r - mid[:, None]) / s[:, None]), axis=1)
 
     def _embed(self, x: np.ndarray) -> np.ndarray:
         """Packed rows in the screen's coordinates, before centring (see the
@@ -974,7 +1012,11 @@ class ExternalPredictions:
         everyone = np.arange(n_ref)[None, :]
         for start in range(0, todo.size, block):
             rows = todo[start:start + block]
-            best[rows] = np.argmin(self._sq_distances(x[rows], everyone), axis=1)
+            d2 = self._sq_distances(x[rows], everyone)
+            best[rows] = np.argmin(d2, axis=1)
+            far = rows[np.isinf(d2.min(axis=1))]
+            if far.size:
+                best[far] = self._far_nearest(x[far])
         return best
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
-from xml.sax.saxutils import escape
+from html import escape
 
 from .regions import RegionReport
 from .serialize import canonical_json, write_text
@@ -55,7 +55,7 @@ def render_error_plot(report: RegionReport) -> str:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<text x="{_num(left)}" y="{_num(top - fs)}" '
         f'font-size="{fs + 2}" fill="{_AXIS_COLOR}">'
-        f'{escape(report.split)} split: region error rates '
+        f'{escape(report.split, quote=False)} split: region error rates '
         f'(baseline {report.baseline_error_rate:.3f}, '
         f'{report.n_misclassified}/{report.n_total} misclassified)</text>',
     ]
@@ -93,7 +93,7 @@ def render_error_plot(report: RegionReport) -> str:
             parts.append(
                 f'<text x="{_num(left + 4)}" y="{_num(y_row + fs)}" '
                 f'font-size="{fs}" fill="{_AXIS_COLOR}">'
-                f'{escape(label)}</text>'
+                f'{escape(label, quote=False)}</text>'
             )
             parts.append(
                 f'<rect class="bar" x="{_num(left)}" '

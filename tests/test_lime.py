@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import BAD_PREDICTOR_OUTPUTS, make_table
 from errlens import (
@@ -233,6 +234,34 @@ def test_duplicate_columns_without_ridge_are_singular() -> None:
         fit_local_model(z, y, np.ones(4), ridge_lambda=0.0)
 
 
+def test_the_ridge_solve_matches_a_lapack_cholesky_solve() -> None:
+    # systems shaped like the quick-start run's: 6 features, 5000 samples
+    rng = np.random.default_rng(3)
+    for i in range(200):
+        lam = (1.0, 0.01, 0.0)[i % 3]
+        z = (rng.uniform(size=(5000, 6)) < rng.uniform(0.2, 0.9, size=6)).astype(float)
+        y = np.clip(rng.uniform() + z @ rng.normal(scale=0.2, size=6)
+                    + rng.normal(scale=0.05, size=5000), 1e-12, 1.0 - 1e-12)
+        w = kernel_weights(z, default_kernel_width(6))
+        coef, intercept, _ = fit_local_model(z, y, w, lam)
+
+        x = np.hstack([np.ones((5000, 1)), z])
+        a = (x.T * w) @ x + np.diag([0.0] + [lam] * 6)
+        expected = cho_solve(cho_factor(a), (x.T * w) @ y)
+        error = np.max(np.abs(np.r_[intercept, coef] - expected))
+        assert error <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_non_finite_normal_equations_are_data_errors() -> None:
+    z = np.asarray([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(DataError):
+        fit_local_model(z, np.ones(3), np.ones(3), math.inf)
+    with pytest.raises(DataError):
+        fit_local_model(z, np.asarray([0.5, math.nan, 0.5]), np.ones(3), 1.0)
+    with pytest.raises(DataError):
+        fit_local_model(z, np.ones(3), np.asarray([1.0, math.inf, 1.0]), 1.0)
+
+
 def test_fit_rejects_malformed_inputs() -> None:
     z = np.ones((3, 2))
     y = np.ones(3)
@@ -438,6 +467,6 @@ def test_explanations_round_trip_through_jsonl(tmp_path) -> None:
 
 def test_lime_config_validates_every_knob() -> None:
     for bad in (dict(n_samples=1), dict(kernel_width=0.0), dict(ridge_lambda=-1.0),
-                dict(ridge_lambda=math.nan), dict(top_k=0)):
+                dict(ridge_lambda=math.nan), dict(ridge_lambda=math.inf), dict(top_k=0)):
         with pytest.raises(DataError):
             LimeConfig(**bad)

@@ -6,6 +6,8 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -536,6 +538,24 @@ def test_scoring_memory_stays_flat_in_the_number_of_rows() -> None:
     assert peak <= 4 * 2 ** 20
 
 
+def test_the_probability_is_bit_identical_to_the_c_library_sigmoid() -> None:
+    rng = np.random.default_rng(13)
+    raw = np.concatenate([
+        [0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 1e-300, -1e-300, 5e-324, -5e-324,
+         709.0, -709.0, 710.0, -710.0, 1e308, -1e308, np.inf, -np.inf],
+        rng.normal(scale=4.0, size=400_000),
+        rng.uniform(-750.0, 750.0, size=300_000),
+        rng.choice([-1.0, 1.0], size=300_000) * 10.0 ** rng.uniform(-300, 3, size=300_000),
+    ])
+    got = model_module._probability(raw)
+    oracle = np.clip(expit(raw), 1e-12, 1.0 - 1e-12)
+    assert got.view(np.uint64).tolist() == oracle.view(np.uint64).tolist()
+    # stdlib reference: exp(-x) past float64 range is inf, and 1 / inf is 0
+    reference = np.clip([1.0 / (1.0 + (math.exp(-x) if -x < 709.0 else math.inf))
+                         for x in raw.tolist()], 1e-12, 1.0 - 1e-12)
+    assert got.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+
+
 # Digests of mixed_model_and_rows()'s canonical model JSON and of its
 # predict_rows output, recorded from the per-node-argsort trainer and the
 # level-by-level router that preceded the presorted trainer and the compiled
@@ -763,10 +783,8 @@ def test_external_prediction_files_are_strictly_validated(tmp_path) -> None:
 # --- external predictions: bare rows ------------------------------------------------
 
 
-def scan_answers(ext: ExternalPredictions, columns) -> np.ndarray:
-    """Bare-row answers by a full scan over the reference, in the arithmetic of
-    the original brute-force predictor (kept here as the reference)."""
-    reference = ext.reference
+def reference_scales(reference) -> list[float | None]:
+    """Each continuous column's standard deviation (1 where it is 0)."""
     scale = []
     for spec, col in zip(reference.schema, reference.columns):
         if spec.kind == "continuous":
@@ -774,6 +792,32 @@ def scan_answers(ext: ExternalPredictions, columns) -> np.ndarray:
             scale.append(sd if sd > 0 else 1.0)
         else:
             scale.append(None)
+    return scale
+
+
+def exact_nearest(reference, row) -> int:
+    """Lowest index of a reference row at the least squared distance from
+    ``row`` (one cell per column), in exact rational arithmetic."""
+    scale = reference_scales(reference)
+
+    def distance(i: int) -> Fraction:
+        total = Fraction(0)
+        for col, value, sd in zip(reference.columns, row, scale):
+            if sd is None:
+                total += col[i] != value
+            else:
+                total += ((Fraction(float(value)) - Fraction(float(col[i]))) / Fraction(sd)) ** 2
+        return total
+
+    return min(range(reference.n_rows), key=distance)
+
+
+def scan_answers(ext: ExternalPredictions, columns) -> np.ndarray:
+    """Bare-row answers by a full scan over the reference, in the arithmetic of
+    the original brute-force predictor (kept here as the reference).  A row
+    whose every distance overflows there gets its exactly nearest row."""
+    reference = ext.reference
+    scale = reference_scales(reference)
     n = len(columns[0])
     out = np.empty(n)
     ref_cols = reference.columns
@@ -784,10 +828,14 @@ def scan_answers(ext: ExternalPredictions, columns) -> np.ndarray:
         for j, spec in enumerate(reference.schema):
             if spec.kind == "continuous":
                 diff = (columns[j][start:stop, None] - ref_cols[j][None, :])
-                d2 += (diff / scale[j]) ** 2
+                with np.errstate(over="ignore"):
+                    d2 += (diff / scale[j]) ** 2
             else:
                 d2 += columns[j][start:stop, None] != ref_cols[j][None, :]
-        out[start:stop] = ext._ref_probs[np.argmin(d2, axis=1)]
+        nearest = np.argmin(d2, axis=1)
+        for i in np.flatnonzero(np.isinf(d2.min(axis=1))):
+            nearest[i] = exact_nearest(reference, [col[start + i] for col in columns])
+        out[start:stop] = ext._ref_probs[nearest]
     return out
 
 
@@ -866,6 +914,14 @@ BARE_ROW_CASES = {
         [_SPREAD.tolist(), _RNG.choice(list("ab"), size=20).tolist()], [_CONT, _CAT], None,
         [[1e200, -1e200, 1e39, 1e30, -1e30, 0.3, 1.4],
          ["a", "b", "a", "z", "b", "a", "b"]]),
+    # every float64 distance of these rows overflows, so in float64 every
+    # reference row ties with every other; the exactly nearest one must win
+    "rows_beyond_float64_range": (
+        [*np.random.default_rng(5).normal(size=(2, 30)).tolist(), list("ab" * 15)],
+        [_CONT, _CONT, _CAT], None,
+        [[1e200, -1e200, 1e200, 3e160, -1.7e308, 0.5],
+         [0.0, 1e200, -1e200, 2e160, 1.7e308, 1e300],
+         ["a", "b", "z", "a", "b", "a"]]),
     # a one-hot block of 301 coordinates, most of the screen's width
     "categorical_column_with_300_levels": (
         [_RNG.uniform(size=600).tolist(), [f"k{i % 300}" for i in range(600)]],
@@ -876,17 +932,14 @@ BARE_ROW_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", [
-    # the 1e200 rows' distances overflow to inf, in the scan as in its oracle
-    pytest.param(case, marks=pytest.mark.filterwarnings(
-        "ignore:overflow encountered in square:RuntimeWarning"))
-    if case == "query_rows_beyond_float32_after_centring" else case
-    for case in sorted(BARE_ROW_CASES)])
+@pytest.mark.parametrize("case", sorted(BARE_ROW_CASES))
 def test_bare_rows_get_the_answer_of_a_full_scan(case: str) -> None:
     ref_columns, kinds, probs, rows = BARE_ROW_CASES[case]
     ext = external_on(ref_columns, kinds, probs)
     columns = bare(rows, kinds)
-    out = ext.predict_rows(ext.reference.schema, columns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning reaches stderr
+        out = ext.predict_rows(ext.reference.schema, columns)
     assert out.dtype == np.float64
     assert np.array_equal(out, scan_answers(ext, columns))
 
