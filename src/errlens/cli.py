@@ -348,7 +348,7 @@ def _explain_split(cfg: RunConfig, predictor: Predictor,
                    table: LabeledTable, disc, split_name: str):
     mis = find_misclassified(predictor, table, threshold=cfg["threshold"],
                              split=split_name)
-    explanations = explain_misclassified(predictor, table, mis, disc,
+    explanations = explain_misclassified(predictor, mis, disc,
                                          config=cfg.lime, jobs=cfg["jobs"])
     return mis, explanations
 
@@ -371,7 +371,7 @@ def cmd_mine(cfg: RunConfig) -> str:
     disc = fit_discretizer(table)
     mis, explanations = _explain_split(cfg, predictor, table, disc, "all")
     report = report_from_explanations(
-        table, explanations, mis, min_support_fraction=cfg["min_support"],
+        explanations, mis, min_support_fraction=cfg["min_support"],
         lime_config=cfg.lime, extra_config=cfg.echo,
     )
     write_explanations_jsonl(explanations, os.path.join(out, "explanations.jsonl"))
@@ -397,7 +397,7 @@ def cmd_pipeline(cfg: RunConfig) -> str:
         _dump_artifact(mis.metrics.to_json_obj(), cfg,
                        os.path.join(out, f"metrics_{name}.json"))
         report = report_from_explanations(
-            part, explanations, mis, min_support_fraction=cfg["min_support"],
+            explanations, mis, min_support_fraction=cfg["min_support"],
             lime_config=cfg.lime, extra_config=cfg.echo,
         )
         write_explanations_jsonl(

@@ -26,57 +26,60 @@ from .model import Metrics, Predictor, check_probabilities
 class MisclassifiedSet:
     """One scoring pass of a predictor over one split.
 
-    ``row_ids`` are the rows it got wrong, in table order; ``wrong`` is the
-    read-only per-row verdict (thresholded prediction != label) the region
-    counts read; ``metrics`` are the confusion counts of the same pass, and
-    ``probabilities`` its read-only per-row scores, which explanations state.
+    Built from the split's ``table`` and the pass's per-row ``probabilities``
+    (p >= threshold is positive), it derives the rest: ``row_ids`` are the
+    rows the pass got wrong, in table order; ``wrong`` is the read-only
+    per-row verdict (thresholded prediction != label) the region counts
+    read; ``metrics`` are the confusion counts of the same pass.  The
+    probabilities are kept as a read-only copy, which explanations state.
     """
 
-    split: str  # "train", "test" or "all"
-    threshold: float
-    row_ids: tuple[str, ...]
-    wrong: np.ndarray = field(compare=False, repr=False)
-    metrics: Metrics
-    probabilities: np.ndarray | None = field(default=None, compare=False, repr=False)
+    table: LabeledTable = field(compare=False, repr=False)
+    probabilities: np.ndarray = field(compare=False, repr=False)
+    threshold: float = 0.5
+    split: str = "test"  # "train", "test" or "all"
+    wrong: np.ndarray = field(init=False, compare=False, repr=False)
+    row_ids: tuple[str, ...] = field(init=False)
+    metrics: Metrics = field(init=False)
+
+    def __post_init__(self) -> None:
+        table, threshold = self.table, self.threshold
+        if table.n_rows == 0:
+            raise EmptyTable("cannot scan an empty table")
+        # a copy, so that freezing it leaves the caller's own array writable
+        probs = check_probabilities(self.probabilities, table.n_rows).copy()
+        pred = probs >= threshold
+        actual = table.labels == 1
+        wrong = pred != actual
+        wrong.flags.writeable = probs.flags.writeable = False
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "wrong", wrong)
+        object.__setattr__(self, "row_ids",
+                           tuple(rid for rid, bad in zip(table.row_ids, wrong) if bad))
+        object.__setattr__(self, "metrics", Metrics(
+            tp=int(np.sum(pred & actual)),
+            fp=int(np.sum(pred & ~actual)),
+            tn=int(np.sum(~pred & ~actual)),
+            fn=int(np.sum(~pred & actual)),
+            threshold=threshold,
+        ))
 
 
 def find_misclassified(predictor: Predictor, table: LabeledTable,
                        threshold: float = 0.5,
                        split: str = "test") -> MisclassifiedSet:
     """Score a table once (p >= threshold is positive)."""
-    if table.n_rows == 0:
-        raise EmptyTable("cannot scan an empty table")
-    # a copy, so that freezing it leaves the predictor's own array writable
-    probs = check_probabilities(predictor.predict_table(table), table.n_rows).copy()
-    pred = probs >= threshold
-    actual = table.labels == 1
-    wrong = pred != actual
-    wrong.flags.writeable = probs.flags.writeable = False
-    return MisclassifiedSet(
-        split=split,
-        threshold=threshold,
-        row_ids=tuple(rid for rid, bad in zip(table.row_ids, wrong) if bad),
-        wrong=wrong,
-        metrics=Metrics(
-            tp=int(np.sum(pred & actual)),
-            fp=int(np.sum(pred & ~actual)),
-            tn=int(np.sum(~pred & ~actual)),
-            fn=int(np.sum(~pred & actual)),
-            threshold=threshold,
-        ),
-        probabilities=probs,
-    )
+    return MisclassifiedSet(table, predictor.predict_table(table), threshold, split)
 
 
 def explain_misclassified(
     predictor: Predictor,
-    table: LabeledTable,
     misclassified: MisclassifiedSet,
     disc: Discretizer,
     config: LimeConfig = LimeConfig(),
     jobs: int = 1,
 ) -> tuple[Explanation, ...]:
-    """One explanation per misclassified row.
+    """One explanation per misclassified row of the pass's table.
 
     Each explanation states the probability ``misclassified``'s scoring pass
     gave its row, and fits its unperturbed sample 0 to it.  Rows are
@@ -84,14 +87,8 @@ def explain_misclassified(
     may be explained in parallel; results are returned in
     ``misclassified.row_ids`` order regardless of scheduling.
     """
-    index = {rid: i for i, rid in enumerate(table.row_ids)}
-    try:
-        rows = [index[rid] for rid in misclassified.row_ids]
-    except KeyError as exc:
-        raise DataError(f"row id {exc.args[0]!r} not present in table") from None
-    probs, threshold = misclassified.probabilities, misclassified.threshold
-    if probs is None or probs.shape != (table.n_rows,):
-        raise DataError("misclassified set holds no probability per row of the table")
+    table, probs = misclassified.table, misclassified.probabilities
+    rows = np.flatnonzero(misclassified.wrong)
 
     def one(i: int) -> Explanation:
         return explain(
@@ -100,7 +97,7 @@ def explain_misclassified(
             instance=table.row_values(i),
             true_label=int(table.labels[i]),
             config=config,
-            threshold=threshold,
+            threshold=misclassified.threshold,
             probability=float(probs[i]),
         )
 
@@ -198,7 +195,6 @@ class RegionReport:
 
 
 def report_from_explanations(
-    table: LabeledTable,
     explanations: Sequence[Explanation],
     misclassified: MisclassifiedSet,
     min_support_fraction: float = 0.1,
@@ -206,18 +202,14 @@ def report_from_explanations(
     extra_config: Mapping[str, object] | None = None,
 ) -> RegionReport:
     """Mine conditions from the explanations of ``misclassified``'s rows and
-    score each on the table it came from.
+    score each on the pass's table.
 
     ``explanations`` must follow ``misclassified.row_ids`` one to one, as
     :func:`explain_misclassified` returns them.  A condition that covers no
     row of the table is dropped.  With no misclassified rows the report has
     zero regions and baseline 0.
     """
-    if table.n_rows == 0:
-        raise EmptyTable("cannot report on an empty table")
-    if misclassified.wrong.shape != (table.n_rows,):
-        raise DataError(f"misclassified set scores {misclassified.wrong.shape} "
-                        f"rows, table has {table.n_rows}")
+    table = misclassified.table
     if tuple(e.row_id for e in explanations) != misclassified.row_ids:
         raise DataError("one explanation per misclassified row required, "
                         "in misclassified order")

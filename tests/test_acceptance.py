@@ -69,9 +69,8 @@ def planted_run() -> PlantedRun:
     model = train_gbdt(train_table, GbdtParams())
     disc = fit_discretizer(train_table)
     mis = find_misclassified(model, test_table, threshold=0.5, split="test")
-    explanations = explain_misclassified(model, test_table, mis, disc,
-                                         config=LimeConfig(), jobs=1)
-    report = report_from_explanations(test_table, explanations, mis)
+    explanations = explain_misclassified(model, mis, disc, config=LimeConfig(), jobs=1)
+    report = report_from_explanations(explanations, mis)
     return PlantedRun(
         test_table=test_table,
         model=model,
