@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: synth, featurize, train, eval, explain, mine, pipeline.
-Every flag can also be given in a JSON config file (snake_case keys) passed
-via --config; a flag on the command line overrides the file, which overrides
-the built-in default.  File values go through the same converter as flag
-strings, so a value of the wrong type is a usage error.  The effective
+Subcommands: synth, featurize, train, eval, explain, mine, pipeline.  Each
+takes only the flags it reads.  Every flag can also be given in a JSON config
+file (snake_case keys) passed via --config, which may also hold the keys of
+other subcommands; a flag on the command line overrides the file, which
+overrides the built-in default.  File values go through the same converter as
+flag strings, so a value of the wrong type is a usage error.  The effective
 configuration is echoed into ``run_config.json`` in the output directory and
 into every JSON artifact.
 
@@ -109,30 +110,31 @@ class Option(NamedTuple):
     help: str | None = None
 
 
-_ALL = ("synth", "featurize", "train", "eval", "explain", "mine", "pipeline")
-_TABLE = ("train", "eval", "explain", "mine", "pipeline")
+_EVAL = ("eval", "explain", "mine")
+_EXPLAIN = ("explain", "mine", "pipeline")
+_TABLE = ("train", *_EVAL, "pipeline")
 _FIT = ("train", "pipeline")
 _LIME = LimeConfig()
 _GBDT = GbdtParams()
 
 OPTIONS: tuple[Option, ...] = (
-    Option("seed", _int, _LIME.seed, _ALL),
-    Option("out_dir", _text, "out", _ALL),
-    Option("threshold", _float, 0.5, _ALL),
-    Option("top_k", _int, _LIME.top_k, _ALL),
-    Option("n_samples", _int, _LIME.n_samples, _ALL),
-    Option("kernel_width", _float, _LIME.kernel_width, _ALL),
-    Option("ridge_lambda", _float, _LIME.ridge_lambda, _ALL),
-    Option("min_support", _float, 0.1, _ALL),
-    Option("split_fraction", _float, 0.25, _ALL),
-    Option("predictions", _text, None, _ALL, "row_id,probability CSV replacing the model"),
-    Option("jobs", _int, 1, _ALL, "parallel explanation workers"),
+    Option("seed", _int, _LIME.seed, ("synth", "train", *_EXPLAIN)),
+    Option("out_dir", _text, "out", ("synth", "featurize", *_TABLE)),
+    Option("threshold", _float, 0.5, _TABLE),
+    Option("top_k", _int, _LIME.top_k, _EXPLAIN),
+    Option("n_samples", _int, _LIME.n_samples, _EXPLAIN),
+    Option("kernel_width", _float, _LIME.kernel_width, _EXPLAIN),
+    Option("ridge_lambda", _float, _LIME.ridge_lambda, _EXPLAIN),
+    Option("min_support", _float, 0.1, ("mine", "pipeline")),
+    Option("split_fraction", _float, 0.25, ("pipeline",)),
+    Option("predictions", _text, None, _EVAL, "row_id,probability CSV replacing the model"),
+    Option("jobs", _int, 1, _EXPLAIN, "parallel explanation workers"),
     Option("data", _text, None, ("featurize", *_TABLE),
            "labeled feature CSV (featurize: long-format time-series CSV)"),
     Option("label_column", _text, "label", ("featurize", *_TABLE)),
     Option("id_column", _text, None, _TABLE),
     Option("categorical", _list_of(_text), (), _TABLE, "comma-separated categorical columns"),
-    Option("model", _text, None, ("eval", "explain", "mine"), "model JSON produced by train"),
+    Option("model", _text, None, _EVAL, "model JSON produced by train"),
     Option("rows", _int, 2000, ("synth",)),
     Option("features", _int, 6, ("synth",)),
     Option("flip_rate", _float, 0.4, ("synth",)),

@@ -30,6 +30,7 @@ from .errors import (
     MissingColumn,
     NonNumericCell,
     SeriesTooShort,
+    UnknownFeature,
 )
 
 FeatureKind = Literal["continuous", "categorical"]
@@ -61,6 +62,14 @@ class FeatureSpec:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def feature_index(schema: Sequence[FeatureSpec], feature: str) -> int:
+    """Position of ``feature`` in ``schema``; UnknownFeature if it is absent."""
+    for i, spec in enumerate(schema):
+        if spec.name == feature:
+            return i
+    raise UnknownFeature(f"unknown feature {feature!r}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,10 @@ class LabeledTable:
                     raise DataError(f"column {spec.name!r} must align with rows")
             cols.append(_frozen(col))
         if len(set(self.row_ids)) != n:
-            raise DuplicateRowId("row ids must be unique")
+            first: dict[str, int] = {}
+            for i, rid in enumerate(self.row_ids):
+                if first.setdefault(rid, i) != i:
+                    raise DuplicateRowId(f"row {i}: row id {rid!r} repeats row {first[rid]}")
         object.__setattr__(self, "columns", tuple(cols))
         object.__setattr__(self, "labels", _frozen(labels))
         object.__setattr__(self, "row_ids", tuple(str(r) for r in self.row_ids))
@@ -119,10 +131,7 @@ class LabeledTable:
         return tuple(f.name for f in self.schema)
 
     def index_of(self, feature: str) -> int:
-        try:
-            return self.feature_names.index(feature)
-        except ValueError:
-            raise KeyError(feature) from None
+        return feature_index(self.schema, feature)
 
     def column(self, feature: str) -> np.ndarray:
         return self.columns[self.index_of(feature)]
@@ -230,15 +239,18 @@ def load_csv(path: str, *, label_column: str = "label", id_column: str | None = 
         labels.append(int(label_cell))
         ids.append(str(row_idx) if id_at is None else row[id_at])
 
-    return LabeledTable(
-        schema=schema,
-        columns=tuple(
-            np.asarray(c, dtype=np.float64 if s.kind == "continuous" else str)
-            for s, c in zip(schema, raw_cols)
-        ),
-        labels=np.asarray(labels, dtype=np.int64),
-        row_ids=tuple(ids),
-    )
+    try:
+        return LabeledTable(
+            schema=schema,
+            columns=tuple(
+                np.asarray(c, dtype=np.float64 if s.kind == "continuous" else str)
+                for s, c in zip(schema, raw_cols)
+            ),
+            labels=np.asarray(labels, dtype=np.int64),
+            row_ids=tuple(ids),
+        )
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_csv(table: LabeledTable, path: str, include_row_id: bool = False) -> None:

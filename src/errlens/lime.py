@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureSpec, LabeledTable
-from .errors import DataError, EmptyTable, SingularSystem, UnknownFeature
+from .data import FeatureSpec, LabeledTable, feature_index
+from .errors import DataError, EmptyTable, SingularSystem
 from .model import Columns, Predictor, check_probabilities
 from .serialize import canonical_json_line
 
@@ -150,10 +150,7 @@ class Discretizer:
     per_feature: tuple[ContinuousBins | CategoricalBins, ...]
 
     def index_of(self, feature: str) -> int:
-        for i, spec in enumerate(self.schema):
-            if spec.name == feature:
-                return i
-        raise UnknownFeature(feature)
+        return feature_index(self.schema, feature)
 
 
 def fit_discretizer(train: LabeledTable) -> Discretizer:

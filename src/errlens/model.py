@@ -865,7 +865,7 @@ class ExternalPredictions:
     def __init__(self, probabilities: dict[str, float], reference: LabeledTable):
         for rid in reference.row_ids:
             if rid not in probabilities:
-                raise MissingRowId(rid)
+                raise MissingRowId(f"no probability for row id {rid!r}")
         self.probabilities = dict(probabilities)
         self.reference = reference
         self._ref_probs = np.asarray(
@@ -886,7 +886,7 @@ class ExternalPredictions:
         try:
             return np.asarray([self.probabilities[r] for r in table.row_ids])
         except KeyError as exc:
-            raise MissingRowId(str(exc.args[0])) from None
+            raise MissingRowId(f"no probability for row id {exc.args[0]!r}") from None
 
     def predict_rows(self, schema: tuple[FeatureSpec, ...], columns: Columns) -> np.ndarray:
         x = _packed_rows(self.reference.schema, schema, columns, self._categories)
@@ -1029,12 +1029,16 @@ def load_external_predictions(path: str, table: LabeledTable) -> ExternalPredict
     probs: dict[str, float] = {}
     for rid, cell in rows:
         if rid in probs:
-            raise DuplicateRowId(rid)
+            raise DuplicateRowId(f"{path}: row id {rid!r} repeats")
         try:
             p = float(cell)
         except ValueError:
-            raise ProbabilityOutOfRange(f"{rid}: {cell!r}") from None
-        if not (0.0 <= p <= 1.0):
-            raise ProbabilityOutOfRange(f"{rid}: {p!r}")
+            p = math.nan
+        if not 0.0 <= p <= 1.0:
+            raise ProbabilityOutOfRange(
+                f"{path}: row id {rid!r}: {cell!r} is not a probability within [0, 1]")
         probs[rid] = p
-    return ExternalPredictions(probs, table)
+    try:
+        return ExternalPredictions(probs, table)
+    except MissingRowId as exc:
+        raise MissingRowId(f"{path}: {exc}") from None

@@ -296,7 +296,9 @@ def test_usage_errors_exit_one(tmp_path, capsys) -> None:
 def test_bad_values_are_one_line_usage_errors_before_any_read(
     tmp_path, capsys, config, flags, key,
 ) -> None:
-    argv = ["train", "--data", str(tmp_path / "absent.csv"), *flags,
+    # pipeline reads both the fit and the LIME flags, so each flag is
+    # rejected for its value, never as an argument pipeline does not take
+    argv = ["pipeline", "--data", str(tmp_path / "absent.csv"), *flags,
             "--out-dir", str(tmp_path / "o")]
     if config is not None:
         path = tmp_path / "c.json"
@@ -304,15 +306,15 @@ def test_bad_values_are_one_line_usage_errors_before_any_read(
         argv += ["--config", str(path)]
     assert run(*argv) == EXIT_USAGE  # not EXIT_DATA: the data is never read
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and key in err
+    assert err.count("\n") == 1 and key in err and "unrecognized" not in err
     assert not os.path.exists(tmp_path / "o")
 
 
-_COMMON = {"-h", "--help", "--config", "--seed", "--out-dir", "--threshold", "--top-k",
-           "--n-samples", "--kernel-width", "--ridge-lambda", "--min-support",
-           "--split-fraction", "--predictions", "--jobs"}
-_TABLE_IO = {"--data", "--label-column", "--id-column", "--categorical"}
+_TABLE_IO = {"--config", "--out-dir", "--data", "--label-column", "--id-column",
+             "--categorical", "--threshold"}
 _FIT = {"--rounds", "--max-depth", "--learning-rate", "--min-leaf-count", "--l2"}
+_LIME = {"--seed", "--top-k", "--n-samples", "--kernel-width", "--ridge-lambda", "--jobs"}
+_EVAL = _TABLE_IO | {"--model", "--predictions"}
 
 
 def _subparsers() -> dict:
@@ -322,19 +324,30 @@ def _subparsers() -> dict:
 
 
 def test_each_subcommand_accepts_exactly_its_flags() -> None:
-    flags = {name: {s for a in p._actions for s in a.option_strings}
+    flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
              for name, p in _subparsers().items()}
     assert flags == {
-        "synth": _COMMON | {"--rows", "--features", "--flip-rate"},
-        "featurize": _COMMON | {"--data", "--label-column", "--channels",
-                                "--static-columns", "--entity-column", "--time-column",
-                                "--windows", "--lags", "--interval"},
-        "train": _COMMON | _TABLE_IO | _FIT,
-        "eval": _COMMON | _TABLE_IO | {"--model"},
-        "explain": _COMMON | _TABLE_IO | {"--model"},
-        "mine": _COMMON | _TABLE_IO | {"--model"},
-        "pipeline": _COMMON | _TABLE_IO | _FIT,
+        "synth": {"--config", "--seed", "--out-dir", "--rows", "--features",
+                  "--flip-rate"},
+        "featurize": {"--config", "--out-dir", "--data", "--label-column", "--channels",
+                      "--static-columns", "--entity-column", "--time-column",
+                      "--windows", "--lags", "--interval"},
+        "train": _TABLE_IO | {"--seed"} | _FIT,
+        "eval": _EVAL,
+        "explain": _EVAL | _LIME,
+        "mine": _EVAL | _LIME | {"--min-support"},
+        "pipeline": _TABLE_IO | _LIME | _FIT | {"--split-fraction", "--min-support"},
     }
+    # flag/subcommand pairs, --config aside
+    assert sum(len(f) - 1 for f in flags.values()) == 83
+
+
+def test_pipeline_rejects_a_predictions_file_it_would_not_use(tmp_path, capsys) -> None:
+    (tmp_path / "p.csv").write_text("row_id,probability\n0,0.5\n", encoding="utf-8")
+    assert run("pipeline", "--data", str(tmp_path / "d.csv"), "--predictions",
+               str(tmp_path / "p.csv"), "--out-dir", str(tmp_path / "o")) == EXIT_USAGE
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_every_config_key_is_a_flag_and_every_flag_a_config_key() -> None:
@@ -392,17 +405,29 @@ def test_csv_row_errors_name_their_file(tmp_path, capsys) -> None:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "p.csv: row 1: expected 2 cells" in err
 
-    # the cell and label checks of the table and series readers
+    # the cell, label and row-id checks of the table, series and prediction readers
+    predict = ["eval", "--data", str(tmp_path / "d.csv"), "--predictions"]
     for name, content, argv, message in [
-            ("cell.csv", b"x,label\n1.0,0\noops,1\n", ["train"],
+            ("cell.csv", b"x,label\n1.0,0\noops,1\n", ["train", "--data"],
              "cell.csv: row 1, column 'x': 'oops'"),
-            ("label.csv", b"x,label\n1.0,0\n2.0,7\n", ["train"], "label.csv: row 1: '7'"),
+            ("label.csv", b"x,label\n1.0,0\n2.0,7\n", ["train", "--data"],
+             "label.csv: row 1: '7'"),
+            ("ids.csv", b"rid,x,label\na,1.0,0\nb,2.0,1\na,3.0,1\n",
+             ["train", "--id-column", "rid", "--data"],
+             "ids.csv: row 2: row id 'a' repeats row 0"),
             ("series.csv", b"entity_id,timestamp_s,hr,label\ne,0,60,0\ne,60,fast,0\n",
-             ["featurize", "--channels", "hr"], "series.csv: row 1, column 'hr': 'fast'"),
+             ["featurize", "--channels", "hr", "--data"],
+             "series.csv: row 1, column 'hr': 'fast'"),
             ("series_label.csv", b"entity_id,timestamp_s,hr,label\ne,0,60,2\n",
-             ["featurize", "--channels", "hr"], "series_label.csv: row 0: '2'")]:
+             ["featurize", "--channels", "hr", "--data"], "series_label.csv: row 0: '2'"),
+            ("twice.csv", b"row_id,probability\n0,0.5\n0,0.6\n1,0.5\n", predict,
+             "twice.csv: row id '0' repeats"),
+            ("short.csv", b"row_id,probability\n0,0.5\n", predict,
+             "short.csv: no probability for row id '1'"),
+            ("range.csv", b"row_id,probability\n0,1.5\n1,0.5\n", predict,
+             "range.csv: row id '0': '1.5' is not a probability within [0, 1]")]:
         (tmp_path / name).write_bytes(content)
-        assert run(*argv, "--data", str(tmp_path / name),
+        assert run(*argv, str(tmp_path / name),
                    "--out-dir", str(tmp_path / "o")) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err

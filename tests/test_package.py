@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,21 @@ def test_start_up_and_runs_load_neither_scipy_nor_xml_nor_the_web_stack(tmp_path
     out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_the_readme_library_example_runs_and_prints_what_it_says(tmp_path) -> None:
+    # the README's one python block, run as written, so it follows the API
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    error_rate, region, region_rate = out.stdout.splitlines()
+    assert error_rate == "0.17"
+    assert region == "f0 > 0.756548583185128"
+    assert round(float(region_rate), 3) == 0.487
+    assert (tmp_path / "demo" / "lib" / "report_test.json").exists()
 
 
 def _reads_files(tree: ast.AST) -> bool:

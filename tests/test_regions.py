@@ -23,7 +23,6 @@ from errlens import (
     GbdtModel,
     GbdtParams,
     LimeConfig,
-    Metrics,
     MisclassifiedSet,
     RegionReport,
     explain_misclassified,
@@ -37,7 +36,7 @@ from errlens import (
     sample_perturbations,
     train_gbdt,
 )
-from errlens.errors import DataError, EmptyTable, NoExplanations
+from errlens.errors import DataError, EmptyTable, NoExplanations, UnknownFeature
 from errlens.lime import default_kernel_width
 from errlens.serialize import canonical_json
 
@@ -257,6 +256,13 @@ def test_report_requires_explanations_of_the_misclassified_rows_in_order() -> No
             report_from_explanations(explanations, mis)
 
 
+def test_report_rejects_an_explanation_of_a_feature_the_table_lacks() -> None:
+    table = make_table([[1.0, 2.0]], [0, 0])
+    mis = find_misclassified(fixed_predictor(table, [0.9, 0.1]), table)
+    with pytest.raises(UnknownFeature, match="'nope'"):
+        report_from_explanations([explanation("0", greater("nope"))], mis)
+
+
 def test_report_config_echoes_every_knob_plus_extras() -> None:
     table = make_table([[1.0, 2.0]], [0, 0])
     predictor = fixed_predictor(table, [0.9, 0.1])
@@ -298,6 +304,36 @@ def test_find_explain_report_scores_the_table_once(monkeypatch) -> None:
                                  lime_config=LimeConfig(n_samples=150, seed=1))
     assert calls == [80]
     assert report.regions  # every region was counted without a second pass
+
+
+_CONDITIONS = (Condition(feature="f0", low=0.0), Condition(feature="f0", high=0.5),
+               Condition(feature="f1", low=-0.5), Condition(feature="f1", high=1.0))
+
+
+@given(st.data())
+def test_permuting_rows_and_probabilities_together_permutes_the_pass(data) -> None:
+    n = data.draw(st.integers(1, 25), label="n")
+    column = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    table = make_table([data.draw(column), data.draw(column)],
+                       data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                       row_ids=[f"r{i}" for i in range(n)])
+    probs = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    perm = np.asarray(data.draw(st.permutations(range(n))), dtype=np.intp)
+    terms = {rid: data.draw(st.lists(st.sampled_from(_CONDITIONS), min_size=1, max_size=3))
+             for rid in table.row_ids}
+
+    mis = MisclassifiedSet(table, probs)
+    moved = MisclassifiedSet(table.subset(perm), probs[perm])
+    assert np.array_equal(moved.wrong, mis.wrong[perm])
+    assert np.array_equal(moved.probabilities, mis.probabilities[perm])
+    assert moved.metrics == mis.metrics
+
+    def counts(scored: MisclassifiedSet) -> dict:
+        explanations = [explanation(rid, *terms[rid]) for rid in scored.row_ids]
+        return {r.condition.text: (r.coverage, r.errors_in_region)
+                for r in report_from_explanations(explanations, scored).regions}
+
+    assert counts(moved) == counts(mis)
 
 
 def test_the_misclassified_mask_is_read_only() -> None:
