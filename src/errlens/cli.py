@@ -3,11 +3,11 @@
 Subcommands: synth, featurize, train, eval, explain, mine, pipeline.  Each
 takes only the flags it reads.  Every flag can also be given in a JSON config
 file (snake_case keys) passed via --config, which may also hold the keys of
-other subcommands; a flag on the command line overrides the file, which
-overrides the built-in default.  File values go through the same converter as
-flag strings, so a value of the wrong type is a usage error.  The effective
-configuration is echoed into ``run_config.json`` in the output directory and
-into every JSON artifact.
+other subcommands; those are skipped unread.  A flag on the command line
+overrides the file, which overrides the built-in default.  File values go
+through the same converter as flag strings, so a value of the wrong type is a
+usage error.  The subcommand's effective options are echoed into
+``run_config.json`` in the output directory and into every JSON artifact.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical error.
 """
@@ -99,9 +99,9 @@ _text = _scalar(str, (), "a string")
 
 
 class Option(NamedTuple):
-    """A config key, its converter, its default, and the subcommands whose
-    parser takes it as a kebab-case flag.  A default of None also lets the
-    config file give null."""
+    """A config key, its converter, its default, and the subcommands that read
+    it, as a kebab-case flag or from the config file.  A default of None also
+    lets the config file give null."""
 
     key: str
     convert: Callable[[object], object]
@@ -174,14 +174,14 @@ _NOT_ECHOED = ("jobs", "out_dir")  # execution knobs; must never affect artifact
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The effective options of one run and the library configs built from
-    them once.  ``echo`` is the part embedded in artifacts."""
+    """The effective options of one run, the library configs built from them
+    once (None where unread), and ``echo``, the part embedded in artifacts."""
 
     options: Mapping[str, object]
     echo: Mapping[str, object]
-    lime: LimeConfig
-    gbdt: GbdtParams
-    synth: SynthSpec
+    lime: LimeConfig | None
+    gbdt: GbdtParams | None
+    synth: SynthSpec | None
 
     def __getitem__(self, key: str) -> object:
         return self.options[key]
@@ -212,38 +212,46 @@ def _build(cls: type, options: Mapping[str, object]):
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < config file < command-line flags, every value converted and
-    checked here, before any input file is read."""
+    """defaults < config file < command-line flags, for the options of
+    ``args.command`` alone, each converted and checked here, before any input
+    file is read.  Config-file keys of other subcommands are skipped unread."""
+    command = args.command
     file_cfg = _read_config(args.config) if args.config else {}
     options: dict[str, object] = {}
     for opt in OPTIONS:
-        value = getattr(args, opt.key, None)
+        if command not in opt.commands:
+            continue
+        value = getattr(args, opt.key)
         if value is None and opt.key in file_cfg:
             value = _file_value(opt, file_cfg[opt.key])
         options[opt.key] = opt.default if value is None else value
     _validate(options)
     try:
-        lime, gbdt = _build(LimeConfig, options), _build(GbdtParams, options)
-        synth = default_spec(n_rows=options["rows"], n_features=options["features"],
-                             flip_rate=options["flip_rate"], seed=options["seed"])
+        lime = _build(LimeConfig, options) if command in _EXPLAIN else None
+        gbdt = _build(GbdtParams, options) if command in _FIT else None
+        synth = (default_spec(options["rows"], options["features"], options["flip_rate"],
+                              options["seed"]) if command == "synth" else None)
     except DataError as exc:
         raise UsageError(str(exc)) from None
     echo = {k: v for k, v in options.items() if k not in _NOT_ECHOED}
     return RunConfig(options, echo, lime, gbdt, synth)
 
 
+# The checks no library config makes: each key's test and the bound it states.
+_CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "threshold": (lambda x: 0.0 <= x <= 1.0, "within [0, 1]"),
+    "split_fraction": (lambda x: 0.0 < x < 1.0, "within (0, 1)"),
+    "min_support": (lambda x: 0.0 < x <= 1.0, "within (0, 1]"),
+    "jobs": (lambda n: n >= 1, "at least 1"),
+    "interval": (lambda n: n >= 1, "at least 1"),
+    "seed": (lambda n: 0 <= n < 2**64, "within [0, 2**64)"),  # LIME reduces mod 2**64
+}
+
+
 def _validate(options: Mapping[str, object]) -> None:
-    """The checks no library config makes."""
-    checks = [
-        (0.0 <= options["threshold"] <= 1.0, "threshold must be within [0, 1]"),
-        (0.0 < options["split_fraction"] < 1.0, "split-fraction must be within (0, 1)"),
-        (0.0 < options["min_support"] <= 1.0, "min-support must be within (0, 1]"),
-        (options["jobs"] >= 1, "jobs must be at least 1"),
-        (options["interval"] >= 1, "interval must be at least 1"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise UsageError(message)
+    for key, (ok, bound) in _CHECKS.items():
+        if key in options and not ok(options[key]):
+            raise UsageError(f"{key.replace('_', '-')} must be {bound}")
 
 
 def _require(cfg: RunConfig, key: str) -> object:
@@ -372,10 +380,7 @@ def cmd_mine(cfg: RunConfig) -> str:
     predictor = _predictor(cfg, table)
     disc = fit_discretizer(table)
     mis, explanations = _explain_split(cfg, predictor, table, disc, "all")
-    report = report_from_explanations(
-        explanations, mis, min_support_fraction=cfg["min_support"],
-        lime_config=cfg.lime, extra_config=cfg.echo,
-    )
+    report = report_from_explanations(explanations, mis, cfg["min_support"], cfg.echo)
     write_explanations_jsonl(explanations, os.path.join(out, "explanations.jsonl"))
     write_report_files(report, out)
     return (f"mine: {len(report.regions)} regions from "
@@ -398,10 +403,7 @@ def cmd_pipeline(cfg: RunConfig) -> str:
         mis, explanations = _explain_split(cfg, model, part, disc, name)
         _dump_artifact(mis.metrics.to_json_obj(), cfg,
                        os.path.join(out, f"metrics_{name}.json"))
-        report = report_from_explanations(
-            explanations, mis, min_support_fraction=cfg["min_support"],
-            lime_config=cfg.lime, extra_config=cfg.echo,
-        )
+        report = report_from_explanations(explanations, mis, cfg["min_support"], cfg.echo)
         write_explanations_jsonl(
             explanations, os.path.join(out, f"explanations_{name}.jsonl"))
         write_report_files(report, out)

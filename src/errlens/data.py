@@ -488,6 +488,8 @@ def split(
     """Deterministic seeded shuffle split; train gets ceil(n*(1-f)) rows."""
     if not 0.0 < test_fraction < 1.0:
         raise DegenerateSplit(f"test_fraction {test_fraction!r} not in (0, 1)")
+    if seed < 0:
+        raise DataError(f"seed {seed!r} is negative")
     n = table.n_rows
     # ceil(n*(1-f)) == n - floor(n*f); nudge so e.g. n=10, f=0.3 puts
     # exactly 3 rows in the test side despite 10*0.3 != 3.0 in binary.

@@ -71,6 +71,8 @@ class Condition:
                 raise DataError("categorical condition cannot carry bounds")
         elif self.low is None and self.high is None:
             raise DataError("continuous condition needs at least one bound")
+        elif any(math.isnan(b) for b in (self.low, self.high) if b is not None):
+            raise DataError(f"NaN bound in condition on {self.feature!r}")
         elif self.low is not None and self.high is not None and not self.low < self.high:
             raise DataError(f"empty interval ({self.low!r}, {self.high!r}]")
 
@@ -429,16 +431,17 @@ def explain(
 
     ``probability``, when given, is the score a scoring pass already gave
     the instance: sample 0, the unperturbed instance, is fitted to it and
-    the explanation states it.  Without it, both use the predictor's answer
-    for sample 0, which differs where the predictor answers a bare row with
-    another row's score, as :class:`ExternalPredictions` does.
+    the explanation states it; it is checked like the predictor's answers.
+    Without it, both use the predictor's answer for sample 0, which differs
+    where the predictor answers a bare row with another row's score, as
+    :class:`ExternalPredictions` does.
     """
     seed = instance_seed(config.seed, row_id)
     z, columns = sample_perturbations(disc, instance, config.n_samples, seed)
     probs = check_probabilities(predictor.predict_rows(disc.schema, columns),
                                 config.n_samples)
     if probability is not None:
-        probs = np.concatenate([[probability], probs[1:]])
+        probs = np.concatenate([check_probabilities([probability], 1), probs[1:]])
     width = config.kernel_width
     if width is None:
         width = default_kernel_width(len(disc.schema))

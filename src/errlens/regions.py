@@ -107,6 +107,11 @@ def explain_misclassified(
         return tuple(pool.map(one, rows))
 
 
+def _check_min_support(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise DataError("min_support_fraction must be within (0, 1]")
+
+
 def mine_conditions(
     explanations: Sequence[Explanation],
     min_support_fraction: float = 0.1,
@@ -119,8 +124,7 @@ def mine_conditions(
     """
     if not explanations:
         raise NoExplanations("no explanations to mine")
-    if not 0.0 < min_support_fraction <= 1.0:
-        raise DataError("min_support_fraction must be within (0, 1]")
+    _check_min_support(min_support_fraction)
     by_text: dict[str, Condition] = {}
     counts: dict[str, int] = {}
     for exp in explanations:
@@ -172,8 +176,8 @@ class RegionReport:
 
     Ordering: error_rate desc, then coverage desc, then canonical text asc.
     ``baseline_error_rate`` is the split-wide misclassification rate the
-    regions should be read against; ``config`` echoes the parameters that
-    produced the report.
+    regions should be read against; ``config`` is the configuration its
+    caller states produced the report, stored as given.
     """
 
     split: str
@@ -198,8 +202,7 @@ def report_from_explanations(
     explanations: Sequence[Explanation],
     misclassified: MisclassifiedSet,
     min_support_fraction: float = 0.1,
-    lime_config: LimeConfig = LimeConfig(),
-    extra_config: Mapping[str, object] | None = None,
+    config: Mapping[str, object] | None = None,
 ) -> RegionReport:
     """Mine conditions from the explanations of ``misclassified``'s rows and
     score each on the pass's table.
@@ -207,25 +210,14 @@ def report_from_explanations(
     ``explanations`` must follow ``misclassified.row_ids`` one to one, as
     :func:`explain_misclassified` returns them.  A condition that covers no
     row of the table is dropped.  With no misclassified rows the report has
-    zero regions and baseline 0.
+    zero regions and baseline 0.  The report stores ``config`` as given.
     """
+    _check_min_support(min_support_fraction)
     table = misclassified.table
     if tuple(e.row_id for e in explanations) != misclassified.row_ids:
         raise DataError("one explanation per misclassified row required, "
                         "in misclassified order")
     n_mis = len(misclassified.row_ids)
-    config: dict[str, object] = {
-        "split": misclassified.split,
-        "threshold": misclassified.threshold,
-        "min_support_fraction": min_support_fraction,
-        "top_k": lime_config.top_k,
-        "n_samples": lime_config.n_samples,
-        "kernel_width": lime_config.kernel_width,
-        "ridge_lambda": lime_config.ridge_lambda,
-        "seed": lime_config.seed,
-    }
-    if extra_config:
-        config.update(extra_config)
 
     stats: list[ConditionStats] = []
     if explanations:
@@ -246,5 +238,5 @@ def report_from_explanations(
         n_misclassified=n_mis,
         baseline_error_rate=n_mis / table.n_rows,
         regions=tuple(stats),
-        config=config,
+        config=dict(config or {}),
     )

@@ -54,6 +54,8 @@ class SynthSpec:
                 raise InvalidSpec("box does not intersect the feature ranges")
         if not 0.0 <= self.flip_rate <= 1.0:
             raise InvalidSpec("flip_rate must be within [0, 1]")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be non-negative")
 
     @property
     def n_features(self) -> int:

@@ -67,7 +67,7 @@ def find_explain_report(predictor, disc, table: LabeledTable, split: str = "test
     """The library's find -> explain -> report sequence on one split."""
     mis = find_misclassified(predictor, table, split=split)
     explanations = explain_misclassified(predictor, mis, disc, config=lime_config)
-    return report_from_explanations(explanations, mis, lime_config=lime_config)
+    return report_from_explanations(explanations, mis)
 
 
 def count_table_scores(monkeypatch, predictor_class) -> list[int]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import find_explain_report, make_table
+from conftest import make_table
 from errlens import (
     Condition,
     Explanation,
@@ -29,6 +29,7 @@ from errlens import (
     LabeledTable,
     LimeConfig,
     Metrics,
+    MisclassifiedSet,
     Predictor,
     RegionReport,
     default_spec,
@@ -52,6 +53,7 @@ from errlens.cli import EXIT_OK, main as cli_main
 class PlantedRun:
     test_table: LabeledTable
     model: GbdtModel
+    misclassified: MisclassifiedSet
     explanations: tuple[Explanation, ...]
     report: RegionReport
     seconds: float
@@ -74,6 +76,7 @@ def planted_run() -> PlantedRun:
     return PlantedRun(
         test_table=test_table,
         model=model,
+        misclassified=mis,
         explanations=explanations,
         report=report,
         seconds=time.perf_counter() - t0,
@@ -309,10 +312,11 @@ def holds_by_hand(cond: Condition, value: float | str) -> bool:
     return cond.high is None or value <= cond.high
 
 
-def recount_regions(report: RegionReport, table: LabeledTable,
+def recount_regions(report: RegionReport, misclassified: MisclassifiedSet,
                     predictor: Predictor) -> None:
+    table = misclassified.table
     probs = predictor.predict_table(table)
-    threshold = float(report.config["threshold"])
+    threshold = misclassified.threshold
     assert report.regions  # the scan below must actually check something
     for region in report.regions:
         j = table.index_of(region.condition.feature)
@@ -331,7 +335,7 @@ def recount_regions(report: RegionReport, table: LabeledTable,
 def test_criterion_6_region_counts_survive_a_brute_force_rescan(
     planted_run: PlantedRun,
 ) -> None:
-    recount_regions(planted_run.report, planted_run.test_table,
+    recount_regions(planted_run.report, planted_run.misclassified,
                     planted_run.model)
 
     # and again on a dataset with a categorical feature in the mix
@@ -345,9 +349,10 @@ def test_criterion_6_region_counts_survive_a_brute_force_rescan(
         kinds=["continuous", "continuous", "categorical"],
     )
     model = train_gbdt(table.subset(range(250)), GbdtParams(rounds=20))
-    report = find_explain_report(model, fit_discretizer(table), table, split="all",
-                                 lime_config=LimeConfig(n_samples=400, seed=1))
-    recount_regions(report, table, model)
+    mis = find_misclassified(model, table, split="all")
+    explanations = explain_misclassified(model, mis, fit_discretizer(table),
+                                         config=LimeConfig(n_samples=400, seed=1))
+    recount_regions(report_from_explanations(explanations, mis), mis, model)
 
 
 # --- criterion 7: byte-identical artifacts across runs and worker counts -------------

@@ -171,7 +171,7 @@ def test_flags_override_the_config_file_which_overrides_defaults(tmp_path) -> No
     effective = read_json(f"{out}/run_config.json")
     assert effective["seed"] == 5       # from the file
     assert effective["rows"] == 70      # flag wins
-    assert effective["threshold"] == 0.5  # untouched default
+    assert effective["features"] == 6   # untouched default
     assert "out_dir" not in effective and "jobs" not in effective
 
 
@@ -181,6 +181,75 @@ def test_every_json_artifact_echoes_the_effective_config(synth_dir, model_dir) -
         config = read_json(path)["config"]
         assert config["seed"] == 7
         assert "out_dir" not in config and "jobs" not in config
+
+
+def _series_csv(path) -> str:
+    rows = ["entity_id,timestamp_s,hr,label"]
+    rows += [f"a,{t},{t / 100},1" for t in range(0, 3000, 300)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_each_subcommand_echoes_exactly_its_own_options(tmp_path, synth_dir,
+                                                        model_dir) -> None:
+    table, model = ("--data", f"{synth_dir}/synth.csv"), f"{model_dir}/model.json"
+    argv = {
+        "synth": ("--rows", "40"),
+        "featurize": ("--data", _series_csv(tmp_path / "s.csv"), "--channels", "hr"),
+        "train": (*table, "--rounds", "3"),
+        "eval": (*table, "--model", model),
+        "explain": (*table, "--model", model, "--n-samples", "50"),
+        "mine": (*table, "--model", model, "--n-samples", "50"),
+        "pipeline": (*table, "--rounds", "3", "--n-samples", "50"),
+    }
+    for command, flags in argv.items():
+        out = str(tmp_path / "runs" / command)
+        assert run(command, *flags, "--out-dir", out) == EXIT_OK, command
+        echo = read_json(f"{out}/run_config.json")
+        assert set(echo) == {opt.key for opt in OPTIONS if command in opt.commands
+                             } - {"jobs", "out_dir"}, command
+        artifacts = [name for name in os.listdir(out)
+                     if name.endswith(".json") and name != "run_config.json"]
+        assert artifacts or command in ("featurize", "explain")
+        for name in artifacts:
+            assert read_json(f"{out}/{name}")["config"] == echo, f"{command}: {name}"
+
+
+def test_config_keys_of_other_subcommands_are_skipped_unread(tmp_path, synth_dir) -> None:
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"predictions": "p.csv", "rows": 9, "interval": 0,
+                                  "flip_rate": 7}), encoding="utf-8")
+    out = str(tmp_path / "pipe")
+    assert run("pipeline", "--config", str(config), "--data", f"{synth_dir}/synth.csv",
+               "--rounds", "3", "--n-samples", "50", "--out-dir", out) == EXIT_OK
+    for name in os.listdir(out):
+        if name.endswith(".json"):
+            config_echo = read_json(f"{out}/{name}")
+            config_echo = config_echo.get("config", config_echo)
+            assert not {"predictions", "rows", "interval", "flip_rate"} & set(config_echo)
+    # a key no subcommand reads is still refused
+    config.write_text(json.dumps({"rows": 9, "rowz": 9}), encoding="utf-8")
+    assert run("pipeline", "--config", str(config), "--data", f"{synth_dir}/synth.csv",
+               "--out-dir", str(tmp_path / "o")) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("synth", "--seed", "-1"), None),
+    (("pipeline", "--data", "absent.csv", "--seed", "-3"), None),
+    (("pipeline", "--data", "absent.csv"), {"seed": -3}),
+    (("explain", "--data", "absent.csv", "--model", "m.json",
+      "--seed", str(2**64)), None),
+    (("train", "--data", "absent.csv"), {"seed": 2**64 + 5}),
+])
+def test_seeds_outside_64_bits_are_one_line_usage_errors(tmp_path, capsys, argv,
+                                                         config) -> None:
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = (*argv, "--config", str(tmp_path / "c.json"))
+    assert run(*argv, "--out-dir", str(tmp_path / "o")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be within [0, 2**64)" in err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_unknown_config_keys_are_a_usage_error(tmp_path) -> None:

@@ -333,3 +333,9 @@ def test_split_rejects_degenerate_fractions() -> None:
     for fraction in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(DegenerateSplit):
             split(table, test_fraction=fraction, seed=0)
+
+
+def test_split_rejects_a_negative_seed() -> None:
+    table = make_table([[1.0, 2.0, 3.0, 4.0]], [0, 1, 0, 1])
+    with pytest.raises(DataError, match="seed"):
+        split(table, test_fraction=0.5, seed=-3)

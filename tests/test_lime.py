@@ -24,7 +24,7 @@ from errlens import (
     sample_perturbations,
     write_explanations_jsonl,
 )
-from errlens.errors import DataError, SingularSystem, UnknownFeature
+from errlens.errors import DataError, ProbabilityOutOfRange, SingularSystem, UnknownFeature
 from errlens.lime import default_kernel_width, fnv1a64
 
 
@@ -166,6 +166,9 @@ def test_malformed_conditions_are_rejected() -> None:
         Condition(feature="f", low=2.0, high=2.0)
     with pytest.raises(DataError):
         Condition(feature="c", category="x", low=1.0)
+    for bounds in ({"high": math.nan}, {"low": math.nan}, {"low": 0.0, "high": math.nan}):
+        with pytest.raises(DataError):
+            Condition(feature="f", **bounds)
 
 
 # --- kernel -------------------------------------------------------------------------
@@ -422,6 +425,17 @@ def test_explain_rejects_predictor_outputs_that_are_not_probabilities(bad: str) 
     with pytest.raises(DataError, match="predictor"):
         explain(predictor, fit_discretizer(table), "0", table.row_values(0), 0,
                 LimeConfig(n_samples=50))
+
+
+@pytest.mark.parametrize("probability", [1.5, -0.25, math.nan])
+def test_explain_rejects_a_stated_probability_outside_the_unit_interval(
+    probability: float,
+) -> None:
+    table = make_table([np.linspace(0.0, 1.0, 40).tolist()], [0, 1] * 20)
+    predictor = FunctionPredictor(table.schema, lambda cols: np.full(len(cols[0]), 0.5))
+    with pytest.raises(ProbabilityOutOfRange):
+        explain(predictor, fit_discretizer(table), "0", table.row_values(0), 0,
+                LimeConfig(n_samples=50), probability=probability)
 
 
 def test_explanations_depend_on_the_row_id_not_the_call_order() -> None:

@@ -157,6 +157,16 @@ def test_mining_rejects_empty_input_and_bad_support_bounds() -> None:
             mine_conditions([explanation("0", greater("a"))], bad)
 
 
+def test_report_rejects_bad_support_bounds_even_with_nothing_to_mine() -> None:
+    table = make_table([[1.0, 2.0]], [0, 1])
+    mis = find_misclassified(fixed_predictor(table, [0.1, 0.9]), table)
+    assert mis.row_ids == ()
+    assert report_from_explanations([], mis).regions == ()
+    for bad in (0.0, 5.0, float("nan")):
+        with pytest.raises(DataError, match="min_support_fraction"):
+            report_from_explanations([], mis, min_support_fraction=bad)
+
+
 @given(
     st.lists(
         st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4),
@@ -263,21 +273,18 @@ def test_report_rejects_an_explanation_of_a_feature_the_table_lacks() -> None:
         report_from_explanations([explanation("0", greater("nope"))], mis)
 
 
-def test_report_config_echoes_every_knob_plus_extras() -> None:
+def test_report_stores_the_given_config_verbatim() -> None:
     table = make_table([[1.0, 2.0]], [0, 0])
     predictor = fixed_predictor(table, [0.9, 0.1])
     mis = find_misclassified(predictor, table, threshold=0.4, split="train")
+    config = {"threshold": 0.4, "min_support": 0.2, "top_k": 3, "n_samples": 100,
+              "kernel_width": None, "ridge_lambda": 1.0, "seed": 8}
     report = report_from_explanations(
-        [explanation("0", greater("f0"))], mis,
-        min_support_fraction=0.2,
-        lime_config=LimeConfig(n_samples=100, top_k=3, seed=8),
-        extra_config={"rows": 2},
+        [explanation("0", greater("f0"))], mis, min_support_fraction=0.2, config=config,
     )
-    assert report.config == {
-        "split": "train", "threshold": 0.4, "min_support_fraction": 0.2,
-        "top_k": 3, "n_samples": 100, "kernel_width": None,
-        "ridge_lambda": 1.0, "seed": 8, "rows": 2,
-    }
+    assert report.config == config
+    assert report.to_json_obj()["config"] == config
+    assert report_from_explanations([explanation("0", greater("f0"))], mis).config == {}
 
 
 def test_build_report_is_consistent_with_the_evaluation_metrics() -> None:

@@ -90,3 +90,9 @@ def test_spec_validation_rejects_inconsistent_shapes_and_ranges() -> None:
         SynthSpec(**{**base, "box": ((5.0, None),)})
     with pytest.raises(InvalidSpec):
         SynthSpec(**{**base, "flip_rate": 1.5})
+
+
+def test_spec_rejects_a_negative_seed() -> None:
+    default_spec(n_rows=10, seed=0)
+    with pytest.raises(InvalidSpec, match="seed"):
+        default_spec(n_rows=10, seed=-1)
