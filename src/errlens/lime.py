@@ -292,6 +292,12 @@ def default_kernel_width(n_features: int) -> float:
 # --- weighted ridge surrogate ----------------------------------------------------
 
 
+# A Cholesky pivot keeping at most this share of its column's weighted square
+# norm marks a singular system.  Rounding leaves about 1e-15 of a collinear
+# column; the quick-start surrogates keep at least 0.66.
+_PIVOT_RTOL = 1e-10
+
+
 def fit_local_model(
     z: np.ndarray, y: np.ndarray, weights: np.ndarray, ridge_lambda: float
 ) -> tuple[np.ndarray, float, float]:
@@ -300,6 +306,9 @@ def fit_local_model(
     Solves the (d+1)-dimensional normal equations with ``ridge_lambda`` added
     to the non-intercept diagonal, via a symmetric positive-definite
     (Cholesky) solve.  Returns (coefficients, intercept, weighted R^2).
+    Raises :class:`SingularSystem` when a column of the system is collinear
+    with the intercept or the columns before it (a constant column of ``z``
+    with ``ridge_lambda`` 0, say), by the pivot rule at ``_PIVOT_RTOL``.
     """
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -323,6 +332,14 @@ def fit_local_model(
         u = np.linalg.cholesky(a, upper=True)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
+    # Pivot i squared is what is left of column i's weighted square norm once
+    # the columns before it are projected out.  A column collinear with them
+    # (a constant one is collinear with the intercept) leaves only rounding,
+    # so the rule, not the rounding, decides that the system is singular.
+    kept = np.diagonal(u) ** 2 / np.diagonal(a)
+    if (kept <= _PIVOT_RTOL).any():
+        raise SingularSystem(f"surrogate column {int(np.argmin(kept))} is collinear "
+                             "with the intercept or the columns before it")
     # a = u.T @ u: solve u.T @ t = b forward, then u @ beta = t backward, in
     # Python floats: at this size a quarter of the time numpy calls take.
     # Multiplying by the diagonal's reciprocals, as OpenBLAS's triangular
@@ -340,14 +357,12 @@ def fit_local_model(
         beta[i] *= inv[i]
     beta = np.asarray(beta)
 
-    fitted = x @ beta
-    if np.ptp(y) == 0.0:
-        r2 = 1.0
-    else:
+    r2 = 1.0  # unless the weighted target varies, there is nothing to explain
+    if np.ptp(y[w > 0]) > 0.0:
         y_bar = float(np.sum(w * y) / np.sum(w))
-        ss_res = float(np.sum(w * (y - fitted) ** 2))
         ss_tot = float(np.sum(w * (y - y_bar) ** 2))
-        r2 = 1.0 - ss_res / ss_tot
+        if ss_tot > 0.0:
+            r2 = 1.0 - float(np.sum(w * (y - x @ beta) ** 2)) / ss_tot
     return beta[1:], float(beta[0]), float(r2)
 
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import BAD_PREDICTOR_OUTPUTS, make_table
@@ -235,6 +237,27 @@ def test_duplicate_columns_without_ridge_are_singular() -> None:
     y = np.asarray([1.0, 0.0, 1.0, 0.0])
     with pytest.raises(SingularSystem):
         fit_local_model(z, y, np.ones(4), ridge_lambda=0.0)
+
+
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+def test_a_constant_column_without_ridge_is_always_singular(n: int, d: int, data) -> None:
+    # whatever the weights and the other columns, a constant column is
+    # collinear with the intercept: singular by rule, not by rounding
+    weights = np.asarray(data.draw(st.lists(
+        st.floats(0.0, 1.0, allow_subnormal=False), min_size=n, max_size=n)))
+    assume(weights.sum() > 0)
+    z = np.asarray(data.draw(st.lists(st.lists(st.sampled_from((0.0, 1.0)),
+                                               min_size=d, max_size=d),
+                                      min_size=n, max_size=n)))
+    z[:, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from((0.0, 1.0)))
+    y = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    with pytest.raises(SingularSystem):
+        fit_local_model(z, y, weights, ridge_lambda=0.0)
+    fit_local_model(z, y, weights, ridge_lambda=1.0)  # the ridge makes it regular
 
 
 def test_the_ridge_solve_matches_a_lapack_cholesky_solve() -> None:
