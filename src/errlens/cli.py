@@ -244,7 +244,6 @@ _CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
     "min_support": (lambda x: 0.0 < x <= 1.0, "within (0, 1]"),
     "jobs": (lambda n: n >= 1, "at least 1"),
     "interval": (lambda n: n >= 1, "at least 1"),
-    "seed": (lambda n: 0 <= n < 2**64, "within [0, 2**64)"),  # LIME reduces mod 2**64
 }
 
 

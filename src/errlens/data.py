@@ -482,14 +482,19 @@ def load_series_csv(
 # --- train/test split --------------------------------------------------------
 
 
+def check_seed(seed: int, error: type[DataError] = DataError) -> None:
+    """Every seed is an unsigned 64-bit integer, so no two seeds draw alike."""
+    if not 0 <= seed < 2**64:
+        raise error("seed must be within [0, 2**64)")
+
+
 def split(
     table: LabeledTable, test_fraction: float, seed: int
 ) -> tuple[LabeledTable, LabeledTable]:
     """Deterministic seeded shuffle split; train gets ceil(n*(1-f)) rows."""
     if not 0.0 < test_fraction < 1.0:
         raise DegenerateSplit(f"test_fraction {test_fraction!r} not in (0, 1)")
-    if seed < 0:
-        raise DataError(f"seed {seed!r} is negative")
+    check_seed(seed)
     n = table.n_rows
     # ceil(n*(1-f)) == n - floor(n*f); nudge so e.g. n=10, f=0.3 puts
     # exactly 3 rows in the test side despite 10*0.3 != 3.0 in binary.

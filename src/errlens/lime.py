@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureSpec, LabeledTable, feature_index
+from .data import FeatureSpec, LabeledTable, check_seed, feature_index
 from .errors import DataError, EmptyTable, SingularSystem
 from .model import Columns, Predictor, check_probabilities
 from .serialize import canonical_json_line
@@ -250,7 +250,7 @@ def sample_perturbations(
         raise DataError("n_samples must be at least 1")
     if len(instance) != len(disc.schema):
         raise DataError("instance does not match the discretizer schema")
-    rng = np.random.default_rng(seed % (_U64 + 1))
+    rng = np.random.default_rng(seed)
     d = len(disc.schema)
     z = np.ones((n_samples, d))
     columns: list[np.ndarray] = []
@@ -393,6 +393,7 @@ class LimeConfig:
             raise DataError("ridge_lambda must be finite and non-negative")
         if self.top_k < 1:
             raise DataError("top_k must be at least 1")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,7 +15,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .data import FeatureSpec, LabeledTable, _frozen, read_csv
+from .data import FeatureSpec, LabeledTable, _frozen, check_seed, read_csv
 from .errors import (
     DataError,
     DuplicateRowId,
@@ -480,6 +480,7 @@ class GbdtParams:
             raise DataError("learning_rate must be within (0, 1]")
         if not self.l2 >= 0:
             raise DataError("l2 must be non-negative")
+        check_seed(self.seed)
 
 
 class _TreeGrower:

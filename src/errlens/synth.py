@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureSpec, LabeledTable
+from .data import FeatureSpec, LabeledTable, check_seed
 from .errors import InvalidSpec
 
 Interval = tuple[float | None, float | None]  # None = unconstrained side
@@ -54,8 +54,7 @@ class SynthSpec:
                 raise InvalidSpec("box does not intersect the feature ranges")
         if not 0.0 <= self.flip_rate <= 1.0:
             raise InvalidSpec("flip_rate must be within [0, 1]")
-        if self.seed < 0:
-            raise InvalidSpec("seed must be non-negative")
+        check_seed(self.seed, InvalidSpec)
 
     @property
     def n_features(self) -> int:

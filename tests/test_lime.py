@@ -16,6 +16,7 @@ from conftest import BAD_PREDICTOR_OUTPUTS, make_table
 from errlens import (
     Condition,
     FunctionPredictor,
+    GbdtParams,
     LimeConfig,
     condition_for,
     explain,
@@ -507,3 +508,11 @@ def test_lime_config_validates_every_knob() -> None:
                 dict(ridge_lambda=math.nan), dict(ridge_lambda=math.inf), dict(top_k=0)):
         with pytest.raises(DataError):
             LimeConfig(**bad)
+
+
+@pytest.mark.parametrize("config", [LimeConfig, GbdtParams])
+def test_library_configs_take_only_64_bit_unsigned_seeds(config) -> None:
+    assert config(seed=2**64 - 1).seed == 2**64 - 1
+    for bad in (-1, 2**64):
+        with pytest.raises(DataError, match=r"seed must be within \[0, 2\*\*64\)"):
+            config(seed=bad)
