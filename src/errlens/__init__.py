@@ -30,7 +30,6 @@ from .lime import (
     explain,
     fit_discretizer,
     fit_local_model,
-    instance_seed,
     kernel_weights,
     sample_perturbations,
     write_explanations_jsonl,
@@ -93,7 +92,6 @@ __all__ = [
     "fit_discretizer",
     "fit_local_model",
     "generate",
-    "instance_seed",
     "kernel_weights",
     "load_csv",
     "load_external_predictions",

@@ -32,7 +32,7 @@ from .data import (
     write_csv,
 )
 from .errors import DataError, NumericalError
-from .lime import LimeConfig, fit_discretizer, write_explanations_jsonl
+from .lime import LimeConfig, PerturbationPool, fit_discretizer, write_explanations_jsonl
 from .model import GbdtModel, GbdtParams, Predictor, load_external_predictions, train_gbdt
 from .regions import explain_misclassified, find_misclassified, report_from_explanations
 from .report import write_report_files
@@ -353,21 +353,17 @@ def cmd_eval(cfg: RunConfig) -> str:
             f"-> {out}/metrics.json")
 
 
-def _explain_split(cfg: RunConfig, predictor: Predictor,
-                   table: LabeledTable, disc, split_name: str):
-    mis = find_misclassified(predictor, table, threshold=cfg["threshold"],
-                             split=split_name)
-    explanations = explain_misclassified(predictor, mis, disc,
-                                         config=cfg.lime, jobs=cfg["jobs"])
-    return mis, explanations
+def _explain_split(cfg: RunConfig, pool: PerturbationPool, table: LabeledTable, name: str):
+    mis = find_misclassified(pool.predictor, table, threshold=cfg["threshold"], split=name)
+    return mis, explain_misclassified(pool.predictor, mis, pool.disc, cfg.lime,
+                                      cfg["jobs"], pool=pool)
 
 
 def cmd_explain(cfg: RunConfig) -> str:
     out = _out_dir(cfg)
     table = _load_table(cfg)
-    predictor = _predictor(cfg, table)
-    disc = fit_discretizer(table)
-    _, explanations = _explain_split(cfg, predictor, table, disc, "all")
+    pool = PerturbationPool(_predictor(cfg, table), fit_discretizer(table), cfg.lime)
+    _, explanations = _explain_split(cfg, pool, table, "all")
     write_explanations_jsonl(explanations, os.path.join(out, "explanations.jsonl"))
     return (f"explain: {len(explanations)} of {table.n_rows} rows misclassified "
             f"-> {out}/explanations.jsonl")
@@ -376,9 +372,8 @@ def cmd_explain(cfg: RunConfig) -> str:
 def cmd_mine(cfg: RunConfig) -> str:
     out = _out_dir(cfg)
     table = _load_table(cfg)
-    predictor = _predictor(cfg, table)
-    disc = fit_discretizer(table)
-    mis, explanations = _explain_split(cfg, predictor, table, disc, "all")
+    pool = PerturbationPool(_predictor(cfg, table), fit_discretizer(table), cfg.lime)
+    mis, explanations = _explain_split(cfg, pool, table, "all")
     report = report_from_explanations(explanations, mis, cfg["min_support"], cfg.echo)
     write_explanations_jsonl(explanations, os.path.join(out, "explanations.jsonl"))
     write_report_files(report, out)
@@ -396,10 +391,11 @@ def cmd_pipeline(cfg: RunConfig) -> str:
                                     seed=cfg["seed"])
     model = train_gbdt(train_table, cfg.gbdt)
     _dump_artifact(model.to_json_obj(), cfg, os.path.join(out, "model.json"))
-    disc = fit_discretizer(train_table)
+    # the two splits share one model and discretizer, so one pool
+    pool = PerturbationPool(model, fit_discretizer(train_table), cfg.lime)
     summaries = []
     for name, part in (("train", train_table), ("test", test_table)):
-        mis, explanations = _explain_split(cfg, model, part, disc, name)
+        mis, explanations = _explain_split(cfg, pool, part, name)
         _dump_artifact(mis.metrics.to_json_obj(), cfg,
                        os.path.join(out, f"metrics_{name}.json"))
         report = report_from_explanations(explanations, mis, cfg["min_support"], cfg.echo)

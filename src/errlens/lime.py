@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -21,26 +22,6 @@ from .data import FeatureSpec, LabeledTable, check_seed, feature_index
 from .errors import DataError, EmptyTable, SingularSystem
 from .model import Columns, Predictor, check_probabilities
 from .serialize import canonical_json_line
-
-# --- deterministic per-instance seeding ---------------------------------------
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a64(text: str) -> int:
-    """64-bit FNV-1a hash of the UTF-8 bytes of ``text``."""
-    h = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * _FNV_PRIME) & _U64
-    return h
-
-
-def instance_seed(base_seed: int, row_id: str) -> int:
-    """Per-instance RNG seed: base seed XOR the id hash (mod 2^64)."""
-    return (base_seed & _U64) ^ fnv1a64(row_id)
-
 
 # --- conditions ----------------------------------------------------------------
 
@@ -135,7 +116,7 @@ class ContinuousBins:
         return len(self.edges) + 1
 
     def bin_of(self, value: float) -> int:
-        return int(np.searchsorted(self.edges, value, side="left"))
+        return int(np.searchsorted(self.edges, float(value), side="left"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,6 +125,11 @@ class CategoricalBins:
 
     categories: tuple[str, ...]
     frequencies: tuple[float, ...]
+
+    def bin_of(self, value: object) -> int:
+        """The category's code; -1, which no draw has, for an unseen one."""
+        value = str(value)
+        return self.categories.index(value) if value in self.categories else -1
 
 
 @dataclass(frozen=True)
@@ -232,49 +218,32 @@ def _choice(rng: np.random.Generator, frequencies: Sequence[float], m: int) -> n
 
 
 def sample_perturbations(
-    disc: Discretizer,
-    instance: Sequence[float | str],
-    n_samples: int,
-    seed: int,
+    disc: Discretizer, n_samples: int, seed: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Draw the binary similarity matrix Z and raw perturbed columns X.
+    """Draw perturbed samples 1..n-1, which no explained row affects.
 
-    Row 0 is the unperturbed instance (Z all ones).  For rows 1..n-1, each
-    continuous feature draws a bin by training frequency, then a value from
-    that bin's normal(mean, std) clamped to the bin's observed range;
-    categorical features draw a category by frequency.  ``Z[s, j]`` is 1 iff
-    the draw landed in the instance's bin / category.  The RNG is consumed
-    feature by feature, so results do not depend on scheduling.
+    Each continuous feature draws a bin by training frequency, then a value
+    from that bin's normal(mean, std) clamped to the bin's observed range;
+    categorical features draw a category by frequency.  Returns the
+    ``(n-1, d)`` drawn bins (category codes for categorical features) and
+    each feature's drawn values.  The RNG is consumed feature by feature.
     """
     if n_samples < 1:
         raise DataError("n_samples must be at least 1")
-    if len(instance) != len(disc.schema):
-        raise DataError("instance does not match the discretizer schema")
     rng = np.random.default_rng(seed)
-    d = len(disc.schema)
-    z = np.ones((n_samples, d))
-    columns: list[np.ndarray] = []
     m = n_samples - 1
+    drawn = np.empty((m, len(disc.schema)), dtype=np.intp)
+    columns: list[np.ndarray] = []
     for j, bins in enumerate(disc.per_feature):
+        b = drawn[:, j] = _choice(rng, bins.frequencies, m)
         if isinstance(bins, CategoricalBins):
-            inst_cat = str(instance[j])
-            cats = np.asarray(bins.categories, dtype=str)
-            drawn = _choice(rng, bins.frequencies, m)
-            z[1:, j] = cats[drawn] == inst_cat
-            col = np.concatenate([[inst_cat], cats[drawn]])
-            columns.append(np.asarray(col, dtype=str))
+            columns.append(np.asarray(bins.categories, dtype=str)[b])
         else:
-            inst_value = float(instance[j])
-            inst_bin = bins.bin_of(inst_value)
-            drawn = _choice(rng, bins.frequencies, m)
             # what rng.normal(loc, scale) computes, from the same draws
-            raw = np.asarray(bins.stds)[drawn] * rng.standard_normal(m)
-            raw += np.asarray(bins.means)[drawn]
-            raw = np.clip(raw, np.asarray(bins.mins)[drawn],
-                          np.asarray(bins.maxs)[drawn])
-            z[1:, j] = drawn == inst_bin
-            columns.append(np.concatenate([[inst_value], raw]))
-    return z, columns
+            raw = np.asarray(bins.stds)[b] * rng.standard_normal(m)
+            raw += np.asarray(bins.means)[b]
+            columns.append(np.clip(raw, np.asarray(bins.mins)[b], np.asarray(bins.maxs)[b]))
+    return drawn, columns
 
 
 def kernel_weights(z: np.ndarray, kernel_width: float) -> np.ndarray:
@@ -292,9 +261,8 @@ def default_kernel_width(n_features: int) -> float:
 # --- weighted ridge surrogate ----------------------------------------------------
 
 
-# A Cholesky pivot keeping at most this share of its column's weighted square
-# norm marks a singular system.  Rounding leaves about 1e-15 of a collinear
-# column; the quick-start surrogates keep at least 0.66.
+# Rounding leaves a collinear column's pivot about 1e-15 of its weighted square
+# norm; the quick-start surrogates' pivots keep at least 0.66 of theirs.
 _PIVOT_RTOL = 1e-10
 
 
@@ -306,9 +274,8 @@ def fit_local_model(
     Solves the (d+1)-dimensional normal equations with ``ridge_lambda`` added
     to the non-intercept diagonal, via a symmetric positive-definite
     (Cholesky) solve.  Returns (coefficients, intercept, weighted R^2).
-    Raises :class:`SingularSystem` when a column of the system is collinear
-    with the intercept or the columns before it (a constant column of ``z``
-    with ``ridge_lambda`` 0, say), by the pivot rule at ``_PIVOT_RTOL``.
+    A column collinear with the intercept or the columns before it (say, a
+    constant column with ``ridge_lambda`` 0) raises :class:`SingularSystem`.
     """
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -332,14 +299,11 @@ def fit_local_model(
         u = np.linalg.cholesky(a, upper=True)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    # Pivot i squared is what is left of column i's weighted square norm once
-    # the columns before it are projected out.  A column collinear with them
-    # (a constant one is collinear with the intercept) leaves only rounding,
-    # so the rule, not the rounding, decides that the system is singular.
+    # pivot i squared is what is left of column i's weighted square norm once
+    # the columns before it are projected out: by a rule, not by rounding
     kept = np.diagonal(u) ** 2 / np.diagonal(a)
     if (kept <= _PIVOT_RTOL).any():
-        raise SingularSystem(f"surrogate column {int(np.argmin(kept))} is collinear "
-                             "with the intercept or the columns before it")
+        raise SingularSystem(f"surrogate column {int(np.argmin(kept))} is collinear")
     # a = u.T @ u: solve u.T @ t = b forward, then u @ beta = t backward, in
     # Python floats: at this size a quarter of the time numpy calls take.
     # Multiplying by the diagonal's reciprocals, as OpenBLAS's triangular
@@ -374,8 +338,8 @@ class LimeConfig:
     """Knobs of the explanation procedure.
 
     ``kernel_width=None`` resolves to 0.75*sqrt(n_features) at explain time.
-    ``seed`` is the base seed; each instance derives its own stream from it
-    and its row id, so explanations are order- and schedule-independent.
+    ``seed`` draws the one pool of perturbed samples that every explanation
+    shares, so none depends on the order, the threads or the other rows.
     """
 
     n_samples: int = 5000
@@ -448,34 +412,57 @@ def explain(
     ``probability``, when given, is the score a scoring pass already gave
     the instance: sample 0, the unperturbed instance, is fitted to it and
     the explanation states it; it is checked like the predictor's answers.
-    Without it, both use the predictor's answer for sample 0, which differs
-    where the predictor answers a bare row with another row's score, as
-    :class:`ExternalPredictions` does.
+    Without it, both use the predictor's answer for the bare instance, which
+    differs where the predictor answers a bare row with another row's score,
+    as :class:`ExternalPredictions` does.  Samples 1..n-1 are the
+    :class:`PerturbationPool`'s, whose explanation this equals.
     """
-    seed = instance_seed(config.seed, row_id)
-    z, columns = sample_perturbations(disc, instance, config.n_samples, seed)
-    probs = check_probabilities(predictor.predict_rows(disc.schema, columns),
-                                config.n_samples)
-    if probability is not None:
-        probs = np.concatenate([check_probabilities([probability], 1), probs[1:]])
-    width = config.kernel_width
-    if width is None:
-        width = default_kernel_width(len(disc.schema))
-    weights = kernel_weights(z, width)
-    coef, intercept, r2 = fit_local_model(z, probs, weights, config.ridge_lambda)
+    return PerturbationPool(predictor, disc, config).explain(
+        row_id, instance, true_label, probability, threshold)
 
-    order = sorted(range(len(coef)), key=lambda j: (-abs(coef[j]), j))
-    terms = tuple(
-        (condition_for(disc, disc.schema[j].name, instance[j]), float(coef[j]))
-        for j in order[: config.top_k]
-    )
-    prob = float(probs[0])
-    return Explanation(
-        row_id=row_id,
-        true_label=int(true_label),
-        predicted_label=int(prob >= threshold),
-        predicted_probability=prob,
-        terms=terms,
-        intercept=intercept,
-        surrogate_r2=r2,
-    )
+
+class PerturbationPool:
+    """The perturbed samples 1..n-1 of every explanation of ``predictor``
+    under ``disc`` and ``config``.  No explained row affects them, so they are
+    drawn from ``config.seed`` and scored once, on first use, and a
+    difference between two rows' explanations is the model's, not the draws'.
+    """
+
+    def __init__(self, predictor: Predictor, disc: Discretizer,
+                 config: LimeConfig = LimeConfig()) -> None:
+        self.predictor, self.disc, self.config = predictor, disc, config
+
+    @cached_property
+    def scored(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pool's drawn bins, and the predictor's scores of its rows."""
+        drawn, columns = sample_perturbations(self.disc, self.config.n_samples,
+                                              self.config.seed)
+        probs = self.predictor.predict_rows(self.disc.schema, columns)
+        return drawn, check_probabilities(probs, len(drawn))
+
+    def explain(self, row_id: str, instance: Sequence[float | str], true_label: int,
+                probability: float | None, threshold: float = 0.5) -> Explanation:
+        """:func:`explain` with this pool."""
+        disc, config = self.disc, self.config
+        if len(instance) != len(disc.schema):
+            raise DataError("instance does not match the discretizer schema")
+        if probability is None:
+            row = [np.asarray([v], dtype=str if isinstance(b, CategoricalBins) else float)
+                   for b, v in zip(disc.per_feature, instance)]
+            probability = check_probabilities(self.predictor.predict_rows(disc.schema, row), 1)[0]
+        drawn, probs = self.scored
+        z = np.ones((config.n_samples, len(disc.schema)))
+        z[1:] = drawn == [b.bin_of(v) for b, v in zip(disc.per_feature, instance)]
+        width = config.kernel_width or default_kernel_width(len(disc.schema))
+        probs = np.concatenate([check_probabilities([probability], 1), probs])
+        coef, intercept, r2 = fit_local_model(z, probs, kernel_weights(z, width),
+                                              config.ridge_lambda)
+
+        order = sorted(range(len(coef)), key=lambda j: (-abs(coef[j]), j))
+        terms = tuple(
+            (condition_for(disc, disc.schema[j].name, instance[j]), float(coef[j]))
+            for j in order[: config.top_k]
+        )
+        prob = float(probs[0])
+        return Explanation(row_id, int(true_label), int(prob >= threshold), prob, terms,
+                           intercept, r2)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import LabeledTable
 from .errors import DataError, EmptyTable, NoExplanations
-from .lime import Condition, Discretizer, Explanation, LimeConfig, explain
+from .lime import Condition, Discretizer, Explanation, LimeConfig, PerturbationPool
 from .model import Metrics, Predictor, check_probabilities
 
 
@@ -78,33 +78,35 @@ def explain_misclassified(
     disc: Discretizer,
     config: LimeConfig = LimeConfig(),
     jobs: int = 1,
+    *,
+    pool: PerturbationPool | None = None,
 ) -> tuple[Explanation, ...]:
     """One explanation per misclassified row of the pass's table.
 
     Each explanation states the probability ``misclassified``'s scoring pass
-    gave its row, and fits its unperturbed sample 0 to it.  Rows are
-    independent (each derives its own RNG stream from its row id), so they
-    may be explained in parallel; results are returned in
-    ``misclassified.row_ids`` order regardless of scheduling.
+    gave its row, and fits its unperturbed sample 0 to it.  Samples 1..n-1
+    are ``pool``'s, or else a new pool's, drawn and scored in one predictor
+    call; so each equals the row's lone :func:`explain` with that probability,
+    whatever the order, ``jobs`` or other rows.  ``jobs`` threads fit the
+    surrogates; results are in ``misclassified.row_ids`` order.
     """
+    if pool is None:
+        pool = PerturbationPool(predictor, disc, config)
+    elif pool.predictor is not predictor or pool.disc is not disc or pool.config != config:
+        raise DataError("the pool was drawn for another predictor, discretizer or config")
     table, probs = misclassified.table, misclassified.probabilities
     rows = np.flatnonzero(misclassified.wrong)
+    if len(rows):
+        pool.scored  # noqa: B018 - draw and score the pool before any thread does
 
     def one(i: int) -> Explanation:
-        return explain(
-            predictor, disc,
-            row_id=table.row_ids[i],
-            instance=table.row_values(i),
-            true_label=int(table.labels[i]),
-            config=config,
-            threshold=misclassified.threshold,
-            probability=float(probs[i]),
-        )
+        return pool.explain(table.row_ids[i], table.row_values(i), int(table.labels[i]),
+                            float(probs[i]), misclassified.threshold)
 
     if jobs <= 1 or len(rows) <= 1:
         return tuple(one(i) for i in rows)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return tuple(pool.map(one, rows))
+    with ThreadPoolExecutor(max_workers=jobs) as workers:
+        return tuple(workers.map(one, rows))
 
 
 def _check_min_support(fraction: float) -> None:

@@ -21,30 +21,15 @@ from errlens import (
     condition_for,
     explain,
     fit_discretizer,
+    find_misclassified,
+    explain_misclassified,
     fit_local_model,
-    instance_seed,
     kernel_weights,
     sample_perturbations,
     write_explanations_jsonl,
 )
 from errlens.errors import DataError, ProbabilityOutOfRange, SingularSystem, UnknownFeature
-from errlens.lime import default_kernel_width, fnv1a64
-
-
-# --- seeding ---------------------------------------------------------------------
-
-
-def test_row_id_hash_matches_published_fnv1a_vectors() -> None:
-    assert fnv1a64("") == 0xCBF29CE484222325
-    assert fnv1a64("a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64("foobar") == 0x85944171F73967E8
-
-
-def test_instance_seeds_mix_base_seed_and_row_id() -> None:
-    assert instance_seed(0, "foobar") == 0x85944171F73967E8
-    assert instance_seed(3, "r1") == 3 ^ fnv1a64("r1")
-    assert instance_seed(3, "r1") != instance_seed(3, "r2")
-    assert instance_seed(3, "r1") != instance_seed(4, "r1")
+from errlens.lime import default_kernel_width
 
 
 # --- discretizer -------------------------------------------------------------------
@@ -320,19 +305,29 @@ def mixed_table():
 
 
 def test_sampling_keeps_the_instance_as_the_first_row(mixed_table) -> None:
+    # the pool is samples 1..n-1; a lone explanation scores its instance first
     disc = fit_discretizer(mixed_table)
-    z, columns = sample_perturbations(disc, (4.2, "b"), n_samples=50, seed=9)
-    assert z.shape == (50, 2)
-    assert z[0].tolist() == [1.0, 1.0]
-    assert columns[0][0] == 4.2
-    assert columns[1][0] == "b"
+    drawn, columns = sample_perturbations(disc, n_samples=50, seed=9)
+    assert drawn.shape == (49, 2)
+    assert [len(c) for c in columns] == [49, 49]
+    asked = []
+
+    def record(cols):
+        asked.append(cols)
+        return np.full(len(cols[0]), 0.5)
+
+    explain(FunctionPredictor(mixed_table.schema, record), disc, "r", (4.2, "b"), 0,
+            LimeConfig(n_samples=50, seed=9))
+    instance, pool = asked
+    assert [c.tolist() for c in instance] == [[4.2], ["b"]]
+    assert all(np.array_equal(c, p) for c, p in zip(pool, columns))
 
 
 def test_sampling_is_deterministic_in_the_seed(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
-    z1, cols1 = sample_perturbations(disc, (4.2, "b"), n_samples=40, seed=9)
-    z2, cols2 = sample_perturbations(disc, (4.2, "b"), n_samples=40, seed=9)
-    z3, _ = sample_perturbations(disc, (4.2, "b"), n_samples=40, seed=10)
+    z1, cols1 = sample_perturbations(disc, n_samples=40, seed=9)
+    z2, cols2 = sample_perturbations(disc, n_samples=40, seed=9)
+    z3, _ = sample_perturbations(disc, n_samples=40, seed=10)
     assert np.array_equal(z1, z2)
     assert all(np.array_equal(a, b) for a, b in zip(cols1, cols2))
     assert not np.array_equal(z1, z3)
@@ -341,12 +336,12 @@ def test_sampling_is_deterministic_in_the_seed(mixed_table) -> None:
 def test_sampled_values_stay_inside_observed_bin_ranges(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
     bins = disc.per_feature[0]
-    z, columns = sample_perturbations(disc, (4.2, "b"), n_samples=500, seed=3)
+    drawn, columns = sample_perturbations(disc, n_samples=500, seed=3)
     values = columns[0]
     assert values.min() >= min(bins.mins)
     assert values.max() <= max(bins.maxs)
     inst_bin = bins.bin_of(4.2)
-    same = values[1:][z[1:, 0] == 1.0]
+    same = values[drawn[:, 0] == inst_bin]
     assert same.size > 0
     assert same.min() >= bins.mins[inst_bin]
     assert same.max() <= bins.maxs[inst_bin]
@@ -354,31 +349,30 @@ def test_sampled_values_stay_inside_observed_bin_ranges(mixed_table) -> None:
 
 def test_categorical_similarity_column_is_exact_equality(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
-    z, columns = sample_perturbations(disc, (4.2, "b"), n_samples=300, seed=3)
-    assert np.array_equal(z[:, 1], (columns[1] == "b").astype(float))
+    drawn, columns = sample_perturbations(disc, n_samples=300, seed=3)
+    b = disc.per_feature[1].categories.index("b")
+    assert np.array_equal(drawn[:, 1] == b, columns[1] == "b")
     assert set(np.unique(columns[1])) <= {"a", "b", "c"}
 
 
-def numpy_perturbations(disc, instance, n_samples: int, seed: int):
+def numpy_perturbations(disc, n_samples: int, seed: int):
     """sample_perturbations as drawn by numpy's own ``rng.choice(..., p=...)``
     and ``rng.normal(loc, scale)``: the oracle of its inlined draws."""
     rng = np.random.default_rng(seed)
-    z = np.ones((n_samples, len(disc.schema)))
+    drawn = np.empty((n_samples - 1, len(disc.schema)), dtype=int)
     columns = []
     m = n_samples - 1
     for j, bins in enumerate(disc.per_feature):
         if hasattr(bins, "categories"):
             cats = np.asarray(bins.categories, dtype=str)
-            drawn = cats[rng.choice(len(cats), size=m, p=np.asarray(bins.frequencies))]
-            z[1:, j] = drawn == instance[j]
-            columns.append(np.concatenate([[instance[j]], drawn]))
+            drawn[:, j] = rng.choice(len(cats), size=m, p=np.asarray(bins.frequencies))
+            columns.append(cats[drawn[:, j]])
         else:
-            drawn = rng.choice(bins.n_bins, size=m, p=np.asarray(bins.frequencies))
-            raw = rng.normal(np.asarray(bins.means)[drawn], np.asarray(bins.stds)[drawn])
-            raw = np.clip(raw, np.asarray(bins.mins)[drawn], np.asarray(bins.maxs)[drawn])
-            z[1:, j] = drawn == bins.bin_of(instance[j])
-            columns.append(np.concatenate([[instance[j]], raw]))
-    return z, columns
+            drawn[:, j] = rng.choice(bins.n_bins, size=m, p=np.asarray(bins.frequencies))
+            b = drawn[:, j]
+            raw = rng.normal(np.asarray(bins.means)[b], np.asarray(bins.stds)[b])
+            columns.append(np.clip(raw, np.asarray(bins.mins)[b], np.asarray(bins.maxs)[b]))
+    return drawn, columns
 
 
 def test_sampling_draws_what_numpys_choice_and_normal_draw(mixed_table) -> None:
@@ -389,21 +383,21 @@ def test_sampling_draws_what_numpys_choice_and_normal_draw(mixed_table) -> None:
                                                          "continuous"])
     disc = fit_discretizer(table)
     assert 0.0 in disc.per_feature[0].frequencies[1:-1]  # an empty interior bin
-    for d, instance in ((disc, (0.5, "y", 2.0)), (disc, (1.0, "q", -3.0)),
-                        (fit_discretizer(mixed_table), (4.2, "b"))):
+    for d in (disc, fit_discretizer(mixed_table)):
         for seed in (0, 3, 2 ** 64 - 1):
-            z, columns = sample_perturbations(d, instance, n_samples=700, seed=seed)
-            z_ref, columns_ref = numpy_perturbations(d, instance, 700, seed)
-            assert np.array_equal(z, z_ref)
+            drawn, columns = sample_perturbations(d, n_samples=700, seed=seed)
+            drawn_ref, columns_ref = numpy_perturbations(d, 700, seed)
+            assert np.array_equal(drawn, drawn_ref)
             assert all(np.array_equal(a, b) for a, b in zip(columns, columns_ref))
 
 
 def test_sampling_validates_instance_shape_and_count(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
+    predictor = FunctionPredictor(mixed_table.schema, lambda cols: np.full(len(cols[0]), 0.5))
     with pytest.raises(DataError):
-        sample_perturbations(disc, (4.2,), n_samples=10, seed=0)
+        explain(predictor, disc, "r", (4.2,), 0, LimeConfig(n_samples=10))
     with pytest.raises(DataError):
-        sample_perturbations(disc, (4.2, "b"), n_samples=0, seed=0)
+        sample_perturbations(disc, n_samples=0, seed=0)
 
 
 # --- explanations -----------------------------------------------------------------
@@ -462,21 +456,35 @@ def test_explain_rejects_a_stated_probability_outside_the_unit_interval(
                 LimeConfig(n_samples=50), probability=probability)
 
 
-def test_explanations_depend_on_the_row_id_not_the_call_order() -> None:
+def test_a_lone_explanation_equals_the_rows_explanation_in_any_batch() -> None:
     rng = np.random.default_rng(6)
-    table = make_table([rng.uniform(size=60).tolist() for _ in range(2)],
-                       rng.integers(0, 2, size=60).tolist())
+    table = make_table(
+        [rng.uniform(size=60).tolist(), rng.uniform(size=60).tolist(),
+         rng.choice(["a", "b", "c"], size=60).tolist()],
+        rng.integers(0, 2, size=60).tolist(), kinds=["continuous"] * 2 + ["categorical"])
     disc = fit_discretizer(table)
-    predictor = linear_predictor(table, [1.0, 1.0])
-    config = LimeConfig(n_samples=200, seed=0)
 
-    one = explain(predictor, disc, "a", table.row_values(0), 0, config)
-    explain(predictor, disc, "b", table.row_values(1), 0, config)
-    one_again = explain(predictor, disc, "a", table.row_values(0), 0, config)
-    assert one == one_again
+    def score(cols):
+        x0, x1 = (np.asarray(c, dtype=np.float64) for c in cols[:2])
+        return 1.0 / (1.0 + np.exp(-(x0 - x1 + 0.5 * (np.asarray(cols[2]) == "a"))))
 
-    renamed = explain(predictor, disc, "z", table.row_values(0), 0, config)
-    assert renamed.terms != one.terms  # a different stream, not a shared one
+    predictor = FunctionPredictor(table.schema, score)
+    config = LimeConfig(n_samples=200, seed=11)
+    mis = find_misclassified(predictor, table, split="all")
+    assert len(mis.row_ids) >= 4
+    batch = explain_misclassified(predictor, mis, disc, config)
+
+    rows = {rid: i for i, rid in enumerate(table.row_ids)}
+    for exp in reversed(batch):  # another order, one row at a time
+        i = rows[exp.row_id]
+        lone = explain(predictor, disc, exp.row_id, table.row_values(i),
+                       int(table.labels[i]), config,
+                       probability=float(mis.probabilities[i]))
+        assert lone == exp
+    # a batch of other rows leaves each row's explanation as it was
+    keep = [rows[rid] for rid in mis.row_ids[::2]]
+    fewer = find_misclassified(predictor, table.subset(keep), split="all")
+    assert explain_misclassified(predictor, fewer, disc, config, jobs=2) == batch[::2]
 
 
 def test_explanations_round_trip_through_jsonl(tmp_path) -> None:

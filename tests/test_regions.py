@@ -29,7 +29,6 @@ from errlens import (
     find_misclassified,
     fit_discretizer,
     fit_local_model,
-    instance_seed,
     kernel_weights,
     mine_conditions,
     report_from_explanations,
@@ -98,6 +97,25 @@ def test_explanations_follow_the_misclassified_order_even_in_parallel() -> None:
     assert tuple(e.row_id for e in serial) == mis.row_ids
 
 
+def test_a_batch_scores_one_pool_in_one_predictor_call() -> None:
+    rng = np.random.default_rng(5)
+    table = random_table(rng, 40, 3)
+    calls = []
+
+    def score(cols):
+        calls.append(len(cols[0]))
+        return 1.0 / (1.0 + np.exp(-(np.asarray(cols[0], dtype=np.float64) - 0.5)))
+
+    predictor = FunctionPredictor(table.schema, score)
+    mis = find_misclassified(predictor, table, split="all")
+    assert len(mis.row_ids) >= 2 and calls == [40]
+    calls.clear()
+    explanations = explain_misclassified(predictor, mis, fit_discretizer(table),
+                                         config=LimeConfig(n_samples=300), jobs=2)
+    assert len(explanations) == len(mis.row_ids)
+    assert calls == [299]
+
+
 def test_an_explanation_states_the_probability_the_scoring_pass_gave_its_row() -> None:
     # a and b share their features; b is the one misclassified row, but the
     # bare-row answer for its features is a's probability
@@ -118,8 +136,10 @@ def test_sample_zero_is_fitted_to_the_score_the_scoring_pass_gave_its_row() -> N
     disc, config = fit_discretizer(table), LimeConfig(n_samples=50)
     mis = find_misclassified(predictor, table, split="all")
     (exp,) = explain_misclassified(predictor, mis, disc, config=config)
-    z, columns = sample_perturbations(disc, (0.5,), 50, instance_seed(config.seed, "b"))
-    answers = predictor.predict_rows(table.schema, columns)
+    drawn, columns = sample_perturbations(disc, 50, config.seed)
+    z = np.ones((50, 1))
+    z[1:] = drawn == disc.per_feature[0].bin_of(0.5)
+    answers = predictor.predict_rows(table.schema, [np.r_[0.5, columns[0]]])
     assert answers[0] == 0.7
     weights = kernel_weights(z, default_kernel_width(1))
     fits = {}
@@ -129,7 +149,8 @@ def test_sample_zero_is_fitted_to_the_score_the_scoring_pass_gave_its_row() -> N
         fits[target] = (intercept, float(coef[0]))
     assert (exp.intercept, exp.terms[0][1]) == fits[0.3] != fits[0.7]
     # the surrogate's value at sample 0 (z all ones) moves toward b's own score
-    assert sum(fits[0.3]) < 0.68 and sum(fits[0.7]) > 0.69
+    # (measured on the pool: 0.683 against 0.697)
+    assert sum(fits[0.7]) > 0.69 and sum(fits[0.7]) - sum(fits[0.3]) > 0.01
 
 
 # --- mining ---------------------------------------------------------------------
