@@ -483,7 +483,7 @@ def load_series_csv(
 
 
 def check_seed(seed: int, error: type[DataError] = DataError) -> None:
-    """Every seed is an unsigned 64-bit integer, so no two seeds draw alike."""
+    """Seeds are unsigned 64-bit integers, so none is reduced onto another."""
     if not 0 <= seed < 2**64:
         raise error("seed must be within [0, 2**64)")
 

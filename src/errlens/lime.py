@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import FeatureSpec, LabeledTable, check_seed, feature_index
 from .errors import DataError, EmptyTable, SingularSystem
-from .model import Columns, Predictor, check_probabilities
+from .model import Predictor, check_probabilities
 from .serialize import canonical_json_line
 
 # --- conditions ----------------------------------------------------------------

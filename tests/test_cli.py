@@ -323,6 +323,23 @@ def test_pipeline_scores_each_split_once(tmp_path, synth_dir, monkeypatch) -> No
     assert read_json(f"{out}/report_train.json")["regions"]
 
 
+def test_pipeline_scores_one_perturbation_pool_for_both_splits(
+    tmp_path, synth_dir, monkeypatch,
+) -> None:
+    calls = []
+    original = GbdtModel.predict_rows
+
+    def counting(self, schema, columns):
+        calls.append(len(columns[0]))
+        return original(self, schema, columns)
+
+    monkeypatch.setattr(GbdtModel, "predict_rows", counting)
+    assert run("pipeline", "--data", f"{synth_dir}/synth.csv", "--rounds", "8",
+               "--n-samples", "200", "--seed", "7", "--jobs", "2",
+               "--out-dir", str(tmp_path / "pipe")) == EXIT_OK
+    assert calls == [90, 199, 30]  # train split, the shared pool, test split
+
+
 def test_mine_with_external_predictions_scores_the_table_once(
     tmp_path, synth_dir, monkeypatch,
 ) -> None:

@@ -36,7 +36,7 @@ from errlens import (
     train_gbdt,
 )
 from errlens.errors import DataError, EmptyTable, NoExplanations, UnknownFeature
-from errlens.lime import default_kernel_width
+from errlens.lime import PerturbationPool, default_kernel_width
 from errlens.serialize import canonical_json
 
 
@@ -111,9 +111,13 @@ def test_a_batch_scores_one_pool_in_one_predictor_call() -> None:
     assert len(mis.row_ids) >= 2 and calls == [40]
     calls.clear()
     explanations = explain_misclassified(predictor, mis, fit_discretizer(table),
-                                         config=LimeConfig(n_samples=300), jobs=2)
+                                         config=LimeConfig(n_samples=300), jobs=4)
     assert len(explanations) == len(mis.row_ids)
     assert calls == [299]
+    other = PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=300))
+    with pytest.raises(DataError, match="pool"):  # drawn for another discretizer
+        explain_misclassified(predictor, mis, fit_discretizer(table),
+                              config=LimeConfig(n_samples=300), pool=other)
 
 
 def test_an_explanation_states_the_probability_the_scoring_pass_gave_its_row() -> None:
