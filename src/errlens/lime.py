@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import FeatureSpec, LabeledTable, check_seed, feature_index
 from .errors import DataError, EmptyTable, SingularSystem
-from .model import Predictor, check_probabilities
+from .model import Columns, Predictor, check_probabilities
 from .serialize import canonical_json_line
 
 # --- conditions ----------------------------------------------------------------
@@ -126,11 +126,6 @@ class CategoricalBins:
     categories: tuple[str, ...]
     frequencies: tuple[float, ...]
 
-    def bin_of(self, value: object) -> int:
-        """The category's code; -1, which no draw has, for an unseen one."""
-        value = str(value)
-        return self.categories.index(value) if value in self.categories else -1
-
 
 @dataclass(frozen=True)
 class Discretizer:
@@ -188,21 +183,24 @@ def fit_discretizer(train: LabeledTable) -> Discretizer:
     return Discretizer(schema=train.schema, per_feature=tuple(per_feature))
 
 
-def condition_for(disc: Discretizer, feature: str, value: float | str) -> Condition:
-    """The canonical condition describing ``value``'s bin of ``feature``."""
-    j = disc.index_of(feature)
-    bins = disc.per_feature[j]
-    if isinstance(bins, CategoricalBins):
-        return Condition(feature=feature, category=str(value))
-    if not bins.edges:
+def _bin_condition(feature: str, edges: tuple[float, ...], b: int) -> Condition:
+    """The canonical condition describing bin ``b`` of a continuous feature."""
+    if not edges:
         # single-bin feature: the whole real line
         return Condition(feature=feature, low=float("-inf"))
-    b = bins.bin_of(float(value))
     if b == 0:
-        return Condition(feature=feature, high=bins.edges[0])
-    if b == len(bins.edges):
-        return Condition(feature=feature, low=bins.edges[-1])
-    return Condition(feature=feature, low=bins.edges[b - 1], high=bins.edges[b])
+        return Condition(feature=feature, high=edges[0])
+    if b == len(edges):
+        return Condition(feature=feature, low=edges[-1])
+    return Condition(feature=feature, low=edges[b - 1], high=edges[b])
+
+
+def condition_for(disc: Discretizer, feature: str, value: float | str) -> Condition:
+    """The canonical condition describing ``value``'s bin of ``feature``."""
+    bins = disc.per_feature[disc.index_of(feature)]
+    if isinstance(bins, CategoricalBins):
+        return Condition(feature=feature, category=str(value))
+    return _bin_condition(feature, bins.edges, bins.bin_of(value))
 
 
 # --- perturbation sampling -------------------------------------------------------
@@ -247,10 +245,13 @@ def sample_perturbations(
 
 
 def kernel_weights(z: np.ndarray, kernel_width: float) -> np.ndarray:
-    """Exponential kernel exp(-d^2 / width^2), d^2 = count of 0s per row."""
+    """Exponential kernel exp(-d^2 / width^2), d^2 = count of 0s per row of
+    0/1 indicators ``z`` (``(..., n, d)``, a row along the last axis)."""
     if not kernel_width > 0:
         raise DataError("kernel_width must be positive")
-    d2 = z.shape[1] - z.sum(axis=1)
+    # a product with ones sums a short row far faster than sum(axis=-1), and
+    # as exactly: 0/1 terms leave every partial sum a small integer
+    d2 = z.shape[-1] - z @ np.ones(z.shape[-1])
     return np.exp(-d2 / (kernel_width * kernel_width))
 
 
@@ -266,68 +267,92 @@ def default_kernel_width(n_features: int) -> float:
 _PIVOT_RTOL = 1e-10
 
 
+def _factor(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factors of a stack of normal matrices.  A singular one
+    raises :class:`SingularSystem`: in a stack, the first, as it would alone."""
+    try:
+        u = np.linalg.cholesky(a, upper=True)
+    except np.linalg.LinAlgError as exc:
+        why = str(exc)
+    else:
+        # pivot i squared is what is left of column i's weighted square norm
+        # once the columns before it are projected out: by a rule, not by
+        # rounding
+        kept = np.diagonal(u, axis1=-2, axis2=-1) ** 2 / np.diagonal(a, axis1=-2, axis2=-1)
+        if not (kept <= _PIVOT_RTOL).any():
+            return u
+        why = f"surrogate column {int(np.argmin(kept))} is collinear"
+    if a.ndim > 2:  # the first singular matrix of the stack raises
+        for one in a.reshape(-1, *a.shape[-2:]):
+            _factor(one)
+    raise SingularSystem(why)
+
+
 def fit_local_model(
     z: np.ndarray, y: np.ndarray, weights: np.ndarray, ridge_lambda: float
-) -> tuple[np.ndarray, float, float]:
-    """Weighted ridge fit of y on z with an unpenalized intercept.
+) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
+    """Weighted ridge fits of y on z with an unpenalized intercept.
 
-    Solves the (d+1)-dimensional normal equations with ``ridge_lambda`` added
+    ``z`` is ``(..., n, d)`` and ``y`` and ``weights`` are ``(..., n)``: the
+    leading axes index independent fits, and a 2-D ``z`` is one fit.  Each
+    solves its (d+1)-dimensional normal equations with ``ridge_lambda`` added
     to the non-intercept diagonal, via a symmetric positive-definite
-    (Cholesky) solve.  Returns (coefficients, intercept, weighted R^2).
-    A column collinear with the intercept or the columns before it (say, a
-    constant column with ``ridge_lambda`` 0) raises :class:`SingularSystem`.
+    (Cholesky) solve.  Returns (coefficients ``(..., d)``, intercepts and
+    weighted R^2 ``(...)``, floats for one fit); each fit of a stack equals
+    that fit alone, bit for bit.  A column collinear with the intercept or the
+    columns before it (say, a constant column with ``ridge_lambda`` 0) raises
+    :class:`SingularSystem`, the first singular fit's in a stack.
     """
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if z.ndim != 2 or y.shape != (z.shape[0],) or w.shape != (z.shape[0],):
+    if z.ndim < 2 or y.shape != z.shape[:-1] or w.shape != y.shape:
         raise DataError("z, y, and weights must agree on the sample count")
-    if (w < 0).any() or not w.sum() > 0:
+    if (w < 0).any() or not (w.sum(axis=-1) > 0).all():
         raise DataError("weights must be non-negative with positive sum")
     if not ridge_lambda >= 0:
         raise DataError("ridge_lambda must be non-negative")
 
-    x = np.hstack([np.ones((z.shape[0], 1)), z])
+    x = np.concatenate([np.ones((*y.shape, 1)), z], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        xtw = x.T * w
+        # each fit's x.T * w with a lone fit's strides, so that the stacked
+        # products make a lone fit's BLAS calls, one per fit
+        xtw = (x * w[..., None]).swapaxes(-1, -2)
         a = xtw @ x
-        a[1:, 1:] += ridge_lambda * np.eye(z.shape[1])
-        b = xtw @ y
+        a[..., 1:, 1:] += ridge_lambda * np.eye(z.shape[-1])
+        b = (xtw @ y[..., None])[..., 0]
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("the weighted normal equations are not finite")
-    try:
-        u = np.linalg.cholesky(a, upper=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    # pivot i squared is what is left of column i's weighted square norm once
-    # the columns before it are projected out: by a rule, not by rounding
-    kept = np.diagonal(u) ** 2 / np.diagonal(a)
-    if (kept <= _PIVOT_RTOL).any():
-        raise SingularSystem(f"surrogate column {int(np.argmin(kept))} is collinear")
+    u = _factor(a)
     # a = u.T @ u: solve u.T @ t = b forward, then u @ beta = t backward, in
     # Python floats: at this size a quarter of the time numpy calls take.
     # Multiplying by the diagonal's reciprocals, as OpenBLAS's triangular
     # solve does, keeps beta closer to scipy's cho_solve than dividing does.
-    u, beta = u.tolist(), b.tolist()
-    n = len(beta)
-    inv = [1.0 / u[i][i] for i in range(n)]
-    for i in range(n):
-        for k in range(i):
-            beta[i] -= u[k][i] * beta[k]
-        beta[i] *= inv[i]
-    for i in reversed(range(n)):
-        for k in range(i + 1, n):
-            beta[i] -= u[i][k] * beta[k]
-        beta[i] *= inv[i]
-    beta = np.asarray(beta)
+    k = b.shape[-1]
+    betas = b.reshape(-1, k).tolist()
+    for f, beta in zip(u.reshape(-1, k, k).tolist(), betas):
+        inv = [1.0 / f[i][i] for i in range(k)]
+        for i in range(k):
+            for j in range(i):
+                beta[i] -= f[j][i] * beta[j]
+            beta[i] *= inv[i]
+        for i in reversed(range(k)):
+            for j in range(i + 1, k):
+                beta[i] -= f[i][j] * beta[j]
+            beta[i] *= inv[i]
+    beta = np.asarray(betas).reshape(b.shape)
 
-    r2 = 1.0  # unless the weighted target varies, there is nothing to explain
-    if np.ptp(y[w > 0]) > 0.0:
-        y_bar = float(np.sum(w * y) / np.sum(w))
-        ss_tot = float(np.sum(w * (y - y_bar) ** 2))
-        if ss_tot > 0.0:
-            r2 = 1.0 - float(np.sum(w * (y - x @ beta) ** 2)) / ss_tot
-    return beta[1:], float(beta[0]), float(r2)
+    # unless a fit's weighted target varies, there is nothing to explain: R^2 1
+    pos = w > 0
+    varies = np.where(pos, y, -np.inf).max(axis=-1) > np.where(pos, y, np.inf).min(axis=-1)
+    with np.errstate(all="ignore"):
+        y_bar = np.sum(w * y, axis=-1) / np.sum(w, axis=-1)
+        ss_tot = np.sum(w * (y - y_bar[..., None]) ** 2, axis=-1)
+        ss_res = np.sum(w * (y - (x @ beta[..., None])[..., 0]) ** 2, axis=-1)
+        r2 = np.where(varies & (ss_tot > 0.0), 1.0 - ss_res / ss_tot, 1.0)
+    if y.ndim == 1:
+        return beta[1:], float(beta[0]), float(r2)
+    return beta[..., 1:], beta[..., 0], r2
 
 
 # --- explanation ------------------------------------------------------------------
@@ -431,6 +456,17 @@ class PerturbationPool:
     def __init__(self, predictor: Predictor, disc: Discretizer,
                  config: LimeConfig = LimeConfig()) -> None:
         self.predictor, self.disc, self.config = predictor, disc, config
+        # per feature, what codes a value (a continuous feature's edges, a
+        # categorical feature's code per training category) and each code's
+        # condition; a category unseen in training has code -1, which no draw
+        # has, and a condition made from its value
+        self._codings = tuple(
+            (np.asarray(bins.edges, dtype=np.float64),
+             tuple(_bin_condition(spec.name, bins.edges, b) for b in range(bins.n_bins)))
+            if isinstance(bins, ContinuousBins) else
+            ({c: b for b, c in enumerate(bins.categories)},
+             tuple(Condition(spec.name, category=c) for c in bins.categories))
+            for spec, bins in zip(disc.schema, disc.per_feature))
 
     @cached_property
     def scored(self) -> tuple[np.ndarray, np.ndarray]:
@@ -442,27 +478,57 @@ class PerturbationPool:
 
     def explain(self, row_id: str, instance: Sequence[float | str], true_label: int,
                 probability: float | None, threshold: float = 0.5) -> Explanation:
-        """:func:`explain` with this pool."""
-        disc, config = self.disc, self.config
+        """:func:`explain` with this pool: :meth:`explain_rows` of one row."""
+        disc = self.disc
         if len(instance) != len(disc.schema):
             raise DataError("instance does not match the discretizer schema")
+        row = [np.asarray([v], dtype=str if isinstance(b, CategoricalBins) else float)
+               for b, v in zip(disc.per_feature, instance)]
         if probability is None:
-            row = [np.asarray([v], dtype=str if isinstance(b, CategoricalBins) else float)
-                   for b, v in zip(disc.per_feature, instance)]
             probability = check_probabilities(self.predictor.predict_rows(disc.schema, row), 1)[0]
-        drawn, probs = self.scored
-        z = np.ones((config.n_samples, len(disc.schema)))
-        z[1:] = drawn == [b.bin_of(v) for b, v in zip(disc.per_feature, instance)]
-        width = config.kernel_width or default_kernel_width(len(disc.schema))
-        probs = np.concatenate([check_probabilities([probability], 1), probs])
-        coef, intercept, r2 = fit_local_model(z, probs, kernel_weights(z, width),
+        (exp,) = self.explain_rows([row_id], row, [true_label], [probability], threshold)
+        return exp
+
+    def explain_rows(self, row_ids: Sequence[str], columns: Columns,
+                     true_labels: Sequence[int], probabilities: Sequence[float],
+                     threshold: float = 0.5) -> list[Explanation]:
+        """Explain a block of rows, given as one column per feature, each with
+        the score a scoring pass gave it, in one stacked surrogate fit.
+
+        Each explanation equals its row's lone :func:`explain`, bit for bit:
+        the fit of a stack is each of its fits alone.  The ``(rows, n, d+1)``
+        design matrix is the block's memory, so the caller sizes the block.
+        """
+        config, n = self.config, len(row_ids)
+        if len(columns) != len(self._codings):
+            raise DataError("rows do not match the discretizer schema")
+        drawn, pool_probs = self.scored
+        probabilities = check_probabilities(probabilities, n)
+        codes = np.empty((n, len(self._codings)), dtype=np.intp)
+        for j, ((coding, _), column) in enumerate(zip(self._codings, columns)):
+            if isinstance(coding, dict):
+                codes[:, j] = [coding.get(str(v), -1) for v in column]
+            else:
+                codes[:, j] = coding.searchsorted(np.asarray(column, dtype=np.float64))
+        z = np.ones((n, config.n_samples, codes.shape[1]))
+        z[:, 1:] = drawn == codes[:, None, :]
+        y = np.empty((n, config.n_samples))
+        y[:, 0], y[:, 1:] = probabilities, pool_probs
+        width = config.kernel_width or default_kernel_width(codes.shape[1])
+        coef, intercept, r2 = fit_local_model(z, y, kernel_weights(z, width),
                                               config.ridge_lambda)
 
-        order = sorted(range(len(coef)), key=lambda j: (-abs(coef[j]), j))
-        terms = tuple(
-            (condition_for(disc, disc.schema[j].name, instance[j]), float(coef[j]))
-            for j in order[: config.top_k]
-        )
-        prob = float(probs[0])
-        return Explanation(row_id, int(true_label), int(prob >= threshold), prob, terms,
-                           intercept, r2)
+        # terms by descending absolute weight, ties in schema order
+        order = np.argsort(-np.abs(coef), axis=-1, kind="stable")[:, :config.top_k]
+        explanations = []
+        for r, (row_id, label, prob, row_codes, row_coef) in enumerate(zip(
+                row_ids, true_labels, probabilities.tolist(), codes.tolist(), coef.tolist())):
+            terms = []
+            for j in order[r].tolist():
+                b = row_codes[j]
+                cond = (self._codings[j][1][b] if b >= 0 else
+                        Condition(self.disc.schema[j].name, category=str(columns[j][r])))
+                terms.append((cond, row_coef[j]))
+            explanations.append(Explanation(row_id, int(label), int(prob >= threshold), prob,
+                                            tuple(terms), float(intercept[r]), float(r2[r])))
+        return explanations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -857,10 +858,10 @@ class ExternalPredictions:
     stored probability of the nearest reference row: continuous features are
     compared on a per-feature standardized scale, each categorical mismatch
     adds one unit of squared distance, and ties go to the lowest row index.
-    A float32 matrix-product screen, built with the object, proves that row
-    for nearly every query without computing every distance exactly, and a
-    full scan settles the rest; the answer is the same as a full scan's, bit
-    for bit.
+    A float32 matrix-product screen, built on the first bare-row query,
+    proves that row for nearly every query without computing every distance
+    exactly, and a full scan settles the rest; the answer is the same as a
+    full scan's, bit for bit.
     """
 
     def __init__(self, probabilities: dict[str, float], reference: LabeledTable):
@@ -881,7 +882,6 @@ class ExternalPredictions:
             else:
                 self._scale.append(None)
         self._ref = _pack(reference.columns, self._categories).T.copy()
-        self._screen = self._build_screen()
 
     def predict_table(self, table: LabeledTable) -> np.ndarray:
         try:
@@ -952,7 +952,8 @@ class ExternalPredictions:
                 parts.append(one_hot)
         return np.hstack(parts)
 
-    def _build_screen(self):
+    @cached_property
+    def _screen(self):
         """``(m, matrix, R, N)``: the centre, the float32 ``(dim + 1, n_ref)``
         matrix of columns ``[r, fl(|r|**2)]`` and the bounds on them; None when
         a full scan is as cheap (at most two reference rows) or a scale or a

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -338,6 +339,24 @@ def test_pipeline_scores_one_perturbation_pool_for_both_splits(
                "--n-samples", "200", "--seed", "7", "--jobs", "2",
                "--out-dir", str(tmp_path / "pipe")) == EXIT_OK
     assert calls == [90, 199, 30]  # train split, the shared pool, test split
+
+
+def test_quick_start_explanations_keep_their_bytes(tmp_path) -> None:
+    # README's quick start; the digests were recorded before rows were
+    # explained in blocks, so blocking changed no byte of them
+    data, out = str(tmp_path / "data"), str(tmp_path / "run")
+    assert run("synth", "--rows", "2000", "--features", "6", "--flip-rate", "0.4",
+               "--seed", "7", "--out-dir", data) == EXIT_OK
+    assert run("pipeline", "--data", f"{data}/synth.csv", "--seed", "7",
+               "--out-dir", out) == EXIT_OK
+    digests = {}
+    for name in ("train", "test"):
+        with open(f"{out}/explanations_{name}.jsonl", "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == {
+        "train": "1d40abad945c3ab54190971cff0fb5436fe9c48f4c11f07553290dbdbaf6397e",
+        "test": "c835f944b043f3bbeb7795febf0c27a732ff55c5d4b7b17f46f608d68aea7e7e",
+    }
 
 
 def test_mine_with_external_predictions_scores_the_table_once(

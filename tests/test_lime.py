@@ -246,6 +246,53 @@ def test_a_constant_column_without_ridge_is_always_singular(n: int, d: int, data
     fit_local_model(z, y, weights, ridge_lambda=1.0)  # the ridge makes it regular
 
 
+def _fit_or_error(z, y, w, lam):
+    try:
+        return fit_local_model(z, y, w, lam)
+    except SingularSystem as exc:
+        return exc
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from((0.0, 0.01, 1.0)),
+    st.data(),
+)
+def test_a_stacked_fit_is_each_fit_alone_bit_for_bit(stack: int, n: int, d: int,
+                                                     lam: float, data) -> None:
+    # zero weights, ridge 0 and constant columns make members singular, each
+    # in its own way: a zero column fails the factorization, a column of ones
+    # is collinear with the intercept
+    z = np.asarray(data.draw(st.lists(st.sampled_from((0.0, 1.0)),
+                                      min_size=stack * n * d, max_size=stack * n * d)))
+    z = z.reshape(stack, n, d)
+    for r in range(stack):
+        column = data.draw(st.none() | st.integers(0, d - 1))
+        if column is not None:
+            z[r, :, column] = data.draw(st.sampled_from((0.0, 1.0)))
+    y = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=stack * n,
+                                      max_size=stack * n))).reshape(stack, n)
+    w = np.asarray(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False)),
+        min_size=stack * n, max_size=stack * n))).reshape(stack, n)
+    assume((w.sum(axis=1) > 0).all())
+    alone = [_fit_or_error(z[r], y[r], w[r], lam) for r in range(stack)]
+    errors = [str(fit) for fit in alone if isinstance(fit, SingularSystem)]
+    if errors:
+        with pytest.raises(SingularSystem) as raised:
+            fit_local_model(z, y, w, lam)
+        assert str(raised.value) == errors[0]
+        return
+    coef, intercept, r2 = fit_local_model(z, y, w, lam)
+    assert coef.shape == (stack, d) and intercept.shape == r2.shape == (stack,)
+    for r, (coef_r, intercept_r, r2_r) in enumerate(alone):
+        assert coef[r].tobytes() == coef_r.tobytes()
+        assert intercept[r].tobytes() == np.float64(intercept_r).tobytes()
+        assert r2[r].tobytes() == np.float64(r2_r).tobytes()
+
+
 def test_the_ridge_solve_matches_a_lapack_cholesky_solve() -> None:
     # systems shaped like the quick-start run's: 6 features, 5000 samples
     rng = np.random.default_rng(3)

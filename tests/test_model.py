@@ -752,6 +752,15 @@ def test_external_predictions_answer_bare_rows_by_nearest_reference() -> None:
     assert out.tolist() == [0.2, 0.8, 0.2]
 
 
+def test_predict_table_alone_never_builds_the_nearest_row_screen() -> None:
+    table = random_table(np.random.default_rng(4), 50, 3)
+    ext = ExternalPredictions(dict(zip(table.row_ids, np.linspace(0, 1, 50))), table)
+    assert ext.predict_table(table).tolist() == np.linspace(0, 1, 50).tolist()
+    assert "_screen" not in vars(ext)
+    assert ext.predict_rows(table.schema, table.columns).tolist() == np.linspace(0, 1, 50).tolist()
+    assert vars(ext)["_screen"] is not None
+
+
 def test_external_predictions_break_distance_ties_toward_the_first_row() -> None:
     table = make_table([[0.0, 2.0]], [0, 1], row_ids=["a", "b"])
     ext = ExternalPredictions({"a": 0.1, "b": 0.9}, table)

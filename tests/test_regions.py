@@ -34,7 +34,10 @@ from errlens import (
     report_from_explanations,
     sample_perturbations,
     train_gbdt,
+    write_explanations_jsonl,
 )
+from errlens import lime as lime_module
+from errlens import regions as regions_module
 from errlens.errors import DataError, EmptyTable, NoExplanations, UnknownFeature
 from errlens.lime import PerturbationPool, default_kernel_width
 from errlens.serialize import canonical_json
@@ -155,6 +158,64 @@ def test_sample_zero_is_fitted_to_the_score_the_scoring_pass_gave_its_row() -> N
     # the surrogate's value at sample 0 (z all ones) moves toward b's own score
     # (measured on the pool: 0.683 against 0.697)
     assert sum(fits[0.7]) > 0.69 and sum(fits[0.7]) - sum(fits[0.3]) > 0.01
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_explanation_bytes_do_not_depend_on_the_block_size_or_jobs(
+    tmp_path, monkeypatch, block: int | None, jobs: int,
+) -> None:
+    rng = np.random.default_rng(12)
+    table = make_table(
+        [rng.uniform(size=80).tolist(), rng.uniform(size=80).tolist(),
+         rng.choice(["a", "b", "c", "d"], size=80).tolist()],
+        rng.integers(0, 2, size=80).tolist(), kinds=["continuous"] * 2 + ["categorical"])
+
+    def score(cols):
+        x0, x1 = (np.asarray(c, dtype=np.float64) for c in cols[:2])
+        return 1.0 / (1.0 + np.exp(-(x0 - x1 + 0.5 * (np.asarray(cols[2]) == "a"))))
+
+    predictor = FunctionPredictor(table.schema, score)
+    # fitted without category "d", so some explained rows hold an unseen one
+    disc = fit_discretizer(table.subset(np.flatnonzero(table.columns[2] != "d")))
+    config = LimeConfig(n_samples=150, seed=4)
+    mis = find_misclassified(predictor, table, split="all")
+    assert len(mis.row_ids) >= 8
+
+    def written(path, jobs: int) -> bytes:
+        write_explanations_jsonl(explain_misclassified(predictor, mis, disc, config, jobs),
+                                 str(path))
+        return path.read_bytes()
+
+    reference = written(tmp_path / "reference.jsonl", 1)  # the budget's own blocks
+    stacks = []
+    fit = lime_module.fit_local_model
+    monkeypatch.setattr(lime_module, "fit_local_model",
+                        lambda z, *args: stacks.append(len(z)) or fit(z, *args))
+    rows = block or len(mis.row_ids)
+    monkeypatch.setattr(regions_module, "_BLOCK_BYTES",
+                        rows * 8 * config.n_samples * (len(table.schema) + 1))
+    assert written(tmp_path / "blocks.jsonl", jobs) == reference
+    full, rest = divmod(len(mis.row_ids), rows)
+    assert sorted(stacks) == sorted([rows] * full + [rest] * (rest > 0))
+    assert b'"f2 = d"' in reference
+
+
+def test_rows_that_do_not_match_the_discretizer_are_a_data_error() -> None:
+    table = random_table(np.random.default_rng(7), 30, 2)
+
+    class Loose:  # answers any rows without checking their schema
+        def predict_table(self, table):
+            return np.linspace(0.0, 1.0, table.n_rows)
+
+        def predict_rows(self, schema, columns):
+            return np.full(len(columns[0]), 0.5)
+
+    predictor = Loose()
+    mis = find_misclassified(predictor, table, split="all")
+    disc = fit_discretizer(make_table([table.columns[0].tolist()], table.labels.tolist()))
+    with pytest.raises(DataError, match="discretizer"):
+        explain_misclassified(predictor, mis, disc, LimeConfig(n_samples=50))
 
 
 # --- mining ---------------------------------------------------------------------
