@@ -488,24 +488,35 @@ class _TreeGrower:
     """Grows one tree on gradient/hessian targets via exact greedy splits.
 
     ``x[j]`` is training column j, a categorical one as codes into
-    ``categories[j]``.  ``xc`` stacks the continuous columns, in schema
-    order, into one ``(c, n)`` matrix, and row r of ``order`` lists the rows
-    by ascending value of ``xc[r]``, ties in row order.  Each node receives
-    its rows in ascending order together with its ``(c, m)`` share of
-    ``order``, split off by stable partition, so no node sorts, tie order
-    matches a per-node stable argsort, and one pass searches every
-    continuous feature of the node.
+    ``categories[j]``.  ``xc`` stacks the continuous columns into one
+    ``(c, n)`` matrix, row r holding column ``features[r]``: first the
+    ``n_tied`` columns with a tie (two equal values), then the others, each
+    group in schema order.  Row r of ``order`` lists the rows by ascending
+    value of ``xc[r]``, ties in row order.  Each node receives its rows in
+    ascending order together with its ``(c, m)`` share of ``order``, split
+    off by stable partition, so no node sorts, tie order matches a per-node
+    stable argsort, and one pass searches every continuous feature of the
+    node.  Neighbours in a tie-free row of a node's ``order`` always differ,
+    so only the first ``n_tied`` rows gather their values to mask cuts
+    between equal ones.
     """
 
     def __init__(self, x: Sequence[np.ndarray], xc: np.ndarray, order: np.ndarray,
-                 categories: Categories, g: np.ndarray, h: np.ndarray,
-                 params: GbdtParams):
+                 features: Sequence[int], n_tied: int, categories: Categories,
+                 g: np.ndarray, h: np.ndarray, params: GbdtParams):
         self.x = x
         self.xc = xc
         self.order = order
+        self.row_of = {j: r for r, j in enumerate(features)}
+        self.n_tied = n_tied
         self.categories = categories
         self.g = g
         self.h = h
+        # g and h as one complex array: the real and imaginary parts of its
+        # prefix sum are the prefix sums of g and of h, bit for bit
+        self.gh = np.empty(len(g), dtype=np.complex128)
+        self.gh.real = g
+        self.gh.imag = h
         self.p = params
         self.nodes: list[tuple[int, float, float]] = []  # feature, cut, value
         self.child: list[int] = []
@@ -528,8 +539,13 @@ class _TreeGrower:
         self.row_value[rows] = value
         return self._append(0, 0.0, value)
 
-    def _node(self, rows: np.ndarray, order: np.ndarray, depth: int) -> int:
-        if depth >= self.p.max_depth or rows.size < 2 * self.p.min_leaf_count:
+    def _may_split(self, n_rows: int, depth: int) -> bool:
+        """Whether a node of ``n_rows`` rows at ``depth`` searches for a split;
+        one that does not is a leaf and needs no share of ``order``."""
+        return depth < self.p.max_depth and n_rows >= 2 * self.p.min_leaf_count
+
+    def _node(self, rows: np.ndarray, order: np.ndarray | None, depth: int) -> int:
+        if not self._may_split(rows.size, depth):
             return self._leaf(rows)
         found = self._best_split(rows, order)
         if found is None:
@@ -538,12 +554,19 @@ class _TreeGrower:
         column = self.x[feature][rows]
         left_mask = column <= cut if self.categories[feature] is None else column == cut
         slot = self._append(feature, cut, 0.0)
-        self._goes_left[rows] = left_mask
-        # every row of ``order`` holds the node's rows, so each keeps n_left
-        goes_left = self._goes_left[order]
         n_left = int(left_mask.sum())
-        left_order = order[goes_left].reshape(len(order), n_left)
-        right_order = order[~goes_left].reshape(len(order), rows.size - n_left)
+        n_right = rows.size - n_left
+        split_left = self._may_split(n_left, depth + 1)
+        split_right = self._may_split(n_right, depth + 1)
+        left_order = right_order = None
+        if split_left or split_right:
+            self._goes_left[rows] = left_mask
+            # every row of ``order`` holds the node's rows, so each keeps n_left
+            goes_left = self._goes_left[order].ravel()
+            if split_left:
+                left_order = np.compress(goes_left, order).reshape(len(order), n_left)
+            if split_right:
+                right_order = np.compress(~goes_left, order).reshape(len(order), n_right)
         left = self._node(rows[left_mask], left_order, depth + 1)
         right = self._node(rows[~left_mask], right_order, depth + 1)
         self.child[2 * slot: 2 * slot + 2] = left, right
@@ -556,30 +579,44 @@ class _TreeGrower:
         across features in schema order.
         """
         g, h, lam, min_leaf = self.g[rows], self.h[rows], self.p.l2, self.p.min_leaf_count
+        # two real sums: a complex sum blocks its pairwise summation
+        # differently from a real one, so its parts would differ in the last bit
         G, H = g.sum(), h.sum()
         parent = G * G / (H + lam)
         m = rows.size
         # continuous features, all at once: the left side takes the i + 1
         # smallest rows, and min_leaf <= i + 1 <= m - min_leaf
         lo, hi = min_leaf - 1, m - min_leaf
-        sv = np.take_along_axis(self.xc, order, axis=1)
-        gl = np.cumsum(self.g[order], axis=1)[:, lo:hi]
-        hl = np.cumsum(self.h[order], axis=1)[:, lo:hi]
-        ok = sv[:, lo:hi] != sv[:, lo + 1:hi + 1]
-        gains = 0.5 * (gl**2 / (hl + lam) + (G - gl)**2 / (H - hl + lam) - parent)
-        gains = np.where(ok, gains, -np.inf)
+        ghl = np.cumsum(self.gh[order], axis=1)[:, lo:hi]
+        gl, hl = ghl.real.copy(), ghl.imag.copy()
+        # 0.5 * (gl**2 / (hl + lam) + (G - gl)**2 / (H - hl + lam) - parent),
+        # the same operations in the same order, mostly in place
+        gains = gl * gl
+        gains /= hl + lam
+        right = G - gl
+        right *= right
+        right /= H - hl + lam
+        gains += right
+        gains -= parent
+        gains *= 0.5
+        splittable = np.ones(len(order), dtype=bool)
+        t = self.n_tied
+        if t:
+            sv = np.take_along_axis(self.xc[:t], order[:t], axis=1)
+            tie = sv[:, lo:hi] == sv[:, lo + 1:hi + 1]
+            gains[:t][tie] = -np.inf
+            splittable[:t] = ~tie.all(axis=1)
         at = gains.argmax(axis=1)
-        splittable = ok.any(axis=1)
 
         best = None  # (gain, feature, cut)
-        r = 0  # the next continuous feature's row of ``order``
         for j, cats in enumerate(self.categories):
             if cats is None:
+                r = self.row_of[j]
                 i = at[r]
                 if splittable[r] and (best is None or gains[r, i] > best[0]):
-                    cut = float((sv[r, lo + i] + sv[r, lo + i + 1]) / 2.0)
+                    below, above = order[r, lo + i], order[r, lo + i + 1]
+                    cut = float((self.xc[r, below] + self.xc[r, above]) / 2.0)
                     best = (float(gains[r, i]), j, cut)
-                r += 1
                 continue
             codes, inverse = np.unique(self.x[j][rows], return_inverse=True)
             counts = np.bincount(inverse)
@@ -709,17 +746,22 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
     categories = _table_categories(table)
     x = [col if cats is None else np.searchsorted(cats, col)
          for col, cats in zip(table.columns, categories)]
-    xc = np.asarray([col for col, cats in zip(x, categories) if cats is None],
-                    dtype=np.float64).reshape(-1, table.n_rows)
+    continuous = [j for j, cats in enumerate(categories) if cats is None]
+    xc = np.asarray([x[j] for j in continuous], dtype=np.float64).reshape(-1, table.n_rows)
     order = np.argsort(xc, axis=1, kind="stable")
+    sv = np.take_along_axis(xc, order, axis=1)
+    tied = (sv[:, 1:] == sv[:, :-1]).any(axis=1)
+    first = np.argsort(~tied, kind="stable")  # the columns with a tie first
+    xc, order = xc[first], order[first]
+    features, n_tied = [continuous[r] for r in first.tolist()], int(tied.sum())
 
     raw = np.full(table.n_rows, base_score)
     p = _probability(raw)
     losses = [_log_loss(y, p)]
     trees: list[Tree] = []
     for _ in range(params.rounds):
-        grower = _TreeGrower(x, xc, order, categories, g=p - y, h=p * (1.0 - p),
-                             params=params)
+        grower = _TreeGrower(x, xc, order, features, n_tied, categories,
+                             g=p - y, h=p * (1.0 - p), params=params)
         trees.append(grower.grow())
         raw = raw + params.learning_rate * grower.row_value
         p = _probability(raw)

@@ -10,7 +10,6 @@ where the model performs poorly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -119,6 +118,8 @@ def explain_misclassified(
     if jobs <= 1 or len(blocks) <= 1:
         done = map(explain_block, blocks)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded run loads it
+
         with ThreadPoolExecutor(max_workers=jobs) as workers:
             done = list(workers.map(explain_block, blocks))
     return tuple(exp for block in done for exp in block)

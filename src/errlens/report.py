@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import os
-from html import escape
 
 from .regions import RegionReport
 from .serialize import canonical_json, write_text
@@ -28,6 +27,8 @@ _BAR_COLOR = "#4a90d9"
 _BASELINE_COLOR = "#c0392b"
 _AXIS_COLOR = "#333333"
 _MAX_REGIONS = 20
+# what ``html.escape(text, quote=False)`` replaces, for text between SVG tags
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _num(x: float) -> str:
@@ -55,7 +56,7 @@ def render_error_plot(report: RegionReport) -> str:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<text x="{_num(left)}" y="{_num(top - fs)}" '
         f'font-size="{fs + 2}" fill="{_AXIS_COLOR}">'
-        f'{escape(report.split, quote=False)} split: region error rates '
+        f'{report.split.translate(_ESCAPE)} split: region error rates '
         f'(baseline {report.baseline_error_rate:.3f}, '
         f'{report.n_misclassified}/{report.n_total} misclassified)</text>',
     ]
@@ -93,7 +94,7 @@ def render_error_plot(report: RegionReport) -> str:
             parts.append(
                 f'<text x="{_num(left + 4)}" y="{_num(y_row + fs)}" '
                 f'font-size="{fs}" fill="{_AXIS_COLOR}">'
-                f'{escape(label, quote=False)}</text>'
+                f'{label.translate(_ESCAPE)}</text>'
             )
             parts.append(
                 f'<rect class="bar" x="{_num(left)}" '

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from conftest import BAD_PREDICTOR_OUTPUTS, make_table, random_table
@@ -132,9 +133,10 @@ def test_training_rejects_empty_tables_and_bad_params() -> None:
 class PerNodeGrower:
     """The grower that preceded the batched split search, kept as the oracle:
     each node searches its continuous features one at a time.  It takes the
-    batched grower's arguments and presorts each continuous column itself."""
+    batched grower's arguments, ignores its presorted matrix and tie count,
+    and presorts each continuous column itself."""
 
-    def __init__(self, x, xc, order, categories, g, h, params):
+    def __init__(self, x, xc, order, features, n_tied, categories, g, h, params):
         self.x = x
         self.order = [np.argsort(col, kind="stable") if cats is None else None
                       for col, cats in zip(x, categories)]
@@ -249,6 +251,53 @@ def test_the_batched_split_search_grows_the_per_node_growers_trees(drawn) -> Non
     with mock.patch.object(model_module, "_TreeGrower", PerNodeGrower):
         expected = train_gbdt(table, params).to_json_obj()
     assert train_gbdt(table, params).to_json_obj() == expected
+
+
+def benchmark_sized_tables() -> dict[str, object]:
+    """1500-row tables as large as the benchmark trains on: one of distinct
+    uniform values, one of integer-valued (tied) columns beside a uniform one
+    and a categorical one."""
+    rng = np.random.default_rng(18)
+    n = 1500
+    uniform = [rng.uniform(size=n) for _ in range(4)]
+    labels = (uniform[0] + uniform[1] + rng.uniform(size=n) > 1.5).astype(int)
+    tie_free = make_table([col.tolist() for col in uniform], labels.tolist())
+    tied = [rng.integers(0, 8, size=n).astype(float), rng.integers(0, 60, size=n).astype(float),
+            rng.uniform(size=n), rng.choice(list("abcd"), size=n)]
+    labels = ((tied[0] / 8 + tied[2] + (tied[3] == "b") + rng.uniform(size=n)) > 1.6).astype(int)
+    mixed = make_table([col.tolist() for col in tied], labels.tolist(),
+                       kinds=["continuous"] * 3 + ["categorical"])
+    return {"tie-free": tie_free, "tied": mixed}
+
+
+@pytest.mark.parametrize("max_depth", [4, 6])
+@pytest.mark.parametrize("name", ["tie-free", "tied"])
+def test_the_batched_split_search_grows_the_oracles_trees_at_benchmark_scale(
+        name: str, max_depth: int) -> None:
+    table = benchmark_sized_tables()[name]
+    params = GbdtParams(rounds=20, max_depth=max_depth, min_leaf_count=3)
+    with mock.patch.object(model_module, "_TreeGrower", PerNodeGrower):
+        expected = train_gbdt(table, params).to_json_obj()
+    model = train_gbdt(table, params)
+    assert model.to_json_obj() == expected
+    assert max(t.leaves.size for t in model.trees) > 2 ** (max_depth - 1)  # trees grow deep
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 200)),
+                  elements=st.floats(-2.0 ** 200, 2.0 ** 200)),
+       st.data())
+@settings(max_examples=300)
+def test_one_complex_prefix_sum_is_the_two_real_ones_bit_for_bit(g, data) -> None:
+    """The grower's one ``cumsum`` over ``g + ih`` (built by parts, not as
+    ``g + 1j * h``) stands for two real ones."""
+    h = data.draw(hnp.arrays(np.float64, g.shape,
+                             elements=st.floats(0.0, 0.25) | st.floats(0.0, 1e-300)))
+    gh = np.empty(g.shape, dtype=np.complex128)
+    gh.real = g
+    gh.imag = h
+    both = np.cumsum(gh, axis=1)
+    assert both.real.tobytes() == np.cumsum(g, axis=1).tobytes()
+    assert both.imag.tobytes() == np.cumsum(h, axis=1).tobytes()
 
 
 # --- prediction ----------------------------------------------------------------

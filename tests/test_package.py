@@ -41,8 +41,10 @@ def test_importing_the_cli_does_not_load_the_nearest_neighbour_index() -> None:
 
 
 def test_start_up_and_runs_load_neither_scipy_nor_xml_nor_the_web_stack(tmp_path) -> None:
-    # the sigmoid, the ridge solve and the SVG escaping use numpy and html
-    # only; modules the bare interpreter loaded before errlens are not counted
+    # the sigmoid and the ridge solve use numpy only, the SVG escaping a
+    # str.translate table, and only a threaded run starts a thread pool, so
+    # --jobs 1 runs load no scipy, xml, web stack, html or concurrent.futures;
+    # modules the bare interpreter loaded before errlens are not counted
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = "\n".join([
@@ -53,13 +55,13 @@ def test_start_up_and_runs_load_neither_scipy_nor_xml_nor_the_web_stack(tmp_path
         "assert main(['synth', '--rows', '120', '--features', '3', '--seed', '7',",
         "             '--out-dir', d]) == 0",
         "assert main(['pipeline', '--data', d + '/synth.csv', '--rounds', '4',",
-        "             '--n-samples', '50', '--out-dir', d + '/pipe']) == 0",
+        "             '--n-samples', '50', '--jobs', '1', '--out-dir', d + '/pipe']) == 0",
         "with open(d + '/p.csv', 'w') as fh:",
         "    fh.write('row_id,probability\\n' + ''.join(",
         "        f'{i},{0.9 if i % 3 == 0 else 0.1}\\n' for i in range(120)))",
         "assert main(['mine', '--data', d + '/synth.csv', '--predictions', d + '/p.csv',",
-        "             '--n-samples', '50', '--out-dir', d + '/mine']) == 0",
-        "banned = ('scipy', 'xml.sax', 'urllib', 'http')",
+        "             '--n-samples', '50', '--jobs', '1', '--out-dir', d + '/mine']) == 0",
+        "banned = ('scipy', 'xml.sax', 'urllib', 'http', 'html', 'concurrent')",
         "print(json.dumps(sorted(m for m in set(sys.modules) - before",
         "                        if any(m == b or m.startswith(b + '.') for b in banned))))",
     ])
