@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
-# numpy imports these on first use: numpy.random for the first split or draw,
-# numpy.ma inside np.unique.  Importing them with errlens puts that cost in
-# start-up, not in the run.
-import numpy.ma  # noqa: F401
+# numpy imports numpy.random on first use, for the first split or draw;
+# importing it with errlens puts that cost in start-up, not in the run
 import numpy.random  # noqa: F401
 
 from .errors import (
@@ -374,7 +372,8 @@ def featurize_rolling(
     if any(w <= 0 for w in windows) or any(a <= 0 for a in lags):
         raise DataError("windows and lags must be positive")
     ts = series.timestamps
-    if ts.size > 1 and np.unique(np.diff(ts)).size != 1:
+    steps = np.diff(ts)
+    if (steps[1:] != steps[:-1]).any():
         raise DataError("series must be uniformly spaced; resample it first")
     first = max(max(windows, default=1) - 1, max(lags, default=0))
     n_out = series.n_samples - first

@@ -230,7 +230,8 @@ def sample_perturbations(
         raise DataError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     m = n_samples - 1
-    drawn = np.empty((m, len(disc.schema)), dtype=np.intp)
+    # a feature's draws are contiguous: rows are matched feature by feature
+    drawn = np.empty((len(disc.schema), m), dtype=np.intp).T
     columns: list[np.ndarray] = []
     for j, bins in enumerate(disc.per_feature):
         b = drawn[:, j] = _choice(rng, bins.frequencies, m)
@@ -288,6 +289,29 @@ def _factor(a: np.ndarray) -> np.ndarray:
     raise SingularSystem(why)
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solutions of a stack of normal equations ``a @ beta = b``, through
+    :func:`_factor`; each equals its system's solution alone, bit for bit."""
+    u = _factor(a)
+    # a = u.T @ u: solve u.T @ t = b forward, then u @ beta = t backward, in
+    # Python floats: at this size a quarter of the time numpy calls take.
+    # Multiplying by the diagonal's reciprocals, as OpenBLAS's triangular
+    # solve does, keeps beta closer to scipy's cho_solve than dividing does.
+    k = b.shape[-1]
+    betas = b.reshape(-1, k).tolist()
+    for f, beta in zip(u.reshape(-1, k, k).tolist(), betas):
+        inv = [1.0 / f[i][i] for i in range(k)]
+        for i in range(k):
+            for j in range(i):
+                beta[i] -= f[j][i] * beta[j]
+            beta[i] *= inv[i]
+        for i in reversed(range(k)):
+            for j in range(i + 1, k):
+                beta[i] -= f[i][j] * beta[j]
+            beta[i] *= inv[i]
+    return np.asarray(betas).reshape(b.shape)
+
+
 def fit_local_model(
     z: np.ndarray, y: np.ndarray, weights: np.ndarray, ridge_lambda: float
 ) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
@@ -323,24 +347,7 @@ def fit_local_model(
         b = (xtw @ y[..., None])[..., 0]
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("the weighted normal equations are not finite")
-    u = _factor(a)
-    # a = u.T @ u: solve u.T @ t = b forward, then u @ beta = t backward, in
-    # Python floats: at this size a quarter of the time numpy calls take.
-    # Multiplying by the diagonal's reciprocals, as OpenBLAS's triangular
-    # solve does, keeps beta closer to scipy's cho_solve than dividing does.
-    k = b.shape[-1]
-    betas = b.reshape(-1, k).tolist()
-    for f, beta in zip(u.reshape(-1, k, k).tolist(), betas):
-        inv = [1.0 / f[i][i] for i in range(k)]
-        for i in range(k):
-            for j in range(i):
-                beta[i] -= f[j][i] * beta[j]
-            beta[i] *= inv[i]
-        for i in reversed(range(k)):
-            for j in range(i + 1, k):
-                beta[i] -= f[i][j] * beta[j]
-            beta[i] *= inv[i]
-    beta = np.asarray(betas).reshape(b.shape)
+    beta = _solve(a, b)
 
     # unless a fit's weighted target varies, there is nothing to explain: R^2 1
     pos = w > 0
@@ -353,6 +360,63 @@ def fit_local_model(
     if y.ndim == 1:
         return beta[1:], float(beta[0]), float(r2)
     return beta[..., 1:], beta[..., 0], r2
+
+
+def _fit_patterns(keys: np.ndarray, y0: np.ndarray, y: np.ndarray, design: np.ndarray,
+                  w: np.ndarray, ridge_lambda: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fit_local_model`'s stacked fits of rows whose indicators are
+    binary, from each match pattern's count, sum of targets and sum of
+    squared targets (less the pool's mean target).
+
+    Row r's samples are its unperturbed sample 0, which matches every
+    feature and has target ``y0[r]``, and the pool's samples, with targets
+    ``y`` and match patterns ``keys[r]`` (bit j set where feature j
+    matches).  ``design`` holds each pattern's row (1, then its bits) and
+    ``w`` its kernel weight, so the weighted normal equations are
+    design' diag(count * w) design + ridge against design' (w * sum y).
+    Each fit of a stack equals that fit alone, bit for bit, and differs from
+    the per-sample fit by rounding only.
+    """
+    rows, m = len(keys), len(design)
+    # targets less the pool's mean, so that the sums of squares do not
+    # cancel where targets vary little around a mean far from 0
+    c = y.mean()
+    dev, dev0 = y - c, y0 - c
+    dev2 = dev * dev
+    count, sy, syy = np.empty((3, rows, m))
+    for r, key in enumerate(keys):
+        count[r] = np.bincount(key, minlength=m)
+        sy[r] = np.bincount(key, weights=dev, minlength=m)
+        syy[r] = np.bincount(key, weights=dev2, minlength=m)
+    count[:, -1] += 1.0
+    sy[:, -1] += dev0
+    syy[:, -1] += dev0 * dev0
+
+    # each row's design.T * count * w is a lone row's array, so that the
+    # stacked products make a lone row's BLAS calls, one per row
+    cw = count * w
+    a = (design.T * cw[:, None, :]) @ design
+    a[:, 1:, 1:] += ridge_lambda * np.eye(design.shape[1] - 1)
+    wsy = sy * w
+    beta = _solve(a, (wsy[:, None, :] @ design)[:, 0])
+
+    # R^2 by fit_local_model's rule: the squared deviations of a pattern's
+    # samples from c + v sum to syy - v * (2 * sy - count * v)
+    if (w > 0).all():
+        lo = np.minimum(y.min(), y0)
+        hi = np.maximum(y.max(), y0)
+    else:  # kernel weights that underflow leave some patterns' samples out
+        counted = (w > 0)[keys]
+        lo = np.minimum(np.where(counted, y, np.inf).min(axis=1), y0)
+        hi = np.maximum(np.where(counted, y, -np.inf).max(axis=1), y0)
+    fit = (design @ beta[..., None])[..., 0]
+    y_bar = (wsy.sum(axis=1) / cw.sum(axis=1))[:, None]
+    ss_tot = (w * (syy - y_bar * (2.0 * sy - count * y_bar))).sum(axis=1)
+    ss_res = (w * (syy - fit * (2.0 * sy - count * fit))).sum(axis=1)
+    with np.errstate(all="ignore"):
+        r2 = np.where((hi > lo) & (ss_tot > 0.0), 1.0 - ss_res / ss_tot, 1.0)
+    return beta[:, 1:], beta[:, 0] + c, r2
 
 
 # --- explanation ------------------------------------------------------------------
@@ -467,6 +531,32 @@ class PerturbationPool:
             ({c: b for b, c in enumerate(bins.categories)},
              tuple(Condition(spec.name, category=c) for c in bins.categories))
             for spec, bins in zip(disc.schema, disc.per_feature))
+        # LIME's indicators are binary: with no more match patterns than
+        # samples, a row's fit takes its samples' patterns (keys in the
+        # narrowest unsigned type) and per-pattern sums, not a design matrix
+        d, n = len(disc.schema), config.n_samples
+        self._width = config.kernel_width or default_kernel_width(d)
+        m = 1 << d
+        if m <= n:
+            self._key_type = np.min_scalar_type(m - 1).type
+            # what one row of a block holds: its keys, and the booleans and
+            # bits that build them, per pool sample; d + 9 float64s per pattern
+            self.row_bytes = (n - 1) * (2 * self._key_type().itemsize + 1) + 8 * (d + 9) * m
+        else:
+            self._key_type = None
+            self.row_bytes = 8 * n * (d + 1)  # its design row per sample
+
+    @cached_property
+    def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each match pattern's design row (1, then bit j of its number for
+        feature j) and kernel weight.  Built on first use, not with the pool:
+        its float matrix product and ``exp`` are a run's first, and their
+        one-time set-up memory would add to the peak of the scoring passes
+        that run in between."""
+        d = len(self.disc.schema)
+        bits = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.float64)
+        return (np.concatenate([np.ones((len(bits), 1)), bits], axis=1),
+                kernel_weights(bits, self._width))
 
     @cached_property
     def scored(self) -> tuple[np.ndarray, np.ndarray]:
@@ -496,8 +586,8 @@ class PerturbationPool:
         the score a scoring pass gave it, in one stacked surrogate fit.
 
         Each explanation equals its row's lone :func:`explain`, bit for bit:
-        the fit of a stack is each of its fits alone.  The ``(rows, n, d+1)``
-        design matrix is the block's memory, so the caller sizes the block.
+        the fit of a stack is each of its fits alone.  A block holds about
+        :attr:`row_bytes` per row, so the caller sizes the block.
         """
         config, n = self.config, len(row_ids)
         if len(columns) != len(self._codings):
@@ -510,13 +600,20 @@ class PerturbationPool:
                 codes[:, j] = [coding.get(str(v), -1) for v in column]
             else:
                 codes[:, j] = coding.searchsorted(np.asarray(column, dtype=np.float64))
-        z = np.ones((n, config.n_samples, codes.shape[1]))
-        z[:, 1:] = drawn == codes[:, None, :]
-        y = np.empty((n, config.n_samples))
-        y[:, 0], y[:, 1:] = probabilities, pool_probs
-        width = config.kernel_width or default_kernel_width(codes.shape[1])
-        coef, intercept, r2 = fit_local_model(z, y, kernel_weights(z, width),
-                                              config.ridge_lambda)
+        if self._key_type is None:
+            z = np.ones((n, config.n_samples, codes.shape[1]))
+            z[:, 1:] = drawn == codes[:, None, :]
+            y = np.empty((n, config.n_samples))
+            y[:, 0], y[:, 1:] = probabilities, pool_probs
+            coef, intercept, r2 = fit_local_model(z, y, kernel_weights(z, self._width),
+                                                  config.ridge_lambda)
+        else:
+            # bit j of a sample's key is set where its draw matches code j
+            keys = np.zeros((n, len(drawn)), dtype=self._key_type)
+            for j, code in enumerate(codes.T):
+                keys |= (drawn[:, j] == code[:, None]) * self._key_type(1 << j)
+            coef, intercept, r2 = _fit_patterns(keys, probabilities, pool_probs,
+                                                *self._patterns, config.ridge_lambda)
 
         # terms by descending absolute weight, ties in schema order
         order = np.argsort(-np.abs(coef), axis=-1, kind="stable")[:, :config.top_k]

@@ -232,9 +232,18 @@ class Tree:
         return cls(feature, cut, child, value)
 
 
+def _distinct(col: np.ndarray) -> np.ndarray:
+    """``np.unique(col)`` by a sort and a neighbour compare: a plain
+    ``np.unique`` imports ``numpy.ma``, a start-up cost."""
+    col = np.sort(col)
+    keep = np.ones(col.size, dtype=bool)
+    keep[1:] = col[1:] != col[:-1]
+    return col[keep]
+
+
 def _table_categories(table: LabeledTable) -> Categories:
     """Per feature, the sorted distinct values of a categorical column."""
-    return tuple(_frozen(np.unique(col)) if f.kind == "categorical" else None
+    return tuple(_frozen(_distinct(col)) if f.kind == "categorical" else None
                  for f, col in zip(table.schema, table.columns))
 
 
@@ -618,19 +627,22 @@ class _TreeGrower:
                     cut = float((self.xc[r, below] + self.xc[r, above]) / 2.0)
                     best = (float(gains[r, i]), j, cut)
                 continue
-            codes, inverse = np.unique(self.x[j][rows], return_inverse=True)
-            counts = np.bincount(inverse)
-            gl = np.bincount(inverse, weights=g)
-            hl = np.bincount(inverse, weights=h)
+            # x[j] holds dense codes: a code no row of the node has counts 0
+            # rows, fails min_leaf and, at l2 0, would divide 0 by 0
+            codes = self.x[j][rows]
+            counts = np.bincount(codes, minlength=cats.size)
+            gl = np.bincount(codes, weights=g, minlength=cats.size)
+            hl = np.bincount(codes, weights=h, minlength=cats.size)
             ok = (counts >= min_leaf) & (m - counts >= min_leaf)
             if not ok.any():
                 continue
-            gain = 0.5 * (gl**2 / (hl + lam)
-                          + (G - gl)**2 / (H - hl + lam) - parent)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = 0.5 * (gl**2 / (hl + lam)
+                              + (G - gl)**2 / (H - hl + lam) - parent)
             gain = np.where(ok, gain, -np.inf)
             i = int(np.argmax(gain))
             if best is None or gain[i] > best[0]:
-                best = (float(gain[i]), j, float(codes[i]))
+                best = (float(gain[i]), j, float(i))
         if best is None or best[0] <= 0.0:
             return None
         return best[1], best[2]

@@ -71,10 +71,11 @@ def find_misclassified(predictor: Predictor, table: LabeledTable,
     return MisclassifiedSet(table, predictor.predict_table(table), threshold, split)
 
 
-# A block of rows shares one stacked surrogate fit, whose (rows, n_samples,
-# d + 1) float64 design matrix stays within this budget, so that a block's
-# few temporaries of that size stay near what one row at the default 5000
-# samples needs (about 270 KiB on 6 features): blocks save calls, not memory.
+# A block of rows shares one stacked surrogate fit, whose arrays (the pool's
+# ``row_bytes`` per row) stay within this budget, so that a block's few
+# temporaries of that size stay near what one row of a per-sample fit at the
+# default 5000 samples needs (about 270 KiB on 6 features): blocks save
+# calls, not memory.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -94,8 +95,8 @@ def explain_misclassified(
     are ``pool``'s, or else a new pool's, drawn and scored in one predictor
     call; so each equals the row's lone :func:`explain` with that probability,
     whatever the order, ``jobs``, block or other rows.  Rows are explained in
-    blocks, one stacked surrogate fit each, sized from ``n_samples`` and the
-    feature count; ``jobs`` threads take blocks.  Results are in
+    blocks, one stacked surrogate fit each, sized from the pool's
+    ``row_bytes``; ``jobs`` threads take blocks.  Results are in
     ``misclassified.row_ids`` order.
     """
     if pool is None:
@@ -106,7 +107,7 @@ def explain_misclassified(
     rows = np.flatnonzero(misclassified.wrong)
     if len(rows):
         pool.scored  # noqa: B018 - draw and score the pool before any thread does
-    step = max(1, _BLOCK_BYTES // (8 * config.n_samples * (len(disc.schema) + 1)))
+    step = max(1, _BLOCK_BYTES // pool.row_bytes)
     blocks = [rows[start:start + step] for start in range(0, len(rows), step)]
 
     def explain_block(block: np.ndarray) -> list[Explanation]:

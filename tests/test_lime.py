@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
@@ -28,8 +29,9 @@ from errlens import (
     sample_perturbations,
     write_explanations_jsonl,
 )
+from errlens import lime as lime_module
 from errlens.errors import DataError, ProbabilityOutOfRange, SingularSystem, UnknownFeature
-from errlens.lime import default_kernel_width
+from errlens.lime import PerturbationPool, default_kernel_width
 
 
 # --- discretizer -------------------------------------------------------------------
@@ -532,6 +534,125 @@ def test_a_lone_explanation_equals_the_rows_explanation_in_any_batch() -> None:
     keep = [rows[rid] for rid in mis.row_ids[::2]]
     fewer = find_misclassified(predictor, table.subset(keep), split="all")
     assert explain_misclassified(predictor, fewer, disc, config, jobs=2) == batch[::2]
+
+
+def per_sample_fits(pool: PerturbationPool, columns, probabilities) -> list:
+    """Each row's fit_local_model fit (or its SingularSystem) on its
+    per-sample design, where sample 0 matches every feature and a pool
+    sample feature j where its drawn bin or category is the row's; with the
+    weighted variance of the row's targets and the condition number of its
+    normal equations."""
+    drawn, pool_probs = pool.scored
+    d = len(pool.disc.schema)
+    width = pool.config.kernel_width or default_kernel_width(d)
+    fits = []
+    for r, probability in enumerate(probabilities):
+        codes = [bins.bin_of(column[r]) if not hasattr(bins, "categories") else
+                 bins.categories.index(column[r]) if column[r] in bins.categories else -1
+                 for bins, column in zip(pool.disc.per_feature, columns)]
+        z = np.ones((pool.config.n_samples, d))
+        z[1:] = drawn == codes
+        y, w = np.r_[probability, pool_probs], kernel_weights(z, width)
+        variance = float(np.sum(w * (y - np.sum(w * y) / np.sum(w)) ** 2) / np.sum(w))
+        x = np.hstack([np.ones((len(z), 1)), z])
+        a = (x * w[:, None]).T @ x + pool.config.ridge_lambda * np.diag([0.0] + [1.0] * d)
+        fits.append((_fit_or_error(z, y, w, pool.config.ridge_lambda), variance,
+                     float(np.linalg.cond(a))))
+    return fits
+
+
+@st.composite
+def pools_and_rows(draw, wide: bool):
+    """A pool over d <= 8 mixed features, some with a single bin, with
+    ridge 0 or more, and kernel widths whose weights may underflow to 0; and
+    three rows to explain, some holding a category unseen in training, with
+    the scores a scoring pass gave them.  The predictor may be constant.
+    Its 2**d match patterns are more than its samples if ``wide``, else at
+    most as many."""
+    d = draw(st.integers(1 + wide, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["continuous", "categorical"]),
+                          min_size=d, max_size=d))
+    columns = []
+    for kind in kinds:
+        levels = draw(st.sampled_from([1, 2, 4, 4]))  # one level: a single bin
+        columns.append(rng.integers(0, levels, size=40) / 2.0 if kind == "continuous"
+                       else rng.choice(list("abcd")[:levels], size=40))
+    table = make_table([c.tolist() for c in columns], [0] * 40, kinds=kinds)
+    slopes = rng.normal(size=d) * draw(st.sampled_from([0.0, 1.0]))  # 0: constant targets
+
+    def score(cols):
+        x = [np.asarray(c, dtype=np.float64) if k == "continuous" else
+             (np.asarray(c) == "a") - (np.asarray(c) == "b") * 1.0 for c, k in zip(cols, kinds)]
+        return 1.0 / (1.0 + np.exp(-(slopes @ np.stack(x) - 0.2)))
+
+    config = LimeConfig(
+        n_samples=draw(st.integers(2, 2 ** d - 1) if wide else st.integers(2 ** d, 2 ** d + 400)),
+        kernel_width=draw(st.sampled_from([None, 0.4, 0.02])),  # 0.02: exp(-2500) is 0
+        ridge_lambda=draw(st.sampled_from([0.0, 1.0, 1.0])), top_k=d,
+        seed=draw(st.integers(0, 2 ** 64 - 1)))
+    pool = PerturbationPool(FunctionPredictor(table.schema, score), fit_discretizer(table),
+                            config)
+    rows = rng.integers(0, 40, size=3)
+    explained = [column[rows] for column in table.columns]
+    for column, kind in zip(explained, kinds):
+        if kind == "categorical" and draw(st.booleans()):
+            column[0] = "zz"  # unseen in training: it matches no draw
+    return pool, explained, score(explained)
+
+
+def explain_or_error(pool, columns, probabilities, off_path: str):
+    """The pool's explanations of the rows, or its SingularSystem, with the
+    fit named ``off_path`` failing if it is called."""
+    with mock.patch.object(lime_module, off_path, side_effect=AssertionError(off_path)):
+        try:
+            return pool.explain_rows(["r0", "r1", "r2"], columns, [0] * 3, probabilities)
+        except SingularSystem as exc:
+            return exc
+
+
+@given(pools_and_rows(wide=False))
+@settings(max_examples=500)
+def test_the_pattern_fit_agrees_with_the_per_sample_fit(case) -> None:
+    # with no more match patterns than samples, each row is fitted from its
+    # patterns' counts and sums: the per-sample fit's values up to rounding,
+    # and its SingularSystem
+    pool, columns, probabilities = case
+    expected = per_sample_fits(pool, columns, probabilities)
+    got = explain_or_error(pool, columns, probabilities, off_path="fit_local_model")
+    if any(isinstance(fit, SingularSystem) for fit, _, _ in expected):
+        assert isinstance(got, SingularSystem)
+        return
+    assert not isinstance(got, SingularSystem)
+    names = [spec.name for spec in pool.disc.schema]
+    for exp, ((coef, intercept, r2), variance, cond) in zip(got, expected):
+        # rounding moves a solution by up to the condition number times more
+        tol = 1e-12 * max(1.0, cond / 1e3)
+        weights = dict((c.feature, w) for c, w in exp.terms)
+        scale = max(1.0, float(np.abs(coef).max()))
+        assert np.abs([weights[name] for name in names] - coef).max() <= tol * scale
+        assert abs(exp.intercept - intercept) <= tol * max(1.0, abs(intercept))
+        # R^2 compares squared residuals with the targets' variance, so where
+        # the targets barely vary, rounding moves it by more
+        assert abs(exp.surrogate_r2 - r2) * min(1.0, variance) <= tol
+        if variance == 0.0:
+            assert exp.surrogate_r2 == r2 == 1.0
+
+
+@given(pools_and_rows(wide=True))
+@settings(max_examples=100)
+def test_with_more_patterns_than_samples_explanations_keep_the_per_sample_bytes(case) -> None:
+    pool, columns, probabilities = case
+    expected = [fit for fit, _, _ in per_sample_fits(pool, columns, probabilities)]
+    got = explain_or_error(pool, columns, probabilities, off_path="_fit_patterns")
+    if any(isinstance(fit, SingularSystem) for fit in expected):
+        assert str(got) == str(next(f for f in expected if isinstance(f, SingularSystem)))
+        return
+    names = [spec.name for spec in pool.disc.schema]
+    for exp, (coef, intercept, r2) in zip(got, expected):
+        weights = dict((cond.feature, w) for cond, w in exp.terms)
+        assert np.asarray([weights[name] for name in names]).tobytes() == coef.tobytes()
+        assert (exp.intercept, exp.surrogate_r2) == (intercept, r2)
 
 
 def test_explanations_round_trip_through_jsonl(tmp_path) -> None:

@@ -283,6 +283,30 @@ def test_the_batched_split_search_grows_the_oracles_trees_at_benchmark_scale(
     assert max(t.leaves.size for t in model.trees) > 2 ** (max_depth - 1)  # trees grow deep
 
 
+@pytest.mark.parametrize("l2", [0.0, 1.0])
+@pytest.mark.parametrize("levels", [8, 200])
+def test_the_categorical_split_search_grows_the_oracles_trees(levels: int, l2: float) -> None:
+    # codes are counted per category, so a level absent from a node counts 0
+    # rows: at l2 0 its gain is 0 / 0, which must neither win nor warn
+    rng = np.random.default_rng(levels)
+    n = 1500
+    cats = [rng.choice([f"k{i}" for i in range(levels)], size=n) for _ in range(2)]
+    x = rng.uniform(size=n)
+    labels = ((np.char.str_len(cats[0]) % 2 + x + (cats[1] == "k3")
+               + rng.uniform(size=n)) > 1.8).astype(int)
+    table = make_table([c.tolist() for c in cats] + [x.tolist()], labels.tolist(),
+                       kinds=["categorical", "categorical", "continuous"])
+    params = GbdtParams(rounds=15, max_depth=5, min_leaf_count=3, l2=l2)
+    with mock.patch.object(model_module, "_TreeGrower", PerNodeGrower):
+        expected = canonical_json(train_gbdt(table, params).to_json_obj())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_gbdt(table, params)
+    assert canonical_json(model.to_json_obj()) == expected
+    assert any(model.schema[j].kind == "categorical"
+               for tree in model.trees for j in tree.feature[tree.splits].tolist())
+
+
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 200)),
                   elements=st.floats(-2.0 ** 200, 2.0 ** 200)),
        st.data())

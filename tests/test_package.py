@@ -44,13 +44,16 @@ def test_start_up_and_runs_load_neither_scipy_nor_xml_nor_the_web_stack(tmp_path
     # the sigmoid and the ridge solve use numpy only, the SVG escaping a
     # str.translate table, and only a threaded run starts a thread pool, so
     # --jobs 1 runs load no scipy, xml, web stack, html or concurrent.futures;
-    # modules the bare interpreter loaded before errlens are not counted
+    # distinct categories come from a sort, not np.unique, which loads
+    # numpy.ma; modules the bare interpreter loaded before errlens are not
+    # counted
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = "\n".join([
         "import json, sys",
         "before = set(sys.modules)",
         "from errlens.cli import main",
+        "assert 'numpy.ma' not in sys.modules",
         "d = sys.argv[1]",
         "assert main(['synth', '--rows', '120', '--features', '3', '--seed', '7',",
         "             '--out-dir', d]) == 0",
@@ -60,8 +63,9 @@ def test_start_up_and_runs_load_neither_scipy_nor_xml_nor_the_web_stack(tmp_path
         "    fh.write('row_id,probability\\n' + ''.join(",
         "        f'{i},{0.9 if i % 3 == 0 else 0.1}\\n' for i in range(120)))",
         "assert main(['mine', '--data', d + '/synth.csv', '--predictions', d + '/p.csv',",
-        "             '--n-samples', '50', '--jobs', '1', '--out-dir', d + '/mine']) == 0",
-        "banned = ('scipy', 'xml.sax', 'urllib', 'http', 'html', 'concurrent')",
+        "             '--categorical', 'f2', '--n-samples', '50', '--jobs', '1',",
+        "             '--out-dir', d + '/mine']) == 0",
+        "banned = ('scipy', 'xml.sax', 'urllib', 'http', 'html', 'concurrent', 'numpy.ma')",
         "print(json.dumps(sorted(m for m in set(sys.modules) - before",
         "                        if any(m == b or m.startswith(b + '.') for b in banned))))",
     ])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,8 +30,6 @@ from errlens import (
     explain_misclassified,
     find_misclassified,
     fit_discretizer,
-    fit_local_model,
-    kernel_weights,
     mine_conditions,
     report_from_explanations,
     sample_perturbations,
@@ -144,17 +144,30 @@ def test_sample_zero_is_fitted_to_the_score_the_scoring_pass_gave_its_row() -> N
     mis = find_misclassified(predictor, table, split="all")
     (exp,) = explain_misclassified(predictor, mis, disc, config=config)
     drawn, columns = sample_perturbations(disc, 50, config.seed)
-    z = np.ones((50, 1))
-    z[1:] = drawn == disc.per_feature[0].bin_of(0.5)
     answers = predictor.predict_rows(table.schema, [np.r_[0.5, columns[0]]])
     assert answers[0] == 0.7
-    weights = kernel_weights(z, default_kernel_width(1))
+    # the surrogate sees its samples through each match pattern's kernel
+    # weight, count and sum of targets: sample 0 and the draws in b's bin
+    # match, the others do not
+    matches = [True, *(drawn[:, 0] == disc.per_feature[0].bin_of(0.5)).tolist()]
+    weight = {True: 1.0, False: math.exp(-1.0 / default_kernel_width(1) ** 2)}
     fits = {}
     for target in (0.3, 0.7):
-        coef, intercept, _ = fit_local_model(z, np.concatenate([[target], answers[1:]]),
-                                             weights, config.ridge_lambda)
-        fits[target] = (intercept, float(coef[0]))
-    assert (exp.intercept, exp.terms[0][1]) == fits[0.3] != fits[0.7]
+        count, total = {True: 0, False: 0}, {True: 0.0, False: 0.0}
+        for match, y in zip(matches, [target, *answers[1:].tolist()]):
+            count[match] += 1
+            total[match] += y
+        # the normal equations [[W, W1], [W1, W1 + lambda]] @ (b0, b1) = (S, S1)
+        w_all = weight[True] * count[True] + weight[False] * count[False]
+        w_one = weight[True] * count[True] + config.ridge_lambda
+        s_all = weight[True] * total[True] + weight[False] * total[False]
+        s_one = weight[True] * total[True]
+        det = w_all * w_one - (weight[True] * count[True]) ** 2
+        fits[target] = ((s_all * w_one - weight[True] * count[True] * s_one) / det,
+                        (w_all * s_one - weight[True] * count[True] * s_all) / det)
+    assert exp.intercept == pytest.approx(fits[0.3][0], rel=1e-12)
+    assert exp.terms[0][1] == pytest.approx(fits[0.3][1], rel=1e-12)
+    assert abs(exp.intercept - fits[0.7][0]) > 1e-3
     # the surrogate's value at sample 0 (z all ones) moves toward b's own score
     # (measured on the pool: 0.683 against 0.697)
     assert sum(fits[0.7]) > 0.69 and sum(fits[0.7]) - sum(fits[0.3]) > 0.01
@@ -189,12 +202,15 @@ def test_explanation_bytes_do_not_depend_on_the_block_size_or_jobs(
 
     reference = written(tmp_path / "reference.jsonl", 1)  # the budget's own blocks
     stacks = []
-    fit = lime_module.fit_local_model
-    monkeypatch.setattr(lime_module, "fit_local_model",
-                        lambda z, *args: stacks.append(len(z)) or fit(z, *args))
+    fit = lime_module._fit_patterns
+    monkeypatch.setattr(lime_module, "_fit_patterns",
+                        lambda keys, *args: stacks.append(len(keys)) or fit(keys, *args))
+    # 2**3 match patterns for 150 samples: a row holds its 149 one-byte keys,
+    # their booleans and bits, and 3 + 9 float64s per pattern
+    row_bytes = PerturbationPool(predictor, disc, config).row_bytes
+    assert row_bytes == 149 * 3 + 8 * 12 * 8
     rows = block or len(mis.row_ids)
-    monkeypatch.setattr(regions_module, "_BLOCK_BYTES",
-                        rows * 8 * config.n_samples * (len(table.schema) + 1))
+    monkeypatch.setattr(regions_module, "_BLOCK_BYTES", rows * row_bytes)
     assert written(tmp_path / "blocks.jsonl", jobs) == reference
     full, rest = divmod(len(mis.row_ids), rows)
     assert sorted(stacks) == sorted([rows] * full + [rest] * (rest > 0))
