@@ -206,15 +206,6 @@ def condition_for(disc: Discretizer, feature: str, value: float | str) -> Condit
 # --- perturbation sampling -------------------------------------------------------
 
 
-def _choice(rng: np.random.Generator, frequencies: Sequence[float], m: int) -> np.ndarray:
-    """``rng.choice(len(frequencies), size=m, p=frequencies)`` by the steps
-    numpy takes inside it, so the same stream gives the same draws, without
-    its checks of ``p``, which training frequencies always pass."""
-    cdf = np.cumsum(frequencies)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(m), side="right")
-
-
 def sample_perturbations(
     disc: Discretizer, n_samples: int, seed: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -225,6 +216,8 @@ def sample_perturbations(
     categorical features draw a category by frequency.  Returns the
     ``(n-1, d)`` drawn bins (category codes for categorical features) and
     each feature's drawn values.  The RNG is consumed feature by feature.
+    DataError names a feature whose bins cannot be sampled: frequencies that
+    are not a distribution, or a negative std.
     """
     if n_samples < 1:
         raise DataError("n_samples must be at least 1")
@@ -234,13 +227,16 @@ def sample_perturbations(
     drawn = np.empty((len(disc.schema), m), dtype=np.intp).T
     columns: list[np.ndarray] = []
     for j, bins in enumerate(disc.per_feature):
-        b = drawn[:, j] = _choice(rng, bins.frequencies, m)
+        try:
+            b = drawn[:, j] = rng.choice(len(bins.frequencies), size=m, p=bins.frequencies)
+            if isinstance(bins, ContinuousBins):
+                raw = rng.normal(np.asarray(bins.means)[b], np.asarray(bins.stds)[b])
+        except ValueError as exc:
+            raise DataError(f"feature {disc.schema[j].name!r}: its bins cannot be "
+                            f"sampled: {exc}") from None
         if isinstance(bins, CategoricalBins):
             columns.append(np.asarray(bins.categories, dtype=str)[b])
         else:
-            # what rng.normal(loc, scale) computes, from the same draws
-            raw = np.asarray(bins.stds)[b] * rng.standard_normal(m)
-            raw += np.asarray(bins.means)[b]
             columns.append(np.clip(raw, np.asarray(bins.mins)[b], np.asarray(bins.maxs)[b]))
     return drawn, columns
 
@@ -504,10 +500,18 @@ def explain(
     Without it, both use the predictor's answer for the bare instance, which
     differs where the predictor answers a bare row with another row's score,
     as :class:`ExternalPredictions` does.  Samples 1..n-1 are the
-    :class:`PerturbationPool`'s, whose explanation this equals.
+    :class:`PerturbationPool`'s: this is its :meth:`~PerturbationPool.explain_rows`
+    of the one row.
     """
-    return PerturbationPool(predictor, disc, config).explain(
-        row_id, instance, true_label, probability, threshold)
+    if len(instance) != len(disc.schema):
+        raise DataError("instance does not match the discretizer schema")
+    row = [np.asarray([v], dtype=str if isinstance(b, CategoricalBins) else float)
+           for b, v in zip(disc.per_feature, instance)]
+    if probability is None:
+        probability = check_probabilities(predictor.predict_rows(disc.schema, row), 1)[0]
+    (exp,) = PerturbationPool(predictor, disc, config).explain_rows(
+        [row_id], row, [true_label], [probability], threshold)
+    return exp
 
 
 class PerturbationPool:
@@ -565,19 +569,6 @@ class PerturbationPool:
                                               self.config.seed)
         probs = self.predictor.predict_rows(self.disc.schema, columns)
         return drawn, check_probabilities(probs, len(drawn))
-
-    def explain(self, row_id: str, instance: Sequence[float | str], true_label: int,
-                probability: float | None, threshold: float = 0.5) -> Explanation:
-        """:func:`explain` with this pool: :meth:`explain_rows` of one row."""
-        disc = self.disc
-        if len(instance) != len(disc.schema):
-            raise DataError("instance does not match the discretizer schema")
-        row = [np.asarray([v], dtype=str if isinstance(b, CategoricalBins) else float)
-               for b, v in zip(disc.per_feature, instance)]
-        if probability is None:
-            probability = check_probabilities(self.predictor.predict_rows(disc.schema, row), 1)[0]
-        (exp,) = self.explain_rows([row_id], row, [true_label], [probability], threshold)
-        return exp
 
     def explain_rows(self, row_ids: Sequence[str], columns: Columns,
                      true_labels: Sequence[int], probabilities: Sequence[float],

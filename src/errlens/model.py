@@ -262,13 +262,11 @@ def _json_categories(schema: Sequence[FeatureSpec], trees: Sequence[Sequence[dic
 
 # Leaves per bitvector word, a word with every bit set, rows x trees scored
 # at once, which keeps each block's temporaries near 1 MiB whatever the
-# call's size, and the most bytes one group's tables and ranks may take.
+# call's size, and the most bytes one group's tables may take.
 _WORD = 16
 _ONES = (1 << _WORD) - 1
 _BLOCK = 2 ** 16
 _GROUP_BYTES = 2 ** 20
-# bitvector words per uint64: a table row is ANDed as whole uint64s
-_PACK = 64 // _WORD
 
 # The trailing zeros of every word, and _WORD for the zero word.
 _CTZ = np.full(1 << _WORD, _WORD, dtype=np.uint8)
@@ -276,71 +274,14 @@ for _bit in range(_WORD):
     _CTZ[1 << _bit::2 << _bit] = _bit
 
 
-def _rank_cells(n_cuts: int) -> int:
-    """The cells of a :class:`_ThresholdRank` over ``n_cuts`` thresholds:
-    the power of two at least four times as many, so few cells hold two."""
-    return 1 << (4 * n_cuts - 1).bit_length()
-
-
-class _ThresholdRank:
-    """``np.searchsorted(cuts, x)`` for a column ``x``, exactly, mostly by lookup.
-
-    ``cuts`` ascend strictly.  A value falls in cell
-    ``floor(clip((x - cuts[0]) * scale, 0, cells - 1))``, a map that never
-    decreases as ``x`` grows, rounding included.  So every threshold in a
-    lower cell than ``x``'s is below ``x`` and every one in a higher cell is
-    above it.  ``base[cell]`` counts the thresholds in lower cells, so
-    ``bounds[base[cell]]`` (``bounds`` is ``cuts`` and +inf) is the cell's one
-    threshold if it has one, and else lies in a higher cell: the rank is
-    ``base[cell] + (bounds[base[cell]] < x)``.  A cell holding two or more
-    thresholds has a ``base`` of -1, which stays negative, and its rows fall
-    back to ``searchsorted``; so does every row when there is a single
-    threshold or ``scale`` is not a positive finite number (a span that is
-    infinite or subnormal).
-    """
-
-    def __init__(self, cuts: np.ndarray):
-        self.cuts = cuts
-        self.low = cuts[0]
-        self.cells = _rank_cells(cuts.size)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            self.scale = self.cells / (cuts[-1] - cuts[0])
-        if cuts.size < 2 or not 0.0 < self.scale < math.inf:
-            self.scale = None
-            return
-        count = np.bincount(self._cell(cuts), minlength=self.cells)
-        self.base = np.where(count > 1, -1, np.cumsum(count) - count)
-        self.bounds = np.append(cuts, math.inf)
-
-    def _cell(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # a far value's cell is the first or last
-            t = x - self.low
-            t *= self.scale
-        return np.clip(t, 0, self.cells - 1, out=t).astype(np.intp)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.scale is None:
-            return np.searchsorted(self.cuts, x)
-        cell = self._cell(x)
-        rank = self.base.take(cell)
-        rank += self.bounds.take(rank) < x
-        crowded = np.flatnonzero(rank < 0)
-        if crowded.size:
-            rank[crowded] = np.searchsorted(self.cuts, x[crowded])
-        return rank
-
-
 def _group_ends(trees: Sequence[Tree], categories: Categories) -> list[int]:
     """Where each group of consecutive trees ends: a group grows while its
-    tables and ranks (see :class:`_TreeGroup`) fit in _GROUP_BYTES, and a
-    tree that alone takes more is a group of its own."""
+    tables (see :class:`_TreeGroup`) fit in _GROUP_BYTES, and a tree that
+    alone takes more is a group of its own."""
     def table_bytes(n_cuts: dict[int, int], n_trees: int, n_leaves: int) -> int:
         rows = sum(n + 1 if categories[j] is None else categories[j].size + 1
                    for j, n in n_cuts.items())
-        ranks = sum(8 * (_rank_cells(n) + n + 1) for j, n in n_cuts.items()
-                    if categories[j] is None and n > 1)
-        packed = -(-n_trees * -(-n_leaves // _WORD) // _PACK)
-        return 8 * packed * rows + ranks
+        return 2 * n_trees * -(-n_leaves // _WORD) * rows
 
     ends: list[int] = []
     # the open group's first tree, distinct cuts per feature and widest tree
@@ -374,11 +315,10 @@ class _TreeGroup:
     ``cuts`` holds its distinct thresholds in ascending order and row ``k``
     of its table ANDs the masks of the splits at ``cuts[:k]``, so the number
     of thresholds strictly below ``x`` (exactly the splits ``x <= threshold``
-    fails), found by a :class:`_ThresholdRank`, picks the row.  For a
-    categorical feature, row ``c`` ANDs the masks of the splits code ``c``
-    fails, and the last row, picked by code -1, those of every split.  A
-    table row holds the group's words tree by tree, padded to whole 64-bit
-    words, which the rows of a call are ANDed in.
+    fails), ``np.searchsorted(cuts, x)``, picks the row.  For a categorical
+    feature, row ``c`` ANDs the masks of the splits code ``c`` fails, and
+    the last row, picked by code -1, those of every split.  A table row
+    holds the group's words tree by tree.
 
     A table has a row per distinct threshold and a column per tree, so an
     ensemble is compiled as consecutive groups (:func:`_group_ends`), each
@@ -397,7 +337,6 @@ class _TreeGroup:
             value[t, :tree.leaves.size] = learning_rate * tree.value[tree.leaves]
         self.leaf_value = value.ravel()
         self.leaf_base = np.arange(n_trees, dtype=np.intp)[:, None] * width
-        self.packed = -(-n_trees * self.words // _PACK)  # uint64s per table row
 
         # every split of the group: its tree, feature, cut and mask
         tree_of = np.repeat(np.arange(n_trees), [t.splits.size for t in trees])
@@ -407,8 +346,8 @@ class _TreeGroup:
         lane = np.arange(width)
         keep = (lane < span[:, :1]) | (lane >= span[:, 1:])
         mask = np.packbits(keep, axis=1, bitorder="little").view("<u2").astype(np.uint16)
-        # per used feature: (column, threshold rank or None, table)
-        self.tables: list[tuple[int, _ThresholdRank | None, np.ndarray]] = []
+        # per used feature: (column, ascending thresholds or None, table)
+        self.tables: list[tuple[int, np.ndarray | None, np.ndarray]] = []
         for j, cats in enumerate(categories):
             on = feature == j
             if not on.any():
@@ -425,17 +364,14 @@ class _TreeGroup:
             np.bitwise_and.at(table, (fails, tree_of[on][split]), mask[on][split])
             if cats is None:
                 np.bitwise_and.accumulate(table, axis=0, out=table)
-            padded = np.full((n_rows, self.packed * _PACK), _ONES, dtype=np.uint16)
-            padded[:, :table[0].size] = table.reshape(n_rows, -1)
-            self.tables.append((j, None if cuts is None else _ThresholdRank(cuts),
-                                padded.view(np.uint64)))
+            self.tables.append((j, cuts, table.reshape(n_rows, -1)))
 
     def add_scores(self, x: np.ndarray, raw: np.ndarray) -> None:
         """Add the group's leaf values to ``raw`` tree by tree, in order."""
         n, n_trees = len(x), self.n_trees
         # each row's table row per feature, looked up once for the whole call
-        keys = [(x[:, j].astype(np.intp) if rank is None else rank(x[:, j]), table)
-                for j, rank, table in self.tables]
+        keys = [(x[:, j].astype(np.intp) if cuts is None else np.searchsorted(cuts, x[:, j]),
+                 table) for j, cuts, table in self.tables]
         step = max(1, _BLOCK // n_trees)
         # row 0 carries the raw score and rows 1.. the trees' values, so one
         # reduce over axis 0 adds them in ensemble order.  numpy folds away
@@ -446,10 +382,9 @@ class _TreeGroup:
             rows = slice(start, min(n, start + step))
             width = rows.stop - start
             # a group of lone leaves has no tables, and every row stays in leaf 0
-            bits = np.full((width, self.packed), ~np.uint64(0))
+            bits = np.full((width, n_trees * self.words), _ONES, dtype=np.uint16)
             for key, table in keys:
                 bits &= table.take(key[rows], axis=0)
-            bits = bits.view(np.uint16)[:, :n_trees * self.words]
             bits = bits.reshape(width, n_trees, self.words)
             bits = np.ascontiguousarray(bits.transpose(2, 1, 0))  # (words, trees, rows)
             # the lowest set bit of the lowest nonzero word; _CTZ[0] is _WORD,

@@ -3,6 +3,7 @@ per-instance explanations."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -438,6 +439,23 @@ def test_sampling_draws_what_numpys_choice_and_normal_draw(mixed_table) -> None:
             drawn_ref, columns_ref = numpy_perturbations(d, 700, seed)
             assert np.array_equal(drawn, drawn_ref)
             assert all(np.array_equal(a, b) for a, b in zip(columns, columns_ref))
+
+
+@pytest.mark.parametrize("feature, field, values", [
+    ("x", "frequencies", (0.5, 0.7)),
+    ("c", "frequencies", (0.5, math.nan)),
+    ("x", "stds", (-1.0, 0.0)),
+])
+def test_bins_that_cannot_be_sampled_are_data_errors(feature, field, values) -> None:
+    disc = fit_discretizer(make_table([[0, 0, 0, 0, 1], list("aabbb")], [0] * 5,
+                                      kinds=["continuous", "categorical"], names=["x", "c"]))
+    j = disc.index_of(feature)
+    per_feature = list(disc.per_feature)
+    assert len(getattr(per_feature[j], field)) == len(values)
+    per_feature[j] = dataclasses.replace(per_feature[j], **{field: values})
+    bad = dataclasses.replace(disc, per_feature=tuple(per_feature))
+    with pytest.raises(DataError, match=f"feature '{feature}'"):
+        sample_perturbations(bad, n_samples=20, seed=0)
 
 
 def test_sampling_validates_instance_shape_and_count(mixed_table) -> None:

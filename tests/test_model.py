@@ -440,15 +440,18 @@ def test_zero_rounds_and_zero_rows_predict_exactly() -> None:
 
 # every threshold of a model trained on integers, plus the integers themselves
 _HALVES = st.integers(-14, 14).map(lambda k: k / 2.0)
+# each of them, or its neighbour one ulp below or above
+_NEAR_HALVES = _HALVES.flatmap(lambda h: st.sampled_from(
+    [h, math.nextafter(h, -math.inf), math.nextafter(h, math.inf)]))
 _CONT, _CAT = "continuous", "categorical"
 
 
 @st.composite
 def model_and_rows(draw):
     """A model trained with min_leaf_count 1 on random integers in [-6, 6]
-    and categories "abc", rows to score that hit its thresholds exactly, lie
-    at +-inf or carry an unseen category, and a block size for the row count
-    to straddle."""
+    and categories "abc", rows to score that hit its thresholds exactly or
+    one ulp to either side, lie at +-inf or carry an unseen category, and a
+    block size for the row count to straddle."""
     kinds = draw(st.lists(st.sampled_from([_CONT, _CAT]), min_size=1, max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_train, n = int(rng.integers(2, 121)), draw(st.integers(0, 40))
@@ -461,7 +464,7 @@ def model_and_rows(draw):
                        params)
     rows = []
     for kind in kinds:
-        cells = (st.one_of(_HALVES, st.sampled_from([-math.inf, math.inf])) if kind == _CONT
+        cells = (st.one_of(_NEAR_HALVES, st.sampled_from([-math.inf, math.inf])) if kind == _CONT
                  else st.sampled_from("abcz"))
         rows.append(np.asarray(draw(st.lists(cells, min_size=n, max_size=n)),
                                dtype=(str if kind == _CAT else np.float64)))
@@ -524,7 +527,7 @@ def test_tableless_groups_and_padded_wide_words_predict_exactly() -> None:
     assert [g.tables for g in leaves._groups] == [[]]
     deep = train_gbdt(table, GbdtParams(rounds=5, max_depth=6, min_leaf_count=1))
     (group,) = deep._groups
-    assert group.words == 3 and group.n_trees * group.words == 15  # padded to 16
+    assert group.words == 3 and group.n_trees * group.words == 15
     rows = [np.concatenate([col, [-np.inf, np.inf]]) for col in
             (rng.normal(size=300), rng.normal(size=300))]
     for model in (leaves, deep):
@@ -532,69 +535,48 @@ def test_tableless_groups_and_padded_wide_words_predict_exactly() -> None:
                               reference_probs(model, rows))
 
 
-@st.composite
-def thresholds_and_values(draw):
-    """Ascending distinct thresholds, and values to rank among them.
-
-    The thresholds are arbitrary floats (subnormal, huge and infinite ones
-    included), or normal draws around any centre at any spread, then a run
-    of thresholds one ulp apart; a single threshold is among them.  The
-    values are every threshold and its neighbours one ulp away, +-inf,
-    +-1e300, signed zeros, and arbitrary floats."""
-    anything = st.floats(allow_nan=False)
-    if draw(st.booleans()):
-        cuts = draw(st.lists(st.one_of(anything, st.floats(-1e-300, 1e-300)),
-                             min_size=1, max_size=40))
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        spread = 10.0 ** draw(st.integers(-300, 300))
-        centre = draw(st.floats(-1e300, 1e300))
-        cuts = (centre + spread * rng.normal(size=draw(st.integers(1, 300)))).tolist()
-    for _ in range(draw(st.integers(0, 6))):
-        cuts.append(math.nextafter(cuts[-1], math.inf))
-    cuts = np.unique(np.asarray(cuts, dtype=np.float64))
-    with np.errstate(over="ignore"):  # the neighbours of the largest floats
-        neighbours = [np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)]
-    values = np.concatenate([cuts, *neighbours, [-np.inf, np.inf, -1e300, 1e300, 0.0, -0.0],
-                             draw(st.lists(anything, max_size=20))])
-    return cuts, values
-
-
-@given(thresholds_and_values())
-@settings(max_examples=300)
-def test_the_threshold_rank_is_searchsorted(drawn) -> None:
-    cuts, values = drawn
-    rank = model_module._ThresholdRank(cuts)
-    target(float(rank.scale is not None))
-    assert np.array_equal(rank(values), np.searchsorted(cuts, values))
-
-
-def test_the_threshold_rank_looks_most_rows_up() -> None:
-    rng = np.random.default_rng(8)
-    cuts = np.unique(rng.normal(size=150))
-    values = np.concatenate([rng.normal(size=20_000), cuts, np.nextafter(cuts, np.inf)])
-    rank = model_module._ThresholdRank(cuts)
-    assert rank.cells == 1024 and rank.base.nbytes == 8 * 1024
-    crowded = rank.base[rank._cell(values)] < 0
-    assert 0 < crowded.mean() < 0.1  # both paths taken, the search rarely
-    assert np.array_equal(rank(values), np.searchsorted(cuts, values))
-    for single in ([0.0], [-np.inf, 0.0], [0.0, 5e-324], [-1e308, 1e308]):
-        assert model_module._ThresholdRank(np.asarray(single)).scale is None
+def group_bytes(group) -> int:
+    return sum(table.nbytes for _, _, table in group.tables)
 
 
 def table_bytes(model: GbdtModel) -> int:
-    return sum(table.nbytes for group in model._groups for _, _, table in group.tables)
+    return sum(group_bytes(group) for group in model._groups)
 
 
-def test_table_memory_grows_linearly_with_the_ensemble() -> None:
+@pytest.fixture(scope="module")
+def quick_start_train():
     table, _ = generate(default_spec(n_rows=2000, n_features=6, flip_rate=0.4, seed=7))
-    train, _ = split(table, test_fraction=0.25, seed=7)
-    assert len(train_gbdt(train)._groups) == 1  # the defaults: one group
-    long = train_gbdt(train, GbdtParams(rounds=300, max_depth=8, min_leaf_count=1))
-    short = GbdtModel(long.schema, long.base_score, long.trees[:100], long.params,
-                      long.categories)
+    return split(table, test_fraction=0.25, seed=7)[0]
+
+
+@pytest.fixture(scope="module")
+def long_model(quick_start_train) -> GbdtModel:
+    """300 rounds of depth 8 on the quick-start training split: many groups."""
+    return train_gbdt(quick_start_train,
+                      GbdtParams(rounds=300, max_depth=8, min_leaf_count=1))
+
+
+def test_table_memory_grows_linearly_with_the_ensemble(quick_start_train, long_model) -> None:
+    assert len(train_gbdt(quick_start_train)._groups) == 1  # the defaults: one group
+    short = GbdtModel(long_model.schema, long_model.base_score, long_model.trees[:100],
+                      long_model.params, long_model.categories)
     assert len(short._groups) > 1
-    assert table_bytes(long) / table_bytes(short) <= 3.3
+    assert table_bytes(long_model) / table_bytes(short) <= 3.3
+
+
+def test_each_tree_group_fills_its_byte_budget(long_model) -> None:
+    budget, groups, trees = model_module._GROUP_BYTES, long_model._groups, long_model.trees
+    assert len(groups) > 1
+    start = 0
+    for g, group in enumerate(groups):
+        end = start + group.n_trees
+        assert group_bytes(group) <= budget or group.n_trees == 1
+        if g + 1 < len(groups):  # one more tree would go over
+            grown = model_module._TreeGroup(trees[start:end + 1], long_model.categories,
+                                            long_model.params.learning_rate)
+            assert group_bytes(grown) > budget
+        start = end
+    assert start == len(trees)
 
 
 def test_scoring_memory_stays_flat_in_the_number_of_rows() -> None:
