@@ -51,7 +51,12 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    data problems, so usage errors exit 1, with a one-line message."""
+    data problems, so usage errors exit 1, with a one-line message.  A flag
+    must be spelled out: argparse would otherwise take ``--out`` as the
+    ``--out-dir`` it abbreviates."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

@@ -289,23 +289,24 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solutions of a stack of normal equations ``a @ beta = b``, through
     :func:`_factor`; each equals its system's solution alone, bit for bit."""
     u = _factor(a)
-    # a = u.T @ u: solve u.T @ t = b forward, then u @ beta = t backward, in
-    # Python floats: at this size a quarter of the time numpy calls take.
-    # Multiplying by the diagonal's reciprocals, as OpenBLAS's triangular
-    # solve does, keeps beta closer to scipy's cho_solve than dividing does.
+    # a = u.T @ u: solve u.T @ t = b forward, then u @ beta = t backward,
+    # one step for every system of the stack at once: beta[i] holds entry i
+    # of each solution, and f[i, j] entry (i, j) of each factor.  Multiplying
+    # by the diagonal's reciprocals, as OpenBLAS's triangular solve does,
+    # keeps beta closer to scipy's cho_solve than dividing does.
     k = b.shape[-1]
-    betas = b.reshape(-1, k).tolist()
-    for f, beta in zip(u.reshape(-1, k, k).tolist(), betas):
-        inv = [1.0 / f[i][i] for i in range(k)]
-        for i in range(k):
-            for j in range(i):
-                beta[i] -= f[j][i] * beta[j]
-            beta[i] *= inv[i]
-        for i in reversed(range(k)):
-            for j in range(i + 1, k):
-                beta[i] -= f[i][j] * beta[j]
-            beta[i] *= inv[i]
-    return np.asarray(betas).reshape(b.shape)
+    f = u.reshape(-1, k, k).transpose(1, 2, 0).copy()
+    beta = b.reshape(-1, k).T.copy()
+    inv = 1.0 / np.diagonal(f).T
+    for i in range(k):
+        for j in range(i):
+            beta[i] -= f[j, i] * beta[j]
+        beta[i] *= inv[i]
+    for i in reversed(range(k)):
+        for j in range(i + 1, k):
+            beta[i] -= f[i, j] * beta[j]
+        beta[i] *= inv[i]
+    return beta.T.reshape(b.shape)
 
 
 def fit_local_model(

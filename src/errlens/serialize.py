@@ -1,8 +1,15 @@
 """Canonical JSON output, and the one JSON input reader.
 
-All JSON artifacts are written with sorted keys, two-space indent, a trailing
-newline, and shortest-round-trip float formatting, so identical in-memory
-values always produce byte-identical files.
+All JSON artifacts are written with sorted keys, a trailing newline, and
+shortest-round-trip float formatting, so identical in-memory values always
+produce byte-identical files.  Only the top two levels are indented, two
+spaces a level: the top value's members and theirs each start a line, and
+every value deeper down (one tree of a model, one region of a report) is
+written whole on its line, as ``json.dumps`` writes it without an indent.
+That keeps each record greppable and lets ``json``'s C encoder write it; an
+``indent`` sends the whole value through the pure-Python one.  Any JSON
+reader, :func:`load_json` among them, reads both this layout and a fully
+indented one.
 """
 
 from __future__ import annotations
@@ -12,9 +19,35 @@ import json
 from .errors import DataError
 
 
+# Levels whose containers are spread over lines; deeper values take one line.
+_INDENTED_LEVELS = 2
+
+
+def _one_line(obj: object) -> str:
+    return json.dumps(obj, sort_keys=True, allow_nan=False, ensure_ascii=False)
+
+
+def _indented(obj: object, level: int) -> str:
+    if level == _INDENTED_LEVELS or not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _one_line(obj)
+    if isinstance(obj, dict):
+        # a key as json writes it, by json's own rules for non-string keys:
+        # '{"k": null}' less its brace and ': null}'
+        items = [f"{_one_line({key: None})[1:-7]}: {_indented(value, level + 1)}"
+                 for key, value in sorted(obj.items())]
+        brackets = "{}"
+    else:
+        items = [_indented(value, level + 1) for value in obj]
+        brackets = "[]"
+    pad = "\n" + "  " * level
+    return f"{brackets[0]}{pad}  " + f",{pad}  ".join(items) + f"{pad}{brackets[1]}"
+
+
 def canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                      ensure_ascii=False) + "\n"
+    """``obj`` as its artifact's text: sorted keys, the top two levels
+    indented (see the module docstring), a trailing newline; ValueError on
+    a non-finite float."""
+    return _indented(obj, 0) + "\n"
 
 
 def canonical_json_line(obj: object) -> str:

@@ -389,6 +389,16 @@ def test_usage_errors_exit_one(tmp_path, capsys) -> None:
                "--out-dir", str(tmp_path / "b")) == EXIT_USAGE
 
 
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, monkeypatch) -> None:
+    # argparse would take --out as the --out-dir it abbreviates, and write
+    # the synth files into a directory named x.csv
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--seed", "7", "--rows", "50", "--out", "x.csv") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--out" in err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("config, flags, key", [
     ({"top_k": "x"}, (), "top_k"),
     ({"threshold": None}, (), "threshold"),

@@ -314,6 +314,37 @@ def test_the_ridge_solve_matches_a_lapack_cholesky_solve() -> None:
         assert error <= 1e-13 * np.max(np.abs(expected))
 
 
+def scalar_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The substitution ``_solve`` ran before it worked on a block's systems
+    at once, kept as the oracle: one system at a time, in Python floats."""
+    u = lime_module._factor(a)
+    k = b.shape[-1]
+    betas = b.reshape(-1, k).tolist()
+    for f, beta in zip(u.reshape(-1, k, k).tolist(), betas):
+        inv = [1.0 / f[i][i] for i in range(k)]
+        for i in range(k):
+            for j in range(i):
+                beta[i] -= f[j][i] * beta[j]
+            beta[i] *= inv[i]
+        for i in reversed(range(k)):
+            for j in range(i + 1, k):
+                beta[i] -= f[i][j] * beta[j]
+            beta[i] *= inv[i]
+    return np.asarray(betas).reshape(b.shape)
+
+
+@pytest.mark.parametrize("k, rows", [(7, 23), (9, 14), (7, 1)])
+def test_the_block_substitution_is_the_scalar_one_bit_for_bit(k: int, rows: int) -> None:
+    # the planted and external workloads' surrogate sizes and block lengths
+    rng = np.random.default_rng(k * rows)
+    for scale in (1.0, 1e-6, 1e6):
+        x = rng.normal(scale=scale, size=(rows, 3 * k, k))
+        a = x.swapaxes(1, 2) @ x + np.eye(k)
+        b = rng.normal(scale=scale, size=(rows, k))
+        assert lime_module._solve(a, b).tobytes() == scalar_solve(a, b).tobytes()
+        assert lime_module._solve(a[0], b[0]).tobytes() == scalar_solve(a[0], b[0]).tobytes()
+
+
 def test_non_finite_normal_equations_are_data_errors() -> None:
     z = np.asarray([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     with pytest.raises(DataError):

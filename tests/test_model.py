@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -281,6 +282,32 @@ def test_the_batched_split_search_grows_the_oracles_trees_at_benchmark_scale(
     model = train_gbdt(table, params)
     assert model.to_json_obj() == expected
     assert max(t.leaves.size for t in model.trees) > 2 ** (max_depth - 1)  # trees grow deep
+
+
+def categorical_table() -> object:
+    """A 600-row table of two categorical columns and no continuous one."""
+    rng = np.random.default_rng(21)
+    cats = [rng.choice([f"k{i}" for i in range(levels)], size=600) for levels in (5, 12)]
+    labels = ((cats[0] == "k1") | (np.char.str_len(cats[1]) == 3)
+              ^ (rng.uniform(size=600) < 0.1)).astype(int)
+    return make_table([c.tolist() for c in cats], labels.tolist(),
+                      kinds=["categorical", "categorical"])
+
+
+@pytest.mark.parametrize("max_depth", [1, 4, 6])
+@pytest.mark.parametrize("name", ["tied", "categorical"])
+def test_the_grower_numbers_leaves_and_splits_as_the_walk_does(name: str,
+                                                               max_depth: int) -> None:
+    table = benchmark_sized_tables()["tied"] if name == "tied" else categorical_table()
+    params = GbdtParams(rounds=4, max_depth=max_depth, min_leaf_count=3)
+    with mock.patch.object(model_module, "_walk", side_effect=AssertionError("walked")):
+        model = train_gbdt(table, params)  # trained trees are not walked again
+    for tree in model.trees:
+        for got, expected in zip((tree.leaves, tree.splits, tree.left_leaves),
+                                 model_module._walk(tree.child)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+    assert max(t.splits.size for t in model.trees) >= max_depth  # trees grow
 
 
 @pytest.mark.parametrize("l2", [0.0, 1.0])
@@ -611,18 +638,27 @@ def test_the_probability_is_bit_identical_to_the_c_library_sigmoid() -> None:
     assert got.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
 
 
-# Digests of mixed_model_and_rows()'s canonical model JSON and of its
-# predict_rows output, recorded from the per-node-argsort trainer and the
-# level-by-level router that preceded the presorted trainer and the compiled
-# node tables.
+# Digests of mixed_model_and_rows()'s model JSON, fully indented with sorted
+# keys, and of its predict_rows output, recorded from the per-node-argsort
+# trainer and the level-by-level router that preceded the presorted trainer
+# and the compiled node tables; and of the same model's canonical_json text,
+# recorded when artifacts came to be indented two levels deep.
 PINNED_MODEL_SHA256 = "400823f2a38407f0bb67c7ca95776f7eaf59c702d78275aa401113e6f188ac78"
+PINNED_MODEL_JSON_SHA256 = "a3d680255a79e53f4db4fefa085303917f1c2a6a3cafca8d8c98e2321cba291e"
 PINNED_PREDICTIONS_SHA256 = "ac2f64791e5a3d86b89557417c782b1cb0cec5c4249284dca592d0ad8ddefb8f"
+
+
+def text_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_model_json_and_predictions_match_the_pinned_digests() -> None:
     model, rows = mixed_model_and_rows()
-    text = canonical_json(model.to_json_obj())
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_MODEL_SHA256
+    obj = model.to_json_obj()
+    indented = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          ensure_ascii=False) + "\n"
+    assert text_sha256(indented) == PINNED_MODEL_SHA256
+    assert text_sha256(canonical_json(obj)) == PINNED_MODEL_JSON_SHA256
     probs = model.predict_rows(model.schema, rows)
     digest = hashlib.sha256(probs.astype("<f8").tobytes()).hexdigest()
     assert digest == PINNED_PREDICTIONS_SHA256
@@ -638,6 +674,17 @@ def test_model_round_trips_through_json_with_identical_predictions(tmp_path) -> 
     assert loaded.params == model.params
     assert loaded.train_loss == model.train_loss
     assert np.array_equal(loaded.predict_table(table), model.predict_table(table))
+
+
+def test_a_fully_indented_model_file_loads_as_before(tmp_path) -> None:
+    # model files written before artifacts were indented two levels deep
+    model, rows = mixed_model_and_rows()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model.to_json_obj(), sort_keys=True, indent=2), encoding="utf-8")
+    loaded = GbdtModel.load(str(path))
+    assert loaded.to_json_obj() == model.to_json_obj()
+    assert np.array_equal(loaded.predict_rows(loaded.schema, rows),
+                          model.predict_rows(model.schema, rows))
 
 
 STUMP = [{"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
