@@ -2,11 +2,11 @@
 
 An instance is explained by (1) discretizing continuous features into
 training-set quartile bins, (2) sampling perturbed rows feature-by-feature
-from the per-bin training distribution, (3) weighting samples by an
-exponential kernel on binary-indicator similarity to the instance, and
-(4) fitting a weighted ridge regression to the classifier's probabilities.
-The surrogate coefficients rank human-readable feature conditions by their
-local influence.
+from the per-bin training distribution (rows of its table for a model known
+only there), (3) weighting samples by an exponential kernel on binary-indicator
+similarity to the instance, and (4) fitting a weighted ridge regression to the
+classifier's probabilities.  The surrogate coefficients rank human-readable
+feature conditions by their local influence.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import FeatureSpec, LabeledTable, check_seed, feature_index
-from .errors import DataError, EmptyTable, SingularSystem
-from .model import Columns, Predictor, check_probabilities
+from .errors import DataError, EmptyTable, SchemaMismatch, SingularSystem
+from .model import Columns, ExternalPredictions, Predictor, check_probabilities
 from .serialize import canonical_json_line
 
 # --- conditions ----------------------------------------------------------------
@@ -309,6 +309,17 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return beta.T.reshape(b.shape)
 
 
+def _r2(varies: np.ndarray, ss_res: np.ndarray, ss_tot: np.ndarray, n: int,
+        y_max: np.ndarray, w_sum: np.ndarray) -> np.ndarray:
+    """``1 - ss_res / ss_tot`` of fits of ``n`` samples whose targets vary, else
+    1: nothing to explain.  Targets that differ (``varies``) vary only if
+    ``ss_tot`` is above n * eps of their weight times their largest square:
+    up to there it may be rounding of the fit's n-term sums alone."""
+    floor = n * np.finfo(np.float64).eps * y_max * y_max * w_sum
+    with np.errstate(all="ignore"):
+        return np.where(varies & (ss_tot > floor), 1.0 - ss_res / ss_tot, 1.0)
+
+
 def fit_local_model(
     z: np.ndarray, y: np.ndarray, weights: np.ndarray, ridge_lambda: float
 ) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
@@ -346,14 +357,13 @@ def fit_local_model(
         raise DataError("the weighted normal equations are not finite")
     beta = _solve(a, b)
 
-    # unless a fit's weighted target varies, there is nothing to explain: R^2 1
     pos = w > 0
     varies = np.where(pos, y, -np.inf).max(axis=-1) > np.where(pos, y, np.inf).min(axis=-1)
     with np.errstate(all="ignore"):
         y_bar = np.sum(w * y, axis=-1) / np.sum(w, axis=-1)
         ss_tot = np.sum(w * (y - y_bar[..., None]) ** 2, axis=-1)
         ss_res = np.sum(w * (y - (x @ beta[..., None])[..., 0]) ** 2, axis=-1)
-        r2 = np.where(varies & (ss_tot > 0.0), 1.0 - ss_res / ss_tot, 1.0)
+    r2 = _r2(varies, ss_res, ss_tot, y.shape[-1], np.abs(y).max(axis=-1), np.sum(w, axis=-1))
     if y.ndim == 1:
         return beta[1:], float(beta[0]), float(r2)
     return beta[..., 1:], beta[..., 0], r2
@@ -411,8 +421,8 @@ def _fit_patterns(keys: np.ndarray, y0: np.ndarray, y: np.ndarray, design: np.nd
     y_bar = (wsy.sum(axis=1) / cw.sum(axis=1))[:, None]
     ss_tot = (w * (syy - y_bar * (2.0 * sy - count * y_bar))).sum(axis=1)
     ss_res = (w * (syy - fit * (2.0 * sy - count * fit))).sum(axis=1)
-    with np.errstate(all="ignore"):
-        r2 = np.where((hi > lo) & (ss_tot > 0.0), 1.0 - ss_res / ss_tot, 1.0)
+    r2 = _r2(hi > lo, ss_res, ss_tot, len(y) + 1,
+             np.maximum(np.abs(y).max(), np.abs(y0)), cw.sum(axis=1))
     return beta[:, 1:], beta[:, 0] + c, r2
 
 
@@ -498,9 +508,9 @@ def explain(
     ``probability``, when given, is the score a scoring pass already gave
     the instance: sample 0, the unperturbed instance, is fitted to it and
     the explanation states it; it is checked like the predictor's answers.
-    Without it, both use the predictor's answer for the bare instance, which
-    differs where the predictor answers a bare row with another row's score,
-    as :class:`ExternalPredictions` does.  Samples 1..n-1 are the
+    Without it, both use the predictor's answer for the bare instance; an
+    :class:`ExternalPredictions` answers no bare row, so it needs
+    ``probability``, else DataError.  Samples 1..n-1 are the
     :class:`PerturbationPool`'s: this is its :meth:`~PerturbationPool.explain_rows`
     of the one row.
     """
@@ -565,11 +575,38 @@ class PerturbationPool:
 
     @cached_property
     def scored(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pool's drawn bins, and the predictor's scores of its rows."""
-        drawn, columns = sample_perturbations(self.disc, self.config.n_samples,
-                                              self.config.seed)
-        probs = self.predictor.predict_rows(self.disc.schema, columns)
+        """The pool's codes (see :meth:`_codes`) and scores: an
+        :class:`ExternalPredictions`' own :meth:`~ExternalPredictions.sample_rows`,
+        else the predictor's scores of :func:`sample_perturbations`' rows."""
+        predictor, n, seed = self.predictor, self.config.n_samples, self.config.seed
+        if isinstance(predictor, ExternalPredictions):
+            if predictor.reference.schema != self.disc.schema:
+                raise SchemaMismatch("the reference table does not match the discretizer schema")
+            columns, probs = predictor.sample_rows(n - 1, seed)
+            drawn = self._codes(columns, n - 1)
+            # a drawn -1 would match every explained row's unseen category
+            unseen = (drawn < 0).any(axis=0)
+            if unseen.any():
+                raise DataError(f"feature {self.disc.schema[int(unseen.argmax())].name!r}: a "
+                                "table row holds a category the discretizer never saw")
+        else:
+            drawn, columns = sample_perturbations(self.disc, n, seed)
+            probs = predictor.predict_rows(self.disc.schema, columns)
         return drawn, check_probabilities(probs, len(drawn))
+
+    def _codes(self, columns: Columns, n: int) -> np.ndarray:
+        """Each feature's codes of ``n`` rows given as columns, contiguous in an
+        ``(n, d)`` array: a value's bin, or its training category's index (-1
+        if unseen)."""
+        if len(columns) != len(self._codings):
+            raise DataError("rows do not match the discretizer schema")
+        codes = np.empty((len(self._codings), n), dtype=np.intp).T
+        for j, ((coding, _), column) in enumerate(zip(self._codings, columns)):
+            if isinstance(coding, dict):
+                codes[:, j] = [coding.get(str(v), -1) for v in column]
+            else:
+                codes[:, j] = coding.searchsorted(np.asarray(column, dtype=np.float64))
+        return codes
 
     def explain_rows(self, row_ids: Sequence[str], columns: Columns,
                      true_labels: Sequence[int], probabilities: Sequence[float],
@@ -582,16 +619,9 @@ class PerturbationPool:
         :attr:`row_bytes` per row, so the caller sizes the block.
         """
         config, n = self.config, len(row_ids)
-        if len(columns) != len(self._codings):
-            raise DataError("rows do not match the discretizer schema")
+        codes = self._codes(columns, n)
         drawn, pool_probs = self.scored
         probabilities = check_probabilities(probabilities, n)
-        codes = np.empty((n, len(self._codings)), dtype=np.intp)
-        for j, ((coding, _), column) in enumerate(zip(self._codings, columns)):
-            if isinstance(coding, dict):
-                codes[:, j] = [coding.get(str(v), -1) for v in column]
-            else:
-                codes[:, j] = coding.searchsorted(np.asarray(column, dtype=np.float64))
         if self._key_type is None:
             z = np.ones((n, config.n_samples, codes.shape[1]))
             z[:, 1:] = drawn == codes[:, None, :]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -107,29 +106,6 @@ def _pack(columns: Columns, categories: Categories) -> np.ndarray:
     for j, (col, cats) in enumerate(zip(columns, categories)):
         x[:, j] = col if cats is None else _codes(np.asarray(col, dtype=str), cats)
     return x
-
-
-def _packed_rows(expected: tuple[FeatureSpec, ...], schema: Sequence[FeatureSpec],
-                 columns: Columns, categories: Categories) -> np.ndarray:
-    """Bare rows packed by :func:`_pack`, checked at a predictor's boundary.
-
-    Raises SchemaMismatch unless ``schema`` is ``expected``, and DataError
-    unless there is one column per feature, all one-dimensional and of one
-    length, with numeric cells where the feature is continuous.  Whether
-    non-finite cells are allowed is each predictor's own rule.
-    """
-    if tuple(schema) != expected:
-        raise SchemaMismatch(f"rows have features {[f.name for f in schema]}, "
-                             f"expected {[f.name for f in expected]}")
-    if len(columns) != len(expected):
-        raise DataError(f"expected {len(expected)} columns, got {len(columns)}")
-    n = len(columns[0])
-    if any(np.ndim(col) != 1 or len(col) != n for col in columns):
-        raise DataError("columns must be one-dimensional and of equal length")
-    try:
-        return _pack(columns, categories)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"rows are not numeric where the schema says so: {exc}") from None
 
 
 def _walk(child: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,12 +218,6 @@ def _distinct(col: np.ndarray) -> np.ndarray:
     keep = np.ones(col.size, dtype=bool)
     keep[1:] = col[1:] != col[:-1]
     return col[keep]
-
-
-def _table_categories(table: LabeledTable) -> Categories:
-    """Per feature, the sorted distinct values of a categorical column."""
-    return tuple(_frozen(_distinct(col)) if f.kind == "categorical" else None
-                 for f, col in zip(table.schema, table.columns))
 
 
 def _json_categories(schema: Sequence[FeatureSpec], trees: Sequence[Sequence[dict]]
@@ -648,10 +618,22 @@ class GbdtModel:
         return raw
 
     def predict_rows(self, schema: tuple[FeatureSpec, ...], columns: Columns) -> np.ndarray:
-        """Probabilities for bare rows; DataError on malformed rows (see
-        :func:`_packed_rows`) and on NaN.  Infinite values are ordered like any
-        other, so they are scored."""
-        x = _packed_rows(self.schema, schema, columns, self.categories)
+        """Probabilities for bare rows.  Raises SchemaMismatch unless ``schema``
+        is the model's, and DataError unless there is one column per feature,
+        all one-dimensional and of one length, with numeric cells that are not
+        NaN where the feature is continuous.  Infinite values are ordered like
+        any other, so they are scored."""
+        if tuple(schema) != self.schema:
+            raise SchemaMismatch(f"rows have features {[f.name for f in schema]}, "
+                                 f"expected {[f.name for f in self.schema]}")
+        if len(columns) != len(self.schema):
+            raise DataError(f"expected {len(self.schema)} columns, got {len(columns)}")
+        if any(np.ndim(col) != 1 or len(col) != len(columns[0]) for col in columns):
+            raise DataError("columns must be one-dimensional and of equal length")
+        try:
+            x = _pack(columns, self.categories)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"rows are not numeric where the schema says so: {exc}") from None
         if np.isnan(x).any():
             raise DataError("continuous cells must not be NaN")
         raw = self._raw_scores(x)
@@ -707,7 +689,9 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
     y = table.labels.astype(np.float64)
     base_rate = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
     base_score = math.log(base_rate / (1.0 - base_rate))
-    categories = _table_categories(table)
+    # per feature, the sorted distinct values of a categorical column
+    categories = tuple(_frozen(_distinct(col)) if f.kind == "categorical" else None
+                       for f, col in zip(table.schema, table.columns))
     x = [col if cats is None else np.searchsorted(cats, col)
          for col, cats in zip(table.columns, categories)]
     continuous = [j for j, cats in enumerate(categories) if cats is None]
@@ -799,75 +783,13 @@ class FunctionPredictor:
         return self.predict_rows(table.schema, table.columns)
 
 
-# Bare rows are answered through a screen over the reference rows embedded so
-# that squared Euclidean distance is the answering metric: a continuous value
-# becomes ``value / scale``, a categorical one a one-hot block of weight
-# sqrt(0.5) with a last slot for categories the reference lacks, so each
-# mismatch adds 1.  The continuous coordinates are centred on the reference
-# rows' mean m, the one-hot slots are not, and all are cast to float32: r for
-# a reference row, q for a query row.  One float32 matrix product of the rows
-# [-2q, 1] with the columns [r, fl(|r|**2)] scores every pair with
-# p = |r|**2 - 2 q.r = |r - q|**2 - |q|**2, up to rounding.
-# The row of least score is the candidate; its distance is then recomputed
-# exactly as the full scan computes it.  That answer stands only when every
-# other reference row is provably farther, by these bounds (u and v are the
-# float64 and float32 unit roundoffs, t = 2**-149 float32's least subnormal,
-# d the number of features, dim the number of coordinates, k = d + 1, R the
-# largest |r| and N the largest stored |r|**2):
-#
-# * The scan's squared distance D sums d terms, each a square of a quotient of
-#   a difference and so within (1 +- u)**5 of its exact value, in d roundings.
-#   All terms are non-negative, so D is within a factor (1 +- u)**(d + 5) of
-#   the exact squared distance delta whatever the magnitudes (the difference
-#   of two floats is correctly rounded; it does not cancel).
-# * A coordinate is rounded three times: ``value / scale`` (or sqrt(0.5)), the
-#   centring, the cast.  So q_c is within 2v|q_c| + 2u|m_c| + 2t of its exact
-#   centred value, and r_c likewise; the shift m cancels in r - q.  By the
-#   triangle inequality sqrt(delta) and the screen's distance
-#   sqrt(p + |q|**2) differ by at most
-#   H = 2v(|q| + R) + 4u|m| + 4t sqrt(dim), p taken exactly.
-# * p sums dim + 1 products, but at most k of them are not exactly zero: one
-#   per continuous coordinate, one per categorical column (the slots of q and
-#   r are both nonzero only where they share a category) and |r|**2.  Adding
-#   an exact zero rounds nothing, so however many slots the one-hot blocks
-#   have, p errs as a sum of k terms, whose magnitudes add up to at most
-#   T = 2|q| R + N (Cauchy-Schwarz).  In any summation order, with or without
-#   fused multiply-adds, it errs by at most gamma_k T with
-#   gamma_k = kv / (1 - kv), plus kt for products that underflow -- provided
-#   nothing overflows, which max(|q|, T) < 2**126 rules out.  The stored |r|**2 sums exact float64
-#   squares and is cast, so it errs by at most 2vN + t.  Hence the computed p
-#   errs by at most E = gamma_k T + 2vN + (k + 1)t.
-#
-# Every reference row but the candidate scores at least the runner-up's
-# score p2, so its exact p + |q|**2 >= p2 + |q|**2 - E, with |q|**2 summed in
-# float64 from exact squares and taken as |q|**2 (1 - v).  Then sqrt(delta) >=
-# sqrt(p2 + |q|**2 - E) - H =: reach, and D >= reach**2 (1 - gamma) with
-# gamma = (d + 16)u.  Evaluating these bounds in float64 errs by a few u of
-# their terms, far inside the slack of the v terms above.  The absolute term
-# TINY covers subnormal results.  A row whose bound is not above the
-# candidate's exact distance -- ties and near ties of its two nearest rows,
-# duplicate reference rows, rows beyond float32's range -- falls back to the
-# full scan.
-_U = np.finfo(np.float64).eps / 2.0
-_V = float(np.finfo(np.float32).eps) / 2.0
-_T = 2.0 ** -149
-_TINY = np.finfo(np.float64).tiny
-_SAFE = 2.0 ** 126
-_ONE_HOT = math.sqrt(0.5)
-
-
 class ExternalPredictions:
     """Predictor backed by a per-row-id probability file.
 
-    Table rows are answered by exact row-id lookup.  Bare rows (as produced
-    by explanation-time perturbation) have no id, so they are answered by the
-    stored probability of the nearest reference row: continuous features are
-    compared on a per-feature standardized scale, each categorical mismatch
-    adds one unit of squared distance, and ties go to the lowest row index.
-    A float32 matrix-product screen, built on the first bare-row query,
-    proves that row for nearly every query without computing every distance
-    exactly, and a full scan settles the rest; the answer is the same as a
-    full scan's, bit for bit.
+    An outside model is known only at the rows of its table, so table rows
+    are answered by exact row-id lookup and bare rows, which have no id, are
+    refused.  Explanations perturb with :meth:`sample_rows` instead: rows of
+    the reference table, whose probabilities are known.
     """
 
     def __init__(self, probabilities: dict[str, float], reference: LabeledTable):
@@ -879,15 +801,6 @@ class ExternalPredictions:
         self._ref_probs = np.asarray(
             [probabilities[r] for r in reference.row_ids], dtype=np.float64
         )
-        self._categories = _table_categories(reference)
-        self._scale = []
-        for spec, col in zip(reference.schema, reference.columns):
-            if spec.kind == "continuous":
-                sd = float(col.std())
-                self._scale.append(sd if sd > 0 else 1.0)
-            else:
-                self._scale.append(None)
-        self._ref = _pack(reference.columns, self._categories).T.copy()
 
     def predict_table(self, table: LabeledTable) -> np.ndarray:
         try:
@@ -896,136 +809,18 @@ class ExternalPredictions:
             raise MissingRowId(f"no probability for row id {exc.args[0]!r}") from None
 
     def predict_rows(self, schema: tuple[FeatureSpec, ...], columns: Columns) -> np.ndarray:
-        x = _packed_rows(self.reference.schema, schema, columns, self._categories)
-        if not np.isfinite(x).all():
-            raise DataError("continuous cells must be finite")
-        if len(x) and not self.reference.n_rows:
-            raise EmptyTable("no reference rows to answer bare rows with")
-        return self._ref_probs[self._nearest(x)]
+        """Refused: a bare row has no id, so the file holds no score for it."""
+        raise DataError("an outside model answers only its table's rows: "
+                        "pass the row's probability")
 
-    def _sq_distances(self, x: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        """Squared distances of packed rows ``x`` to reference rows ``ref``.
-
-        ``ref`` holds reference indices, ``(len(x), k)`` or ``(1, n_ref)``.
-        Terms are added in schema order: a continuous term is
-        ``((x - r) / scale) ** 2`` and a categorical mismatch, compared on
-        codes, adds 1.  Every answer's distance is computed here; one beyond
-        float64's range is inf.
-        """
-        d2 = np.zeros(np.broadcast_shapes((len(x), 1), ref.shape))
-        with np.errstate(over="ignore"):
-            for j, scale in enumerate(self._scale):
-                r = self._ref[j][ref]
-                if scale is None:
-                    d2 += x[:, j, None] != r
-                else:
-                    d2 += ((x[:, j, None] - r) / scale) ** 2
-        return d2
-
-    def _far_nearest(self, x: np.ndarray) -> np.ndarray:
-        """Nearest reference row per packed row whose every distance overflows.
-
-        Beside such a row the gaps between reference rows vanish in float64,
-        so every distance ties.  In exact arithmetic, with ``m`` the midrange
-        and ``s`` the scale of each continuous column, a squared distance is
-        a constant, minus ``2 * sum((x - m) / s * (r - m) / s)``, plus terms
-        that vanish beside that sum.  The row with the largest sum is
-        nearest; the ``(x - m) / s`` are scaled by one power of two per row
-        so that they stay finite, and ties go to the lowest row index.
-        """
-        cont = [j for j, scale in enumerate(self._scale) if scale is not None]
-        s = np.asarray([self._scale[j] for j in cont])
-        r = self._ref[cont]
-        mid = r.min(axis=1) / 2 + r.max(axis=1) / 2
-        mx, ex = np.frexp(x[:, cont] / 2 - mid / 2)
-        ms, es = np.frexp(s)
-        # the power of two comes from the largest nonzero (x - m) / s
-        top = np.where(mx != 0, ex - es, -2 ** 30).max(axis=1, keepdims=True)
-        xi = np.ldexp(mx / ms, ex - es - top)
-        return np.argmax(xi @ ((r - mid[:, None]) / s[:, None]), axis=1)
-
-    def _embed(self, x: np.ndarray) -> np.ndarray:
-        """Packed rows in the screen's coordinates, before centring (see the
-        note above _U)."""
-        parts = [np.empty((len(x), 0))]
-        for j, (scale, cats) in enumerate(zip(self._scale, self._categories)):
-            if cats is None:
-                parts.append(x[:, j, None] / scale)
-            else:
-                one_hot = np.zeros((len(x), cats.size + 1))
-                # an absent category's code -1 picks the last, extra slot
-                one_hot[np.arange(len(x)), x[:, j].astype(np.intp)] = _ONE_HOT
-                parts.append(one_hot)
-        return np.hstack(parts)
-
-    @cached_property
-    def _screen(self):
-        """``(m, matrix, R, N)``: the centre, the float32 ``(dim + 1, n_ref)``
-        matrix of columns ``[r, fl(|r|**2)]`` and the bounds on them; None when
-        a full scan is as cheap (at most two reference rows) or a scale or a
-        coordinate overflows."""
-        if self.reference.n_rows <= 2 or not all(
-                scale is None or math.isfinite(scale) for scale in self._scale):
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref = self._embed(self._ref.T)
-            widths = [1 if cats is None else cats.size + 1 for cats in self._categories]
-            continuous = np.repeat([cats is None for cats in self._categories], widths)
-            centre = np.where(continuous, ref.mean(axis=0), 0.0)
-            r = (ref - centre).astype(np.float32)
-        if not np.isfinite(r).all():
-            return None
-        sq = np.einsum("ij,ij->i", r, r, dtype=np.float64)
-        matrix = np.vstack([r.T, sq.astype(np.float32)])
-        return centre, matrix, float(np.sqrt(sq.max())), float(matrix[-1].max())
-
-    def _screened(self, x: np.ndarray) -> np.ndarray:
-        """Per packed row, the full scan's answer where the screen proves it,
-        else -1."""
-        centre, matrix, r_max, n_max = self._screen
-        dim = centre.size
-        q = np.empty((len(x), dim + 1), dtype=np.float32)
-        with np.errstate(over="ignore", invalid="ignore"):
-            q[:, :dim] = self._embed(x) - centre
-            q_sq = np.einsum("ij,ij->i", q[:, :dim], q[:, :dim], dtype=np.float64)
-            q_norm = np.sqrt(q_sq)
-            terms = 2.0 * q_norm * r_max + n_max
-            safe = np.maximum(q_norm, terms) < _SAFE  # False for inf and NaN
-        q[~safe] = q_sq[~safe] = q_norm[~safe] = terms[~safe] = 0.0
-        q[:, :dim] *= -2.0
-        q[:, dim] = 1.0
-        score = q @ matrix
-        rows = np.arange(len(x))
-        first = score.argmin(axis=1)
-        score[rows, first] = np.inf
-        k = len(self._scale) + 1
-        err = k * _V / (1.0 - k * _V) * terms + 2.0 * _V * n_max + (k + 1) * _T
-        low = score.min(axis=1) + q_sq * (1.0 - _V) - err
-        slack = (2.0 * _V * (q_norm + r_max) + 4.0 * _U * float(np.sqrt(centre @ centre))
-                 + 4.0 * _T * math.sqrt(dim))
-        reach = np.sqrt(np.maximum(low, 0.0)) - slack - _TINY
-        bound = reach * reach * (1.0 - (len(self._scale) + 16) * _U) - _TINY
-        proven = safe & (reach >= 0.0) & (bound > self._sq_distances(x, first[:, None])[:, 0])
-        return np.where(proven, first, -1)
-
-    def _nearest(self, x: np.ndarray) -> np.ndarray:
-        """Lowest index of a reference row at the least distance, per row."""
-        n_ref = self.reference.n_rows
-        block = max(1, 2_000_000 // max(1, n_ref))
-        best = np.full(len(x), -1, dtype=np.intp)
-        if self._screen is not None:
-            for start in range(0, len(x), block):
-                best[start:start + block] = self._screened(x[start:start + block])
-        todo = np.flatnonzero(best < 0)
-        everyone = np.arange(n_ref)[None, :]
-        for start in range(0, todo.size, block):
-            rows = todo[start:start + block]
-            d2 = self._sq_distances(x[rows], everyone)
-            best[rows] = np.argmin(d2, axis=1)
-            far = rows[np.isinf(d2.min(axis=1))]
-            if far.size:
-                best[far] = self._far_nearest(x[far])
-        return best
+    def sample_rows(self, n: int, seed: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """``n`` reference rows drawn with replacement by
+        ``default_rng(seed).integers``, as one column per feature, and their
+        probabilities."""
+        if not self.reference.n_rows:
+            raise EmptyTable("no reference rows to draw from")
+        rows = np.random.default_rng(seed).integers(self.reference.n_rows, size=n)
+        return [col[rows] for col in self.reference.columns], self._ref_probs[rows]
 
 
 def load_external_predictions(path: str, table: LabeledTable) -> ExternalPredictions:

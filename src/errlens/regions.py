@@ -92,12 +92,12 @@ def explain_misclassified(
 
     Each explanation states the probability ``misclassified``'s scoring pass
     gave its row, and fits its unperturbed sample 0 to it.  Samples 1..n-1
-    are ``pool``'s, or else a new pool's, drawn and scored in one predictor
-    call; so each equals the row's lone :func:`explain` with that probability,
-    whatever the order, ``jobs``, block or other rows.  Rows are explained in
-    blocks, one stacked surrogate fit each, sized from the pool's
-    ``row_bytes``; ``jobs`` threads take blocks.  Results are in
-    ``misclassified.row_ids`` order.
+    are ``pool``'s, or else a new pool's, drawn and scored once (see
+    :attr:`PerturbationPool.scored`); so each equals the row's lone
+    :func:`explain` with that probability, whatever the order, ``jobs``, block
+    or other rows.  Rows are explained in blocks, one stacked surrogate fit
+    each, sized from the pool's ``row_bytes``; ``jobs`` threads take blocks.
+    Results are in ``misclassified.row_ids`` order.
     """
     if pool is None:
         pool = PerturbationPool(predictor, disc, config)

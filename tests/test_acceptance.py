@@ -385,6 +385,34 @@ def test_criterion_7_pipeline_artifacts_are_byte_identical(tmp_path) -> None:
         assert match == artifacts
 
 
+def test_criterion_7_mine_with_predictions_artifacts_are_byte_identical(tmp_path) -> None:
+    # an outside model's explanations perturb with rows of its table, drawn
+    # from the seed: the same rows whatever the run or the worker count (163
+    # misclassified rows, in three blocks at 2000 samples, so two threads run)
+    data_dir = str(tmp_path / "data")
+    assert cli_main(["synth", "--rows", "400", "--features", "4",
+                     "--seed", "3", "--out-dir", data_dir]) == EXIT_OK
+    preds = tmp_path / "p.csv"
+    rng = np.random.default_rng(3)
+    preds.write_text("row_id,probability\n" + "".join(
+        f"{i},{p!r}\n" for i, p in enumerate(rng.uniform(size=400).tolist())), encoding="utf-8")
+
+    def run_mine(name: str, jobs: str) -> str:
+        out = str(tmp_path / name)
+        assert cli_main(["mine", "--data", f"{data_dir}/synth.csv", "--predictions",
+                         str(preds), "--n-samples", "2000", "--seed", "3",
+                         "--jobs", jobs, "--out-dir", out]) == EXIT_OK
+        return out
+
+    first = run_mine("first", "1")
+    artifacts = sorted(os.listdir(first))
+    assert "explanations.jsonl" in artifacts and "report.json" in artifacts
+    for other in (run_mine("second", "1"), run_mine("parallel", "2")):
+        assert sorted(os.listdir(other)) == artifacts
+        match, mismatch, funny = filecmp.cmpfiles(first, other, artifacts, shallow=False)
+        assert (mismatch, funny) == ([], []), f"{other}: {mismatch or funny}"
+
+
 # --- criterion 8: training loss is non-increasing ------------------------------------
 
 

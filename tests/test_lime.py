@@ -17,6 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 from conftest import BAD_PREDICTOR_OUTPUTS, make_table
 from errlens import (
     Condition,
+    ExternalPredictions,
     FunctionPredictor,
     GbdtParams,
     LimeConfig,
@@ -31,7 +32,14 @@ from errlens import (
     write_explanations_jsonl,
 )
 from errlens import lime as lime_module
-from errlens.errors import DataError, ProbabilityOutOfRange, SingularSystem, UnknownFeature
+from errlens.errors import (
+    DataError,
+    EmptyTable,
+    ProbabilityOutOfRange,
+    SchemaMismatch,
+    SingularSystem,
+    UnknownFeature,
+)
 from errlens.lime import PerturbationPool, default_kernel_width
 
 
@@ -219,6 +227,31 @@ def test_constant_targets_yield_zero_weights_and_perfect_r2() -> None:
     assert np.max(np.abs(coef)) < 1e-9
     assert intercept == pytest.approx(0.7)
     assert r2 == 1.0
+
+
+@pytest.mark.parametrize("others", [None, 0.9])
+def test_targets_that_differ_by_rounding_yield_perfect_r2_in_both_fits(others) -> None:
+    # kernel width 0.02 weighs only the samples that match every feature
+    # (exp(-2500) is 0); their targets differ by a few units in the last
+    # place, which both fits' sums round away.  The samples of weight 0 hold
+    # the same targets, or all hold ``others``.
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(3)
+    d, n = 3, 256
+    bits = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.float64)
+    keys = rng.integers(0, 1 << d, size=n - 1)
+    keys[:40] = (1 << d) - 1
+    z = np.vstack([np.ones(d), bits[keys]])
+    w = kernel_weights(z, 0.02)
+    design = np.hstack([np.ones((1 << d, 1)), bits])
+    for _ in range(10):
+        y = rng.uniform(0.05, 0.95) * (1.0 + rng.integers(0, 5, size=n) * eps)
+        if others is not None:
+            y[1:][w[1:] == 0] = others
+        assert fit_local_model(z, y, w, ridge_lambda=1.0)[2] == 1.0
+        *_, r2 = lime_module._fit_patterns(keys[None].astype(np.uint8), y[:1], y[1:], design,
+                                           kernel_weights(bits, 0.02), 1.0)
+        assert r2.tolist() == [1.0]
 
 
 def test_duplicate_columns_without_ridge_are_singular() -> None:
@@ -552,6 +585,58 @@ def test_explain_rejects_a_stated_probability_outside_the_unit_interval(
     with pytest.raises(ProbabilityOutOfRange):
         explain(predictor, fit_discretizer(table), "0", table.row_values(0), 0,
                 LimeConfig(n_samples=50), probability=probability)
+
+
+# --- outside models: a pool of table rows -------------------------------------------
+
+
+def outside_model(n: int = 30, seed: int = 8) -> tuple:
+    """An ExternalPredictions over a mixed table of ``n`` rows, and the table's
+    discretizer."""
+    rng = np.random.default_rng(seed)
+    table = make_table([rng.uniform(size=n).tolist(), rng.choice(list("abc"), size=n).tolist()],
+                       rng.integers(0, 2, size=n).tolist(), kinds=["continuous", "categorical"])
+    probs = dict(zip(table.row_ids, rng.uniform(size=n).tolist()))
+    return ExternalPredictions(probs, table), fit_discretizer(table)
+
+
+def test_an_outside_models_pool_is_table_rows_with_their_given_probabilities() -> None:
+    predictor, disc = outside_model()
+    table = predictor.reference
+    config = LimeConfig(n_samples=60, seed=17)
+    drawn, scores = PerturbationPool(predictor, disc, config).scored
+    rows = np.random.default_rng(17).integers(table.n_rows, size=59)
+    codes = [[disc.per_feature[0].bin_of(table.columns[0][i]),
+              disc.per_feature[1].categories.index(table.columns[1][i])] for i in rows]
+    assert drawn.tolist() == codes
+    assert scores.tolist() == [predictor.probabilities[table.row_ids[i]] for i in rows]
+
+
+def test_a_lone_explanation_of_an_outside_model_needs_the_rows_probability() -> None:
+    predictor, disc = outside_model()
+    table, config = predictor.reference, LimeConfig(n_samples=60)
+    with pytest.raises(DataError, match="only its table's rows"):
+        explain(predictor, disc, "3", table.row_values(3), int(table.labels[3]), config)
+    exp = explain(predictor, disc, "3", table.row_values(3), int(table.labels[3]), config,
+                  probability=predictor.probabilities["3"])
+    assert exp.predicted_probability == predictor.probabilities["3"]
+
+
+def test_an_outside_models_pool_needs_rows_its_discretizer_codes() -> None:
+    predictor, disc = outside_model()
+    config = LimeConfig(n_samples=60)
+    empty = ExternalPredictions({}, predictor.reference.subset([]))
+    with pytest.raises(EmptyTable):
+        PerturbationPool(empty, disc, config).scored
+    # a category the discretizer never saw has code -1, which would match an
+    # explained row's unseen category whatever its value
+    seen = np.flatnonzero(predictor.reference.columns[1] != "c")
+    with pytest.raises(DataError, match="'f1'"):
+        PerturbationPool(predictor, fit_discretizer(predictor.reference.subset(seen)),
+                         config).scored
+    other = make_table([[0.0, 1.0]], [0, 1])
+    with pytest.raises(SchemaMismatch):
+        PerturbationPool(predictor, fit_discretizer(other), config).scored
 
 
 def test_a_lone_explanation_equals_the_rows_explanation_in_any_batch() -> None:

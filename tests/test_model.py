@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import tracemalloc
 import warnings
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -841,35 +839,6 @@ def test_external_predictions_answer_tables_by_exact_row_id(tmp_path) -> None:
     assert metrics.error_rate == pytest.approx(1 / 3)
 
 
-def test_external_predictions_answer_bare_rows_by_nearest_reference() -> None:
-    table = make_table(
-        [[0.0, 10.0], ["x", "y"]], [0, 1],
-        kinds=["continuous", "categorical"], row_ids=["a", "b"],
-    )
-    ext = ExternalPredictions({"a": 0.2, "b": 0.8}, table)
-    columns = [np.asarray([1.0, 9.0, 5.0]), np.asarray(["x", "y", "x"])]
-    out = ext.predict_rows(table.schema, columns)
-    # rows 0/1 sit next to a/b; the midpoint row ties on distance only if the
-    # categorical side also tied, so "x" pulls it to a
-    assert out.tolist() == [0.2, 0.8, 0.2]
-
-
-def test_predict_table_alone_never_builds_the_nearest_row_screen() -> None:
-    table = random_table(np.random.default_rng(4), 50, 3)
-    ext = ExternalPredictions(dict(zip(table.row_ids, np.linspace(0, 1, 50))), table)
-    assert ext.predict_table(table).tolist() == np.linspace(0, 1, 50).tolist()
-    assert "_screen" not in vars(ext)
-    assert ext.predict_rows(table.schema, table.columns).tolist() == np.linspace(0, 1, 50).tolist()
-    assert vars(ext)["_screen"] is not None
-
-
-def test_external_predictions_break_distance_ties_toward_the_first_row() -> None:
-    table = make_table([[0.0, 2.0]], [0, 1], row_ids=["a", "b"])
-    ext = ExternalPredictions({"a": 0.1, "b": 0.9}, table)
-    out = ext.predict_rows(table.schema, [np.asarray([1.0])])
-    assert out.tolist() == [0.1]
-
-
 def test_external_prediction_files_are_strictly_validated(tmp_path) -> None:
     table = make_table([[1.0, 2.0]], [0, 1], row_ids=["a", "b"])
     path = tmp_path / "p.csv"
@@ -891,241 +860,20 @@ def test_external_prediction_files_are_strictly_validated(tmp_path) -> None:
         load_external_predictions(str(path), table)
 
 
-# --- external predictions: bare rows ------------------------------------------------
+def test_external_predictions_draw_table_rows_with_their_given_probabilities() -> None:
+    table = make_table([[0.0, 1.0, 2.0, 3.0], ["w", "x", "y", "z"]], [0, 1, 0, 1],
+                       kinds=["continuous", "categorical"], row_ids=list("abcd"))
+    probs = {"a": 0.1, "b": 0.6, "c": 0.3, "d": 0.9}
+    ext = ExternalPredictions(probs, table)
+    columns, drawn = ext.sample_rows(40, seed=9)
+    rows = np.random.default_rng(9).integers(4, size=40)
+    assert [col.tolist() for col in columns] == [col[rows].tolist() for col in table.columns]
+    assert drawn.tolist() == [probs["abcd"[i]] for i in rows]
+    assert ext.sample_rows(0, seed=9)[1].shape == (0,)
 
 
-def reference_scales(reference) -> list[float | None]:
-    """Each continuous column's standard deviation (1 where it is 0)."""
-    scale = []
-    for spec, col in zip(reference.schema, reference.columns):
-        if spec.kind == "continuous":
-            sd = float(col.std())
-            scale.append(sd if sd > 0 else 1.0)
-        else:
-            scale.append(None)
-    return scale
-
-
-def exact_nearest(reference, row) -> int:
-    """Lowest index of a reference row at the least squared distance from
-    ``row`` (one cell per column), in exact rational arithmetic."""
-    scale = reference_scales(reference)
-
-    def distance(i: int) -> Fraction:
-        total = Fraction(0)
-        for col, value, sd in zip(reference.columns, row, scale):
-            if sd is None:
-                total += col[i] != value
-            else:
-                total += ((Fraction(float(value)) - Fraction(float(col[i]))) / Fraction(sd)) ** 2
-        return total
-
-    return min(range(reference.n_rows), key=distance)
-
-
-def scan_answers(ext: ExternalPredictions, columns) -> np.ndarray:
-    """Bare-row answers by a full scan over the reference, in the arithmetic of
-    the original brute-force predictor (kept here as the reference).  A row
-    whose every distance overflows there gets its exactly nearest row."""
-    reference = ext.reference
-    scale = reference_scales(reference)
-    n = len(columns[0])
-    out = np.empty(n)
-    ref_cols = reference.columns
-    block = max(1, 2_000_000 // max(1, reference.n_rows))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        d2 = np.zeros((stop - start, reference.n_rows))
-        for j, spec in enumerate(reference.schema):
-            if spec.kind == "continuous":
-                diff = (columns[j][start:stop, None] - ref_cols[j][None, :])
-                with np.errstate(over="ignore"):
-                    d2 += (diff / scale[j]) ** 2
-            else:
-                d2 += columns[j][start:stop, None] != ref_cols[j][None, :]
-        nearest = np.argmin(d2, axis=1)
-        for i in np.flatnonzero(np.isinf(d2.min(axis=1))):
-            nearest[i] = exact_nearest(reference, [col[start + i] for col in columns])
-        out[start:stop] = ext._ref_probs[nearest]
-    return out
-
-
-def external_on(ref_columns, kinds, probs=None) -> ExternalPredictions:
-    n_ref = len(ref_columns[0])
-    table = make_table(ref_columns, [0] * n_ref, kinds=kinds)
-    if probs is None:
-        probs = [(i + 1) / (n_ref + 1) for i in range(n_ref)]
-    return ExternalPredictions(dict(zip(table.row_ids, probs)), table)
-
-
-def bare(columns, kinds) -> list[np.ndarray]:
-    return [np.asarray(col, dtype=(str if kind == "categorical" else np.float64))
-            for col, kind in zip(columns, kinds)]
-
-
-_RNG = np.random.default_rng(11)
-_ANGLES = _RNG.uniform(0.0, 2.0 * np.pi, size=40)
-_SPREAD = _RNG.uniform(-1.5, 1.5, size=20)
-
-
-def _near_midpoints(seed: int):
-    # 60 reference rows in two clusters 400 apart, each a cube of side 2 in 6
-    # columns, so float32 rounding of every screen score exceeds the gap of a
-    # near tie; four query rows within 1e-4 of the midpoint of each reference
-    # row and its nearest neighbour.  Without the product's rounding bound E
-    # the screen answers some of them wrongly.
-    rng = np.random.default_rng(seed)
-    ref = rng.uniform(-1.0, 1.0, (60, 6)) + 200.0 * rng.choice([-1.0, 1.0], size=(60, 1))
-    sq = ((ref[:, None] - ref[None]) ** 2).sum(axis=-1)
-    np.fill_diagonal(sq, np.inf)
-    near, at = ref[np.repeat(sq.argmin(axis=1), 4)], np.repeat(ref, 4, axis=0)
-    rows = (at + near) / 2 + rng.uniform(-1e-4, 1e-4, size=(240, 1)) * (near - at)
-    return [col.tolist() for col in ref.T], [_CONT] * 6, None, [col.tolist() for col in rows.T]
-
-
-# name -> (reference columns, kinds, reference probabilities or None, rows)
-BARE_ROW_CASES = {
-    "duplicate_reference_rows": (  # more rows than one k-d tree leaf holds
-        [[0.0, 1.0, 1.0, 2.0, 1.0, 0.0] * 8, ["a", "b", "b", "a", "b", "a"] * 8],
-        [_CONT, _CAT], _RNG.uniform(size=48).tolist(),
-        [[0.0, 1.0, 1.1, 0.9, 2.0, 0.5], ["a", "b", "b", "b", "a", "a"]]),
-    "exact_midpoint_ties": (
-        [[0.0, 2.0, 4.0, 6.0], [0.0, 0.0, 2.0, 2.0]], [_CONT, _CONT], None,
-        [[1.0, 3.0, 5.0, 2.0, 4.0], [0.0, 1.0, 2.0, 1.0, 1.0]]),
-    "unseen_query_category": (
-        [[0.0, 1.0, 2.0, 3.0], ["a", "b", "a", "c"]], [_CONT, _CAT], None,
-        [[0.1, 1.9, 3.0, 2.5], ["z", "zz", "c", "z"]]),
-    "all_categorical": (
-        [_RNG.choice(list("ab"), size=40).tolist(), _RNG.choice(list("xy"), size=40).tolist(),
-         _RNG.choice(list("pq"), size=40).tolist()],
-        [_CAT, _CAT, _CAT], None,
-        [list(col) for col in zip(*itertools.product("abz", "xy", "pq"))]),
-    "zero_std_column": (
-        [[5.0] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]], [_CONT, _CONT], None,
-        [[5.0, 4.0, 7.0, 5.0], [0.2, 2.6, 4.9, 2.5]]),
-    "one_row_reference": (
-        [[3.0], ["a"]], [_CONT, _CAT], [0.7], [[0.0, 3.0, 100.0], ["a", "b", "a"]]),
-    "zero_row_query": (
-        [[0.0, 1.0, 2.0, 3.0]], [_CONT], None, [[]]),
-    # unit spread around 1e8, the same in both columns so that their scales
-    # agree to about 1e-6, plus a ring of reference rows 1e5 units in the last
-    # place of 1e8 from (1e8, 1e8) and query rows near its centre: their
-    # squared distances differ by about 1e-5 of themselves, which the tree's
-    # rounded coordinates cannot resolve
-    "values_near_1e8_with_unit_spread": (
-        [(1e8 + np.concatenate([_SPREAD, 2.0 ** -26 * np.round(1e5 * ring(_ANGLES))])).tolist()
-         for ring in (np.cos, np.sin)], [_CONT, _CONT], None,
-        [(1e8 + np.concatenate([_RNG.uniform(-1.5, 1.5, size=50),
-                                2.0 ** -26 * _RNG.integers(-50, 50, size=100)])).tolist()
-         for _ in range(2)]),
-    # centred screen coordinates of 1e200 and 1e39 overflow float32, and those
-    # of 1e30 leave a rounding bound far wider than any gap between reference
-    # rows; every distance of the 1e200 rows is inf
-    "query_rows_beyond_float32_after_centring": (
-        [_SPREAD.tolist(), _RNG.choice(list("ab"), size=20).tolist()], [_CONT, _CAT], None,
-        [[1e200, -1e200, 1e39, 1e30, -1e30, 0.3, 1.4],
-         ["a", "b", "a", "z", "b", "a", "b"]]),
-    # every float64 distance of these rows overflows, so in float64 every
-    # reference row ties with every other; the exactly nearest one must win
-    "rows_beyond_float64_range": (
-        [*np.random.default_rng(5).normal(size=(2, 30)).tolist(), list("ab" * 15)],
-        [_CONT, _CONT, _CAT], None,
-        [[1e200, -1e200, 1e200, 3e160, -1.7e308, 0.5],
-         [0.0, 1e200, -1e200, 2e160, 1.7e308, 1e300],
-         ["a", "b", "z", "a", "b", "a"]]),
-    # a one-hot block of 301 coordinates, most of the screen's width
-    "categorical_column_with_300_levels": (
-        [_RNG.uniform(size=600).tolist(), [f"k{i % 300}" for i in range(600)]],
-        [_CONT, _CAT], None,
-        [_RNG.uniform(-0.2, 1.2, size=80).tolist(),
-         [f"k{i}" for i in _RNG.integers(0, 320, size=80)]]),
-    "near_ties_far_from_the_centre": _near_midpoints(3),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BARE_ROW_CASES))
-def test_bare_rows_get_the_answer_of_a_full_scan(case: str) -> None:
-    ref_columns, kinds, probs, rows = BARE_ROW_CASES[case]
-    ext = external_on(ref_columns, kinds, probs)
-    columns = bare(rows, kinds)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning reaches stderr
-        out = ext.predict_rows(ext.reference.schema, columns)
-    assert out.dtype == np.float64
-    assert np.array_equal(out, scan_answers(ext, columns))
-
-
-_GRID = st.integers(-3, 3).map(float)  # a coarse grid makes exact ties common
-_WIDE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def reference_and_rows(draw):
-    kinds = draw(st.lists(st.sampled_from([_CONT, _CAT]), min_size=1, max_size=4))
-    n_ref, n = draw(st.integers(1, 40)), draw(st.integers(0, 12))
-    values = draw(st.sampled_from([_GRID, _WIDE]))
-    ref_columns, columns = [], []
-    for kind in kinds:
-        cells = values if kind == _CONT else st.sampled_from("abc")
-        ref_columns.append(draw(st.lists(cells, min_size=n_ref, max_size=n_ref)))
-        cells = values if kind == _CONT else st.sampled_from("abcz")
-        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
-    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n_ref, max_size=n_ref))
-    return ref_columns, kinds, probs, columns
-
-
-@given(reference_and_rows())
-@settings(max_examples=300)
-def test_bare_row_answers_are_bit_identical_to_a_full_scan(drawn) -> None:
-    ref_columns, kinds, probs, rows = drawn
-    ext = external_on(ref_columns, kinds, probs)
-    columns = bare(rows, kinds)
-    assert np.array_equal(ext.predict_rows(ext.reference.schema, columns),
-                          scan_answers(ext, columns))
-
-
-def test_the_index_spares_distinct_rows_a_full_scan(monkeypatch) -> None:
-    rng = np.random.default_rng(3)
-    ext = external_on([rng.uniform(size=300).tolist() for _ in range(3)]
-                      + [rng.choice(list("abcd"), size=300).tolist()],
-                      [_CONT, _CONT, _CONT, _CAT])
-    scanned: list[int] = []
-    original = ExternalPredictions._sq_distances
-
-    def recording(self, x, ref):
-        if ref.shape[1] == self.reference.n_rows:  # every reference row at once
-            scanned.append(len(x))
-        return original(self, x, ref)
-
-    monkeypatch.setattr(ExternalPredictions, "_sq_distances", recording)
-    columns = [rng.uniform(size=500) for _ in range(3)] + [rng.choice(list("abcz"), size=500)]
-    out = ext.predict_rows(ext.reference.schema, columns)
-    assert scanned == []
-    assert np.array_equal(out, scan_answers(ext, columns))
-
-    # a categorical column with 2000 levels; each row is a reference row moved
-    # by at most 1e-3 per column, half of them also to a random category
-    levels = np.asarray([f"k{i}" for i in range(2000)])
-    wide = external_on([rng.uniform(size=2000).tolist() for _ in range(3)]
-                       + [levels[rng.integers(2000, size=2000)].tolist()],
-                       [_CONT, _CONT, _CONT, _CAT])
-    near = rng.integers(2000, size=500)
-    columns = [col[near] + rng.uniform(-1e-3, 1e-3, size=500) for col in wide.reference.columns[:3]]
-    columns.append(np.where(np.arange(500) % 2 == 0, wide.reference.columns[3][near],
-                            levels[rng.integers(2000, size=500)]))
-    out = wide.predict_rows(wide.reference.schema, columns)
-    assert scanned == []
-    assert np.array_equal(out, scan_answers(wide, columns))
-
-    # a row sitting on a reference row is settled by the screen, unless that
-    # reference row has a duplicate: the runner-up then scores as near
-    ext.predict_rows(ext.reference.schema, [col[:1] for col in ext.reference.columns])
-    assert scanned == []
-    dup = external_on([[0.0, 0.0, 1.0, 2.0]], [_CONT])
-    assert dup.predict_rows(dup.reference.schema, [np.asarray([0.0, 1.9])]).tolist() == [0.2, 0.8]
-    assert scanned == [1]
-
-
+# an outside model scores only its table's rows, so it refuses every bare row,
+# well-formed or not
 @pytest.mark.parametrize("columns", [
     pytest.param([np.asarray([np.nan]), np.asarray(["x"])], id="nan"),
     pytest.param([np.asarray([np.inf]), np.asarray(["x"])], id="inf"),
@@ -1134,19 +882,21 @@ def test_the_index_spares_distinct_rows_a_full_scan(monkeypatch) -> None:
     pytest.param([], id="no_columns"),
     pytest.param([np.asarray([1.0, 2.0]), np.asarray(["x"])], id="ragged"),
     pytest.param([np.asarray(["one"]), np.asarray(["x"])], id="text_in_a_continuous_column"),
+    pytest.param([np.asarray([0.0, 10.0]), np.asarray(["x", "y"])], id="the_tables_own_rows"),
+    pytest.param([np.asarray([]), np.asarray([])], id="no_rows"),
 ])
 def test_external_predictions_reject_malformed_bare_rows(columns) -> None:
     table = make_table([[0.0, 10.0], ["x", "y"]], [0, 1],
                        kinds=["continuous", "categorical"])
     ext = ExternalPredictions({"0": 0.2, "1": 0.8}, table)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="only its table's rows"):
         ext.predict_rows(table.schema, columns)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the std of an empty column
 def test_external_predictions_without_reference_rows_reject_bare_rows() -> None:
     table = make_table([[]], [])
     ext = ExternalPredictions({}, table)
-    assert ext.predict_rows(table.schema, [np.asarray([])]).shape == (0,)
-    with pytest.raises(EmptyTable):
+    with pytest.raises(DataError):
         ext.predict_rows(table.schema, [np.asarray([1.0])])
+    with pytest.raises(EmptyTable):  # and have no rows to draw
+        ext.sample_rows(5, seed=0)
