@@ -360,8 +360,7 @@ def cmd_eval(cfg: RunConfig) -> str:
 
 def _explain_split(cfg: RunConfig, pool: PerturbationPool, table: LabeledTable, name: str):
     mis = find_misclassified(pool.predictor, table, threshold=cfg["threshold"], split=name)
-    return mis, explain_misclassified(pool.predictor, mis, pool.disc, cfg.lime,
-                                      cfg["jobs"], pool=pool)
+    return mis, explain_misclassified(pool, mis, cfg["jobs"])
 
 
 def cmd_explain(cfg: RunConfig) -> str:

@@ -62,6 +62,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def category_codes(col: Sequence, cats: np.ndarray) -> np.ndarray:
+    """Index of each value of ``col``, as a string, in the sorted ``cats``, or -1 if absent."""
+    col = np.asarray(col, dtype=str)
+    if cats.size == 0:
+        return np.full(len(col), -1, dtype=np.intp)
+    at = np.minimum(np.searchsorted(cats, col), cats.size - 1)
+    return np.where(cats[at] == col, at, -1)
+
+
 def feature_index(schema: Sequence[FeatureSpec], feature: str) -> int:
     """Position of ``feature`` in ``schema``; UnknownFeature if it is absent."""
     for i, spec in enumerate(schema):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureSpec, LabeledTable, check_seed, feature_index
+from .data import FeatureSpec, LabeledTable, category_codes, check_seed, feature_index
 from .errors import DataError, EmptyTable, SchemaMismatch, SingularSystem
 from .model import Columns, ExternalPredictions, Predictor, check_probabilities
 from .serialize import canonical_json_line
@@ -129,8 +129,25 @@ class CategoricalBins:
 
 @dataclass(frozen=True)
 class Discretizer:
+    """Per schema feature, its bins of that feature's kind, a categorical
+    feature's categories distinct and in ascending order, else DataError."""
+
     schema: tuple[FeatureSpec, ...]
     per_feature: tuple[ContinuousBins | CategoricalBins, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.per_feature) > len(self.schema):
+            raise DataError(f"{len(self.per_feature)} bins for {len(self.schema)} features")
+        for j, spec in enumerate(self.schema):
+            bins = self.per_feature[j] if j < len(self.per_feature) else None
+            kind = CategoricalBins if spec.kind == "categorical" else ContinuousBins
+            if not isinstance(bins, kind):
+                raise DataError(f"feature {spec.name!r}: its bins are not {kind.__name__}")
+            # a category's code is found by a binary search of the categories
+            cats = np.asarray(getattr(bins, "categories", ()), dtype=str)
+            if (cats[1:] <= cats[:-1]).any():
+                raise DataError(f"feature {spec.name!r}: categories are not distinct "
+                                "and in ascending order")
 
     def index_of(self, feature: str) -> int:
         return feature_index(self.schema, feature)
@@ -493,35 +510,33 @@ def write_explanations_jsonl(explanations: Sequence[Explanation], path: str) -> 
 
 
 def explain(
-    predictor: Predictor,
-    disc: Discretizer,
+    pool: PerturbationPool,
     row_id: str,
     instance: Sequence[float | str],
     true_label: int,
-    config: LimeConfig = LimeConfig(),
     threshold: float = 0.5,
     *,
     probability: float | None = None,
 ) -> Explanation:
-    """Explain one prediction with a locally weighted ridge surrogate.
+    """Explain one prediction of ``pool.predictor`` with a locally weighted
+    ridge surrogate: the pool's :meth:`~PerturbationPool.explain_rows` of the
+    one row, so lone explanations through one pool score its samples once.
 
     ``probability``, when given, is the score a scoring pass already gave
     the instance: sample 0, the unperturbed instance, is fitted to it and
     the explanation states it; it is checked like the predictor's answers.
     Without it, both use the predictor's answer for the bare instance; an
     :class:`ExternalPredictions` answers no bare row, so it needs
-    ``probability``, else DataError.  Samples 1..n-1 are the
-    :class:`PerturbationPool`'s: this is its :meth:`~PerturbationPool.explain_rows`
-    of the one row.
+    ``probability``, else DataError.
     """
+    disc = pool.disc
     if len(instance) != len(disc.schema):
         raise DataError("instance does not match the discretizer schema")
     row = [np.asarray([v], dtype=str if isinstance(b, CategoricalBins) else float)
            for b, v in zip(disc.per_feature, instance)]
     if probability is None:
-        probability = check_probabilities(predictor.predict_rows(disc.schema, row), 1)[0]
-    (exp,) = PerturbationPool(predictor, disc, config).explain_rows(
-        [row_id], row, [true_label], [probability], threshold)
+        probability = check_probabilities(pool.predictor.predict_rows(disc.schema, row), 1)[0]
+    (exp,) = pool.explain_rows([row_id], row, [true_label], [probability], threshold)
     return exp
 
 
@@ -536,14 +551,14 @@ class PerturbationPool:
                  config: LimeConfig = LimeConfig()) -> None:
         self.predictor, self.disc, self.config = predictor, disc, config
         # per feature, what codes a value (a continuous feature's edges, a
-        # categorical feature's code per training category) and each code's
+        # categorical feature's sorted training categories) and each code's
         # condition; a category unseen in training has code -1, which no draw
         # has, and a condition made from its value
         self._codings = tuple(
             (np.asarray(bins.edges, dtype=np.float64),
              tuple(_bin_condition(spec.name, bins.edges, b) for b in range(bins.n_bins)))
             if isinstance(bins, ContinuousBins) else
-            ({c: b for b, c in enumerate(bins.categories)},
+            (np.asarray(bins.categories, dtype=str),
              tuple(Condition(spec.name, category=c) for c in bins.categories))
             for spec, bins in zip(disc.schema, disc.per_feature))
         # LIME's indicators are binary: with no more match patterns than
@@ -602,10 +617,8 @@ class PerturbationPool:
             raise DataError("rows do not match the discretizer schema")
         codes = np.empty((len(self._codings), n), dtype=np.intp).T
         for j, ((coding, _), column) in enumerate(zip(self._codings, columns)):
-            if isinstance(coding, dict):
-                codes[:, j] = [coding.get(str(v), -1) for v in column]
-            else:
-                codes[:, j] = coding.searchsorted(np.asarray(column, dtype=np.float64))
+            codes[:, j] = (coding.searchsorted(np.asarray(column, dtype=np.float64))
+                           if coding.dtype == np.float64 else category_codes(column, coding))
         return codes
 
     def explain_rows(self, row_ids: Sequence[str], columns: Columns,
@@ -616,8 +629,11 @@ class PerturbationPool:
 
         Each explanation equals its row's lone :func:`explain`, bit for bit:
         the fit of a stack is each of its fits alone.  A block holds about
-        :attr:`row_bytes` per row, so the caller sizes the block.
+        :attr:`row_bytes` per row, so the caller sizes the block.  A
+        ``threshold`` outside [0, 1] is a DataError.
         """
+        if not 0.0 <= threshold <= 1.0:
+            raise DataError(f"threshold {threshold!r} is not within [0, 1]")
         config, n = self.config, len(row_ids)
         codes = self._codes(columns, n)
         drawn, pool_probs = self.scored

@@ -15,7 +15,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .data import FeatureSpec, LabeledTable, _frozen, check_seed, read_csv
+from .data import FeatureSpec, LabeledTable, _frozen, category_codes, check_seed, read_csv
 from .errors import (
     DataError,
     DuplicateRowId,
@@ -90,21 +90,13 @@ def check_probabilities(probs: object, n: int) -> np.ndarray:
 Categories = tuple[np.ndarray | None, ...]
 
 
-def _codes(col: np.ndarray, cats: np.ndarray) -> np.ndarray:
-    """Index of each value of ``col`` in the sorted ``cats``, or -1 if absent."""
-    if cats.size == 0:
-        return np.full(len(col), -1, dtype=np.intp)
-    at = np.minimum(np.searchsorted(cats, col), cats.size - 1)
-    return np.where(cats[at] == col, at, -1)
-
-
 def _pack(columns: Columns, categories: Categories) -> np.ndarray:
     """One (n, d) float64 matrix of the columns, categorical ones as codes,
     stored column by column so that a block of rows of one column is
     contiguous."""
     x = np.empty((len(categories), len(columns[0]))).T
     for j, (col, cats) in enumerate(zip(columns, categories)):
-        x[:, j] = col if cats is None else _codes(np.asarray(col, dtype=str), cats)
+        x[:, j] = col if cats is None else category_codes(col, cats)
     return x
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import LabeledTable
 from .errors import DataError, EmptyTable, NoExplanations
-from .lime import Condition, Discretizer, Explanation, LimeConfig, PerturbationPool
+from .lime import Condition, Explanation, PerturbationPool
 from .model import Metrics, Predictor, check_probabilities
 
 
@@ -26,11 +26,12 @@ class MisclassifiedSet:
     """One scoring pass of a predictor over one split.
 
     Built from the split's ``table`` and the pass's per-row ``probabilities``
-    (p >= threshold is positive), it derives the rest: ``row_ids`` are the
-    rows the pass got wrong, in table order; ``wrong`` is the read-only
-    per-row verdict (thresholded prediction != label) the region counts
-    read; ``metrics`` are the confusion counts of the same pass.  The
-    probabilities are kept as a read-only copy, which explanations state.
+    (p >= threshold is positive; threshold within [0, 1]), it derives the
+    rest: ``row_ids`` are the rows the pass got wrong, in table order;
+    ``wrong`` is the read-only per-row verdict (thresholded prediction !=
+    label) the region counts read; ``metrics`` are the confusion counts of
+    the same pass.  The probabilities are kept as a read-only copy, which
+    explanations state.
     """
 
     table: LabeledTable = field(compare=False, repr=False)
@@ -45,6 +46,8 @@ class MisclassifiedSet:
         table, threshold = self.table, self.threshold
         if table.n_rows == 0:
             raise EmptyTable("cannot scan an empty table")
+        if not 0.0 <= threshold <= 1.0:
+            raise DataError(f"threshold {threshold!r} is not within [0, 1]")
         # a copy, so that freezing it leaves the caller's own array writable
         probs = check_probabilities(self.probabilities, table.n_rows).copy()
         pred = probs >= threshold
@@ -80,29 +83,21 @@ _BLOCK_BYTES = 512 * 1024
 
 
 def explain_misclassified(
-    predictor: Predictor,
+    pool: PerturbationPool,
     misclassified: MisclassifiedSet,
-    disc: Discretizer,
-    config: LimeConfig = LimeConfig(),
     jobs: int = 1,
-    *,
-    pool: PerturbationPool | None = None,
 ) -> tuple[Explanation, ...]:
-    """One explanation per misclassified row of the pass's table.
+    """One explanation of ``pool.predictor`` per misclassified row of the pass's table.
 
     Each explanation states the probability ``misclassified``'s scoring pass
     gave its row, and fits its unperturbed sample 0 to it.  Samples 1..n-1
-    are ``pool``'s, or else a new pool's, drawn and scored once (see
+    are ``pool``'s, drawn and scored once for all its passes (see
     :attr:`PerturbationPool.scored`); so each equals the row's lone
-    :func:`explain` with that probability, whatever the order, ``jobs``, block
-    or other rows.  Rows are explained in blocks, one stacked surrogate fit
-    each, sized from the pool's ``row_bytes``; ``jobs`` threads take blocks.
-    Results are in ``misclassified.row_ids`` order.
+    :func:`explain` through the pool with that probability, whatever the
+    order, ``jobs``, block or other rows.  Rows are explained in blocks, one
+    stacked surrogate fit each, sized from the pool's ``row_bytes``; ``jobs``
+    threads take blocks.  Results are in ``misclassified.row_ids`` order.
     """
-    if pool is None:
-        pool = PerturbationPool(predictor, disc, config)
-    elif pool.predictor is not predictor or pool.disc is not disc or pool.config != config:
-        raise DataError("the pool was drawn for another predictor, discretizer or config")
     table, probs = misclassified.table, misclassified.probabilities
     rows = np.flatnonzero(misclassified.wrong)
     if len(rows):

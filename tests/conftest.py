@@ -16,6 +16,7 @@ from errlens import (
     find_misclassified,
     report_from_explanations,
 )
+from errlens.lime import PerturbationPool
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -66,7 +67,7 @@ def find_explain_report(predictor, disc, table: LabeledTable, split: str = "test
                         lime_config: LimeConfig = LimeConfig()) -> RegionReport:
     """The library's find -> explain -> report sequence on one split."""
     mis = find_misclassified(predictor, table, split=split)
-    explanations = explain_misclassified(predictor, mis, disc, config=lime_config)
+    explanations = explain_misclassified(PerturbationPool(predictor, disc, lime_config), mis)
     return report_from_explanations(explanations, mis)
 
 

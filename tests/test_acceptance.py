@@ -44,6 +44,7 @@ from errlens import (
     train_gbdt,
 )
 from errlens.cli import EXIT_OK, main as cli_main
+from errlens.lime import PerturbationPool
 
 
 # --- shared end-to-end run on data with a planted noisy region ---------------------
@@ -71,7 +72,7 @@ def planted_run() -> PlantedRun:
     model = train_gbdt(train_table, GbdtParams())
     disc = fit_discretizer(train_table)
     mis = find_misclassified(model, test_table, threshold=0.5, split="test")
-    explanations = explain_misclassified(model, mis, disc, config=LimeConfig(), jobs=1)
+    explanations = explain_misclassified(PerturbationPool(model, disc, LimeConfig()), mis, jobs=1)
     report = report_from_explanations(explanations, mis)
     return PlantedRun(
         test_table=test_table,
@@ -228,10 +229,9 @@ def test_criterion_5a_constant_predictor_yields_no_weights() -> None:
     table = uniform_table(seed=0, n=500, d=4)
     constant = FunctionPredictor(table.schema,
                                  lambda c: np.full(len(c[0]), 0.7))
-    disc = fit_discretizer(table)
+    pool = PerturbationPool(constant, fit_discretizer(table), LimeConfig(n_samples=1000, seed=0))
     for i in range(10):
-        result = explain(constant, disc, str(i), table.row_values(i), 0,
-                         LimeConfig(n_samples=1000, seed=0))
+        result = explain(pool, str(i), table.row_values(i), 0)
         assert all(abs(w) < 1e-6 for _, w in result.terms)
 
 
@@ -241,11 +241,11 @@ def signed_agreements(literal: bool) -> tuple[int, int]:
     table = uniform_table(seed=0)
     predictor = sloped_predictor(table)
     disc = fit_discretizer(table)
-    config = LimeConfig(n_samples=2000, seed=0)
+    pool = PerturbationPool(predictor, disc, LimeConfig(n_samples=2000, seed=0))
     agree = total = 0
     for i in range(100):
         instance = table.row_values(i)
-        result = explain(predictor, disc, str(i), instance, 0, config)
+        result = explain(pool, str(i), instance, 0)
         for cond, weight in result.terms:
             j = table.index_of(cond.feature)
             if literal:
@@ -350,8 +350,8 @@ def test_criterion_6_region_counts_survive_a_brute_force_rescan(
     )
     model = train_gbdt(table.subset(range(250)), GbdtParams(rounds=20))
     mis = find_misclassified(model, table, split="all")
-    explanations = explain_misclassified(model, mis, fit_discretizer(table),
-                                         config=LimeConfig(n_samples=400, seed=1))
+    explanations = explain_misclassified(
+        PerturbationPool(model, fit_discretizer(table), LimeConfig(n_samples=400, seed=1)), mis)
     recount_regions(report_from_explanations(explanations, mis), mis, model)
 
 

@@ -16,6 +16,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from conftest import BAD_PREDICTOR_OUTPUTS, make_table
 from errlens import (
+    CategoricalBins,
     Condition,
     ExternalPredictions,
     FunctionPredictor,
@@ -94,6 +95,26 @@ def test_categorical_features_bin_by_category_frequency() -> None:
     bins = disc.per_feature[0]
     assert bins.categories == ("a", "b")
     assert bins.frequencies == (0.75, 0.25)
+
+
+def test_a_discretizer_checks_its_bins_when_it_is_built() -> None:
+    # a category's code is found by binary search, so repeated or unsorted
+    # categories would code a value as another category's, and a missing
+    # feature's bins would fail only when a row is explained
+    disc = fit_discretizer(make_table([[0.0, 0.5, 1.0], list("aba")], [0, 1, 0],
+                                      kinds=["continuous", "categorical"], names=["x", "c"]))
+    x, c = disc.per_feature
+    for per_feature in [
+        (x, CategoricalBins(("a", "b", "a"), (0.4, 0.3, 0.3))),
+        (x, dataclasses.replace(c, categories=("b", "a"))),
+        (x,),
+        (c, x),
+    ]:
+        with pytest.raises(DataError, match="feature '[xc]'"):
+            dataclasses.replace(disc, per_feature=per_feature)
+    with pytest.raises(DataError, match="3 bins for 2 features"):
+        dataclasses.replace(disc, per_feature=(x, c, c))
+    assert dataclasses.replace(disc, per_feature=(x, c)) == disc
 
 
 def test_unknown_feature_lookup_raises() -> None:
@@ -430,8 +451,8 @@ def test_sampling_keeps_the_instance_as_the_first_row(mixed_table) -> None:
         asked.append(cols)
         return np.full(len(cols[0]), 0.5)
 
-    explain(FunctionPredictor(mixed_table.schema, record), disc, "r", (4.2, "b"), 0,
-            LimeConfig(n_samples=50, seed=9))
+    explain(PerturbationPool(FunctionPredictor(mixed_table.schema, record), disc,
+                             LimeConfig(n_samples=50, seed=9)), "r", (4.2, "b"), 0)
     instance, pool = asked
     assert [c.tolist() for c in instance] == [[4.2], ["b"]]
     assert all(np.array_equal(c, p) for c, p in zip(pool, columns))
@@ -526,7 +547,7 @@ def test_sampling_validates_instance_shape_and_count(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
     predictor = FunctionPredictor(mixed_table.schema, lambda cols: np.full(len(cols[0]), 0.5))
     with pytest.raises(DataError):
-        explain(predictor, disc, "r", (4.2,), 0, LimeConfig(n_samples=10))
+        explain(PerturbationPool(predictor, disc, LimeConfig(n_samples=10)), "r", (4.2,), 0)
     with pytest.raises(DataError):
         sample_perturbations(disc, n_samples=0, seed=0)
 
@@ -553,8 +574,8 @@ def test_explanations_are_deterministic_and_ranked_by_weight() -> None:
     config = LimeConfig(n_samples=400, top_k=2, seed=5)
     instance = table.row_values(7)
 
-    first = explain(predictor, disc, "7", instance, true_label=1, config=config)
-    second = explain(predictor, disc, "7", instance, true_label=1, config=config)
+    first = explain(PerturbationPool(predictor, disc, config), "7", instance, true_label=1)
+    second = explain(PerturbationPool(predictor, disc, config), "7", instance, true_label=1)
     assert first == second
     assert len(first.terms) == 2
     magnitudes = [abs(w) for _, w in first.terms]
@@ -567,13 +588,34 @@ def test_explanations_are_deterministic_and_ranked_by_weight() -> None:
         assert cond.matches([value])[0]
 
 
+def test_one_pool_scores_its_samples_once_for_many_lone_explanations() -> None:
+    rng = np.random.default_rng(4)
+    table = make_table([rng.uniform(size=40).tolist() for _ in range(2)],
+                       rng.integers(0, 2, size=40).tolist())
+    calls = []
+
+    def score(cols):
+        calls.append(len(cols[0]))
+        return 1.0 / (1.0 + np.exp(-np.asarray(cols[0], dtype=np.float64)))
+
+    pool = PerturbationPool(FunctionPredictor(table.schema, score), fit_discretizer(table),
+                            LimeConfig(n_samples=100))
+    for i in range(3):  # each scores its bare row; the first also the pool
+        explain(pool, str(i), table.row_values(i), int(table.labels[i]))
+    assert calls == [1, 99, 1, 1]
+    calls.clear()
+    for i in range(3):
+        explain(pool, str(i), table.row_values(i), int(table.labels[i]), probability=0.5)
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", sorted(BAD_PREDICTOR_OUTPUTS))
 def test_explain_rejects_predictor_outputs_that_are_not_probabilities(bad: str) -> None:
     table = make_table([np.linspace(0.0, 1.0, 40).tolist()], [0, 1] * 20)
     predictor = FunctionPredictor(table.schema, BAD_PREDICTOR_OUTPUTS[bad])
     with pytest.raises(DataError, match="predictor"):
-        explain(predictor, fit_discretizer(table), "0", table.row_values(0), 0,
-                LimeConfig(n_samples=50))
+        explain(PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=50)),
+                "0", table.row_values(0), 0)
 
 
 @pytest.mark.parametrize("probability", [1.5, -0.25, math.nan])
@@ -583,8 +625,8 @@ def test_explain_rejects_a_stated_probability_outside_the_unit_interval(
     table = make_table([np.linspace(0.0, 1.0, 40).tolist()], [0, 1] * 20)
     predictor = FunctionPredictor(table.schema, lambda cols: np.full(len(cols[0]), 0.5))
     with pytest.raises(ProbabilityOutOfRange):
-        explain(predictor, fit_discretizer(table), "0", table.row_values(0), 0,
-                LimeConfig(n_samples=50), probability=probability)
+        explain(PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=50)),
+                "0", table.row_values(0), 0, probability=probability)
 
 
 # --- outside models: a pool of table rows -------------------------------------------
@@ -614,10 +656,10 @@ def test_an_outside_models_pool_is_table_rows_with_their_given_probabilities() -
 
 def test_a_lone_explanation_of_an_outside_model_needs_the_rows_probability() -> None:
     predictor, disc = outside_model()
-    table, config = predictor.reference, LimeConfig(n_samples=60)
+    table, pool = predictor.reference, PerturbationPool(predictor, disc, LimeConfig(n_samples=60))
     with pytest.raises(DataError, match="only its table's rows"):
-        explain(predictor, disc, "3", table.row_values(3), int(table.labels[3]), config)
-    exp = explain(predictor, disc, "3", table.row_values(3), int(table.labels[3]), config,
+        explain(pool, "3", table.row_values(3), int(table.labels[3]))
+    exp = explain(pool, "3", table.row_values(3), int(table.labels[3]),
                   probability=predictor.probabilities["3"])
     assert exp.predicted_probability == predictor.probabilities["3"]
 
@@ -655,19 +697,21 @@ def test_a_lone_explanation_equals_the_rows_explanation_in_any_batch() -> None:
     config = LimeConfig(n_samples=200, seed=11)
     mis = find_misclassified(predictor, table, split="all")
     assert len(mis.row_ids) >= 4
-    batch = explain_misclassified(predictor, mis, disc, config)
+    batch = explain_misclassified(PerturbationPool(predictor, disc, config), mis)
 
     rows = {rid: i for i, rid in enumerate(table.row_ids)}
     for exp in reversed(batch):  # another order, one row at a time
         i = rows[exp.row_id]
-        lone = explain(predictor, disc, exp.row_id, table.row_values(i),
-                       int(table.labels[i]), config,
+        # each through its own pool: one drawn independently gives the same
+        lone = explain(PerturbationPool(predictor, disc, config), exp.row_id,
+                       table.row_values(i), int(table.labels[i]),
                        probability=float(mis.probabilities[i]))
         assert lone == exp
     # a batch of other rows leaves each row's explanation as it was
     keep = [rows[rid] for rid in mis.row_ids[::2]]
     fewer = find_misclassified(predictor, table.subset(keep), split="all")
-    assert explain_misclassified(predictor, fewer, disc, config, jobs=2) == batch[::2]
+    assert explain_misclassified(PerturbationPool(predictor, disc, config), fewer,
+                                 jobs=2) == batch[::2]
 
 
 def per_sample_fits(pool: PerturbationPool, columns, probabilities) -> list:
@@ -801,11 +845,9 @@ def test_explanations_round_trip_through_jsonl(tmp_path) -> None:
         table.schema, lambda cols: np.linspace(0.05, 0.95, len(cols[0]))
     )
     config = LimeConfig(n_samples=150, seed=1)
-    explanations = [
-        explain(predictor, disc, rid, table.row_values(i), int(table.labels[i]),
-                config)
-        for i, rid in enumerate(table.row_ids[:5])
-    ]
+    pool = PerturbationPool(predictor, disc, config)
+    explanations = [explain(pool, rid, table.row_values(i), int(table.labels[i]))
+                    for i, rid in enumerate(table.row_ids[:5])]
     path = str(tmp_path / "e.jsonl")
     write_explanations_jsonl(explanations, path)
     with open(path, encoding="utf-8") as fh:

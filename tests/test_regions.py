@@ -27,6 +27,7 @@ from errlens import (
     LimeConfig,
     MisclassifiedSet,
     RegionReport,
+    explain,
     explain_misclassified,
     find_misclassified,
     fit_discretizer,
@@ -72,6 +73,18 @@ def test_find_misclassified_keeps_table_order_and_threshold_boundary() -> None:
     assert mis.split == "test" and mis.threshold == 0.5
 
 
+@pytest.mark.parametrize("threshold", [math.nan, 1.5, -0.5])
+def test_a_threshold_outside_the_unit_interval_is_a_data_error(threshold: float) -> None:
+    # NaN would call every row negative, and its metrics would not encode
+    table = make_table([[0.1, 0.9]], [0, 1])
+    with pytest.raises(DataError, match="threshold"):
+        MisclassifiedSet(table, [0.2, 0.8], threshold)
+    pool = PerturbationPool(fixed_predictor(table, [0.2] * 9), fit_discretizer(table),
+                            LimeConfig(n_samples=10))
+    with pytest.raises(DataError, match="threshold"):
+        explain(pool, "0", table.row_values(0), 0, threshold, probability=0.2)
+
+
 @pytest.mark.parametrize("bad", sorted(BAD_PREDICTOR_OUTPUTS))
 def test_find_misclassified_rejects_outputs_that_are_not_probabilities(bad: str) -> None:
     table = make_table([np.linspace(0.0, 1.0, 10).tolist()], [0, 1] * 5)
@@ -93,8 +106,8 @@ def test_explanations_follow_the_misclassified_order_even_in_parallel() -> None:
     mis = find_misclassified(model, table, split="all")
     disc = fit_discretizer(table)
     config = LimeConfig(n_samples=120, seed=2)
-    serial = explain_misclassified(model, mis, disc, config=config, jobs=1)
-    parallel = explain_misclassified(model, mis, disc, config=config, jobs=4)
+    serial = explain_misclassified(PerturbationPool(model, disc, config), mis, jobs=1)
+    parallel = explain_misclassified(PerturbationPool(model, disc, config), mis, jobs=4)
     assert serial == parallel
     assert tuple(e.row_id for e in serial) == mis.row_ids
 
@@ -112,14 +125,10 @@ def test_a_batch_scores_one_pool_in_one_predictor_call() -> None:
     mis = find_misclassified(predictor, table, split="all")
     assert len(mis.row_ids) >= 2 and calls == [40]
     calls.clear()
-    explanations = explain_misclassified(predictor, mis, fit_discretizer(table),
-                                         config=LimeConfig(n_samples=300), jobs=4)
+    pool = PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=300))
+    explanations = explain_misclassified(pool, mis, jobs=4)
     assert len(explanations) == len(mis.row_ids)
     assert calls == [299]
-    other = PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=300))
-    with pytest.raises(DataError, match="pool"):  # drawn for another discretizer
-        explain_misclassified(predictor, mis, fit_discretizer(table),
-                              config=LimeConfig(n_samples=300), pool=other)
 
 
 def test_an_explanation_states_the_probability_the_scoring_pass_gave_its_row() -> None:
@@ -129,8 +138,8 @@ def test_an_explanation_states_the_probability_the_scoring_pass_gave_its_row() -
     predictor = ExternalPredictions({"a": 0.7, "b": 0.3, "c": 0.2, "d": 0.9}, table)
     mis = find_misclassified(predictor, table, split="all")
     assert mis.row_ids == ("b",)
-    (exp,) = explain_misclassified(predictor, mis, fit_discretizer(table),
-                                   config=LimeConfig(n_samples=50))
+    (exp,) = explain_misclassified(
+        PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=50)), mis)
     assert (exp.predicted_probability, exp.predicted_label) == (0.3, 0)
 
 
@@ -142,7 +151,7 @@ def test_sample_zero_is_fitted_to_the_score_the_scoring_pass_gave_its_row() -> N
     predictor = ExternalPredictions(probs, table)
     disc, config = fit_discretizer(table), LimeConfig(n_samples=50)
     mis = find_misclassified(predictor, table, split="all")
-    (exp,) = explain_misclassified(predictor, mis, disc, config=config)
+    (exp,) = explain_misclassified(PerturbationPool(predictor, disc, config), mis)
     # the pool's samples 1..49 are table rows, each with its given score
     rows = np.random.default_rng(config.seed).integers(4, size=49)
     drawn = np.asarray([[disc.per_feature[0].bin_of(v)] for v in table.columns[0][rows]])
@@ -198,8 +207,9 @@ def test_explanation_bytes_do_not_depend_on_the_block_size_or_jobs(
     assert len(mis.row_ids) >= 8
 
     def written(path, jobs: int) -> bytes:
-        write_explanations_jsonl(explain_misclassified(predictor, mis, disc, config, jobs),
-                                 str(path))
+        write_explanations_jsonl(
+            explain_misclassified(PerturbationPool(predictor, disc, config), mis, jobs),
+            str(path))
         return path.read_bytes()
 
     reference = written(tmp_path / "reference.jsonl", 1)  # the budget's own blocks
@@ -233,7 +243,7 @@ def test_rows_that_do_not_match_the_discretizer_are_a_data_error() -> None:
     mis = find_misclassified(predictor, table, split="all")
     disc = fit_discretizer(make_table([table.columns[0].tolist()], table.labels.tolist()))
     with pytest.raises(DataError, match="discretizer"):
-        explain_misclassified(predictor, mis, disc, LimeConfig(n_samples=50))
+        explain_misclassified(PerturbationPool(predictor, disc, LimeConfig(n_samples=50)), mis)
 
 
 # --- mining ---------------------------------------------------------------------
