@@ -10,6 +10,7 @@ and turned into labeled tables via :func:`resample_series` and
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Sequence
@@ -207,6 +208,12 @@ def read_csv(path: str, required: Iterable[str] = ()) -> Iterator[list[str]]:
         raise DataError(f"{path}: not UTF-8 CSV: {exc}") from None
 
 
+# Rows parsed at once: 256 rows of 7 to 9 repr-formatted cells hold about
+# 120-140 KB of cell strings, however long the file is.
+_CHUNK_ROWS = 256
+_LABEL_CODES = {"0": 0, "1": 1}
+
+
 def load_csv(path: str, *, label_column: str = "label", id_column: str | None = None,
              categorical: Sequence[str] = ()) -> LabeledTable:
     """Read a labeled table from a CSV file with a header row.
@@ -215,6 +222,11 @@ def load_csv(path: str, *, label_column: str = "label", id_column: str | None = 
     categorical if named in ``categorical``, else continuous.  Continuous
     cells must parse as finite numbers, labels must be 0 or 1.  Without
     ``id_column``, row ids are the 0-based data-row indices.
+
+    Rows are parsed a chunk of 256 at a time, column by column, so a short
+    row (or a file that is not UTF-8 CSV) later in the same chunk is
+    reported before a bad cell or label above it; within a chunk, the first
+    bad cell or label in row order is reported.
     """
     keys = (label_column,) if id_column is None else (label_column, id_column)
     rows = read_csv(path, (*keys, *categorical))
@@ -224,10 +236,64 @@ def load_csv(path: str, *, label_column: str = "label", id_column: str | None = 
     pos = [header.index(f.name) for f in schema]
     label_at = header.index(label_column)
     id_at = None if id_column is None else header.index(id_column)
+    # each column's chunks after an empty one of its dtype, so a header-only
+    # file concatenates too
+    parts = [[np.empty(0, np.float64 if s.kind == "continuous" else str)] for s in schema]
+    labels = [np.empty(0, np.int64)]
+    ids: list[str] = []
+    start = 0
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        cols, chunk_labels = _parse_chunk(path, chunk, start, schema, pos, label_at)
+        for part, col in zip(parts, cols):
+            part.append(col)
+        labels.append(chunk_labels)
+        ids.extend(map(str, range(start, start + len(chunk))) if id_at is None
+                   else (row[id_at] for row in chunk))
+        start += len(chunk)
+
+    try:
+        return LabeledTable(
+            schema=schema,
+            columns=tuple(np.concatenate(p) for p in parts),
+            labels=np.concatenate(labels),
+            row_ids=tuple(ids),
+        )
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _parse_chunk(path: str, rows: list[list[str]], start: int, schema: Sequence[FeatureSpec],
+                 pos: Sequence[int], label_at: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The feature columns and labels of ``rows``, data rows ``start`` on,
+    converted a column at a time; a chunk that fails a conversion or check
+    goes through :func:`_scan_rows`, which names the first bad cell."""
+    n = len(rows)
+    cells = list(zip(*rows))
+    cols = []
+    for spec, at in zip(schema, pos):
+        if spec.kind == "categorical":
+            cols.append(np.asarray(cells[at], dtype=str))
+            continue
+        try:
+            col = np.fromiter(map(float, cells[at]), np.float64, n)
+        except ValueError:
+            return _scan_rows(path, rows, start, schema, pos, label_at)
+        if not np.isfinite(col).all():
+            return _scan_rows(path, rows, start, schema, pos, label_at)
+        cols.append(col)
+    codes = {cell: _LABEL_CODES.get(cell.strip()) for cell in set(cells[label_at])}
+    if None in codes.values():
+        return _scan_rows(path, rows, start, schema, pos, label_at)
+    return cols, np.fromiter(map(codes.__getitem__, cells[label_at]), np.int64, n)
+
+
+def _scan_rows(path: str, rows: list[list[str]], start: int, schema: Sequence[FeatureSpec],
+               pos: Sequence[int], label_at: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`_parse_chunk`'s result cell by cell, in row order: NonNumericCell
+    or InvalidLabel for the first bad cell or label."""
     raw_cols: list[list] = [[] for _ in schema]
     labels: list[int] = []
-    ids: list[str] = []
-    for row_idx, row in enumerate(rows):
+    for row_idx, row in enumerate(rows, start):
         for j, spec in enumerate(schema):
             cell = row[pos[j]]
             if spec.kind == "continuous":
@@ -241,23 +307,11 @@ def load_csv(path: str, *, label_column: str = "label", id_column: str | None = 
             else:
                 raw_cols[j].append(cell)
         label_cell = row[label_at].strip()
-        if label_cell not in ("0", "1"):
+        if label_cell not in _LABEL_CODES:
             raise InvalidLabel(f"{path}: row {row_idx}: {label_cell!r}")
-        labels.append(int(label_cell))
-        ids.append(str(row_idx) if id_at is None else row[id_at])
-
-    try:
-        return LabeledTable(
-            schema=schema,
-            columns=tuple(
-                np.asarray(c, dtype=np.float64 if s.kind == "continuous" else str)
-                for s, c in zip(schema, raw_cols)
-            ),
-            labels=np.asarray(labels, dtype=np.int64),
-            row_ids=tuple(ids),
-        )
-    except DataError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        labels.append(_LABEL_CODES[label_cell])
+    return ([np.asarray(c, dtype=np.float64 if s.kind == "continuous" else str)
+             for s, c in zip(schema, raw_cols)], np.asarray(labels, dtype=np.int64))
 
 
 def write_csv(table: LabeledTable, path: str, include_row_id: bool = False) -> None:

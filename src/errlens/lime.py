@@ -129,8 +129,10 @@ class CategoricalBins:
 
 @dataclass(frozen=True)
 class Discretizer:
-    """Per schema feature, its bins of that feature's kind, a categorical
-    feature's categories distinct and in ascending order, else DataError."""
+    """Per schema feature, its bins of that feature's kind with one entry per
+    bin in each statistic (a categorical feature's bins are its categories),
+    and a categorical feature's categories distinct and in ascending order,
+    else DataError."""
 
     schema: tuple[FeatureSpec, ...]
     per_feature: tuple[ContinuousBins | CategoricalBins, ...]
@@ -143,6 +145,14 @@ class Discretizer:
             kind = CategoricalBins if spec.kind == "categorical" else ContinuousBins
             if not isinstance(bins, kind):
                 raise DataError(f"feature {spec.name!r}: its bins are not {kind.__name__}")
+            if kind is ContinuousBins:
+                n_bins, stats = bins.n_bins, ("frequencies", "means", "stds", "mins", "maxs")
+            else:
+                n_bins, stats = len(bins.categories), ("frequencies",)
+            for stat in stats:
+                if len(getattr(bins, stat)) != n_bins:
+                    raise DataError(f"feature {spec.name!r}: {len(getattr(bins, stat))} "
+                                    f"{stat} for {n_bins} bins")
             # a category's code is found by a binary search of the categories
             cats = np.asarray(getattr(bins, "categories", ()), dtype=str)
             if (cats[1:] <= cats[:-1]).any():
@@ -315,13 +325,20 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     f = u.reshape(-1, k, k).transpose(1, 2, 0).copy()
     beta = b.reshape(-1, k).T.copy()
     inv = 1.0 / np.diagonal(f).T
-    for i in range(k):
-        for j in range(i):
-            beta[i] -= f[j, i] * beta[j]
+    # a step's row 0 is beta[i] and its rows 1.. the products it loses, so
+    # one subtract.reduce takes them away one after another, in j order
+    buf = np.empty_like(beta)
+    beta[0] *= inv[0]
+    for i in range(1, k):
+        buf[0] = beta[i]
+        np.multiply(f[:i, i], beta[:i], out=buf[1:i + 1])
+        np.subtract.reduce(buf[:i + 1], axis=0, out=beta[i])
         beta[i] *= inv[i]
-    for i in reversed(range(k)):
-        for j in range(i + 1, k):
-            beta[i] -= f[i, j] * beta[j]
+    beta[k - 1] *= inv[k - 1]
+    for i in reversed(range(k - 1)):
+        buf[0] = beta[i]
+        np.multiply(f[i, i + 1:], beta[i + 1:], out=buf[1:k - i])
+        np.subtract.reduce(buf[:k - i], axis=0, out=beta[i])
         beta[i] *= inv[i]
     return beta.T.reshape(b.shape)
 

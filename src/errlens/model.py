@@ -226,11 +226,13 @@ def _json_categories(schema: Sequence[FeatureSpec], trees: Sequence[Sequence[dic
 
 
 # Leaves per bitvector word, a word with every bit set, rows x trees scored
-# at once, which keeps each block's temporaries near 1 MiB whatever the
-# call's size, and the most bytes one group's tables may take.
+# at once, which keeps each block's temporaries near 256 KiB whatever the
+# call's size, and the most bytes one group's tables may take.  (A block of
+# 2**15 was slower than 2**16 when a run scored 741,000 rows; since the
+# shared perturbation pool a run scores about 5,000, and 2**14 is faster.)
 _WORD = 16
 _ONES = (1 << _WORD) - 1
-_BLOCK = 2 ** 16
+_BLOCK = 2 ** 14
 _GROUP_BYTES = 2 ** 20
 
 # The trailing zeros of every word, and _WORD for the zero word.

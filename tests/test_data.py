@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_table
+from errlens import data as data_module
 from errlens import (
     FeatureSpec,
     LabeledTable,
@@ -153,6 +158,148 @@ def test_load_csv_rejects_missing_column_bad_label_and_ragged_row(tmp_path) -> N
     path.write_text("x,label\noops,0\n", encoding="utf-8")
     with pytest.raises(NonNumericCell):
         load_csv(str(path))
+
+
+def write_rows(path, rows: list[list[str]]) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return str(path)
+
+
+def table_with_bad_cells(path, bad: dict[tuple[int, int], str], n: int = 600) -> str:
+    """An ``n``-row table of x0, x1, c and label with ``bad``'s (row, column)
+    cells in place of good ones, a row of one cell for column -1."""
+    rows = [[repr(i / 7), repr(-i / 3), f"k{i % 5}", str(i % 2)] for i in range(n)]
+    for (i, j), cell in bad.items():
+        if j < 0:
+            rows[i] = [cell]
+        else:
+            rows[i][j] = cell
+    return write_rows(path, [["x0", "x1", "c", "label"], *rows])
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ({(550, 1): "oops"}, NonNumericCell, "row 550, column 'x1': 'oops'"),
+    ({(550, 1): "oops", (560, 3): "2"}, NonNumericCell, "row 550, column 'x1': 'oops'"),
+    ({(550, 3): " 2 ", (550, 1): "oops"}, NonNumericCell, "row 550, column 'x1': 'oops'"),
+    ({(520, 3): " 2 ", (550, 0): "oops"}, InvalidLabel, "row 520: '2'"),
+    ({(599, 0): "nan"}, NonNumericCell, "row 599, column 'x0': 'nan'"),
+    # a short row is found while its chunk is read, before any of its cells
+    ({(10, 0): "oops", (300, -1): "1"}, NonNumericCell, "row 10, column 'x0': 'oops'"),
+    ({(10, 0): "oops", (20, -1): "1"}, DataError, "row 20: expected 4 cells"),
+])
+def test_load_csv_names_the_first_bad_cell_of_a_three_chunk_file(
+        tmp_path, bad: dict, error: type, message: str) -> None:
+    path = table_with_bad_cells(tmp_path / "t.csv", bad)
+    with pytest.raises(error) as info:
+        load_csv(path, categorical=["c"])
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "", " ",
+                                  "1.5\x00", "0x10"])
+def test_load_csv_rejects_cells_that_are_not_finite_numbers(tmp_path, cell: str) -> None:
+    path = write_rows(tmp_path / "t.csv", [["x", "label"], ["1.0", "0"], [cell, "1"]])
+    with pytest.raises(NonNumericCell) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: row 1, column 'x': {cell!r}"
+
+
+def test_load_csv_parses_numbers_and_labels_as_float_and_strip_do(tmp_path) -> None:
+    cells = [" 1.5 ", "1_0", "1e3", "-0", "+.5", "\t7\n"]
+    path = write_rows(tmp_path / "t.csv",
+                      [["x", "label"], *([cell, label] for cell, label in
+                                         zip(cells, [" 1 ", "0", "1\t", " 0", "1", "0"]))])
+    table = load_csv(path)
+    assert table.column("x").tobytes() == np.asarray([float(c) for c in cells]).tobytes()
+    assert table.labels.tolist() == [1, 0, 1, 0, 1, 0]
+
+
+def test_load_csv_reads_a_header_only_file_and_an_id_column(tmp_path) -> None:
+    empty = load_csv(write_rows(tmp_path / "e.csv", [["x", "c", "label"]]), categorical=["c"])
+    assert empty.n_rows == 0
+    assert [col.dtype.kind for col in empty.columns] == ["f", "U"]
+    assert empty.labels.dtype == np.int64 and empty.labels.shape == (0,)
+    table = load_csv(write_rows(tmp_path / "t.csv", [["x", "id", "label"], ["1.0", "r7", "1"],
+                                                      ["2.0", "r3", "0"]]),
+                     id_column="id")
+    assert table.feature_names == ("x",)
+    assert table.row_ids == ("r7", "r3")
+    assert table.labels.tolist() == [1, 0]
+
+
+def reference_load(path: str, categorical: list[str],
+                   id_column: str | None) -> tuple | tuple[type, str]:
+    """``load_csv`` cell by cell in row order, as it read a file before it
+    went a chunk at a time: its columns, labels and row ids, or its error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    keys = ("label",) if id_column is None else ("label", id_column)
+    names = [name for name in header if name not in keys]
+    cols: list[list] = [[] for _ in names]
+    labels, ids = [], []
+    for i, row in enumerate(rows):
+        for j, name in enumerate(names):
+            cell = row[header.index(name)]
+            if name in categorical:
+                cols[j].append(cell)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                return NonNumericCell, f"{path}: row {i}, column {name!r}: {cell!r}"
+            cols[j].append(value)
+        label = row[header.index("label")].strip()
+        if label not in ("0", "1"):
+            return InvalidLabel, f"{path}: row {i}: {label!r}"
+        labels.append(int(label))
+        ids.append(str(i) if id_column is None else row[header.index(id_column)])
+    return ([np.asarray(c, dtype=str if name in categorical else np.float64)
+             for name, c in zip(names, cols)], np.asarray(labels, dtype=np.int64), tuple(ids))
+
+
+GOOD_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.sampled_from(["1", " 1.5 ", "1_0", "1e3", "-0", "+.5"]))
+BAD_NUMBERS = st.sampled_from(["nan", "-inf", "", "x", "1e400", "1.5\x00"])
+
+
+@given(kinds=st.lists(st.booleans(), min_size=1, max_size=4), n=st.integers(0, 13),
+       chunk=st.integers(1, 5), with_ids=st.booleans(), data=st.data())
+def test_load_csv_matches_the_cell_by_cell_parse(kinds: list[bool], n: int, chunk: int,
+                                                 with_ids: bool, data) -> None:
+    names = [f"f{j}" for j in range(len(kinds))]
+    categorical = [name for name, cat in zip(names, kinds) if cat]
+    rows = [[data.draw(st.text("ab ,\"", max_size=3) if cat else GOOD_NUMBERS)
+             for cat in kinds] + [data.draw(st.sampled_from(["0", "1", " 1 ", "0\t"]))]
+            for _ in range(n)]
+    for _ in range(data.draw(st.integers(0, 2)) if n else 0):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, len(kinds)))
+        if j == len(kinds):
+            rows[i][j] = data.draw(st.sampled_from(["2", "", "yes", " 1 0"]))
+        elif not kinds[j]:
+            rows[i][j] = data.draw(BAD_NUMBERS)
+    header = [*names, "label"]
+    if with_ids:
+        header.insert(data.draw(st.integers(0, len(header))), "id")
+        at = header.index("id")
+        rows = [[*row[:at], f"r{i}", *row[at:]] for i, row in enumerate(rows)]
+    id_column = "id" if with_ids else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_rows(os.path.join(tmp, "t.csv"), [header, *rows])
+        expected = reference_load(path, categorical, id_column)
+        with mock.patch.object(data_module, "_CHUNK_ROWS", chunk):
+            try:
+                table = load_csv(path, id_column=id_column, categorical=categorical)
+                got = ([(c.dtype, c.tobytes()) for c in table.columns],
+                       table.labels.tobytes(), table.row_ids)
+            except DataError as exc:
+                got = (type(exc), str(exc))
+    if len(expected) == 3:
+        cols, labels, ids = expected
+        expected = ([(c.dtype, c.tobytes()) for c in cols], labels.tobytes(), ids)
+    assert got == expected
 
 
 # --- time-series resampling and featurization ----------------------------------

@@ -117,6 +117,29 @@ def test_a_discretizer_checks_its_bins_when_it_is_built() -> None:
     assert dataclasses.replace(disc, per_feature=(x, c)) == disc
 
 
+@pytest.mark.parametrize("feature, stat", [
+    ("x", "frequencies"), ("x", "means"), ("x", "stds"), ("x", "mins"), ("x", "maxs"),
+    ("c", "frequencies"),
+])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_a_discretizer_needs_one_statistic_per_bin(feature: str, stat: str, change: int) -> None:
+    # a statistic short of a bin would never draw that bin, and a row in it
+    # would match no sample of the pool
+    disc = fit_discretizer(make_table([[0.0, 0.2, 0.4, 0.6, 0.8, 1.0], list("aabbbc")],
+                                      [0, 1] * 3, kinds=["continuous", "categorical"],
+                                      names=["x", "c"]))
+    j = disc.index_of(feature)
+    bins = disc.per_feature[j]
+    n_bins = len(getattr(bins, stat))
+    assert n_bins == (len(bins.edges) + 1 if feature == "x" else len(bins.categories)) > 2
+    values = getattr(bins, stat)[:-1] if change < 0 else getattr(bins, stat) + (0.0,)
+    per_feature = list(disc.per_feature)
+    per_feature[j] = dataclasses.replace(bins, **{stat: values})
+    with pytest.raises(DataError, match=f"feature '{feature}': {n_bins + change} {stat} "
+                                        f"for {n_bins} bins"):
+        dataclasses.replace(disc, per_feature=tuple(per_feature))
+
+
 def test_unknown_feature_lookup_raises() -> None:
     disc = fit_discretizer(make_table([[1.0, 2.0]], [0, 1]))
     with pytest.raises(UnknownFeature):
@@ -397,6 +420,19 @@ def test_the_block_substitution_is_the_scalar_one_bit_for_bit(k: int, rows: int)
         b = rng.normal(scale=scale, size=(rows, k))
         assert lime_module._solve(a, b).tobytes() == scalar_solve(a, b).tobytes()
         assert lime_module._solve(a[0], b[0]).tobytes() == scalar_solve(a[0], b[0]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 12), rows=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]))
+def test_the_block_substitution_is_the_scalar_one_on_random_spd_stacks(
+        k: int, rows: int, seed: int, scale: float) -> None:
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=scale, size=(rows, k + 3, k))
+    a = x.swapaxes(1, 2) @ x + scale * scale * np.eye(k)
+    b = rng.normal(scale=scale, size=(rows, k))
+    assert lime_module._solve(a, b).tobytes() == scalar_solve(a, b).tobytes()
+    assert lime_module._solve(a[0], b[0]).tobytes() == scalar_solve(a[0], b[0]).tobytes()
 
 
 def test_non_finite_normal_equations_are_data_errors() -> None:
