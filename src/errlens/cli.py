@@ -249,6 +249,8 @@ _CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
     "min_support": (lambda x: 0.0 < x <= 1.0, "within (0, 1]"),
     "jobs": (lambda n: n >= 1, "at least 1"),
     "interval": (lambda n: n >= 1, "at least 1"),
+    "windows": (lambda ns: min(ns, default=1) >= 1, "at least 1 each"),
+    "lags": (lambda ns: min(ns, default=1) >= 1, "at least 1 each"),
 }
 
 

@@ -13,7 +13,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, NoReturn, Sequence
 
 import numpy as np
 # numpy imports numpy.random on first use, for the first split or draw;
@@ -266,7 +266,7 @@ def _parse_chunk(path: str, rows: list[list[str]], start: int, schema: Sequence[
                  pos: Sequence[int], label_at: int) -> tuple[list[np.ndarray], np.ndarray]:
     """The feature columns and labels of ``rows``, data rows ``start`` on,
     converted a column at a time; a chunk that fails a conversion or check
-    goes through :func:`_scan_rows`, which names the first bad cell."""
+    goes to :func:`_raise_first_bad_cell`."""
     n = len(rows)
     cells = list(zip(*rows))
     cols = []
@@ -277,22 +277,21 @@ def _parse_chunk(path: str, rows: list[list[str]], start: int, schema: Sequence[
         try:
             col = np.fromiter(map(float, cells[at]), np.float64, n)
         except ValueError:
-            return _scan_rows(path, rows, start, schema, pos, label_at)
+            _raise_first_bad_cell(path, rows, start, schema, pos, label_at)
         if not np.isfinite(col).all():
-            return _scan_rows(path, rows, start, schema, pos, label_at)
+            _raise_first_bad_cell(path, rows, start, schema, pos, label_at)
         cols.append(col)
     codes = {cell: _LABEL_CODES.get(cell.strip()) for cell in set(cells[label_at])}
     if None in codes.values():
-        return _scan_rows(path, rows, start, schema, pos, label_at)
+        _raise_first_bad_cell(path, rows, start, schema, pos, label_at)
     return cols, np.fromiter(map(codes.__getitem__, cells[label_at]), np.int64, n)
 
 
-def _scan_rows(path: str, rows: list[list[str]], start: int, schema: Sequence[FeatureSpec],
-               pos: Sequence[int], label_at: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """:func:`_parse_chunk`'s result cell by cell, in row order: NonNumericCell
-    or InvalidLabel for the first bad cell or label."""
-    raw_cols: list[list] = [[] for _ in schema]
-    labels: list[int] = []
+def _raise_first_bad_cell(path: str, rows: list[list[str]], start: int,
+                          schema: Sequence[FeatureSpec], pos: Sequence[int],
+                          label_at: int) -> NoReturn:
+    """NonNumericCell or InvalidLabel for the first bad cell or label of
+    ``rows`` in row order, which must hold one."""
     for row_idx, row in enumerate(rows, start):
         for j, spec in enumerate(schema):
             cell = row[pos[j]]
@@ -303,15 +302,10 @@ def _scan_rows(path: str, rows: list[list[str]], start: int, schema: Sequence[Fe
                     value = math.nan
                 if not math.isfinite(value):
                     raise NonNumericCell(f"{path}: row {row_idx}, column {spec.name!r}: {cell!r}")
-                raw_cols[j].append(value)
-            else:
-                raw_cols[j].append(cell)
         label_cell = row[label_at].strip()
         if label_cell not in _LABEL_CODES:
             raise InvalidLabel(f"{path}: row {row_idx}: {label_cell!r}")
-        labels.append(_LABEL_CODES[label_cell])
-    return ([np.asarray(c, dtype=np.float64 if s.kind == "continuous" else str)
-             for s, c in zip(schema, raw_cols)], np.asarray(labels, dtype=np.int64))
+    raise AssertionError("no bad cell or label in the chunk")
 
 
 def write_csv(table: LabeledTable, path: str, include_row_id: bool = False) -> None:
@@ -510,9 +504,9 @@ def load_series_csv(
             try:
                 value = float(row[c])
             except ValueError:
-                raise NonNumericCell(
-                    f"{path}: row {row_idx}, column {c!r}: {row[c]!r}"
-                ) from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise NonNumericCell(f"{path}: row {row_idx}, column {c!r}: {row[c]!r}")
             rec["ch"][c].append(value)
         if row[label_column].strip() not in ("0", "1"):
             raise InvalidLabel(f"{path}: row {row_idx}: {row[label_column]!r}")

@@ -108,28 +108,29 @@ def _walk(child: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the leaves in its left subtree.  DataError when a node is reached twice:
     a shared child or a cycle.
     """
-    n = child.size // 2
-    seen = np.zeros(n, dtype=bool)
-    span = np.zeros((n, 2), dtype=np.intp)
+    kids = child.tolist()
+    seen = [False] * (len(kids) // 2)
     leaves: list[int] = []
     splits: list[int] = []
+    spans: list[list[int]] = []
     stack = [0]
     while stack:
         i = stack.pop()
-        if i < 0:  # the left subtree of split ~i is done
-            span[~i, 1] = len(leaves)
+        if i < 0:  # the left subtree of splits[~i] is done
+            spans[~i][1] = len(leaves)
             continue
         if seen[i]:
             raise DataError(f"tree node {i} has two parents or lies on a cycle")
         seen[i] = True
-        left, right = int(child[2 * i]), int(child[2 * i + 1])
+        left, right = kids[2 * i], kids[2 * i + 1]
         if left == i:
             leaves.append(i)
             continue
         splits.append(i)
-        span[i, 0] = len(leaves)
-        stack += [right, ~i, left]
-    return np.asarray(leaves, dtype=np.intp), np.asarray(splits, dtype=np.intp), span[splits]
+        stack += [right, ~len(spans), left]
+        spans.append([len(leaves), 0])
+    return (np.asarray(leaves, dtype=np.intp), np.asarray(splits, dtype=np.intp),
+            np.asarray(spans, dtype=np.intp).reshape(-1, 2))
 
 
 class Tree:
@@ -142,13 +143,11 @@ class Tree:
     its category is ``categories[feature[i]][cut[i]]`` under its model's
     coding, so a category the tree cannot match goes right.  Construction
     walks the tree once (:func:`_walk`), numbering its leaves left to right
-    for :class:`_TreeGroup`, unless ``walk`` brings that walk's result: the
-    grower, which appends nodes in walk order, records it as it goes.
+    for :class:`_TreeGroup`.
     """
 
     def __init__(self, feature: np.ndarray, cut: np.ndarray, child: np.ndarray,
-                 value: np.ndarray,
-                 walk: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+                 value: np.ndarray):
         self.feature = _frozen(np.asarray(feature, dtype=np.intp))
         self.cut = _frozen(np.asarray(cut, dtype=np.float64))
         self.child = _frozen(np.asarray(child, dtype=np.intp))
@@ -160,8 +159,7 @@ class Tree:
             raise DataError(f"a tree of {n} nodes needs two child indices below {n} per node")
         if np.isnan(self.cut).any():
             raise DataError("a split threshold is NaN")
-        self.leaves, self.splits, self.left_leaves = map(
-            _frozen, _walk(self.child) if walk is None else walk)
+        self.leaves, self.splits, self.left_leaves = map(_frozen, _walk(self.child))
 
     def to_json_obj(self, categories: Categories) -> list[dict]:
         out: list[dict] = []
@@ -431,21 +429,13 @@ class _TreeGrower:
         self.p = params
         self.nodes: list[tuple[int, float, float]] = []  # feature, cut, value
         self.child: list[int] = []
-        # nodes are appended depth first, left before right, so these are
-        # what _walk would find: the leaves left to right, the split nodes,
-        # and per split the [first, end) numbers of its left subtree's leaves
-        self.leaves: list[int] = []
-        self.splits: list[int] = []
-        self.left_leaves: list[list[int]] = []
         self.row_value = np.zeros(len(g))
         self._goes_left = np.zeros(len(g), dtype=bool)
 
     def grow(self) -> Tree:
         self._node(np.arange(len(self.g), dtype=np.intp), self.order, depth=0)
         feature, cut, value = zip(*self.nodes)
-        walk = (np.asarray(self.leaves, dtype=np.intp), np.asarray(self.splits, dtype=np.intp),
-                np.asarray(self.left_leaves, dtype=np.intp).reshape(-1, 2))
-        return Tree(feature, cut, self.child, value, walk)
+        return Tree(feature, cut, self.child, value)
 
     def _append(self, feature: int, cut: float, value: float) -> int:
         slot = len(self.nodes)
@@ -456,9 +446,7 @@ class _TreeGrower:
     def _leaf(self, rows: np.ndarray) -> int:
         value = -self.g[rows].sum() / (self.h[rows].sum() + self.p.l2)
         self.row_value[rows] = value
-        slot = self._append(0, 0.0, value)
-        self.leaves.append(slot)
-        return slot
+        return self._append(0, 0.0, value)
 
     def _may_split(self, n_rows: int, depth: int) -> bool:
         """Whether a node of ``n_rows`` rows at ``depth`` searches for a split;
@@ -475,9 +463,6 @@ class _TreeGrower:
         column = self.x[feature][rows]
         left_mask = column <= cut if self.categories[feature] is None else column == cut
         slot = self._append(feature, cut, 0.0)
-        self.splits.append(slot)
-        span = [len(self.leaves), 0]
-        self.left_leaves.append(span)
         n_left = int(left_mask.sum())
         n_right = rows.size - n_left
         split_left = self._may_split(n_left, depth + 1)
@@ -492,7 +477,6 @@ class _TreeGrower:
             if split_right:
                 right_order = np.compress(~goes_left, order).reshape(len(order), n_right)
         left = self._node(rows[left_mask], left_order, depth + 1)
-        span[1] = len(self.leaves)
         right = self._node(rows[~left_mask], right_order, depth + 1)
         self.child[2 * slot: 2 * slot + 2] = left, right
         return slot

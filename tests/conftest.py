@@ -18,7 +18,10 @@ from errlens import (
 )
 from errlens.lime import PerturbationPool
 
-settings.register_profile("suite", deadline=None)
+# random in CI too, where the profile would otherwise inherit Hypothesis's
+# derandomized "ci" profile; a failure prints the @reproduce_failure blob
+# that replays it
+settings.register_profile("suite", deadline=None, derandomize=False, print_blob=True)
 settings.load_profile("suite")
 
 

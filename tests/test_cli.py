@@ -426,6 +426,26 @@ def test_bad_values_are_one_line_usage_errors_before_any_read(
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("flags, config, key", [
+    (("--windows", "3,0"), None, "windows"),
+    (("--lags", "0"), None, "lags"),
+    ((), {"lags": [1, -2]}, "lags"),
+    (("--interval", "0"), None, "interval"),
+])
+def test_featurize_bounds_are_one_line_usage_errors_before_any_read(
+    tmp_path, capsys, flags, config, key,
+) -> None:
+    argv = ["featurize", "--data", str(tmp_path / "absent.csv"), "--channels", "hr", *flags,
+            "--out-dir", str(tmp_path / "o")]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "c.json")]
+    assert run(*argv) == EXIT_USAGE  # not EXIT_DATA: the absent file is never read
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{key} must be at least 1" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
 _TABLE_IO = {"--config", "--out-dir", "--data", "--label-column", "--id-column",
              "--categorical", "--threshold"}
 _FIT = {"--rounds", "--max-depth", "--learning-rate", "--min-leaf-count", "--l2"}

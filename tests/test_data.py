@@ -422,6 +422,16 @@ def test_load_series_csv_groups_sorts_and_validates(tmp_path) -> None:
         load_series_csv(str(path), channel_columns=["hr"])
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400", "oops"])
+def test_load_series_csv_names_a_channel_cell_that_is_not_a_finite_number(tmp_path,
+                                                                          cell: str) -> None:
+    path = write_rows(tmp_path / "s.csv", [["entity_id", "timestamp_s", "hr", "label"],
+                                           ["a", "0", "1.0", "1"], ["a", "300", cell, "1"]])
+    with pytest.raises(NonNumericCell) as info:
+        load_series_csv(path, channel_columns=["hr"])
+    assert str(info.value) == f"{path}: row 1, column 'hr': {cell!r}"
+
+
 @pytest.mark.parametrize("content", [
     pytest.param(b"entity_id,timestamp_s,hr,label\na,0,1.0,1,extra\n", id="extra_cell"),
     pytest.param(b"entity_id,timestamp_s,hr,label\na,0\n", id="short_row"),

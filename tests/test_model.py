@@ -292,19 +292,45 @@ def categorical_table() -> object:
                       kinds=["categorical", "categorical"])
 
 
+def numbered_by_recursion(child: np.ndarray) -> tuple[list, list, list]:
+    """A tree's leaves left to right, its split nodes in walk order, and per
+    split the ``[first, end)`` numbers of its left subtree's leaves."""
+    leaves: list[int] = []
+    splits: list[int] = []
+    spans: list[list[int]] = []
+
+    def visit(i: int) -> None:
+        left, right = child[2 * i: 2 * i + 2].tolist()
+        if left == i:
+            leaves.append(i)
+            return
+        splits.append(i)
+        span = [len(leaves), 0]
+        spans.append(span)
+        visit(left)
+        span[1] = len(leaves)
+        visit(right)
+
+    visit(0)
+    return leaves, splits, spans
+
+
 @pytest.mark.parametrize("max_depth", [1, 4, 6])
 @pytest.mark.parametrize("name", ["tied", "categorical"])
 def test_the_grower_numbers_leaves_and_splits_as_the_walk_does(name: str,
                                                                max_depth: int) -> None:
+    # a trained tree and its JSON round trip are numbered alike, as a
+    # recursion over the node table numbers them
     table = benchmark_sized_tables()["tied"] if name == "tied" else categorical_table()
-    params = GbdtParams(rounds=4, max_depth=max_depth, min_leaf_count=3)
-    with mock.patch.object(model_module, "_walk", side_effect=AssertionError("walked")):
-        model = train_gbdt(table, params)  # trained trees are not walked again
-    for tree in model.trees:
-        for got, expected in zip((tree.leaves, tree.splits, tree.left_leaves),
-                                 model_module._walk(tree.child)):
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert np.array_equal(got, expected)
+    model = train_gbdt(table, GbdtParams(rounds=4, max_depth=max_depth, min_leaf_count=3))
+    loaded = GbdtModel.from_json_obj(json.loads(canonical_json(model.to_json_obj())))
+    for tree, again in zip(model.trees, loaded.trees, strict=True):
+        for got, reloaded, expected in zip((tree.leaves, tree.splits, tree.left_leaves),
+                                           (again.leaves, again.splits, again.left_leaves),
+                                           numbered_by_recursion(tree.child)):
+            assert got.dtype == reloaded.dtype == np.intp and got.shape == reloaded.shape
+            assert np.array_equal(got, reloaded) and got.tolist() == expected
+        assert tree.left_leaves.shape == (tree.splits.size, 2)
     assert max(t.splits.size for t in model.trees) >= max_depth  # trees grow
 
 
