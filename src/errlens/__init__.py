@@ -26,6 +26,7 @@ from .lime import (
     Discretizer,
     Explanation,
     LimeConfig,
+    PerturbationPool,
     condition_for,
     explain,
     fit_discretizer,
@@ -78,6 +79,7 @@ __all__ = [
     "Metrics",
     "MisclassifiedSet",
     "NumericalError",
+    "PerturbationPool",
     "Predictor",
     "RegionReport",
     "SeriesFrame",

@@ -213,6 +213,61 @@ def read_csv(path: str, required: Iterable[str] = ()) -> Iterator[list[str]]:
 _CHUNK_ROWS = 256
 _LABEL_CODES = {"0": 0, "1": 1}
 
+# How a column's cells are read: finite floats, integer seconds within int64,
+# stripped 0/1 labels, numpy str, or (ids and series attributes) the strings
+# themselves: numpy's fixed-width str drops trailing NULs and pads every cell
+# to the longest
+ColumnKind = Literal["continuous", "time", "label", "categorical", "text"]
+
+
+def _read_columns(path: str, header: list[str], rows: Iterator[list[str]],
+                  kinds: Sequence[tuple[str, ColumnKind]]) -> list[np.ndarray]:
+    """The ``(name, kind)`` columns of the data rows left in ``rows``, under
+    ``header``, converted 256 rows at a time, a column at a time; a chunk with
+    a bad cell goes to :func:`_raise_first_bad_cell`."""
+    columns = [(name, header.index(name), kind) for name, kind in kinds]
+    # each column's chunks after an empty one of its kind, so a header-only
+    # file concatenates too
+    parts = [[_convert((), kind)] for _, _, kind in columns]
+    start = 0
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        cells = list(zip(*chunk))
+        for part, (_, at, kind) in zip(parts, columns):
+            if (col := _convert(cells[at], kind)) is None:
+                _raise_first_bad_cell(path, chunk, start, columns)
+            part.append(col)
+        start += len(chunk)
+    return [np.concatenate(p) for p in parts]
+
+
+def _convert(cells: Sequence[str], kind: ColumnKind) -> np.ndarray | None:
+    """``cells`` as one column of ``kind``, or None if any of them is bad."""
+    if kind in ("categorical", "text"):
+        return np.asarray(cells, dtype=str if kind == "categorical" else object)
+    try:
+        if kind == "label":
+            codes = {cell: _LABEL_CODES[cell.strip()] for cell in set(cells)}
+            return np.fromiter(map(codes.__getitem__, cells), np.int64, len(cells))
+        col = np.fromiter(map(int if kind == "time" else float, cells),
+                          np.int64 if kind == "time" else np.float64, len(cells))
+    except (KeyError, ValueError, OverflowError):
+        return None
+    return col if np.isfinite(col).all() else None
+
+
+def _raise_first_bad_cell(path: str, rows: list[list[str]], start: int,
+                          columns: Sequence[tuple[str, int, ColumnKind]]) -> NoReturn:
+    """NonNumericCell, or InvalidLabel for a label, for the first bad cell of
+    ``rows``, data rows ``start`` on, in row and then ``columns`` order; the
+    rows must hold one."""
+    for row_idx, row in enumerate(rows, start):
+        for name, at, kind in columns:
+            if _convert((cell := row[at],), kind) is None:
+                if kind == "label":
+                    raise InvalidLabel(f"{path}: row {row_idx}: {cell.strip()!r}")
+                raise NonNumericCell(f"{path}: row {row_idx}, column {name!r}: {cell!r}")
+    raise AssertionError("no bad cell in the chunk")
+
 
 def load_csv(path: str, *, label_column: str = "label", id_column: str | None = None,
              categorical: Sequence[str] = ()) -> LabeledTable:
@@ -233,79 +288,17 @@ def load_csv(path: str, *, label_column: str = "label", id_column: str | None = 
     header = next(rows)
     schema = tuple(FeatureSpec(name, "categorical" if name in categorical else "continuous")
                    for name in header if name not in keys)
-    pos = [header.index(f.name) for f in schema]
-    label_at = header.index(label_column)
-    id_at = None if id_column is None else header.index(id_column)
-    # each column's chunks after an empty one of its dtype, so a header-only
-    # file concatenates too
-    parts = [[np.empty(0, np.float64 if s.kind == "continuous" else str)] for s in schema]
-    labels = [np.empty(0, np.int64)]
-    ids: list[str] = []
-    start = 0
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        cols, chunk_labels = _parse_chunk(path, chunk, start, schema, pos, label_at)
-        for part, col in zip(parts, cols):
-            part.append(col)
-        labels.append(chunk_labels)
-        ids.extend(map(str, range(start, start + len(chunk))) if id_at is None
-                   else (row[id_at] for row in chunk))
-        start += len(chunk)
-
+    kinds: list[tuple[str, ColumnKind]] = [*((f.name, f.kind) for f in schema),
+                                           (label_column, "label")]
+    if id_column is not None:
+        kinds.append((id_column, "text"))
+    cols = _read_columns(path, header, rows, kinds)
+    features, (labels, *ids) = cols[:len(schema)], cols[len(schema):]
+    row_ids = tuple(ids[0] if ids else map(str, range(labels.size)))
     try:
-        return LabeledTable(
-            schema=schema,
-            columns=tuple(np.concatenate(p) for p in parts),
-            labels=np.concatenate(labels),
-            row_ids=tuple(ids),
-        )
+        return LabeledTable(schema, tuple(features), labels, row_ids)
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None
-
-
-def _parse_chunk(path: str, rows: list[list[str]], start: int, schema: Sequence[FeatureSpec],
-                 pos: Sequence[int], label_at: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """The feature columns and labels of ``rows``, data rows ``start`` on,
-    converted a column at a time; a chunk that fails a conversion or check
-    goes to :func:`_raise_first_bad_cell`."""
-    n = len(rows)
-    cells = list(zip(*rows))
-    cols = []
-    for spec, at in zip(schema, pos):
-        if spec.kind == "categorical":
-            cols.append(np.asarray(cells[at], dtype=str))
-            continue
-        try:
-            col = np.fromiter(map(float, cells[at]), np.float64, n)
-        except ValueError:
-            _raise_first_bad_cell(path, rows, start, schema, pos, label_at)
-        if not np.isfinite(col).all():
-            _raise_first_bad_cell(path, rows, start, schema, pos, label_at)
-        cols.append(col)
-    codes = {cell: _LABEL_CODES.get(cell.strip()) for cell in set(cells[label_at])}
-    if None in codes.values():
-        _raise_first_bad_cell(path, rows, start, schema, pos, label_at)
-    return cols, np.fromiter(map(codes.__getitem__, cells[label_at]), np.int64, n)
-
-
-def _raise_first_bad_cell(path: str, rows: list[list[str]], start: int,
-                          schema: Sequence[FeatureSpec], pos: Sequence[int],
-                          label_at: int) -> NoReturn:
-    """NonNumericCell or InvalidLabel for the first bad cell or label of
-    ``rows`` in row order, which must hold one."""
-    for row_idx, row in enumerate(rows, start):
-        for j, spec in enumerate(schema):
-            cell = row[pos[j]]
-            if spec.kind == "continuous":
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise NonNumericCell(f"{path}: row {row_idx}, column {spec.name!r}: {cell!r}")
-        label_cell = row[label_at].strip()
-        if label_cell not in _LABEL_CODES:
-            raise InvalidLabel(f"{path}: row {row_idx}: {label_cell!r}")
-    raise AssertionError("no bad cell or label in the chunk")
 
 
 def write_csv(table: LabeledTable, path: str, include_row_id: bool = False) -> None:
@@ -349,7 +342,7 @@ class SeriesFrame:
         ts = np.asarray(self.timestamps, dtype=np.int64)
         if ts.ndim != 1:
             raise DataError("timestamps must be one-dimensional")
-        if ts.size > 1 and not (np.diff(ts) > 0).all():
+        if not (ts[1:] > ts[:-1]).all():
             raise DataError("timestamps must be strictly increasing")
         chans = {}
         for name, values in self.channels.items():
@@ -478,61 +471,47 @@ def load_series_csv(
 ) -> list[SeriesFrame]:
     """Read long-format time-series CSV into one :class:`SeriesFrame` per entity.
 
-    Expected columns: entity id, integer timestamp in seconds, one column per
-    channel, a per-entity label, and optional per-entity static categorical
-    columns.  Rows may appear in any order; they are sorted by timestamp
-    within each entity.  Entities appear in the output in first-seen order.
+    Expected columns: entity id, integer timestamp in seconds (within int64),
+    one column per channel, a per-entity label, and optional per-entity
+    static categorical columns.  Rows may appear in any order; they are
+    sorted by timestamp within each entity.  Entities appear in the output in
+    first-seen order.
+
+    Cells are read as by :func:`load_csv`: a bad label is quoted stripped, and a
+    short row is reported before a bad cell above it in its 256-row chunk.
+    Then the first row whose label (InvalidLabel) or static value (DataError)
+    differs from its entity's first row, and then the first entity to repeat
+    a timestamp (DataError), are reported.
     """
     rows = read_csv(path, (entity_column, time_column, label_column, *channel_columns,
                            *static_columns))
     header = next(rows)
-    grouped: dict[str, dict] = {}
-    for row_idx, cells in enumerate(rows):
-        row = dict(zip(header, cells))
-        ent = row[entity_column]
-        rec = grouped.setdefault(
-            ent, {"t": [], "ch": {c: [] for c in channel_columns},
-                  "label": None, "static": None}
-        )
-        try:
-            rec["t"].append(int(row[time_column]))
-        except ValueError:
-            raise NonNumericCell(
-                f"{path}: row {row_idx}, column {time_column!r}: {row[time_column]!r}"
-            ) from None
-        for c in channel_columns:
-            try:
-                value = float(row[c])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise NonNumericCell(f"{path}: row {row_idx}, column {c!r}: {row[c]!r}")
-            rec["ch"][c].append(value)
-        if row[label_column].strip() not in ("0", "1"):
-            raise InvalidLabel(f"{path}: row {row_idx}: {row[label_column]!r}")
-        label = int(row[label_column])
-        if rec["label"] not in (None, label):
-            raise InvalidLabel(f"entity {ent!r} has conflicting labels")
-        rec["label"] = label
-        static = {c: row[c] for c in static_columns}
-        if rec["static"] not in (None, static):
-            raise DataError(f"entity {ent!r} has conflicting static attributes")
-        rec["static"] = static
-
-    frames = []
-    for ent, rec in grouped.items():
-        order = np.argsort(np.asarray(rec["t"]), kind="stable")
-        frames.append(
-            SeriesFrame(
-                entity_id=ent,
-                timestamps=np.asarray(rec["t"], dtype=np.int64)[order],
-                channels={c: np.asarray(v, dtype=np.float64)[order]
-                          for c, v in rec["ch"].items()},
-                label=rec["label"],
-                static=rec["static"],
-            )
-        )
-    return frames
+    ent, t, *cols = _read_columns(path, header, rows, [
+        (entity_column, "text"), (time_column, "time"),
+        *((c, "continuous") for c in channel_columns), (label_column, "label"),
+        *((c, "text") for c in static_columns)])
+    chans, (labels, *statics) = cols[:len(channel_columns)], cols[len(channel_columns):]
+    # each row's entity as the index of that entity's first row
+    seen: dict[str, int] = {}
+    first = np.fromiter((seen.setdefault(e, i) for i, e in enumerate(ent)), np.intp, ent.size)
+    off = [col != col[first] for col in (labels, *statics)]
+    if (bad := np.flatnonzero(np.logical_or.reduce(off))).size:
+        i = bad[0]
+        if off[0][i]:
+            raise InvalidLabel(f"entity {ent[i]!r} has conflicting labels")
+        raise DataError(f"entity {ent[i]!r} has conflicting static attributes")
+    # entities in first-seen order, rows by timestamp, ties stable
+    order = np.lexsort((t, first))
+    t, first = t[order], first[order]
+    if (repeat := np.flatnonzero((first[1:] == first[:-1]) & (t[1:] == t[:-1]))).size:
+        i = repeat[0]
+        raise DataError(f"{path}: entity {ent[first[i]]!r} repeats timestamp {t[i]}")
+    starts = np.flatnonzero(np.diff(first, prepend=-1))
+    return [SeriesFrame(entity_id=ent[first[lo]], timestamps=t[lo:hi],
+                        channels={c: col[order[lo:hi]] for c, col in zip(channel_columns, chans)},
+                        label=int(labels[first[lo]]),
+                        static={c: col[first[lo]] for c, col in zip(static_columns, statics)})
+            for lo, hi in zip(starts, [*starts[1:], t.size])]
 
 
 # --- train/test split --------------------------------------------------------

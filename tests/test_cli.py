@@ -160,6 +160,16 @@ def test_featurize_turns_series_into_a_feature_table(tmp_path, capsys) -> None:
     assert body[0].startswith("a:600,")
 
 
+
+def test_featurize_reports_a_timestamp_beyond_int64_as_a_bad_cell(tmp_path, capsys) -> None:
+    data = tmp_path / "s.csv"
+    data.write_text("entity_id,timestamp_s,hr,label\na,0,1.0,1\na,99999999999999999999,2.0,1\n",
+                    encoding="utf-8")
+    assert run("featurize", "--data", str(data), "--channels", "hr",
+               "--out-dir", str(tmp_path / "o")) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"errlens: data error: {data}: row 1, column 'timestamp_s': '99999999999999999999'\n")
+
 # --- config merging -------------------------------------------------------------
 
 

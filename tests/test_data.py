@@ -446,6 +446,121 @@ def test_series_csv_rejects_malformed_files(tmp_path, content: bytes) -> None:
         load_series_csv(str(path), channel_columns=["hr"])
 
 
+def test_load_series_csv_names_the_entity_and_time_of_a_repeated_timestamp(tmp_path) -> None:
+    path = write_rows(tmp_path / "s.csv", [["entity_id", "timestamp_s", "hr", "label"],
+                                           ["a", "0", "1.0", "1"], ["b", "300", "1.0", "0"],
+                                           ["a", "600", "2.0", "1"], ["b", "300", "3.0", "0"],
+                                           ["a", "600", "4.0", "1"]])
+    with pytest.raises(DataError) as info:
+        load_series_csv(path, channel_columns=["hr"])
+    assert str(info.value) == f"{path}: entity 'a' repeats timestamp 600"
+
+
+def reference_series_load(path: str, channels: list[str], statics: list[str]) -> list | tuple:
+    """``load_series_csv`` row by row, as it read a file before it went a chunk
+    at a time, with its errors in the order its docstring states: its frames
+    as (entity, timestamps, channels, label, static), or its error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    grouped: dict[str, dict] = {}
+    conflict = None
+    for row_idx, cells in enumerate(rows):
+        row = dict(zip(header, cells))
+        ent = row["entity_id"]
+        rec = grouped.setdefault(ent, {"t": [], "ch": {c: [] for c in channels},
+                                       "label": None, "static": None})
+        try:
+            t = int(row["timestamp_s"])
+        except ValueError:
+            t = None
+        if t is None or not -2**63 <= t < 2**63:
+            return NonNumericCell, (f"{path}: row {row_idx}, column 'timestamp_s': "
+                                    f"{row['timestamp_s']!r}")
+        rec["t"].append(t)
+        for c in channels:
+            try:
+                value = float(row[c])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                return NonNumericCell, f"{path}: row {row_idx}, column {c!r}: {row[c]!r}"
+            rec["ch"][c].append(value)
+        label = row["label"].strip()
+        if label not in ("0", "1"):
+            return InvalidLabel, f"{path}: row {row_idx}: {label!r}"
+        static = {c: row[c] for c in statics}
+        if rec["label"] is None:
+            rec["label"], rec["static"] = int(label), static
+        elif conflict is None and rec["label"] != int(label):
+            conflict = InvalidLabel, f"entity {ent!r} has conflicting labels"
+        elif conflict is None and rec["static"] != static:
+            conflict = DataError, f"entity {ent!r} has conflicting static attributes"
+    if conflict is not None:
+        return conflict
+    frames = []
+    for ent, rec in grouped.items():
+        order = np.argsort(np.asarray(rec["t"]), kind="stable")
+        ts = np.asarray(rec["t"], dtype=np.int64)[order]
+        repeats = ts[1:][ts[1:] == ts[:-1]]
+        if repeats.size:
+            return DataError, f"{path}: entity {ent!r} repeats timestamp {repeats[0]}"
+        frames.append((ent, ts.tobytes(), {c: np.asarray(v, dtype=np.float64)[order].tobytes()
+                                           for c, v in rec["ch"].items()},
+                       rec["label"], rec["static"]))
+    return frames
+
+
+BAD_TIMES = st.sampled_from(["1.5", "", "x", "1e3", "99999999999999999999", str(2**63),
+                             str(-2**63 - 1)])
+
+
+@given(n=st.integers(0, 13), n_channels=st.integers(1, 2), with_static=st.booleans(),
+       chunk=st.integers(1, 5), data=st.data())
+def test_load_series_csv_matches_the_row_by_row_parse(n: int, n_channels: int,
+                                                      with_static: bool, chunk: int,
+                                                      data) -> None:
+    channels = [f"c{j}" for j in range(n_channels)]
+    statics = ["unit"] if with_static else []
+    entities = data.draw(st.lists(st.text("ab ,\"", max_size=2), min_size=1, max_size=3,
+                                  unique=True))
+    label_of = {e: data.draw(st.sampled_from(["0", "1", " 1 ", "0\t"])) for e in entities}
+    unit_of = {e: data.draw(st.sampled_from(["icu", "ward", " "])) for e in entities}
+    start = data.draw(st.integers(-2**63, 2**63 - 1 - n))
+    times = data.draw(st.permutations(range(start, start + n)))
+    rows = []
+    for t in times:
+        ent = data.draw(st.sampled_from(entities))
+        rows.append([ent, data.draw(st.sampled_from([str(t), f" {t} ", f"{t:_}"])),
+                     *(data.draw(GOOD_NUMBERS) for _ in channels), label_of[ent],
+                     *(unit_of[ent] for _ in statics)])
+    # column j of row i: a bad cell or a conflicting label or static value,
+    # or for j = 0 the time of a row of the same entity
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2])) if n else 0):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, len(rows[0]) - 1))
+        if j == 0:
+            rows[i][1] = data.draw(st.sampled_from([row[1] for row in rows
+                                                    if row[0] == rows[i][0]]))
+            continue
+        rows[i][j] = data.draw(
+            BAD_TIMES if j == 1 else BAD_NUMBERS if j <= n_channels
+            else st.sampled_from(["0", "1", "2", "", "yes"]) if j == n_channels + 2
+            else st.sampled_from(["icu", "ward"]))
+    header = ["entity_id", "timestamp_s", *channels, "label", *statics]
+    at = data.draw(st.permutations(range(len(header))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_rows(os.path.join(tmp, "s.csv"),
+                          [[line[k] for k in at] for line in [header, *rows]])
+        expected = reference_series_load(path, channels, statics)
+        with mock.patch.object(data_module, "_CHUNK_ROWS", chunk):
+            try:
+                got = [(f.entity_id, f.timestamps.tobytes(),
+                        {c: v.tobytes() for c, v in f.channels.items()}, f.label, f.static)
+                       for f in load_series_csv(path, channels, static_columns=statics)]
+            except DataError as exc:
+                got = (type(exc), str(exc))
+    assert got == expected
+
+
 # --- train/test split ------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,28 @@ def test_the_readme_library_example_runs_and_prints_what_it_says(tmp_path) -> No
     assert round(float(region_rate), 3) == 0.487
     assert (tmp_path / "demo" / "lib" / "report_test.json").exists()
 
+
+
+def test_the_readme_quick_start_prints_what_it_says(tmp_path) -> None:
+    # the README's quick-start console block, run command by command: each
+    # errlens command's printed line and the report's head
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start.*?```console\n(.*?)```", readme, flags=re.DOTALL)[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    steps = re.findall(r"^\$ (.*)\n((?:[^$\n].*\n)*)", block, flags=re.MULTILINE)
+    assert [cmd.split()[0] for cmd, _ in steps] == ["errlens", "errlens", "head"]
+    for cmd, expected in steps:
+        program, *args = shlex.split(cmd)
+        if program == "errlens":
+            printed = subprocess.run([sys.executable, "-m", "errlens", *args], cwd=tmp_path,
+                                     env=env, capture_output=True, text=True, check=True,
+                                     timeout=300).stdout
+        else:
+            lines, name = int(args[0].removeprefix("-")), args[1]
+            printed = "".join((tmp_path / name).read_text(encoding="utf-8")
+                              .splitlines(keepends=True)[:lines])
+        assert printed == expected
 
 def _reads_files(tree: ast.AST) -> bool:
     """Whether a module opens a file for reading or parses CSV or JSON input."""
