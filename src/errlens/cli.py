@@ -160,11 +160,14 @@ OPTIONS: tuple[Option, ...] = (
 )
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The full parser, or with ``command`` one with that subparser alone."""
     parser = _Parser(prog="errlens", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name, (_, help_text) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (snake_case keys)")
         for opt in OPTIONS:
@@ -427,7 +430,8 @@ COMMANDS: dict[str, tuple[Callable[[RunConfig], str], str]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -365,6 +365,11 @@ class SeriesFrame:
         return int(self.timestamps.size)
 
 
+# Most bins one series resamples onto (95 years of 300 s bins, 80 MB a float
+# column): a longer grid is a DataError naming the entity, before any allocation.
+MAX_RESAMPLE_BINS = 10_000_000
+
+
 def resample_series(series: SeriesFrame, interval_s: int = 300) -> SeriesFrame:
     """Aggregate a series onto a regular grid of ``interval_s``-second bins.
 
@@ -372,7 +377,7 @@ def resample_series(series: SeriesFrame, interval_s: int = 300) -> SeriesFrame:
     arithmetic mean of the raw samples falling in ``[k*i, (k+1)*i)``; bins
     without samples are forward-filled from the previous bin.  The grid starts
     at the bin containing the first raw sample, so there is nothing to fill
-    before the first observation.
+    before the first observation.  At most :data:`MAX_RESAMPLE_BINS` bins.
     """
     if interval_s <= 0:
         raise DataError("interval_s must be positive")
@@ -382,6 +387,9 @@ def resample_series(series: SeriesFrame, interval_s: int = 300) -> SeriesFrame:
     k0 = int(ts[0] // interval_s)
     k1 = int(ts[-1] // interval_s)
     n_bins = k1 - k0 + 1
+    if n_bins > MAX_RESAMPLE_BINS:
+        raise DataError(f"series {series.entity_id!r}: {n_bins} bins of {interval_s} s, "
+                        f"more than {MAX_RESAMPLE_BINS}")
     bin_idx = (ts // interval_s - k0).astype(np.intp)
     counts = np.bincount(bin_idx, minlength=n_bins)
     # Index of the latest non-empty bin at or before each position: the
@@ -498,8 +506,8 @@ def load_series_csv(
     if (bad := np.flatnonzero(np.logical_or.reduce(off))).size:
         i = bad[0]
         if off[0][i]:
-            raise InvalidLabel(f"entity {ent[i]!r} has conflicting labels")
-        raise DataError(f"entity {ent[i]!r} has conflicting static attributes")
+            raise InvalidLabel(f"{path}: entity {ent[i]!r} has conflicting labels")
+        raise DataError(f"{path}: entity {ent[i]!r} has conflicting static attributes")
     # entities in first-seen order, rows by timestamp, ties stable
     order = np.lexsort((t, first))
     t, first = t[order], first[order]

@@ -12,7 +12,7 @@ feature conditions by their local influence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -39,6 +39,8 @@ class Condition:
     low: float | None = None
     high: float | None = None
     category: str | None = None
+    # rendered once: terms share the pool's conditions and read it many times
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # plain Python floats so text form always uses shortest repr
@@ -56,16 +58,11 @@ class Condition:
             raise DataError(f"NaN bound in condition on {self.feature!r}")
         elif self.low is not None and self.high is not None and not self.low < self.high:
             raise DataError(f"empty interval ({self.low!r}, {self.high!r}]")
-
-    @property
-    def text(self) -> str:
-        if self.category is not None:
-            return f"{self.feature} = {self.category}"
-        if self.low is None:
-            return f"{self.feature} <= {self.high!r}"
-        if self.high is None:
-            return f"{self.feature} > {self.low!r}"
-        return f"{self.low!r} < {self.feature} <= {self.high!r}"
+        object.__setattr__(self, "text", (
+            f"{self.feature} = {self.category}" if self.category is not None
+            else f"{self.feature} <= {self.high!r}" if self.low is None
+            else f"{self.feature} > {self.low!r}" if self.high is None
+            else f"{self.low!r} < {self.feature} <= {self.high!r}"))
 
     def matches(self, values: np.ndarray) -> np.ndarray:
         """Vectorized membership test over a feature column."""

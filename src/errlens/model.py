@@ -163,9 +163,10 @@ class Tree:
 
     def to_json_obj(self, categories: Categories) -> list[dict]:
         out: list[dict] = []
+        child = self.child.tolist()
         for i, (j, cut, value) in enumerate(zip(self.feature.tolist(), self.cut.tolist(),
                                                 self.value.tolist())):
-            left, right = self.child[2 * i: 2 * i + 2].tolist()
+            left, right = child[2 * i: 2 * i + 2]
             if left == i:
                 out.append({"leaf": value})
             elif categories[j] is not None:

@@ -11,6 +11,7 @@ import pytest
 from conftest import count_table_scores
 from errlens import ExternalPredictions, GbdtModel
 from errlens.cli import (
+    COMMANDS,
     EXIT_DATA,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -169,6 +170,16 @@ def test_featurize_reports_a_timestamp_beyond_int64_as_a_bad_cell(tmp_path, caps
                "--out-dir", str(tmp_path / "o")) == EXIT_DATA
     assert capsys.readouterr().err == (
         f"errlens: data error: {data}: row 1, column 'timestamp_s': '99999999999999999999'\n")
+
+
+def test_featurize_refuses_a_resampling_grid_too_large_to_allocate(tmp_path, capsys) -> None:
+    data = tmp_path / "s.csv"
+    data.write_text("entity_id,timestamp_s,hr,label\na,0,1,1\na,9000000000000000000,2,1\n",
+                    encoding="utf-8")
+    assert run("featurize", "--data", str(data), "--channels", "hr",
+               "--out-dir", str(tmp_path / "o")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("errlens: data error: series 'a': ")
 
 # --- config merging -------------------------------------------------------------
 
@@ -488,6 +499,32 @@ def test_each_subcommand_accepts_exactly_its_flags() -> None:
     assert sum(len(f) - 1 for f in flags.values()) == 83
 
 
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_is_the_full_parsers_help(command: str | None, capsys) -> None:
+    full = build_parser() if command is None else _subparsers()[command]
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert run(*argv) == EXIT_OK
+    assert capsys.readouterr().out == full.format_help()
+
+
+def test_an_unknown_subcommand_lists_every_subcommand(capsys) -> None:
+    assert run("frob") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "invalid choice: 'frob'" in err
+    assert all(f"'{name}'" in err for name in COMMANDS)
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys) -> None:
+    out = tmp_path / "o"
+    monkeypatch.setattr("sys.argv", ["errlens", "synth", "--rows", "40",
+                                     "--out-dir", str(out)])
+    assert main() == EXIT_OK
+    assert (out / "synth.csv").exists() and capsys.readouterr().out.startswith("synth:")
+    monkeypatch.setattr("sys.argv", ["errlens", "mine", "--help"])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out == _subparsers()["mine"].format_help()
+
+
 def test_pipeline_rejects_a_predictions_file_it_would_not_use(tmp_path, capsys) -> None:
     (tmp_path / "p.csv").write_text("row_id,probability\n0,0.5\n", encoding="utf-8")
     assert run("pipeline", "--data", str(tmp_path / "d.csv"), "--predictions",
@@ -566,6 +603,9 @@ def test_csv_row_errors_name_their_file(tmp_path, capsys) -> None:
              "series.csv: row 1, column 'hr': 'fast'"),
             ("series_label.csv", b"entity_id,timestamp_s,hr,label\ne,0,60,2\n",
              ["featurize", "--channels", "hr", "--data"], "series_label.csv: row 0: '2'"),
+            ("series_conflict.csv", b"entity_id,timestamp_s,hr,label\na,0,1,1\na,300,2,0\n",
+             ["featurize", "--channels", "hr", "--data"],
+             "series_conflict.csv: entity 'a' has conflicting labels"),
             ("twice.csv", b"row_id,probability\n0,0.5\n0,0.6\n1,0.5\n", predict,
              "twice.csv: row id '0' repeats"),
             ("short.csv", b"row_id,probability\n0,0.5\n", predict,

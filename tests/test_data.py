@@ -345,6 +345,21 @@ def test_resample_rejects_bad_interval_and_empty_series() -> None:
         )
 
 
+def test_resample_refuses_a_grid_too_large_to_allocate() -> None:
+    # 3e16 bins between the ends of int64 time: refused before any allocation
+    ends = series([0, 9_000_000_000_000_000_000], [1.0, 2.0])
+    with pytest.raises(DataError) as info:
+        resample_series(ends, interval_s=300)
+    assert str(info.value) == ("series 'e': 30000000000000001 bins of 300 s, "
+                               f"more than {data_module.MAX_RESAMPLE_BINS}")
+    # the bound is inclusive
+    with mock.patch.object(data_module, "MAX_RESAMPLE_BINS", 3):
+        assert resample_series(series([0, 600], [1.0, 5.0])).timestamps.tolist() == [
+            0, 300, 600]
+        with pytest.raises(DataError):
+            resample_series(series([0, 900], [1.0, 5.0]))
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=40,
              unique=True),
@@ -414,8 +429,15 @@ def test_load_series_csv_groups_sorts_and_validates(tmp_path) -> None:
 
     path.write_text("entity_id,timestamp_s,hr,label\na,0,1.0,1\na,60,2.0,0\n",
                     encoding="utf-8")
-    with pytest.raises(InvalidLabel):
+    with pytest.raises(InvalidLabel) as info:
         load_series_csv(str(path), channel_columns=["hr"])
+    assert str(info.value) == f"{path}: entity 'a' has conflicting labels"
+
+    path.write_text("entity_id,timestamp_s,hr,label,unit\na,0,1.0,1,icu\na,60,2.0,1,ward\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_series_csv(str(path), channel_columns=["hr"], static_columns=["unit"])
+    assert str(info.value) == f"{path}: entity 'a' has conflicting static attributes"
 
     path.write_text("entity_id,timestamp_s,label\na,0,1\n", encoding="utf-8")
     with pytest.raises(MissingColumn):
@@ -492,9 +514,9 @@ def reference_series_load(path: str, channels: list[str], statics: list[str]) ->
         if rec["label"] is None:
             rec["label"], rec["static"] = int(label), static
         elif conflict is None and rec["label"] != int(label):
-            conflict = InvalidLabel, f"entity {ent!r} has conflicting labels"
+            conflict = InvalidLabel, f"{path}: entity {ent!r} has conflicting labels"
         elif conflict is None and rec["static"] != static:
-            conflict = DataError, f"entity {ent!r} has conflicting static attributes"
+            conflict = DataError, f"{path}: entity {ent!r} has conflicting static attributes"
     if conflict is not None:
         return conflict
     frames = []

@@ -202,6 +202,48 @@ def test_condition_text_round_trips(cond: tuple[Condition, str]) -> None:
     assert condition.text == text
 
 
+def reference_condition_text(c: Condition) -> str:
+    """The text as a property rendered it from the fields on every read."""
+    if c.category is not None:
+        return f"{c.feature} = {c.category}"
+    if c.low is None:
+        return f"{c.feature} <= {c.high!r}"
+    if c.high is None:
+        return f"{c.feature} > {c.low!r}"
+    return f"{c.low!r} < {c.feature} <= {c.high!r}"
+
+
+BOUNDS = st.none() | st.floats(allow_nan=False)
+
+
+@given(feature=st.text(max_size=4), low=BOUNDS, high=BOUNDS,
+       category=st.none() | st.text(max_size=4), other=st.text(max_size=4),
+       as_bound=st.sampled_from([float, np.float64]))
+@example(feature="f", low=None, high=0.1 + 0.2, category=None, other="", as_bound=np.float64)
+def test_condition_text_is_rendered_once_from_its_fields(feature: str, low, high, category,
+                                                         other: str, as_bound) -> None:
+    if category is not None:
+        low = high = None
+    assume(category is not None or low is not None or high is not None)
+    if low is not None and high is not None:
+        assume(low != high)
+        low, high = sorted((low, high))
+    # bounds may arrive as numpy floats, which __post_init__ makes plain
+    bounds = [None if b is None else as_bound(b) for b in (low, high)]
+    cond = Condition(feature, *bounds, category)
+    assert cond.text == reference_condition_text(cond)
+    # the stored text takes no part in equality, hashing, repr or matching
+    twin = Condition(feature, *bounds, category)
+    object.__setattr__(twin, "text", other)
+    assert twin == cond and hash(twin) == hash(cond) and repr(twin) == repr(cond)
+    assert Condition.__match_args__ == ("feature", "low", "high", "category")
+    with pytest.raises(TypeError):
+        Condition(feature, *bounds, category, text=other)
+    # a replaced condition renders its own fields
+    moved = dataclasses.replace(twin, feature=feature + "g")
+    assert moved.text == reference_condition_text(moved)
+
+
 def test_malformed_conditions_are_rejected() -> None:
     with pytest.raises(DataError):
         Condition(feature="f")
