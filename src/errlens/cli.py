@@ -133,7 +133,7 @@ OPTIONS: tuple[Option, ...] = (
     Option("min_support", _float, 0.1, ("mine", "pipeline")),
     Option("split_fraction", _float, 0.25, ("pipeline",)),
     Option("predictions", _text, None, _EVAL, "row_id,probability CSV replacing the model"),
-    Option("jobs", _int, 1, _EXPLAIN, "parallel explanation workers"),
+    Option("jobs", _int, 1, _EXPLAIN, "must be 1: explanations run on one thread"),
     Option("data", _text, None, ("featurize", *_TABLE),
            "labeled feature CSV (featurize: long-format time-series CSV)"),
     Option("label_column", _text, "label", ("featurize", *_TABLE)),
@@ -250,7 +250,7 @@ _CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
     "threshold": (lambda x: 0.0 <= x <= 1.0, "within [0, 1]"),
     "split_fraction": (lambda x: 0.0 < x < 1.0, "within (0, 1)"),
     "min_support": (lambda x: 0.0 < x <= 1.0, "within (0, 1]"),
-    "jobs": (lambda n: n >= 1, "at least 1"),
+    "jobs": (lambda n: n == 1, "1"),
     "interval": (lambda n: n >= 1, "at least 1"),
     "windows": (lambda ns: min(ns, default=1) >= 1, "at least 1 each"),
     "lags": (lambda ns: min(ns, default=1) >= 1, "at least 1 each"),
@@ -365,7 +365,7 @@ def cmd_eval(cfg: RunConfig) -> str:
 
 def _explain_split(cfg: RunConfig, pool: PerturbationPool, table: LabeledTable, name: str):
     mis = find_misclassified(pool.predictor, table, threshold=cfg["threshold"], split=name)
-    return mis, explain_misclassified(pool, mis, cfg["jobs"])
+    return mis, explain_misclassified(pool, mis)
 
 
 def cmd_explain(cfg: RunConfig) -> str:

@@ -180,7 +180,8 @@ def concat_tables(tables: Sequence[LabeledTable]) -> LabeledTable:
 
 
 def read_csv(path: str, required: Iterable[str] = ()) -> Iterator[list[str]]:
-    """The header row of a UTF-8 CSV file, then its data rows as they are read.
+    """The header row of a UTF-8 CSV file, then its data rows as they are read;
+    a leading byte-order mark, as spreadsheet exports write, is skipped.
 
     Raises MissingColumn for an empty file or a ``required`` name the header
     lacks, and DataError for a name the header repeats, a row whose cell
@@ -188,7 +189,7 @@ def read_csv(path: str, required: Iterable[str] = ()) -> Iterator[list[str]]:
     message starts with ``path``.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -466,7 +466,7 @@ class LimeConfig:
 
     ``kernel_width=None`` resolves to 0.75*sqrt(n_features) at explain time.
     ``seed`` draws the one pool of perturbed samples that every explanation
-    shares, so none depends on the order, the threads or the other rows.
+    shares, so none depends on the order or the other rows.
     """
 
     n_samples: int = 5000

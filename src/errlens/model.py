@@ -10,7 +10,7 @@ or arbitrary callables plug in the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -133,6 +133,15 @@ def _walk(child: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.asarray(spans, dtype=np.intp).reshape(-1, 2))
 
 
+def _json_number(value: object, what: str, integral: bool = False) -> float:
+    """``value``, a model file's JSON integer (``integral``) or number, never
+    a bool; DataError naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        raise DataError(f"{what} must be {'an integer' if integral else 'a number'}, "
+                        f"not {value!r}")
+    return value
+
+
 class Tree:
     """Regression tree as one flat node table (node 0 is the root).
 
@@ -185,16 +194,17 @@ class Tree:
         value = np.zeros(n)
         for i, rec in enumerate(obj):
             if "leaf" in rec:
-                value[i] = float(rec["leaf"])
+                value[i] = _json_number(rec["leaf"], f"node {i}: leaf")
                 continue
-            j, left, right = int(rec["feature"]), int(rec["left"]), int(rec["right"])
+            j, left, right = (_json_number(rec[key], f"node {i}: {key}", integral=True)
+                              for key in ("feature", "left", "right"))
             if left == i:
                 raise DataError(f"node {i}: a split is its own left child")
             cats = categories[j] if 0 <= j < len(categories) else None  # GbdtModel rejects j
             if ("category" in rec) != (cats is not None):
                 raise DataError(f"node {i}: split kind does not match feature {j}")
             if cats is None:
-                cut[i] = float(rec["threshold"])
+                cut[i] = _json_number(rec["threshold"], f"node {i}: threshold")
             else:
                 cut[i] = np.searchsorted(cats, rec["category"])
             feature[i] = j
@@ -219,6 +229,8 @@ def _json_categories(schema: Sequence[FeatureSpec], trees: Sequence[Sequence[dic
     for tree in trees:
         for rec in tree:
             if "category" in rec and used[rec["feature"]] is not None:
+                if not isinstance(rec["category"], str):
+                    raise DataError(f"category must be a string, not {rec['category']!r}")
                 used[rec["feature"]].add(rec["category"])
     return tuple(None if cats is None else _frozen(np.asarray(sorted(cats), dtype=str))
                  for cats in used)
@@ -636,15 +648,23 @@ class GbdtModel:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GbdtModel":
         try:
+            if obj["kind"] != "gbdt":
+                raise DataError(f"model kind must be 'gbdt', not {obj['kind']!r}")
             schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in obj["schema"])
             categories = _json_categories(schema, obj["trees"])
+            params = obj["params"]
+            for f in fields(GbdtParams):
+                if f.name in params:
+                    _json_number(params[f.name], f"params.{f.name}",
+                                 integral=isinstance(f.default, int))
             return cls(
                 schema=schema,
-                base_score=float(obj["base_score"]),
+                base_score=float(_json_number(obj["base_score"], "base_score")),
                 trees=tuple(Tree.from_json_obj(t, categories) for t in obj["trees"]),
-                params=GbdtParams(**obj["params"]),
+                params=GbdtParams(**params),
                 categories=categories,
-                train_loss=tuple(float(x) for x in obj["train_loss"]),
+                train_loss=tuple(float(_json_number(x, "a train_loss entry"))
+                                 for x in obj["train_loss"]),
             )
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model object: {exc}") from exc

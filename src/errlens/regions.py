@@ -85,7 +85,6 @@ _BLOCK_BYTES = 512 * 1024
 def explain_misclassified(
     pool: PerturbationPool,
     misclassified: MisclassifiedSet,
-    jobs: int = 1,
 ) -> tuple[Explanation, ...]:
     """One explanation of ``pool.predictor`` per misclassified row of the pass's table.
 
@@ -94,31 +93,21 @@ def explain_misclassified(
     are ``pool``'s, drawn and scored once for all its passes (see
     :attr:`PerturbationPool.scored`); so each equals the row's lone
     :func:`explain` through the pool with that probability, whatever the
-    order, ``jobs``, block or other rows.  Rows are explained in blocks, one
-    stacked surrogate fit each, sized from the pool's ``row_bytes``; ``jobs``
-    threads take blocks.  Results are in ``misclassified.row_ids`` order.
+    order, block or other rows.  Rows are explained in blocks, one stacked
+    surrogate fit each, sized from the pool's ``row_bytes``.  Results are in
+    ``misclassified.row_ids`` order.
     """
     table, probs = misclassified.table, misclassified.probabilities
     rows = np.flatnonzero(misclassified.wrong)
-    if len(rows):
-        pool.scored  # noqa: B018 - draw and score the pool before any thread does
     step = max(1, _BLOCK_BYTES // pool.row_bytes)
-    blocks = [rows[start:start + step] for start in range(0, len(rows), step)]
-
-    def explain_block(block: np.ndarray) -> list[Explanation]:
-        return pool.explain_rows([table.row_ids[i] for i in block],
-                                 [column[block] for column in table.columns],
-                                 table.labels[block].tolist(), probs[block],
-                                 misclassified.threshold)
-
-    if jobs <= 1 or len(blocks) <= 1:
-        done = map(explain_block, blocks)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a threaded run loads it
-
-        with ThreadPoolExecutor(max_workers=jobs) as workers:
-            done = list(workers.map(explain_block, blocks))
-    return tuple(exp for block in done for exp in block)
+    explanations: list[Explanation] = []
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        explanations += pool.explain_rows([table.row_ids[i] for i in block],
+                                          [column[block] for column in table.columns],
+                                          table.labels[block].tolist(), probs[block],
+                                          misclassified.threshold)
+    return tuple(explanations)
 
 
 def _check_min_support(fraction: float) -> None:

@@ -67,9 +67,9 @@ def dump_json(obj: object, path: str) -> None:
 
 
 def load_json(path: str) -> object:
-    """The JSON value in a UTF-8 file; DataError if it does not decode or
-    parse, or if an object repeats a key, which would otherwise keep its last
-    value silently."""
+    """The JSON value in a UTF-8 file, less any leading byte-order mark;
+    DataError if it does not decode or parse, or if an object repeats a key,
+    which would otherwise keep its last value silently."""
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}
         for key, value in pairs:
@@ -79,7 +79,7 @@ def load_json(path: str) -> object:
         return obj
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh, object_pairs_hook=unique_keys)
     except ValueError as exc:  # undecodable bytes, malformed JSON
         raise DataError(f"{path}: not valid UTF-8 JSON: {exc}") from None

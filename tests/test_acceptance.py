@@ -72,7 +72,7 @@ def planted_run() -> PlantedRun:
     model = train_gbdt(train_table, GbdtParams())
     disc = fit_discretizer(train_table)
     mis = find_misclassified(model, test_table, threshold=0.5, split="test")
-    explanations = explain_misclassified(PerturbationPool(model, disc, LimeConfig()), mis, jobs=1)
+    explanations = explain_misclassified(PerturbationPool(model, disc, LimeConfig()), mis)
     report = report_from_explanations(explanations, mis)
     return PlantedRun(
         test_table=test_table,
@@ -355,7 +355,7 @@ def test_criterion_6_region_counts_survive_a_brute_force_rescan(
     recount_regions(report_from_explanations(explanations, mis), mis, model)
 
 
-# --- criterion 7: byte-identical artifacts across runs and worker counts -------------
+# --- criterion 7: byte-identical artifacts across runs --------------------------------
 
 
 def test_criterion_7_pipeline_artifacts_are_byte_identical(tmp_path) -> None:
@@ -363,32 +363,30 @@ def test_criterion_7_pipeline_artifacts_are_byte_identical(tmp_path) -> None:
     assert cli_main(["synth", "--rows", "400", "--features", "4",
                      "--seed", "3", "--out-dir", data_dir]) == EXIT_OK
 
-    def run_pipeline(name: str, jobs: str) -> str:
+    def run_pipeline(name: str) -> str:
         out = str(tmp_path / name)
         code = cli_main(["pipeline", "--data", f"{data_dir}/synth.csv",
                          "--rounds", "15", "--n-samples", "300",
-                         "--seed", "3", "--jobs", jobs, "--out-dir", out])
+                         "--seed", "3", "--out-dir", out])
         assert code == EXIT_OK
         return out
 
-    first = run_pipeline("first", "1")
-    second = run_pipeline("second", "1")
-    parallel = run_pipeline("parallel", "4")
+    first = run_pipeline("first")
+    second = run_pipeline("second")
 
     artifacts = sorted(os.listdir(first))
     assert "model.json" in artifacts and "report_test.svg" in artifacts
-    for other in (second, parallel):
-        assert sorted(os.listdir(other)) == artifacts
-        match, mismatch, funny = filecmp.cmpfiles(first, other, artifacts,
-                                                  shallow=False)
-        assert (mismatch, funny) == ([], []), f"{other}: {mismatch or funny}"
-        assert match == artifacts
+    assert sorted(os.listdir(second)) == artifacts
+    match, mismatch, funny = filecmp.cmpfiles(first, second, artifacts,
+                                              shallow=False)
+    assert (mismatch, funny) == ([], []), f"{second}: {mismatch or funny}"
+    assert match == artifacts
 
 
 def test_criterion_7_mine_with_predictions_artifacts_are_byte_identical(tmp_path) -> None:
     # an outside model's explanations perturb with rows of its table, drawn
-    # from the seed: the same rows whatever the run or the worker count (163
-    # misclassified rows, in three blocks at 2000 samples, so two threads run)
+    # from the seed: the same rows whatever the run (163 misclassified rows,
+    # in three blocks at 2000 samples)
     data_dir = str(tmp_path / "data")
     assert cli_main(["synth", "--rows", "400", "--features", "4",
                      "--seed", "3", "--out-dir", data_dir]) == EXIT_OK
@@ -397,20 +395,20 @@ def test_criterion_7_mine_with_predictions_artifacts_are_byte_identical(tmp_path
     preds.write_text("row_id,probability\n" + "".join(
         f"{i},{p!r}\n" for i, p in enumerate(rng.uniform(size=400).tolist())), encoding="utf-8")
 
-    def run_mine(name: str, jobs: str) -> str:
+    def run_mine(name: str) -> str:
         out = str(tmp_path / name)
         assert cli_main(["mine", "--data", f"{data_dir}/synth.csv", "--predictions",
                          str(preds), "--n-samples", "2000", "--seed", "3",
-                         "--jobs", jobs, "--out-dir", out]) == EXIT_OK
+                         "--out-dir", out]) == EXIT_OK
         return out
 
-    first = run_mine("first", "1")
+    first = run_mine("first")
     artifacts = sorted(os.listdir(first))
     assert "explanations.jsonl" in artifacts and "report.json" in artifacts
-    for other in (run_mine("second", "1"), run_mine("parallel", "2")):
-        assert sorted(os.listdir(other)) == artifacts
-        match, mismatch, funny = filecmp.cmpfiles(first, other, artifacts, shallow=False)
-        assert (mismatch, funny) == ([], []), f"{other}: {mismatch or funny}"
+    second = run_mine("second")
+    assert sorted(os.listdir(second)) == artifacts
+    match, mismatch, funny = filecmp.cmpfiles(first, second, artifacts, shallow=False)
+    assert (mismatch, funny) == ([], []), f"{second}: {mismatch or funny}"
 
 
 # --- criterion 8: training loss is non-increasing ------------------------------------

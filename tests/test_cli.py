@@ -357,7 +357,7 @@ def test_pipeline_scores_one_perturbation_pool_for_both_splits(
 
     monkeypatch.setattr(GbdtModel, "predict_rows", counting)
     assert run("pipeline", "--data", f"{synth_dir}/synth.csv", "--rounds", "8",
-               "--n-samples", "200", "--seed", "7", "--jobs", "2",
+               "--n-samples", "200", "--seed", "7",
                "--out-dir", str(tmp_path / "pipe")) == EXIT_OK
     assert calls == [90, 199, 30]  # train split, the shared pool, test split
 
@@ -464,6 +464,25 @@ def test_featurize_bounds_are_one_line_usage_errors_before_any_read(
     assert run(*argv) == EXIT_USAGE  # not EXIT_DATA: the absent file is never read
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{key} must be at least 1" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("flags, config", [
+    (("--jobs", "2"), None),
+    (("--jobs", "0"), None),
+    ((), {"jobs": 2}),
+])
+def test_jobs_other_than_1_are_one_line_usage_errors_before_any_read(
+    tmp_path, capsys, flags, config,
+) -> None:
+    argv = ["mine", "--data", str(tmp_path / "absent.csv"), *flags,
+            "--out-dir", str(tmp_path / "o")]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "c.json")]
+    assert run(*argv) == EXIT_USAGE  # not EXIT_DATA: the absent file is never read
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "jobs must be 1" in err
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -215,6 +215,21 @@ def test_load_csv_parses_numbers_and_labels_as_float_and_strip_do(tmp_path) -> N
     assert table.labels.tolist() == [1, 0, 1, 0, 1, 0]
 
 
+@pytest.mark.parametrize("header", [["f0", "label"], ["label", "f0"]])
+def test_load_csv_skips_a_leading_byte_order_mark(tmp_path, header: list[str]) -> None:
+    # spreadsheet "CSV UTF-8" exports start with one; it is no part of the
+    # first column's name
+    rows = [header, *([v, lab] if header[0] == "f0" else [lab, v]
+                      for v, lab in (("0.5", "1"), ("2", "0")))]
+    plain = load_csv(write_rows(tmp_path / "plain.csv", rows))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    table = load_csv(str(path))
+    assert table.feature_names == ("f0",)
+    assert table.column("f0").tobytes() == plain.column("f0").tobytes()
+    assert table.labels.tolist() == plain.labels.tolist() == [1, 0]
+
+
 def test_load_csv_reads_a_header_only_file_and_an_id_column(tmp_path) -> None:
     empty = load_csv(write_rows(tmp_path / "e.csv", [["x", "c", "label"]]), categorical=["c"])
     assert empty.n_rows == 0

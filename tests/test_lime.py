@@ -788,8 +788,7 @@ def test_a_lone_explanation_equals_the_rows_explanation_in_any_batch() -> None:
     # a batch of other rows leaves each row's explanation as it was
     keep = [rows[rid] for rid in mis.row_ids[::2]]
     fewer = find_misclassified(predictor, table.subset(keep), split="all")
-    assert explain_misclassified(PerturbationPool(predictor, disc, config), fewer,
-                                 jobs=2) == batch[::2]
+    assert explain_misclassified(PerturbationPool(predictor, disc, config), fewer) == batch[::2]
 
 
 def per_sample_designs(pool: PerturbationPool, columns, probabilities) -> list:

@@ -30,8 +30,11 @@ from errlens import (
     load_external_predictions,
     split,
     train_gbdt,
+    write_csv,
 )
 from errlens import model as model_module
+from errlens.cli import EXIT_DATA
+from errlens.cli import main as cli_main
 from errlens.errors import (
     DataError,
     DuplicateRowId,
@@ -735,6 +738,41 @@ def test_malformed_model_trees_are_data_errors(tree: list[dict]) -> None:
         GbdtModel.from_json_obj(obj)
 
 
+def _stump(**node) -> list[dict]:
+    return [{**STUMP[0], **node}, *STUMP[1:]]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param({"kind": "forest"}, id="kind"),
+    pytest.param({"trees": [_stump(feature=0.7)]}, id="float_feature"),
+    pytest.param({"trees": [_stump(left=1.2)]}, id="float_left"),
+    pytest.param({"trees": [_stump(left=True)]}, id="bool_left"),
+    pytest.param({"trees": [_stump(threshold="0.5")]}, id="string_threshold"),
+    pytest.param({"trees": [[STUMP[0], {"leaf": "1"}, STUMP[2]]]}, id="string_leaf"),
+    pytest.param({"trees": [[STUMP[0], {"leaf": True}, STUMP[2]]]}, id="bool_leaf"),
+    pytest.param({"trees": [_stump(feature=1, threshold=None, category=5)]},
+                 id="number_category"),
+    pytest.param({"base_score": "0.5"}, id="string_base_score"),
+    pytest.param({"train_loss": ["1", True]}, id="string_and_bool_losses"),
+    pytest.param({"train_loss": [True]}, id="bool_loss"),
+    pytest.param({"params": {"rounds": 1.5}}, id="float_rounds"),
+    pytest.param({"params": {"max_depth": True}}, id="bool_max_depth"),
+    pytest.param({"params": {"l2": True}}, id="bool_l2"),
+])
+def test_model_fields_of_the_wrong_json_type_are_data_errors(tmp_path, edit: dict) -> None:
+    table = make_table([[1.0, 2.0], ["a", "b"]], [0, 1], kinds=["continuous", "categorical"])
+    obj = {**train_gbdt(table, GbdtParams(rounds=0)).to_json_obj(), "trees": [STUMP]}
+    GbdtModel.from_json_obj(obj)  # well-formed before the edit
+    bad = {**obj, **edit}
+    with pytest.raises(DataError):
+        GbdtModel.from_json_obj(bad)
+    write_csv(table, str(tmp_path / "t.csv"))
+    dump_json(bad, str(tmp_path / "model.json"))
+    assert cli_main(["eval", "--data", str(tmp_path / "t.csv"), "--categorical", "f1",
+                     "--model", str(tmp_path / "model.json"),
+                     "--out-dir", str(tmp_path / "o")]) == EXIT_DATA
+
+
 @pytest.mark.parametrize("categories", [
     pytest.param((None,), id="too_short"),
     pytest.param((None, np.asarray(["a", "b"]), None), id="too_long"),
@@ -863,6 +901,14 @@ def test_external_predictions_answer_tables_by_exact_row_id(tmp_path) -> None:
     assert preds.predict_table(table).tolist() == [0.1, 0.9, 0.4]
     metrics = find_misclassified(preds, table).metrics
     assert metrics.error_rate == pytest.approx(1 / 3)
+
+
+def test_an_external_prediction_file_may_start_with_a_byte_order_mark(tmp_path) -> None:
+    table = make_table([[1.0, 2.0]], [0, 1], row_ids=["a", "b"])
+    path = tmp_path / "p.csv"
+    path.write_text("\ufeffrow_id,probability\na,0.25\nb,0.75\n", encoding="utf-8")
+    preds = load_external_predictions(str(path), table)
+    assert preds.predict_table(table).tolist() == [0.25, 0.75]
 
 
 def test_external_prediction_files_are_strictly_validated(tmp_path) -> None:

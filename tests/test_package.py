@@ -22,8 +22,8 @@ def test_every_exported_name_resolves_and_the_list_is_sorted() -> None:
 
 def test_start_up_and_runs_load_neither_scipy_nor_xml_nor_the_web_stack(tmp_path) -> None:
     # the sigmoid and the ridge solve use numpy only, the SVG escaping a
-    # str.translate table, and only a threaded run starts a thread pool, so
-    # --jobs 1 runs load no scipy, xml, web stack, html or concurrent.futures;
+    # str.translate table, and explanations run on one thread, so runs load
+    # no scipy, xml, web stack, html or concurrent.futures;
     # distinct categories come from a sort, not np.unique, which loads
     # numpy.ma; modules the bare interpreter loaded before errlens are not
     # counted

@@ -99,17 +99,15 @@ def test_find_misclassified_rejects_empty_tables() -> None:
         find_misclassified(fixed_predictor(table, []), table)
 
 
-def test_explanations_follow_the_misclassified_order_even_in_parallel() -> None:
+def test_explanations_follow_the_misclassified_order() -> None:
     rng = np.random.default_rng(3)
     table = random_table(rng, 60, 3)
     model = train_gbdt(table.subset(range(40)), GbdtParams(rounds=5))
     mis = find_misclassified(model, table, split="all")
     disc = fit_discretizer(table)
     config = LimeConfig(n_samples=120, seed=2)
-    serial = explain_misclassified(PerturbationPool(model, disc, config), mis, jobs=1)
-    parallel = explain_misclassified(PerturbationPool(model, disc, config), mis, jobs=4)
-    assert serial == parallel
-    assert tuple(e.row_id for e in serial) == mis.row_ids
+    explanations = explain_misclassified(PerturbationPool(model, disc, config), mis)
+    assert tuple(e.row_id for e in explanations) == mis.row_ids
 
 
 def test_a_batch_scores_one_pool_in_one_predictor_call() -> None:
@@ -126,7 +124,7 @@ def test_a_batch_scores_one_pool_in_one_predictor_call() -> None:
     assert len(mis.row_ids) >= 2 and calls == [40]
     calls.clear()
     pool = PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=300))
-    explanations = explain_misclassified(pool, mis, jobs=4)
+    explanations = explain_misclassified(pool, mis)
     assert len(explanations) == len(mis.row_ids)
     assert calls == [299]
 
@@ -185,9 +183,8 @@ def test_sample_zero_is_fitted_to_the_score_the_scoring_pass_gave_its_row() -> N
 
 
 @pytest.mark.parametrize("block", [1, 3, None])
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_explanation_bytes_do_not_depend_on_the_block_size_or_jobs(
-    tmp_path, monkeypatch, block: int | None, jobs: int,
+def test_explanation_bytes_do_not_depend_on_the_block_size(
+    tmp_path, monkeypatch, block: int | None,
 ) -> None:
     rng = np.random.default_rng(12)
     table = make_table(
@@ -206,13 +203,13 @@ def test_explanation_bytes_do_not_depend_on_the_block_size_or_jobs(
     mis = find_misclassified(predictor, table, split="all")
     assert len(mis.row_ids) >= 8
 
-    def written(path, jobs: int) -> bytes:
+    def written(path) -> bytes:
         write_explanations_jsonl(
-            explain_misclassified(PerturbationPool(predictor, disc, config), mis, jobs),
+            explain_misclassified(PerturbationPool(predictor, disc, config), mis),
             str(path))
         return path.read_bytes()
 
-    reference = written(tmp_path / "reference.jsonl", 1)  # the budget's own blocks
+    reference = written(tmp_path / "reference.jsonl")  # the budget's own blocks
     stacks = []
     fit = lime_module._fit_patterns
     monkeypatch.setattr(lime_module, "_fit_patterns",
@@ -223,7 +220,7 @@ def test_explanation_bytes_do_not_depend_on_the_block_size_or_jobs(
     assert row_bytes == 149 * 3 + 8 * 12 * 8
     rows = block or len(mis.row_ids)
     monkeypatch.setattr(regions_module, "_BLOCK_BYTES", rows * row_bytes)
-    assert written(tmp_path / "blocks.jsonl", jobs) == reference
+    assert written(tmp_path / "blocks.jsonl") == reference
     full, rest = divmod(len(mis.row_ids), rows)
     assert sorted(stacks) == sorted([rows] * full + [rest] * (rest > 0))
     assert b'"f2 = d"' in reference

@@ -85,6 +85,12 @@ def test_non_finite_floats_raise_at_any_depth(depth: int, bad: float) -> None:
         canonical_json(nested(bad, depth))
 
 
+def test_load_json_skips_a_leading_byte_order_mark(tmp_path) -> None:
+    path = tmp_path / "c.json"
+    path.write_text('\ufeff{"jobs": 1, "seed": 3}', encoding="utf-8")
+    assert load_json(str(path)) == {"jobs": 1, "seed": 3}
+
+
 def test_both_layouts_load_to_the_same_value(tmp_path) -> None:
     value = {"trees": [[{"leaf": 0.5}, {"feature": 0, "left": 1}]], "name": "é"}
     for name, text in (("new.json", canonical_json(value)),
