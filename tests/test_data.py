@@ -215,16 +215,13 @@ def test_load_csv_parses_numbers_and_labels_as_float_and_strip_do(tmp_path) -> N
     assert table.labels.tolist() == [1, 0, 1, 0, 1, 0]
 
 
-@pytest.mark.parametrize("header", [["f0", "label"], ["label", "f0"]])
-def test_load_csv_skips_a_leading_byte_order_mark(tmp_path, header: list[str]) -> None:
+@pytest.mark.parametrize("text", ["f0,label\n0.5,1\n2,0\n", "label,f0\n1,0.5\n0,2\n"])
+def test_load_csv_skips_a_leading_byte_order_mark(tmp_path, text: str) -> None:
     # spreadsheet "CSV UTF-8" exports start with one; it is no part of the
     # first column's name
-    rows = [header, *([v, lab] if header[0] == "f0" else [lab, v]
-                      for v, lab in (("0.5", "1"), ("2", "0")))]
-    plain = load_csv(write_rows(tmp_path / "plain.csv", rows))
-    path = tmp_path / "bom.csv"
-    path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
-    table = load_csv(str(path))
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text("\ufeff" + text, encoding="utf-8")
+    plain, table = (load_csv(str(tmp_path / name)) for name in ("plain.csv", "bom.csv"))
     assert table.feature_names == ("f0",)
     assert table.column("f0").tobytes() == plain.column("f0").tobytes()
     assert table.labels.tolist() == plain.labels.tolist() == [1, 0]
