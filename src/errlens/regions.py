@@ -74,14 +74,6 @@ def find_misclassified(predictor: Predictor, table: LabeledTable,
     return MisclassifiedSet(table, predictor.predict_table(table), threshold, split)
 
 
-# A block of rows shares one stacked surrogate fit, whose arrays (the pool's
-# ``row_bytes`` per row) stay within this budget, so that a block's few
-# temporaries of that size stay near what one row of a per-sample fit at the
-# default 5000 samples needs (about 270 KiB on 6 features): blocks save
-# calls, not memory.
-_BLOCK_BYTES = 512 * 1024
-
-
 def explain_misclassified(
     pool: PerturbationPool,
     misclassified: MisclassifiedSet,
@@ -93,21 +85,14 @@ def explain_misclassified(
     are ``pool``'s, drawn and scored once for all its passes (see
     :attr:`PerturbationPool.scored`); so each equals the row's lone
     :func:`explain` through the pool with that probability, whatever the
-    order, block or other rows.  Rows are explained in blocks, one stacked
-    surrogate fit each, sized from the pool's ``row_bytes``.  Results are in
-    ``misclassified.row_ids`` order.
+    order, block or other rows.  Results are in ``misclassified.row_ids``
+    order.
     """
-    table, probs = misclassified.table, misclassified.probabilities
-    rows = np.flatnonzero(misclassified.wrong)
-    step = max(1, _BLOCK_BYTES // pool.row_bytes)
-    explanations: list[Explanation] = []
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        explanations += pool.explain_rows([table.row_ids[i] for i in block],
-                                          [column[block] for column in table.columns],
-                                          table.labels[block].tolist(), probs[block],
-                                          misclassified.threshold)
-    return tuple(explanations)
+    table, rows = misclassified.table, np.flatnonzero(misclassified.wrong)
+    return tuple(pool.explain_rows(misclassified.row_ids,
+                                   [column[rows] for column in table.columns],
+                                   table.labels[rows].tolist(),
+                                   misclassified.probabilities[rows], misclassified.threshold))
 
 
 def _check_min_support(fraction: float) -> None:

@@ -791,6 +791,49 @@ def test_a_lone_explanation_equals_the_rows_explanation_in_any_batch() -> None:
     assert explain_misclassified(PerturbationPool(predictor, disc, config), fewer) == batch[::2]
 
 
+def test_explain_rows_fits_a_wide_pass_in_blocks_of_its_own_budget(monkeypatch,
+                                                                    tmp_path) -> None:
+    # 2**8 match patterns for 100 samples: each row is fitted per sample, and
+    # holds its design row per sample
+    rng = np.random.default_rng(9)
+    table = make_table([rng.uniform(size=40).tolist() for _ in range(8)],
+                       rng.integers(0, 2, size=40).tolist())
+    predictor = FunctionPredictor(
+        table.schema, lambda cols: 1.0 / (1.0 + np.exp(-np.asarray(cols[0], dtype=np.float64))))
+    pool = PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=100, seed=3))
+    assert pool.row_bytes == 8 * 100 * 9
+    stacks = []
+    fit = lime_module.fit_local_model
+    monkeypatch.setattr(lime_module, "fit_local_model",
+                        lambda z, *args: stacks.append(len(z)) or fit(z, *args))
+
+    def written(path) -> bytes:
+        write_explanations_jsonl(pool.explain_rows(table.row_ids, table.columns,
+                                                   table.labels.tolist(),
+                                                   np.linspace(0.1, 0.9, 40)), str(path))
+        return path.read_bytes()
+
+    reference = written(tmp_path / "one.jsonl")
+    assert stacks == [40]  # the budget holds the whole pass
+    stacks.clear()
+    monkeypatch.setattr(lime_module, "_BLOCK_BYTES", pool.row_bytes)
+    assert written(tmp_path / "rows.jsonl") == reference
+    assert stacks == [1] * 40
+
+
+@pytest.mark.parametrize("n_features", [1, 7])  # match patterns, then samples
+def test_explaining_no_rows_scores_no_pool(n_features: int) -> None:
+    table = make_table([[0.0, 1.0, 2.0, 3.0]] * (n_features - 1) + [[5.0] * 4], [0, 1, 0, 1])
+
+    def score(cols):
+        raise AssertionError("the pool was scored")
+
+    # a constant feature with no ridge: any row to explain would be singular
+    pool = PerturbationPool(FunctionPredictor(table.schema, score), fit_discretizer(table),
+                            LimeConfig(n_samples=50, ridge_lambda=0.0))
+    assert pool.explain_rows([], [np.zeros(0)] * n_features, [], []) == []
+
+
 def per_sample_designs(pool: PerturbationPool, columns, probabilities) -> list:
     """Each row's per-sample design ``(z, y, w)``, where sample 0 matches
     every feature and a pool sample feature j where its drawn bin or category
@@ -952,8 +995,8 @@ def test_the_pattern_fit_agrees_with_the_per_sample_fit(case) -> None:
 @settings(max_examples=100)
 def test_with_more_patterns_than_samples_explanations_keep_the_per_sample_bytes(case) -> None:
     pool, columns, probabilities = case
-    expected = [_fit_or_error(z, y, w, pool.config.ridge_lambda)
-                for z, y, w in per_sample_designs(pool, columns, probabilities)]
+    designs = per_sample_designs(pool, columns, probabilities)
+    expected = [_fit_or_error(z, y, w, pool.config.ridge_lambda) for z, y, w in designs]
     got = explain_or_error(pool, columns, probabilities, off_path="_fit_patterns")
     if any(isinstance(fit, SingularSystem) for fit in expected):
         assert str(got) == str(next(f for f in expected if isinstance(f, SingularSystem)))

@@ -37,7 +37,6 @@ from errlens import (
     write_explanations_jsonl,
 )
 from errlens import lime as lime_module
-from errlens import regions as regions_module
 from errlens.errors import DataError, EmptyTable, NoExplanations, UnknownFeature
 from errlens.lime import PerturbationPool, default_kernel_width
 from errlens.serialize import canonical_json
@@ -219,7 +218,7 @@ def test_explanation_bytes_do_not_depend_on_the_block_size(
     row_bytes = PerturbationPool(predictor, disc, config).row_bytes
     assert row_bytes == 149 * 3 + 8 * 12 * 8
     rows = block or len(mis.row_ids)
-    monkeypatch.setattr(regions_module, "_BLOCK_BYTES", rows * row_bytes)
+    monkeypatch.setattr(lime_module, "_BLOCK_BYTES", rows * row_bytes)
     assert written(tmp_path / "blocks.jsonl") == reference
     full, rest = divmod(len(mis.row_ids), rows)
     assert sorted(stacks) == sorted([rows] * full + [rest] * (rest > 0))
