@@ -106,13 +106,17 @@ _text = _scalar(str, (), "a string")
 class Option(NamedTuple):
     """A config key, its converter, its default, and the subcommands that read
     it, as a kebab-case flag or from the config file.  A default of None also
-    lets the config file give null."""
+    lets the config file give null.  ``check`` is a test no library config
+    makes and the bound it states; ``echoed`` is False for an execution knob,
+    which must never affect artifacts."""
 
     key: str
     convert: Callable[[object], object]
     default: object
     commands: tuple[str, ...]
     help: str | None = None
+    check: tuple[Callable[[object], bool], str] | None = None
+    echoed: bool = True
 
 
 _EVAL = ("eval", "explain", "mine")
@@ -121,19 +125,23 @@ _TABLE = ("train", *_EVAL, "pipeline")
 _FIT = ("train", "pipeline")
 _LIME = LimeConfig()
 _GBDT = GbdtParams()
+_EACH_AT_LEAST_1 = (lambda ns: min(ns, default=1) >= 1, "at least 1 each")
 
 OPTIONS: tuple[Option, ...] = (
     Option("seed", _int, _LIME.seed, ("synth", "train", *_EXPLAIN)),
-    Option("out_dir", _text, "out", ("synth", "featurize", *_TABLE)),
-    Option("threshold", _float, 0.5, _TABLE),
+    Option("out_dir", _text, "out", ("synth", "featurize", *_TABLE), echoed=False),
+    Option("threshold", _float, 0.5, _TABLE, check=(lambda x: 0.0 <= x <= 1.0, "within [0, 1]")),
     Option("top_k", _int, _LIME.top_k, _EXPLAIN),
     Option("n_samples", _int, _LIME.n_samples, _EXPLAIN),
     Option("kernel_width", _float, _LIME.kernel_width, _EXPLAIN),
     Option("ridge_lambda", _float, _LIME.ridge_lambda, _EXPLAIN),
-    Option("min_support", _float, 0.1, ("mine", "pipeline")),
-    Option("split_fraction", _float, 0.25, ("pipeline",)),
+    Option("min_support", _float, 0.1, ("mine", "pipeline"),
+           check=(lambda x: 0.0 < x <= 1.0, "within (0, 1]")),
+    Option("split_fraction", _float, 0.25, ("pipeline",),
+           check=(lambda x: 0.0 < x < 1.0, "within (0, 1)")),
     Option("predictions", _text, None, _EVAL, "row_id,probability CSV replacing the model"),
-    Option("jobs", _int, 1, _EXPLAIN, "must be 1: explanations run on one thread"),
+    Option("jobs", _int, 1, _EXPLAIN, "must be 1: explanations run on one thread",
+           (lambda n: n == 1, "1"), echoed=False),
     Option("data", _text, None, ("featurize", *_TABLE),
            "labeled feature CSV (featurize: long-format time-series CSV)"),
     Option("label_column", _text, "label", ("featurize", *_TABLE)),
@@ -154,9 +162,11 @@ OPTIONS: tuple[Option, ...] = (
     Option("entity_column", _text, "entity_id", ("featurize",)),
     Option("time_column", _text, "timestamp_s", ("featurize",)),
     Option("windows", _list_of(_int), (3, 6), ("featurize",),
-           "comma-separated rolling window lengths"),
-    Option("lags", _list_of(_int), (1, 2), ("featurize",), "comma-separated lag offsets"),
-    Option("interval", _int, 300, ("featurize",), "resampling interval in seconds"),
+           "comma-separated rolling window lengths", _EACH_AT_LEAST_1),
+    Option("lags", _list_of(_int), (1, 2), ("featurize",), "comma-separated lag offsets",
+           _EACH_AT_LEAST_1),
+    Option("interval", _int, 300, ("featurize",), "resampling interval in seconds",
+           (lambda n: n >= 1, "at least 1")),
 )
 
 
@@ -175,9 +185,6 @@ def build_parser(command: str | None = None) -> _Parser:
                 p.add_argument("--" + opt.key.replace("_", "-"), type=opt.convert,
                                help=opt.help)
     return parser
-
-
-_NOT_ECHOED = ("jobs", "out_dir")  # execution knobs; must never affect artifacts
 
 
 @dataclass(frozen=True)
@@ -225,15 +232,16 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     file is read.  Config-file keys of other subcommands are skipped unread."""
     command = args.command
     file_cfg = _read_config(args.config) if args.config else {}
+    read = [opt for opt in OPTIONS if command in opt.commands]
     options: dict[str, object] = {}
-    for opt in OPTIONS:
-        if command not in opt.commands:
-            continue
+    for opt in read:
         value = getattr(args, opt.key)
         if value is None and opt.key in file_cfg:
             value = _file_value(opt, file_cfg[opt.key])
         options[opt.key] = opt.default if value is None else value
-    _validate(options)
+    for opt in read:
+        if opt.check and not opt.check[0](options[opt.key]):
+            raise UsageError(f"{opt.key.replace('_', '-')} must be {opt.check[1]}")
     try:
         lime = _build(LimeConfig, options) if command in _EXPLAIN else None
         gbdt = _build(GbdtParams, options) if command in _FIT else None
@@ -241,26 +249,8 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
                               options["seed"]) if command == "synth" else None)
     except DataError as exc:
         raise UsageError(str(exc)) from None
-    echo = {k: v for k, v in options.items() if k not in _NOT_ECHOED}
+    echo = {opt.key: options[opt.key] for opt in read if opt.echoed}
     return RunConfig(options, echo, lime, gbdt, synth)
-
-
-# The checks no library config makes: each key's test and the bound it states.
-_CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
-    "threshold": (lambda x: 0.0 <= x <= 1.0, "within [0, 1]"),
-    "split_fraction": (lambda x: 0.0 < x < 1.0, "within (0, 1)"),
-    "min_support": (lambda x: 0.0 < x <= 1.0, "within (0, 1]"),
-    "jobs": (lambda n: n == 1, "1"),
-    "interval": (lambda n: n >= 1, "at least 1"),
-    "windows": (lambda ns: min(ns, default=1) >= 1, "at least 1 each"),
-    "lags": (lambda ns: min(ns, default=1) >= 1, "at least 1 each"),
-}
-
-
-def _validate(options: Mapping[str, object]) -> None:
-    for key, (ok, bound) in _CHECKS.items():
-        if key in options and not ok(options[key]):
-            raise UsageError(f"{key.replace('_', '-')} must be {bound}")
 
 
 def _require(cfg: RunConfig, key: str) -> object:
