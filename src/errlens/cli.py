@@ -165,8 +165,9 @@ OPTIONS: tuple[Option, ...] = (
            "comma-separated rolling window lengths", _EACH_AT_LEAST_1),
     Option("lags", _list_of(_int), (1, 2), ("featurize",), "comma-separated lag offsets",
            _EACH_AT_LEAST_1),
-    Option("interval", _int, 300, ("featurize",), "resampling interval in seconds",
-           (lambda n: n >= 1, "at least 1")),
+    Option("interval", _int, 300, ("featurize",),
+           "resampling interval in seconds, at least 1 and below 2**63",
+           (lambda n: 1 <= n < 2**63, "at least 1 and below 2**63")),
 )
 
 

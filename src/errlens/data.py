@@ -380,8 +380,8 @@ def resample_series(series: SeriesFrame, interval_s: int = 300) -> SeriesFrame:
     at the bin containing the first raw sample, so there is nothing to fill
     before the first observation.  At most :data:`MAX_RESAMPLE_BINS` bins.
     """
-    if interval_s <= 0:
-        raise DataError("interval_s must be positive")
+    if not 0 < interval_s < 2**63:  # the grid's timestamps are int64
+        raise DataError("interval_s must be positive and below 2**63")
     if series.n_samples == 0:
         raise EmptySeries(series.entity_id)
     ts = series.timestamps

@@ -653,13 +653,26 @@ class PerturbationPool:
         :attr:`row_bytes` per row, one stacked surrogate fit each; each
         explanation equals its row's lone :func:`explain`, bit for bit: the
         fit of a stack is each of its fits alone.  No rows score no pool.  A
-        ``threshold`` outside [0, 1] is a DataError.
+        ``threshold`` outside [0, 1] is a DataError.  With ``ridge_lambda`` 0,
+        a feature that every sample of a row matches is a SingularSystem
+        naming it and the first such row.
         """
         if not 0.0 <= threshold <= 1.0:
             raise DataError(f"threshold {threshold!r} is not within [0, 1]")
         config, n = self.config, len(row_ids)
         codes = self._codes(columns, n)
         probabilities = check_probabilities(probabilities, n)
+        if n and config.ridge_lambda == 0:
+            # without a ridge, an indicator that every sample matches (sample
+            # 0 does by construction) is collinear with the intercept
+            drawn = self.scored[0]
+            ones = (codes == drawn[0]) & (drawn == drawn[0]).all(axis=0)
+            if ones.any():
+                j = int(ones.any(axis=0).argmax())
+                raise SingularSystem(
+                    f"feature {self.disc.schema[j].name!r} matches every sample of row "
+                    f"{row_ids[int(ones[:, j].argmax())]!r}, so the surrogate cannot tell "
+                    "it from the intercept; a positive ridge_lambda (--ridge-lambda) fits it")
         coef, (intercept, r2) = np.empty(codes.shape), np.empty((2, n))
         step = max(1, _BLOCK_BYTES // self.row_bytes)
         for start in range(0, n, step):

@@ -142,6 +142,15 @@ def _json_number(value: object, what: str, integral: bool = False) -> float:
     return value
 
 
+def _json_index(value: object, what: str) -> int:
+    """``value``, a model file's JSON integer that an index array holds;
+    DataError naming ``what`` otherwise."""
+    bits = np.iinfo(np.intp)
+    if not bits.min <= _json_number(value, what, integral=True) <= bits.max:
+        raise DataError(f"{what} {value} does not fit a {bits.bits}-bit index")
+    return value
+
+
 class Tree:
     """Regression tree as one flat node table (node 0 is the root).
 
@@ -196,7 +205,7 @@ class Tree:
             if "leaf" in rec:
                 value[i] = _json_number(rec["leaf"], f"node {i}: leaf")
                 continue
-            j, left, right = (_json_number(rec[key], f"node {i}: {key}", integral=True)
+            j, left, right = (_json_index(rec[key], f"node {i}: {key}")
                               for key in ("feature", "left", "right"))
             if left == i:
                 raise DataError(f"node {i}: a split is its own left child")

@@ -467,6 +467,16 @@ def test_featurize_bounds_are_one_line_usage_errors_before_any_read(
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_an_interval_beyond_64_bits_is_a_one_line_usage_error_before_any_read(
+    tmp_path, capsys,
+) -> None:
+    assert run("featurize", "--data", str(tmp_path / "absent.csv"), "--channels", "hr",
+               "--interval", str(10**20), "--out-dir", str(tmp_path / "o")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "interval must be at least 1 and below 2**63" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
 @pytest.mark.parametrize("flags, config", [
     (("--jobs", "2"), None),
     (("--jobs", "0"), None),
@@ -638,7 +648,7 @@ def test_csv_row_errors_name_their_file(tmp_path, capsys) -> None:
         assert err.count("\n") == 1 and message in err
 
 
-def test_singular_surrogate_systems_exit_three(tmp_path) -> None:
+def test_singular_surrogate_systems_exit_three(tmp_path, capsys) -> None:
     # A constant feature makes its similarity column identical to the
     # intercept column, so an unregularized surrogate solve cannot proceed.
     data = tmp_path / "d.csv"
@@ -655,3 +665,6 @@ def test_singular_surrogate_systems_exit_three(tmp_path) -> None:
                "--ridge-lambda", "0", "--n-samples", "50",
                "--out-dir", str(tmp_path / "o"))
     assert code == EXIT_NUMERICAL
+    # it names the feature, the first row it holds for, and the cure
+    err = capsys.readouterr().err
+    assert "feature 'const'" in err and "row '0'" in err and "--ridge-lambda" in err

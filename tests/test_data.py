@@ -347,6 +347,14 @@ def test_resample_grid_starts_at_first_observation_bin() -> None:
     assert out.channels["hr"].tolist() == [2.0, 4.0]
 
 
+def test_resample_takes_intervals_below_2_to_the_63() -> None:
+    for interval in (2**63, 10**20):
+        with pytest.raises(DataError, match="below 2"):
+            resample_series(series([0, 600], [1.0, 5.0]), interval_s=interval)
+    out = resample_series(series([0, 600], [1.0, 5.0]), interval_s=2**63 - 1)
+    assert out.timestamps.tolist() == [0] and out.channels["hr"].tolist() == [3.0]
+
+
 def test_resample_rejects_bad_interval_and_empty_series() -> None:
     with pytest.raises(DataError):
         resample_series(series([0], [1.0]), interval_s=0)

@@ -834,6 +834,29 @@ def test_explaining_no_rows_scores_no_pool(n_features: int) -> None:
     assert pool.explain_rows([], [np.zeros(0)] * n_features, [], []) == []
 
 
+@pytest.mark.parametrize("kind, values, explained, named", [
+    # one bin: every row matches every sample
+    ("continuous", [5.0] * 4, [5.0, 5.0, 5.0], "a"),
+    # one category, which row "a" does not hold
+    ("categorical", ["k"] * 4, ["zz", "k", "k"], "b"),
+])
+def test_a_feature_every_sample_of_a_row_matches_is_named_without_a_ridge(
+    kind: str, values: list, explained: list, named: str,
+) -> None:
+    table = make_table([[0.0, 1.0, 2.0, 3.0], values], [0, 1, 0, 1],
+                       kinds=["continuous", kind])
+    predictor = FunctionPredictor(table.schema, lambda cols: np.full(len(cols[0]), 0.5))
+    pool = PerturbationPool(predictor, fit_discretizer(table),
+                            LimeConfig(n_samples=50, ridge_lambda=0.0))
+    rows = (["a", "b", "c"], [np.asarray([0.0, 1.0, 2.0]), np.asarray(explained)], [0, 1, 0],
+            [0.5] * 3)
+    with pytest.raises(SingularSystem, match=rf"feature 'f1' .* row '{named}'.*--ridge-lambda"):
+        pool.explain_rows(*rows)
+    # a ridge fits every row
+    assert len(PerturbationPool(predictor, pool.disc, LimeConfig(n_samples=50)).explain_rows(
+        *rows)) == 3
+
+
 def per_sample_designs(pool: PerturbationPool, columns, probabilities) -> list:
     """Each row's per-sample design ``(z, y, w)``, where sample 0 matches
     every feature and a pool sample feature j where its drawn bin or category
@@ -998,6 +1021,15 @@ def test_with_more_patterns_than_samples_explanations_keep_the_per_sample_bytes(
     designs = per_sample_designs(pool, columns, probabilities)
     expected = [_fit_or_error(z, y, w, pool.config.ridge_lambda) for z, y, w in designs]
     got = explain_or_error(pool, columns, probabilities, off_path="_fit_patterns")
+    # without a ridge, a feature that every sample of a row matches is named,
+    # with its first such row; any other singular fit keeps its own message
+    matched = [(spec.name, f"r{r}") for j, spec in enumerate(pool.disc.schema)
+               for r, (z, _, _) in enumerate(designs) if z[:, j].all()]
+    if pool.config.ridge_lambda == 0 and matched:
+        name, row = matched[0]
+        assert isinstance(got, SingularSystem)
+        assert f"feature {name!r}" in str(got) and f"row {row!r}" in str(got)
+        return
     if any(isinstance(fit, SingularSystem) for fit in expected):
         assert str(got) == str(next(f for f in expected if isinstance(f, SingularSystem)))
         return

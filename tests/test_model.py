@@ -773,6 +773,19 @@ def test_model_fields_of_the_wrong_json_type_are_data_errors(tmp_path, edit: dic
                      "--out-dir", str(tmp_path / "o")]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("key", ["left", "right", "feature"])
+def test_a_node_index_beyond_64_bits_is_a_data_error_naming_it(tmp_path, key: str) -> None:
+    table = make_table([[1.0, 2.0]], [0, 1])
+    bad = {**train_gbdt(table, GbdtParams(rounds=0)).to_json_obj(),
+           "trees": [_stump(**{key: 2**63})]}
+    with pytest.raises(DataError, match=f"node 0: {key} 9223372036854775808 does not fit"):
+        GbdtModel.from_json_obj(bad)
+    write_csv(table, str(tmp_path / "t.csv"))
+    dump_json(bad, str(tmp_path / "model.json"))
+    assert cli_main(["eval", "--data", str(tmp_path / "t.csv"), "--model",
+                     str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "o")]) == EXIT_DATA
+
+
 @pytest.mark.parametrize("categories", [
     pytest.param((None,), id="too_short"),
     pytest.param((None, np.asarray(["a", "b"]), None), id="too_long"),
