@@ -145,9 +145,9 @@ def _json_number(value: object, what: str, integral: bool = False) -> float:
 def _json_index(value: object, what: str) -> int:
     """``value``, a model file's JSON integer that an index array holds;
     DataError naming ``what`` otherwise."""
-    bits = np.iinfo(np.intp)
-    if not bits.min <= _json_number(value, what, integral=True) <= bits.max:
-        raise DataError(f"{what} {value} does not fit a {bits.bits}-bit index")
+    intp = np.iinfo(np.intp)
+    if not intp.min <= _json_number(value, what, integral=True) <= intp.max:
+        raise DataError(f"{what} {value} does not fit a {intp.bits}-bit index")
     return value
 
 

@@ -452,6 +452,7 @@ def test_bad_values_are_one_line_usage_errors_before_any_read(
     (("--lags", "0"), None, "lags"),
     ((), {"lags": [1, -2]}, "lags"),
     (("--interval", "0"), None, "interval"),
+    (("--interval", str(2**63)), None, "interval"),  # the grid's int64 timestamps
 ])
 def test_featurize_bounds_are_one_line_usage_errors_before_any_read(
     tmp_path, capsys, flags, config, key,
@@ -464,16 +465,6 @@ def test_featurize_bounds_are_one_line_usage_errors_before_any_read(
     assert run(*argv) == EXIT_USAGE  # not EXIT_DATA: the absent file is never read
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{key} must be at least 1" in err
-    assert not os.path.exists(tmp_path / "o")
-
-
-def test_an_interval_beyond_64_bits_is_a_one_line_usage_error_before_any_read(
-    tmp_path, capsys,
-) -> None:
-    assert run("featurize", "--data", str(tmp_path / "absent.csv"), "--channels", "hr",
-               "--interval", str(10**20), "--out-dir", str(tmp_path / "o")) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "interval must be at least 1 and below 2**63" in err
     assert not os.path.exists(tmp_path / "o")
 
 
