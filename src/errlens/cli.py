@@ -37,7 +37,7 @@ from .model import GbdtModel, GbdtParams, Predictor, load_external_predictions, 
 from .regions import explain_misclassified, find_misclassified, report_from_explanations
 from .report import write_report_files
 from .serialize import dump_json, load_json
-from .synth import SynthSpec, default_spec, generate
+from .synth import MAX_CELLS, SynthSpec, default_spec, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,13 +126,23 @@ _FIT = ("train", "pipeline")
 _LIME = LimeConfig()
 _GBDT = GbdtParams()
 _EACH_AT_LEAST_1 = (lambda ns: min(ns, default=1) >= 1, "at least 1 each")
+# Most perturbation samples: the pool is a float64 column of 80 MB per
+# feature at most, like a synthetic table (synth.MAX_CELLS).
+_MAX_SAMPLES = 10_000_000
+
+
+def _within(least: int, most: int) -> tuple[Callable[[object], bool], str]:
+    return (lambda n: least <= n <= most, f"at least {least} and at most {most:,}")
+
 
 OPTIONS: tuple[Option, ...] = (
     Option("seed", _int, _LIME.seed, ("synth", "train", *_EXPLAIN)),
     Option("out_dir", _text, "out", ("synth", "featurize", *_TABLE), echoed=False),
     Option("threshold", _float, 0.5, _TABLE, check=(lambda x: 0.0 <= x <= 1.0, "within [0, 1]")),
     Option("top_k", _int, _LIME.top_k, _EXPLAIN),
-    Option("n_samples", _int, _LIME.n_samples, _EXPLAIN),
+    Option("n_samples", _int, _LIME.n_samples, _EXPLAIN,
+           f"perturbation samples, at least 2 and at most {_MAX_SAMPLES:,}",
+           _within(2, _MAX_SAMPLES)),
     Option("kernel_width", _float, _LIME.kernel_width, _EXPLAIN),
     Option("ridge_lambda", _float, _LIME.ridge_lambda, _EXPLAIN),
     Option("min_support", _float, 0.1, ("mine", "pipeline"),
@@ -148,8 +158,11 @@ OPTIONS: tuple[Option, ...] = (
     Option("id_column", _text, None, _TABLE),
     Option("categorical", _list_of(_text), (), _TABLE, "comma-separated categorical columns"),
     Option("model", _text, None, _EVAL, "model JSON produced by train"),
-    Option("rows", _int, 2000, ("synth",)),
-    Option("features", _int, 6, ("synth",)),
+    Option("rows", _int, 2000, ("synth",),
+           f"rows to generate; rows x features at most {MAX_CELLS:,}", _within(1, MAX_CELLS)),
+    Option("features", _int, 6, ("synth",),
+           f"features to generate; rows x features at most {MAX_CELLS:,}",
+           _within(1, MAX_CELLS)),
     Option("flip_rate", _float, 0.4, ("synth",)),
     Option("rounds", _int, _GBDT.rounds, _FIT),
     Option("max_depth", _int, _GBDT.max_depth, _FIT),

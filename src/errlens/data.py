@@ -391,6 +391,9 @@ def resample_series(series: SeriesFrame, interval_s: int = 300) -> SeriesFrame:
     if n_bins > MAX_RESAMPLE_BINS:
         raise DataError(f"series {series.entity_id!r}: {n_bins} bins of {interval_s} s, "
                         f"more than {MAX_RESAMPLE_BINS}")
+    if k0 * interval_s < -2**63:
+        raise DataError(f"series {series.entity_id!r}: the first bin of {interval_s} s "
+                        f"starts at {k0 * interval_s}, before the int64 timestamps")
     bin_idx = (ts // interval_s - k0).astype(np.intp)
     counts = np.bincount(bin_idx, minlength=n_bins)
     # Index of the latest non-empty bin at or before each position: the

@@ -1,17 +1,18 @@
 """Black-box binary classifiers: a gradient-boosted tree learner and adapters.
 
 The built-in learner is second-order (Newton) gradient boosting on logistic
-loss with depth-limited regression trees, exact greedy splits, and L2 leaf
-regularization.  Everything downstream (explanations, region mining) only
-needs the :class:`Predictor` protocol, so externally produced probabilities
-or arbitrary callables plug in the same way.
+loss with depth-limited regression trees grown level by level, splits
+searched over 64-bin histograms, and L2 leaf regularization.  Everything
+downstream (explanations, region mining) only needs the :class:`Predictor`
+protocol, so externally produced probabilities or arbitrary callables plug in
+the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -394,8 +395,8 @@ class _TreeGroup:
 class GbdtParams:
     """Hyperparameters of the boosted ensemble.
 
-    ``seed`` is recorded with the model for provenance; the exact greedy
-    learner itself is deterministic.
+    ``seed`` is recorded with the model for provenance; the learner itself
+    is deterministic.
     """
 
     rounds: int = 100
@@ -415,159 +416,132 @@ class GbdtParams:
         check_seed(self.seed)
 
 
-class _TreeGrower:
-    """Grows one tree on gradient/hessian targets via exact greedy splits.
+# Most bins a training column is cut into: a continuous column of more
+# distinct values gets _BINS - 1 cuts (see :func:`_bin`).
+_BINS = 64
 
-    ``x[j]`` is training column j, a categorical one as codes into
-    ``categories[j]``.  ``xc`` stacks the continuous columns into one
-    ``(c, n)`` matrix, row r holding column ``features[r]``: first the
-    ``n_tied`` columns with a tie (two equal values), then the others, each
-    group in schema order.  Row r of ``order`` lists the rows by ascending
-    value of ``xc[r]``, ties in row order.  Each node receives its rows in
-    ascending order together with its ``(c, m)`` share of ``order``, split
-    off by stable partition, so no node sorts, tie order matches a per-node
-    stable argsort, and one pass searches every continuous feature of the
-    node.  Neighbours in a tie-free row of a node's ``order`` always differ,
-    so only the first ``n_tied`` rows gather their values to mask cuts
-    between equal ones.
+
+def _bin(col: np.ndarray, cats: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """A training column's bins: per bin the cut its split stores, and each
+    row's bin.
+
+    A categorical column has one bin per category, its rows' codes, and the
+    split of bin ``b`` sends code ``b`` left.  A continuous column's cuts are
+    midpoints of adjacent distinct values: all of them when it has at most
+    _BINS distinct values, else the _BINS - 1 at equal-count positions of the
+    sorted distinct values.  A row's bin is the number of cuts below its
+    value, so ``x <= cuts[b]`` iff its bin is at most ``b``; the last bin,
+    whose split would send every row left, stores ``inf``.
+    """
+    if cats is not None:
+        return np.arange(cats.size, dtype=np.float64), np.searchsorted(cats, col)
+    u = _distinct(col)
+    at = np.arange(1, u.size) if u.size <= _BINS else np.arange(1, _BINS) * u.size // _BINS
+    cuts = (u[at - 1] + u[at]) / 2.0
+    return np.append(cuts, np.inf), np.searchsorted(cuts, col)
+
+
+class _Bins(NamedTuple):
+    """A training table in bins, as :func:`_grow` reads it.
+
+    With ``width`` the largest bin count of a feature, ``key[i, f]`` is row
+    i's bin in feature f plus ``f * width``, ``cut[f, b]`` is what a split
+    on bin b of feature f stores, ``right[f * width + b]`` flags the bins
+    that split sends right, and ``categorical`` lists the features whose
+    split is ``bin == b`` rather than ``bin <= b``.
     """
 
-    def __init__(self, x: Sequence[np.ndarray], xc: np.ndarray, order: np.ndarray,
-                 features: Sequence[int], n_tied: int, categories: Categories,
-                 g: np.ndarray, h: np.ndarray, params: GbdtParams):
-        self.x = x
-        self.xc = xc
-        self.order = order
-        self.row_of = {j: r for r, j in enumerate(features)}
-        self.n_tied = n_tied
-        self.categories = categories
-        self.g = g
-        self.h = h
-        # g and h as one complex array: the real and imaginary parts of its
-        # prefix sum are the prefix sums of g and of h, bit for bit
-        self.gh = np.empty(len(g), dtype=np.complex128)
-        self.gh.real = g
-        self.gh.imag = h
-        self.p = params
-        self.nodes: list[tuple[int, float, float]] = []  # feature, cut, value
-        self.child: list[int] = []
-        self.row_value = np.zeros(len(g))
-        self._goes_left = np.zeros(len(g), dtype=bool)
+    key: np.ndarray
+    cut: np.ndarray
+    right: np.ndarray
+    categorical: np.ndarray
 
-    def grow(self) -> Tree:
-        self._node(np.arange(len(self.g), dtype=np.intp), self.order, depth=0)
-        feature, cut, value = zip(*self.nodes)
-        return Tree(feature, cut, self.child, value)
 
-    def _append(self, feature: int, cut: float, value: float) -> int:
-        slot = len(self.nodes)
-        self.nodes.append((feature, cut, value))
-        self.child += [slot, slot]
-        return slot
+def _bin_table(columns: Columns, categories: Categories) -> _Bins:
+    """The training columns in bins (see :func:`_bin`), padded to one width."""
+    cuts, bins = zip(*map(_bin, columns, categories))
+    width = max(c.size for c in cuts)
+    cut = np.zeros((len(cuts), width))
+    for f, c in enumerate(cuts):
+        cut[f, :c.size] = c
+    categorical = np.asarray([cats is not None for cats in categories])
+    b = np.arange(width)
+    right = np.where(categorical[:, None, None], b != b[:, None], b > b[:, None])
+    key = np.ascontiguousarray(np.transpose(bins)) + np.arange(0, cut.size, width)
+    return _Bins(key, cut, right.reshape(cut.size, width), np.flatnonzero(categorical))
 
-    def _leaf(self, rows: np.ndarray) -> int:
-        value = -self.g[rows].sum() / (self.h[rows].sum() + self.p.l2)
-        self.row_value[rows] = value
-        return self._append(0, 0.0, value)
 
-    def _may_split(self, n_rows: int, depth: int) -> bool:
-        """Whether a node of ``n_rows`` rows at ``depth`` searches for a split;
-        one that does not is a leaf and needs no share of ``order``."""
-        return depth < self.p.max_depth and n_rows >= 2 * self.p.min_leaf_count
+def _grow(bins: _Bins, g: np.ndarray, h: np.ndarray,
+          params: GbdtParams) -> tuple[Tree, np.ndarray]:
+    """One tree grown level by level on gradients ``g`` and hessians ``h``,
+    and each training row's leaf value.
 
-    def _node(self, rows: np.ndarray, order: np.ndarray | None, depth: int) -> int:
-        if not self._may_split(rows.size, depth):
-            return self._leaf(rows)
-        found = self._best_split(rows, order)
-        if found is None:
-            return self._leaf(rows)
-        feature, cut = found
-        column = self.x[feature][rows]
-        left_mask = column <= cut if self.categories[feature] is None else column == cut
-        slot = self._append(feature, cut, 0.0)
-        n_left = int(left_mask.sum())
-        n_right = rows.size - n_left
-        split_left = self._may_split(n_left, depth + 1)
-        split_right = self._may_split(n_right, depth + 1)
-        left_order = right_order = None
-        if split_left or split_right:
-            self._goes_left[rows] = left_mask
-            # every row of ``order`` holds the node's rows, so each keeps n_left
-            goes_left = self._goes_left[order].ravel()
-            if split_left:
-                left_order = np.compress(goes_left, order).reshape(len(order), n_left)
-            if split_right:
-                right_order = np.compress(~goes_left, order).reshape(len(order), n_right)
-        left = self._node(rows[left_mask], left_order, depth + 1)
-        right = self._node(rows[~left_mask], right_order, depth + 1)
-        self.child[2 * slot: 2 * slot + 2] = left, right
-        return slot
-
-    def _best_split(self, rows: np.ndarray, order: np.ndarray) -> tuple[int, float] | None:
-        """The split of most gain, as (feature, cut), or None if none gains.
-
-        The first maximum wins within a feature, and a strictly greater gain
-        across features in schema order.
-        """
-        g, h, lam, min_leaf = self.g[rows], self.h[rows], self.p.l2, self.p.min_leaf_count
-        # two real sums: a complex sum blocks its pairwise summation
-        # differently from a real one, so its parts would differ in the last bit
-        G, H = g.sum(), h.sum()
-        parent = G * G / (H + lam)
-        m = rows.size
-        # continuous features, all at once: the left side takes the i + 1
-        # smallest rows, and min_leaf <= i + 1 <= m - min_leaf
-        lo, hi = min_leaf - 1, m - min_leaf
-        ghl = np.cumsum(self.gh[order], axis=1)[:, lo:hi]
-        gl, hl = ghl.real.copy(), ghl.imag.copy()
-        # 0.5 * (gl**2 / (hl + lam) + (G - gl)**2 / (H - hl + lam) - parent),
-        # the same operations in the same order, mostly in place
-        gains = gl * gl
-        gains /= hl + lam
-        right = G - gl
-        right *= right
-        right /= H - hl + lam
-        gains += right
-        gains -= parent
-        gains *= 0.5
-        splittable = np.ones(len(order), dtype=bool)
-        t = self.n_tied
-        if t:
-            sv = np.take_along_axis(self.xc[:t], order[:t], axis=1)
-            tie = sv[:, lo:hi] == sv[:, lo + 1:hi + 1]
-            gains[:t][tie] = -np.inf
-            splittable[:t] = ~tie.all(axis=1)
-        at = gains.argmax(axis=1)
-
-        best = None  # (gain, feature, cut)
-        for j, cats in enumerate(self.categories):
-            if cats is None:
-                r = self.row_of[j]
-                i = at[r]
-                if splittable[r] and (best is None or gains[r, i] > best[0]):
-                    below, above = order[r, lo + i], order[r, lo + i + 1]
-                    cut = float((self.xc[r, below] + self.xc[r, above]) / 2.0)
-                    best = (float(gains[r, i]), j, cut)
-                continue
-            # x[j] holds dense codes: a code no row of the node has counts 0
-            # rows, fails min_leaf and, at l2 0, would divide 0 by 0
-            codes = self.x[j][rows]
-            counts = np.bincount(codes, minlength=cats.size)
-            gl = np.bincount(codes, weights=g, minlength=cats.size)
-            hl = np.bincount(codes, weights=h, minlength=cats.size)
-            ok = (counts >= min_leaf) & (m - counts >= min_leaf)
-            if not ok.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = 0.5 * (gl**2 / (hl + lam)
-                              + (G - gl)**2 / (H - hl + lam) - parent)
-            gain = np.where(ok, gain, -np.inf)
-            i = int(np.argmax(gain))
-            if best is None or gain[i] > best[0]:
-                best = (float(gain[i]), j, float(i))
-        if best is None or best[0] <= 0.0:
-            return None
-        return best[1], best[2]
+    Each depth counts one histogram per statistic (rows, g, h) over (node,
+    feature, bin) for all of its nodes with one ``np.bincount``, rows
+    accumulating in row order, and then searches every node at once.  A node
+    splits where the gain is largest and positive with at least
+    ``min_leaf_count`` rows on each side; the first maximum wins, features in
+    schema order, then bins from lowest.  The root's sums are ``g.sum()``
+    and ``h.sum()``, and a child's are its side of its parent's split.  Nodes
+    are numbered breadth first.
+    """
+    n, d = bins.key.shape
+    width = bins.cut.shape[1]
+    size, lam, min_leaf = d * width, params.l2, params.min_leaf_count
+    categorical = bins.categorical
+    gw, hw = np.repeat(g, d), np.repeat(h, d)
+    at_row = np.arange(0, n * d, d)
+    slot = np.zeros(n, dtype=np.intp)  # a row's node in the level, m once in a leaf
+    node = np.zeros(n, dtype=np.intp)  # the number of a row's node in the tree
+    total = np.array([[n], [g.sum()], [h.sum()]])  # per node of the level: rows, G, H
+    found, totals = [], []  # per level: each node's split as f * width + b or -1, sums
+    first = 0  # the number of the level's first node
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at l2 0, never chosen
+        for depth in range(params.max_depth + 1):
+            m = total.shape[1]
+            if depth == params.max_depth:
+                at = np.full(m, -1)
+            else:
+                key = (slot * size)[:, None] + bins.key
+                hist = np.concatenate([np.bincount(key.ravel(), w, (m + 1) * size)[:m * size]
+                                       for w in (None, gw, hw)]).reshape(3, m, d, width)
+                left = np.cumsum(hist, axis=3)
+                if categorical.size:
+                    left[:, :, categorical] = hist[:, :, categorical]
+                cl, gl, hl = left
+                count, G, H = total[:, :, None, None]
+                gain = 0.5 * (gl * gl / (hl + lam) + (G - gl) ** 2 / (H - hl + lam)
+                              - G * G / (H + lam))
+                gain = np.where((cl >= min_leaf) & (cl <= count - min_leaf), gain, -np.inf)
+                gain = gain.reshape(m, -1)
+                at = np.where(gain.max(axis=1) > 0.0, gain.argmax(axis=1), -1)
+            found.append(at)
+            totals.append(total)
+            split = at >= 0
+            if not split.any():
+                break
+            # the children's sums, then each row's node among them, in the
+            # order of their parents; a row in a leaf goes to node k, past them
+            side = left.reshape(3, m, -1)[:, split, at[split]]
+            other = total[:, split] - side
+            k = 2 * side.shape[1]
+            total = np.empty((3, k))
+            total[:, ::2], total[:, 1::2] = side, other
+            dest = np.full((m + 1, d, width), k)
+            dest[:m][split] = (bins.right[at[split]] + np.arange(0, k, 2)[:, None])[:, None]
+            feature = (np.maximum(at, 0) // width).take(slot, mode="clip")
+            slot = dest.ravel()[key.ravel()[at_row + feature]]
+            first += m
+            node = np.where(slot < k, first + slot, node)
+    at, total = np.concatenate(found), np.concatenate(totals, axis=1)
+    value = -total[1] / (total[2] + lam)
+    split = at >= 0
+    feature, b = np.divmod(np.maximum(at, 0), width)
+    child = np.repeat(np.arange(at.size), 2).reshape(-1, 2)  # a leaf is its own child
+    # the k-th split node's children are 2k - 1 and 2k
+    child[split] = np.arange(2, 2 * split.sum() + 1, 2)[:, None] - [1, 0]
+    return Tree(feature, np.where(split, bins.cut[feature, b], 0.0), child.ravel(),
+                np.where(split, 0.0, value)), value[node]
 
 
 def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
@@ -700,26 +674,16 @@ def train_gbdt(table: LabeledTable, params: GbdtParams = GbdtParams()) -> GbdtMo
     # per feature, the sorted distinct values of a categorical column
     categories = tuple(_frozen(_distinct(col)) if f.kind == "categorical" else None
                        for f, col in zip(table.schema, table.columns))
-    x = [col if cats is None else np.searchsorted(cats, col)
-         for col, cats in zip(table.columns, categories)]
-    continuous = [j for j, cats in enumerate(categories) if cats is None]
-    xc = np.asarray([x[j] for j in continuous], dtype=np.float64).reshape(-1, table.n_rows)
-    order = np.argsort(xc, axis=1, kind="stable")
-    sv = np.take_along_axis(xc, order, axis=1)
-    tied = (sv[:, 1:] == sv[:, :-1]).any(axis=1)
-    first = np.argsort(~tied, kind="stable")  # the columns with a tie first
-    xc, order = xc[first], order[first]
-    features, n_tied = [continuous[r] for r in first.tolist()], int(tied.sum())
+    bins = _bin_table(table.columns, categories)
 
     raw = np.full(table.n_rows, base_score)
     p = _probability(raw)
     losses = [_log_loss(y, p)]
     trees: list[Tree] = []
     for _ in range(params.rounds):
-        grower = _TreeGrower(x, xc, order, features, n_tied, categories,
-                             g=p - y, h=p * (1.0 - p), params=params)
-        trees.append(grower.grow())
-        raw = raw + params.learning_rate * grower.row_value
+        tree, row_value = _grow(bins, p - y, p * (1.0 - p), params)
+        trees.append(tree)
+        raw = raw + params.learning_rate * row_value
         p = _probability(raw)
         losses.append(_log_loss(y, p))
 

@@ -18,6 +18,9 @@ from .errors import InvalidSpec
 
 Interval = tuple[float | None, float | None]  # None = unconstrained side
 
+# Most cells (rows x features) a generated table may have: 80 MB of float64.
+MAX_CELLS = 10_000_000
+
 
 @dataclass(frozen=True, slots=True)
 class SynthSpec:
@@ -42,6 +45,9 @@ class SynthSpec:
         d = len(self.ranges)
         if d == 0:
             raise InvalidSpec("at least one feature required")
+        if self.n_rows * d > MAX_CELLS:
+            raise InvalidSpec(f"{self.n_rows} rows x {d} features is more than "
+                              f"{MAX_CELLS:,} cells")
         if len(self.weights) != d or len(self.box) != d:
             raise InvalidSpec("weights and box must cover every feature")
         for lo, hi in self.ranges:

@@ -363,9 +363,8 @@ def test_pipeline_scores_one_perturbation_pool_for_both_splits(
 
 
 def test_quick_start_explanations_keep_their_bytes(tmp_path) -> None:
-    # README's quick start; the digests were recorded when surrogates came to
-    # be fitted from per-pattern sums, which moved weights by at most 2.6e-13
-    # of their row's largest, intercepts by 1.2e-13 relative and R^2 by 4.4e-16
+    # README's quick start; the digests were recorded when trees came to be
+    # grown level by level from 64-bin histograms
     data, out = str(tmp_path / "data"), str(tmp_path / "run")
     assert run("synth", "--rows", "2000", "--features", "6", "--flip-rate", "0.4",
                "--seed", "7", "--out-dir", data) == EXIT_OK
@@ -376,8 +375,8 @@ def test_quick_start_explanations_keep_their_bytes(tmp_path) -> None:
         with open(f"{out}/explanations_{name}.jsonl", "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == {
-        "train": "44ff35b8c81ab20aacfbbf08529c3865624b4bbf51a15f478c66daf2c6aa260d",
-        "test": "23e24e3c2941a6dfd8789e7a57a90e22e85ede62c47bcae46f2d4dceba7a7bb2",
+        "train": "7dd56039cba7a7c2e4c9e5f4b45409a8fee8d7e4164918183b1d5c49232c4358",
+        "test": "b0c700ddb6fae912e1466d8d410d2ee47dfce62ce6a2237edc88fc3dfa4bfc16",
     }
 
 
@@ -465,6 +464,29 @@ def test_featurize_bounds_are_one_line_usage_errors_before_any_read(
     assert run(*argv) == EXIT_USAGE  # not EXIT_DATA: the absent file is never read
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{key} must be at least 1" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("synth", "--rows", str(10**20)), "rows must be at least 1 and at most 10,000,000"),
+    (("synth", "--features", str(10**20)), "features must be at least 1 and at most 10,000,000"),
+    (("synth", "--rows", "5000001", "--features", "2"),
+     "5000001 rows x 2 features is more than 10,000,000 cells"),
+    (("pipeline", "--n-samples", str(10**20)),
+     "n-samples must be at least 2 and at most 10,000,000"),
+    (("pipeline", "--n-samples", str(2**63)),
+     "n-samples must be at least 2 and at most 10,000,000"),
+])
+def test_sizes_beyond_their_bounds_are_one_line_usage_errors_before_any_read(
+    tmp_path, capsys, argv, message,
+) -> None:
+    # each size would be allocated as an array; past its bound it is refused
+    # before any file is read or written, not raised from numpy
+    command, *flags = argv
+    data = ("--data", str(tmp_path / "absent.csv")) if command == "pipeline" else ()
+    assert run(command, *data, *flags, "--out-dir", str(tmp_path / "o")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
     assert not os.path.exists(tmp_path / "o")
 
 

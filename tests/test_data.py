@@ -380,6 +380,18 @@ def test_resample_refuses_a_grid_too_large_to_allocate() -> None:
             resample_series(series([0, 900], [1.0, 5.0]))
 
 
+def test_resample_refuses_a_grid_starting_before_int64_time() -> None:
+    # the bin holding -2**63 + 1 starts below -2**63, where the grid would wrap
+    early = series([-2**63 + 1, -2**63 + 11], [1.0, 2.0])
+    with pytest.raises(DataError) as info:
+        resample_series(early, interval_s=300)
+    assert str(info.value) == (f"series 'e': the first bin of 300 s starts at "
+                               f"{(-2**63 + 1) // 300 * 300}, before the int64 timestamps")
+    # a grid that starts exactly at -2**63 fits
+    out = resample_series(early, interval_s=2**62)
+    assert out.timestamps.tolist() == [-2**63] and out.channels["hr"].tolist() == [1.5]
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=40,
              unique=True),

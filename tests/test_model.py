@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from conftest import BAD_PREDICTOR_OUTPUTS, make_table, random_table
@@ -132,97 +131,98 @@ def test_training_rejects_empty_tables_and_bad_params() -> None:
             GbdtParams(**bad)
 
 
-class PerNodeGrower:
-    """The grower that preceded the batched split search, kept as the oracle:
-    each node searches its continuous features one at a time.  It takes the
-    batched grower's arguments, ignores its presorted matrix and tie count,
-    and presorts each continuous column itself."""
+def brute_force_trees(table, params) -> list[tuple]:
+    """The histogram trainer's trees, grown node by node in plain Python.
 
-    def __init__(self, x, xc, order, features, n_tied, categories, g, h, params):
-        self.x = x
-        self.order = [np.argsort(col, kind="stable") if cats is None else None
-                      for col, cats in zip(x, categories)]
-        self.categories = categories
-        self.g = g
-        self.h = h
-        self.p = params
-        self.nodes: list[tuple[int, float, float]] = []
-        self.child: list[int] = []
-        self.row_value = np.zeros(len(g))
-        self._goes_left = np.zeros(len(g), dtype=bool)
+    Each continuous column's cuts are midpoints of adjacent distinct values,
+    all of them or, past 64 distinct values, the 63 at equal-count
+    positions; a categorical column has a bin per category.  Per node, one
+    pass over its rows sums each bin's rows, g and h in row order; then every
+    cut of every feature is scanned, its left side summing bins in bin order
+    as the trainer's histograms do, so equal gains tie alike.  The chosen
+    cut's boolean mask splits the rows.  A tree is nested tuples: ``(feature,
+    threshold or category, left, right)``, or ``("leaf", value)``.
+    """
+    n, lam, min_leaf = table.n_rows, params.l2, params.min_leaf_count
+    y = table.labels.astype(float)
+    rate = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
+    raw = np.full(n, math.log(rate / (1.0 - rate)))
+    features = []  # per feature: categorical, each row's bin, each bin's split
+    for spec, col in zip(table.schema, table.columns):
+        values = sorted(set(col.tolist()))
+        if spec.kind == "categorical":
+            features.append((True, np.array([values.index(v) for v in col.tolist()]), values))
+            continue
+        k = len(values)
+        at = range(1, k) if k <= 64 else [i * k // 64 for i in range(1, 64)]
+        cuts = [(values[i - 1] + values[i]) / 2.0 for i in at]
+        features.append((False, np.array([sum(c < v for c in cuts) for v in col.tolist()]),
+                         cuts))
+    trees = []
+    for _ in range(params.rounds):
+        p = np.clip(expit(raw), 1e-12, 1.0 - 1e-12)
+        g, h = p - y, p * (1.0 - p)
+        row_value = np.zeros(n)
 
-    def grow(self):
-        self._node(np.arange(len(self.g), dtype=np.intp), self.order, depth=0)
-        feature, cut, value = zip(*self.nodes)
-        return model_module.Tree(feature, cut, self.child, value)
+        def grow(rows: np.ndarray, G: float, H: float, depth: int) -> tuple:
+            best = None  # gain, feature, bin, left sums
+            for j, (categorical, bins, splits) in enumerate(
+                    features if depth < params.max_depth else ()):
+                sums = [[0, 0.0, 0.0] for _ in range(len(splits) + (not categorical))]
+                for b, gi, hi in zip(bins[rows].tolist(), g[rows].tolist(), h[rows].tolist()):
+                    sums[b][0] += 1
+                    sums[b][1] += gi
+                    sums[b][2] += hi
+                left = sums[0]
+                for b, in_bin in enumerate(sums):
+                    if categorical:
+                        left = in_bin
+                    elif b:
+                        left = [left[0] + in_bin[0], left[1] + in_bin[1], left[2] + in_bin[2]]
+                    CL, GL, HL = left
+                    if CL < min_leaf or rows.size - CL < min_leaf:
+                        continue
+                    gain = 0.5 * (GL * GL / (HL + lam) + (G - GL) * (G - GL) / (H - HL + lam)
+                                  - G * G / (H + lam))
+                    if best is None or gain > best[0]:
+                        best = (gain, j, b, GL, HL)
+            if best is None or best[0] <= 0.0:
+                row_value[rows] = value = -G / (H + lam)
+                return ("leaf", value)
+            _, j, b, GL, HL = best
+            categorical, bins, splits = features[j]
+            goes_left = bins[rows] == b if categorical else bins[rows] <= b
+            return (j, splits[b], grow(rows[goes_left], GL, HL, depth + 1),
+                    grow(rows[~goes_left], G - GL, H - HL, depth + 1))
 
-    def _append(self, feature, cut, value):
-        slot = len(self.nodes)
-        self.nodes.append((feature, cut, value))
-        self.child += [slot, slot]
-        return slot
+        trees.append(grow(np.arange(n), g.sum(), h.sum(), 0))
+        raw = raw + params.learning_rate * row_value
+    return trees
 
-    def _leaf(self, rows):
-        value = -self.g[rows].sum() / (self.h[rows].sum() + self.p.l2)
-        self.row_value[rows] = value
-        return self._append(0, 0.0, value)
 
-    def _node(self, rows, order, depth):
-        if depth >= self.p.max_depth or rows.size < 2 * self.p.min_leaf_count:
-            return self._leaf(rows)
-        found = self._best_split(rows, order)
-        if found is None:
-            return self._leaf(rows)
-        gain, feature, cut, left_mask = found
-        slot = self._append(feature, cut, 0.0)
-        self._goes_left[rows] = left_mask
-        left_order = [None if o is None else o[self._goes_left[o]] for o in order]
-        right_order = [None if o is None else o[~self._goes_left[o]] for o in order]
-        left = self._node(rows[left_mask], left_order, depth + 1)
-        right = self._node(rows[~left_mask], right_order, depth + 1)
-        self.child[2 * slot: 2 * slot + 2] = left, right
-        return slot
+def nested(nodes: list[dict], i: int = 0) -> tuple:
+    """A model JSON tree as :func:`brute_force_trees` nests its trees."""
+    node = nodes[i]
+    if "leaf" in node:
+        return ("leaf", node["leaf"])
+    return (node["feature"], node.get("threshold", node.get("category")),
+            nested(nodes, node["left"]), nested(nodes, node["right"]))
 
-    def _best_split(self, rows, order):
-        g, h, lam, min_leaf = self.g[rows], self.h[rows], self.p.l2, self.p.min_leaf_count
-        G, H = g.sum(), h.sum()
-        parent = G * G / (H + lam)
-        best = None
-        for j, sorted_rows in enumerate(order):
-            if sorted_rows is not None:
-                sv = self.x[j][sorted_rows]
-                cg = np.cumsum(self.g[sorted_rows])
-                ch = np.cumsum(self.h[sorted_rows])
-                m = rows.size
-                k = np.arange(1, m)
-                ok = (sv[:-1] != sv[1:]) & (k >= min_leaf) & (m - k >= min_leaf)
-                if not ok.any():
-                    continue
-                gl, hl = cg[:-1], ch[:-1]
-                gain = 0.5 * (gl**2 / (hl + lam)
-                              + (G - gl)**2 / (H - hl + lam) - parent)
-                gain = np.where(ok, gain, -np.inf)
-                i = int(np.argmax(gain))
-                if best is None or gain[i] > best[0]:
-                    thr = float((sv[i] + sv[i + 1]) / 2.0)
-                    best = (float(gain[i]), j, thr, self.x[j][rows] <= thr)
-            else:
-                cats, inverse = np.unique(self.x[j][rows], return_inverse=True)
-                counts = np.bincount(inverse)
-                gl = np.bincount(inverse, weights=g)
-                hl = np.bincount(inverse, weights=h)
-                ok = (counts >= min_leaf) & (rows.size - counts >= min_leaf)
-                if not ok.any():
-                    continue
-                gain = 0.5 * (gl**2 / (hl + lam)
-                              + (G - gl)**2 / (H - hl + lam) - parent)
-                gain = np.where(ok, gain, -np.inf)
-                i = int(np.argmax(gain))
-                if best is None or gain[i] > best[0]:
-                    best = (float(gain[i]), j, float(cats[i]), inverse == i)
-        if best is None or best[0] <= 0.0:
-            return None
-        return best
+
+def assert_grows_the_oracles_trees(model: GbdtModel, table, params) -> None:
+    """Tree structures equal exactly, leaf values to 1e-12 relative."""
+    def split(tree: tuple, leaves: list[float]) -> tuple:
+        if tree[0] == "leaf":
+            leaves.append(tree[1])
+            return ("leaf",)
+        return tree[:2] + (split(tree[2], leaves), split(tree[3], leaves))
+
+    got = [nested(t) for t in model.to_json_obj()["trees"]]
+    expected = brute_force_trees(table, params)
+    got_leaves: list[float] = []
+    expected_leaves: list[float] = []
+    assert [split(t, got_leaves) for t in got] == [split(t, expected_leaves) for t in expected]
+    assert got_leaves == pytest.approx(expected_leaves, rel=1e-12, abs=0.0)
 
 
 @st.composite
@@ -250,9 +250,7 @@ def training_runs(draw):
 @settings(max_examples=300)
 def test_the_batched_split_search_grows_the_per_node_growers_trees(drawn) -> None:
     table, params = drawn
-    with mock.patch.object(model_module, "_TreeGrower", PerNodeGrower):
-        expected = train_gbdt(table, params).to_json_obj()
-    assert train_gbdt(table, params).to_json_obj() == expected
+    assert_grows_the_oracles_trees(train_gbdt(table, params), table, params)
 
 
 def benchmark_sized_tables() -> dict[str, object]:
@@ -278,11 +276,26 @@ def test_the_batched_split_search_grows_the_oracles_trees_at_benchmark_scale(
         name: str, max_depth: int) -> None:
     table = benchmark_sized_tables()[name]
     params = GbdtParams(rounds=20, max_depth=max_depth, min_leaf_count=3)
-    with mock.patch.object(model_module, "_TreeGrower", PerNodeGrower):
-        expected = train_gbdt(table, params).to_json_obj()
     model = train_gbdt(table, params)
-    assert model.to_json_obj() == expected
+    assert_grows_the_oracles_trees(model, table, params)
     assert max(t.leaves.size for t in model.trees) > 2 ** (max_depth - 1)  # trees grow deep
+
+
+def test_every_continuous_threshold_is_a_midpoint_of_adjacent_training_values() -> None:
+    # the tied table's 8- and 60-level columns keep every cut of an exact
+    # search, and the uniform column's 63 cuts are midpoints too
+    table = benchmark_sized_tables()["tied"]
+    model = train_gbdt(table, GbdtParams(rounds=20, max_depth=6, min_leaf_count=3))
+    used: dict[int, set[float]] = {}
+    for tree in model.to_json_obj()["trees"]:
+        for node in tree:
+            if "threshold" in node:
+                used.setdefault(node["feature"], set()).add(node["threshold"])
+    assert sorted(used) == [0, 1, 2]
+    for j, thresholds in used.items():
+        values = sorted(set(table.columns[j].tolist()))
+        assert thresholds <= {(a + b) / 2.0 for a, b in zip(values, values[1:])}
+    assert len(used[1]) > 10  # the 60-level column splits at many of its cuts
 
 
 def categorical_table() -> object:
@@ -351,31 +364,12 @@ def test_the_categorical_split_search_grows_the_oracles_trees(levels: int, l2: f
     table = make_table([c.tolist() for c in cats] + [x.tolist()], labels.tolist(),
                        kinds=["categorical", "categorical", "continuous"])
     params = GbdtParams(rounds=15, max_depth=5, min_leaf_count=3, l2=l2)
-    with mock.patch.object(model_module, "_TreeGrower", PerNodeGrower):
-        expected = canonical_json(train_gbdt(table, params).to_json_obj())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = train_gbdt(table, params)
-    assert canonical_json(model.to_json_obj()) == expected
+    assert_grows_the_oracles_trees(model, table, params)
     assert any(model.schema[j].kind == "categorical"
                for tree in model.trees for j in tree.feature[tree.splits].tolist())
-
-
-@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 200)),
-                  elements=st.floats(-2.0 ** 200, 2.0 ** 200)),
-       st.data())
-@settings(max_examples=300)
-def test_one_complex_prefix_sum_is_the_two_real_ones_bit_for_bit(g, data) -> None:
-    """The grower's one ``cumsum`` over ``g + ih`` (built by parts, not as
-    ``g + 1j * h``) stands for two real ones."""
-    h = data.draw(hnp.arrays(np.float64, g.shape,
-                             elements=st.floats(0.0, 0.25) | st.floats(0.0, 1e-300)))
-    gh = np.empty(g.shape, dtype=np.complex128)
-    gh.real = g
-    gh.imag = h
-    both = np.cumsum(gh, axis=1)
-    assert both.real.tobytes() == np.cumsum(g, axis=1).tobytes()
-    assert both.imag.tobytes() == np.cumsum(h, axis=1).tobytes()
 
 
 # --- prediction ----------------------------------------------------------------
@@ -605,9 +599,11 @@ def quick_start_train():
 
 @pytest.fixture(scope="module")
 def long_model(quick_start_train) -> GbdtModel:
-    """300 rounds of depth 8 on the quick-start training split: many groups."""
+    """300 rounds of depth 10 on the quick-start training split: many groups,
+    and its first 100 trees more than one.  (Trees grown from histograms
+    share at most 63 thresholds per feature, so 100 of depth 8 fit one.)"""
     return train_gbdt(quick_start_train,
-                      GbdtParams(rounds=300, max_depth=8, min_leaf_count=1))
+                      GbdtParams(rounds=300, max_depth=10, min_leaf_count=1))
 
 
 def test_table_memory_grows_linearly_with_the_ensemble(quick_start_train, long_model) -> None:
@@ -666,13 +662,11 @@ def test_the_probability_is_bit_identical_to_the_c_library_sigmoid() -> None:
 
 
 # Digests of mixed_model_and_rows()'s model JSON, fully indented with sorted
-# keys, and of its predict_rows output, recorded from the per-node-argsort
-# trainer and the level-by-level router that preceded the presorted trainer
-# and the compiled node tables; and of the same model's canonical_json text,
-# recorded when artifacts came to be indented two levels deep.
-PINNED_MODEL_SHA256 = "400823f2a38407f0bb67c7ca95776f7eaf59c702d78275aa401113e6f188ac78"
-PINNED_MODEL_JSON_SHA256 = "a3d680255a79e53f4db4fefa085303917f1c2a6a3cafca8d8c98e2321cba291e"
-PINNED_PREDICTIONS_SHA256 = "ac2f64791e5a3d86b89557417c782b1cb0cec5c4249284dca592d0ad8ddefb8f"
+# keys, of its canonical_json text, and of its predict_rows output, recorded
+# when trees came to be grown level by level from 64-bin histograms.
+PINNED_MODEL_SHA256 = "5c78a708d6cbf1e8aa51f3ce61d1ce97e7e0c999349b2748d9c5d82a21c937aa"
+PINNED_MODEL_JSON_SHA256 = "3034b0f511883c65c8cfc0c6fb13a892f1335d405f3803982c77c6c7c58f7501"
+PINNED_PREDICTIONS_SHA256 = "5ca9259dd9a975f8d63d645def6f53b03c5c4dc7b33b5b9f1a5eef63a3668ab6"
 
 
 def text_sha256(text: str) -> str:

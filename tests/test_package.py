@@ -63,9 +63,9 @@ def test_the_readme_library_example_runs_and_prints_what_it_says(tmp_path) -> No
     out = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True, timeout=300)
     error_rate, region, region_rate = out.stdout.splitlines()
-    assert error_rate == "0.17"
+    assert error_rate == "0.156"
     assert region == "f0 > 0.756548583185128"
-    assert round(float(region_rate), 3) == 0.487
+    assert round(float(region_rate), 3) == 0.434
     assert (tmp_path / "demo" / "lib" / "report_test.json").exists()
 
 
