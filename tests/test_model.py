@@ -211,17 +211,17 @@ def nested(nodes: list[dict], i: int = 0) -> tuple:
 
 def assert_grows_the_oracles_trees(model: GbdtModel, table, params) -> None:
     """Tree structures equal exactly, leaf values to 1e-12 relative."""
-    def split(tree: tuple, leaves: list[float]) -> tuple:
+    def shape(tree: tuple, leaves: list[float]) -> tuple:
         if tree[0] == "leaf":
             leaves.append(tree[1])
             return ("leaf",)
-        return tree[:2] + (split(tree[2], leaves), split(tree[3], leaves))
+        return tree[:2] + (shape(tree[2], leaves), shape(tree[3], leaves))
 
     got = [nested(t) for t in model.to_json_obj()["trees"]]
     expected = brute_force_trees(table, params)
     got_leaves: list[float] = []
     expected_leaves: list[float] = []
-    assert [split(t, got_leaves) for t in got] == [split(t, expected_leaves) for t in expected]
+    assert [shape(t, got_leaves) for t in got] == [shape(t, expected_leaves) for t in expected]
     assert got_leaves == pytest.approx(expected_leaves, rel=1e-12, abs=0.0)
 
 
