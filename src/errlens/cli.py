@@ -7,9 +7,11 @@ other subcommands; those are skipped unread.  A flag on the command line
 overrides the file, which overrides the built-in default.  File values go
 through the same converter as flag strings, so a value of the wrong type is a
 usage error.  The subcommand's effective options are echoed into
-``run_config.json`` in the output directory and into every JSON artifact.
+``run_config.json`` in the output directory and into every JSON artifact.  A
+run's files reach the output directory only when the subcommand succeeds.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical error.
+Exit codes: 0 success, 1 usage error, 2 data/format error (out of memory
+included), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -129,6 +133,8 @@ _EACH_AT_LEAST_1 = (lambda ns: min(ns, default=1) >= 1, "at least 1 each")
 # Most perturbation samples: the pool is a float64 column of 80 MB per
 # feature at most, like a synthetic table (synth.MAX_CELLS).
 _MAX_SAMPLES = 10_000_000
+# Most rounds: a tree has at most 2**(max_depth+1) - 1 nodes of 40 bytes, 124 MB at depth 4.
+_MAX_ROUNDS = 100_000
 
 
 def _within(least: int, most: int) -> tuple[Callable[[object], bool], str]:
@@ -164,7 +170,8 @@ OPTIONS: tuple[Option, ...] = (
            f"features to generate; rows x features at most {MAX_CELLS:,}",
            _within(1, MAX_CELLS)),
     Option("flip_rate", _float, 0.4, ("synth",)),
-    Option("rounds", _int, _GBDT.rounds, _FIT),
+    Option("rounds", _int, _GBDT.rounds, _FIT, f"boosting rounds, at most {_MAX_ROUNDS:,}",
+           _within(0, _MAX_ROUNDS)),
     Option("max_depth", _int, _GBDT.max_depth, _FIT),
     Option("learning_rate", _float, _GBDT.learning_rate, _FIT),
     Option("min_leaf_count", _int, _GBDT.min_leaf_count, _FIT),
@@ -274,12 +281,6 @@ def _require(cfg: RunConfig, key: str) -> object:
     return value
 
 
-def _out_dir(cfg: RunConfig) -> str:
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _load_table(cfg: RunConfig) -> LabeledTable:
     return load_csv(_require(cfg, "data"), label_column=cfg["label_column"],
                     id_column=cfg["id_column"], categorical=cfg["categorical"])
@@ -301,19 +302,18 @@ def _dump_artifact(obj: dict, cfg: RunConfig, path: str) -> None:
 
 
 # --- subcommands ---------------------------------------------------------------
+# Each writes into ``out``; :func:`_run` publishes that to the --out-dir it names.
 
 
-def cmd_synth(cfg: RunConfig) -> str:
-    out = _out_dir(cfg)
+def cmd_synth(cfg: RunConfig, out: str) -> str:
     table, truth = generate(cfg.synth)
     write_csv(table, os.path.join(out, "synth.csv"))
     _dump_artifact(truth.to_json_obj(), cfg, os.path.join(out, "ground_truth.json"))
     return (f"synth: {table.n_rows} rows, {len(truth.in_box_row_ids)} in box, "
-            f"{len(truth.flipped_row_ids)} labels flipped -> {out}")
+            f"{len(truth.flipped_row_ids)} labels flipped -> {cfg['out_dir']}")
 
 
-def cmd_featurize(cfg: RunConfig) -> str:
-    out = _out_dir(cfg)
+def cmd_featurize(cfg: RunConfig, out: str) -> str:
     path = _require(cfg, "data")
     channels = cfg["channels"]
     if not channels:
@@ -339,11 +339,10 @@ def cmd_featurize(cfg: RunConfig) -> str:
     features = concat_tables(tables)
     write_csv(features, os.path.join(out, "features.csv"), include_row_id=True)
     return (f"featurize: {len(frames)} series -> {features.n_rows} rows x "
-            f"{len(features.schema)} features -> {out}/features.csv")
+            f"{len(features.schema)} features -> {cfg['out_dir']}/features.csv")
 
 
-def cmd_train(cfg: RunConfig) -> str:
-    out = _out_dir(cfg)
+def cmd_train(cfg: RunConfig, out: str) -> str:
     table = _load_table(cfg)
     model = train_gbdt(table, cfg.gbdt)
     _dump_artifact(model.to_json_obj(), cfg, os.path.join(out, "model.json"))
@@ -352,11 +351,10 @@ def cmd_train(cfg: RunConfig) -> str:
     _dump_artifact(metrics.to_json_obj(), cfg, os.path.join(out, "metrics.json"))
     return (f"train: {len(model.trees)} trees on {table.n_rows} rows, "
             f"final loss {model.train_loss[-1]:.4f}, "
-            f"training error rate {metrics.error_rate:.3f} -> {out}/model.json")
+            f"training error rate {metrics.error_rate:.3f} -> {cfg['out_dir']}/model.json")
 
 
-def cmd_eval(cfg: RunConfig) -> str:
-    out = _out_dir(cfg)
+def cmd_eval(cfg: RunConfig, out: str) -> str:
     table = _load_table(cfg)
     predictor = _predictor(cfg, table)
     metrics = find_misclassified(predictor, table, threshold=cfg["threshold"],
@@ -364,7 +362,7 @@ def cmd_eval(cfg: RunConfig) -> str:
     _dump_artifact(metrics.to_json_obj(), cfg, os.path.join(out, "metrics.json"))
     return (f"eval: {table.n_rows} rows, error rate {metrics.error_rate:.3f}, "
             f"recall {metrics.recall:.3f}, precision {metrics.precision:.3f} "
-            f"-> {out}/metrics.json")
+            f"-> {cfg['out_dir']}/metrics.json")
 
 
 def _explain_split(cfg: RunConfig, pool: PerturbationPool, table: LabeledTable, name: str):
@@ -372,18 +370,16 @@ def _explain_split(cfg: RunConfig, pool: PerturbationPool, table: LabeledTable, 
     return mis, explain_misclassified(pool, mis)
 
 
-def cmd_explain(cfg: RunConfig) -> str:
-    out = _out_dir(cfg)
+def cmd_explain(cfg: RunConfig, out: str) -> str:
     table = _load_table(cfg)
     pool = PerturbationPool(_predictor(cfg, table), fit_discretizer(table), cfg.lime)
     _, explanations = _explain_split(cfg, pool, table, "all")
     write_explanations_jsonl(explanations, os.path.join(out, "explanations.jsonl"))
     return (f"explain: {len(explanations)} of {table.n_rows} rows misclassified "
-            f"-> {out}/explanations.jsonl")
+            f"-> {cfg['out_dir']}/explanations.jsonl")
 
 
-def cmd_mine(cfg: RunConfig) -> str:
-    out = _out_dir(cfg)
+def cmd_mine(cfg: RunConfig, out: str) -> str:
     table = _load_table(cfg)
     pool = PerturbationPool(_predictor(cfg, table), fit_discretizer(table), cfg.lime)
     mis, explanations = _explain_split(cfg, pool, table, "all")
@@ -392,13 +388,12 @@ def cmd_mine(cfg: RunConfig) -> str:
     write_report_files(report, out)
     return (f"mine: {len(report.regions)} regions from "
             f"{report.n_misclassified}/{report.n_total} misclassified "
-            f"(baseline {report.baseline_error_rate:.3f}) -> {out}")
+            f"(baseline {report.baseline_error_rate:.3f}) -> {cfg['out_dir']}")
 
 
-def cmd_pipeline(cfg: RunConfig) -> str:
+def cmd_pipeline(cfg: RunConfig, out: str) -> str:
     """synth-style table in, everything out: split, train, metrics per split,
     explanations per split, region reports per split."""
-    out = _out_dir(cfg)
     table = _load_table(cfg)
     train_table, test_table = split(table, test_fraction=cfg["split_fraction"],
                                     seed=cfg["seed"])
@@ -418,11 +413,11 @@ def cmd_pipeline(cfg: RunConfig) -> str:
         summaries.append(f"{name} error rate {mis.metrics.error_rate:.3f}, "
                          f"{len(report.regions)} regions")
     return (f"pipeline: {train_table.n_rows}/{test_table.n_rows} train/test rows; "
-            f"{'; '.join(summaries)} -> {out}")
+            f"{'; '.join(summaries)} -> {cfg['out_dir']}")
 
 
 # Each subcommand's function and its one-line help.
-COMMANDS: dict[str, tuple[Callable[[RunConfig], str], str]] = {
+COMMANDS: dict[str, tuple[Callable[[RunConfig, str], str], str]] = {
     "synth": (cmd_synth, "generate synthetic data with a planted noisy box"),
     "featurize": (cmd_featurize, "turn long-format series CSV into a feature table"),
     "train": (cmd_train, "train the boosted-tree classifier"),
@@ -431,6 +426,27 @@ COMMANDS: dict[str, tuple[Callable[[RunConfig], str], str]] = {
     "mine": (cmd_mine, "mine and score poor-performance regions"),
     "pipeline": (cmd_pipeline, "split, train, explain, and report end to end"),
 }
+
+
+def _run(command: Callable[[RunConfig, str], str], cfg: RunConfig) -> str:
+    """Run ``command`` into a hidden staging directory, then move its files and
+    ``run_config.json``, last, into --out-dir; if it raises, nothing moves.  The
+    directory sits inside an existing --out-dir, so that no move crosses a file
+    system (--out-dir may be a mount point), and beside an absent one."""
+    out = cfg["out_dir"]
+    parent = out if os.path.isdir(out) else os.path.dirname(os.path.normpath(out)) or os.curdir
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".errlens-", dir=parent)
+    try:
+        summary = command(cfg, stage)
+        names = os.listdir(stage)
+        dump_json(cfg.echo, os.path.join(stage, "run_config.json"))
+        os.makedirs(out, exist_ok=True)
+        for name in (*names, "run_config.json"):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return summary
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -445,14 +461,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         cfg = merge_config(args)
-        dump_json(cfg.echo, os.path.join(_out_dir(cfg), "run_config.json"))
         command, _ = COMMANDS[args.command]
-        print(command(cfg))
+        print(_run(command, cfg))
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, OSError) as exc:
         print(f"{parser.prog}: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:  # the input's size and the options asked for the memory
+        print(f"{parser.prog}: data error: out of memory for this input and these options",
+              file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"{parser.prog}: numerical error: {exc}", file=sys.stderr)

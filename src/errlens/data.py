@@ -450,14 +450,11 @@ def featurize_rolling(
     columns: list[np.ndarray] = [series.channels[c][first:] for c in names]
     for c in names:
         values = series.channels[c]
-        for w in windows:
-            view = np.lib.stride_tricks.sliding_window_view(values, w)
-            schema.append(FeatureSpec(f"{c}_mean_{w}", "continuous"))
-            columns.append(view.mean(axis=1)[first - (w - 1):][:n_out])
-        for w in windows:
-            view = np.lib.stride_tricks.sliding_window_view(values, w)
-            schema.append(FeatureSpec(f"{c}_std_{w}", "continuous"))
-            columns.append(view.std(axis=1)[first - (w - 1):][:n_out])
+        for stat in ("mean", "std"):
+            for w in windows:
+                view = np.lib.stride_tricks.sliding_window_view(values, w)
+                schema.append(FeatureSpec(f"{c}_{stat}_{w}", "continuous"))
+                columns.append(getattr(view, stat)(axis=1)[first - (w - 1):][:n_out])
         for a in lags:
             schema.append(FeatureSpec(f"{c}_lag_{a}", "continuous"))
             columns.append(values[first - a: series.n_samples - a])

@@ -476,6 +476,7 @@ def test_featurize_bounds_are_one_line_usage_errors_before_any_read(
      "n-samples must be at least 2 and at most 10,000,000"),
     (("pipeline", "--n-samples", str(2**63)),
      "n-samples must be at least 2 and at most 10,000,000"),
+    (("pipeline", "--rounds", str(10**20)), "rounds must be at least 0 and at most 100,000"),
 ])
 def test_sizes_beyond_their_bounds_are_one_line_usage_errors_before_any_read(
     tmp_path, capsys, argv, message,
@@ -661,23 +662,149 @@ def test_csv_row_errors_name_their_file(tmp_path, capsys) -> None:
         assert err.count("\n") == 1 and message in err
 
 
+def _constant_column(tmp_path) -> tuple[str, str]:
+    """A table with a constant feature, and predictions for its rows.  The
+    feature's similarity column is identical to the intercept column, so an
+    unregularized surrogate solve cannot proceed."""
+    data, preds = tmp_path / "d.csv", tmp_path / "p.csv"
+    data.write_text("const,x,label\n" + "".join(f"5.0,{i}.0,0\n" for i in range(6)),
+                    encoding="utf-8")
+    preds.write_text("row_id,probability\n" + "".join(f"{i},0.9\n" for i in range(6)),
+                     encoding="utf-8")
+    return str(data), str(preds)
+
+
 def test_singular_surrogate_systems_exit_three(tmp_path, capsys) -> None:
-    # A constant feature makes its similarity column identical to the
-    # intercept column, so an unregularized surrogate solve cannot proceed.
-    data = tmp_path / "d.csv"
-    data.write_text(
-        "const,x,label\n" + "\n".join(f"5.0,{i}.0,0" for i in range(6)) + "\n",
-        encoding="utf-8",
-    )
-    preds = tmp_path / "p.csv"
-    preds.write_text(
-        "row_id,probability\n" + "\n".join(f"{i},0.9" for i in range(6)) + "\n",
-        encoding="utf-8",
-    )
-    code = run("explain", "--data", str(data), "--predictions", str(preds),
+    data, preds = _constant_column(tmp_path)
+    code = run("explain", "--data", data, "--predictions", preds,
                "--ridge-lambda", "0", "--n-samples", "50",
                "--out-dir", str(tmp_path / "o"))
     assert code == EXIT_NUMERICAL
     # it names the feature, the first row it holds for, and the cure
     err = capsys.readouterr().err
     assert "feature 'const'" in err and "row '0'" in err and "--ridge-lambda" in err
+
+
+def test_an_out_dir_of_the_current_directory_is_published_in_place(tmp_path,
+                                                                  monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--rows", "40", "--out-dir", ".") == EXIT_OK
+    assert sorted(os.listdir(tmp_path)) == [
+        "ground_truth.json", "run_config.json", "synth.csv",
+    ]
+
+
+def test_run_config_json_is_published_last(tmp_path, synth_dir, model_dir,
+                                           monkeypatch) -> None:
+    # a directory holding run_config.json holds every file of its run
+    published = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        published.append(os.path.basename(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    out = tmp_path / "o"
+    assert run("mine", "--data", f"{synth_dir}/synth.csv", "--model", f"{model_dir}/model.json",
+               "--n-samples", "50", "--out-dir", str(out)) == EXIT_OK
+    assert published[-1] == "run_config.json"
+    assert sorted(published) == sorted(os.listdir(out))
+
+
+# --- a failed run publishes nothing ------------------------------------------------
+
+
+def _snapshot(out) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def _inputs(tmp_path, synth_dir, model_dir, argv: tuple[str, ...]) -> dict[str, str]:
+    """The files a case's flags name, each made only when named."""
+    paths = {"csv": f"{synth_dir}/synth.csv", "model": f"{model_dir}/model.json",
+             "absent": str(tmp_path / "absent.csv")}
+    if "{series}" in argv:
+        paths["series"] = _series_csv(tmp_path / "s.csv")
+    if "{const}" in argv:
+        paths["const"], paths["preds"] = _constant_column(tmp_path)
+    if "{quick}" in argv:
+        # README's quick-start table with a constant column added
+        quick = str(tmp_path / "quick")
+        assert run("synth", "--rows", "2000", "--features", "6", "--flip-rate", "0.4",
+                   "--seed", "7", "--out-dir", quick) == EXIT_OK
+        lines = read_lines(f"{quick}/synth.csv")
+        paths["quick"] = str(tmp_path / "quick.csv")
+        (tmp_path / "quick.csv").write_text(
+            "".join(f"{line},{'const' if i == 0 else '1.0'}\n" for i, line in enumerate(lines)),
+            encoding="utf-8")
+    return paths
+
+
+_NAT = ("--n-samples", "50")
+
+
+@pytest.mark.parametrize("good, bad, patched, code, message", [
+    pytest.param(("synth", "--rows", "40", "--seed", "1"), ("synth", "--rows", "40", "--seed", "2"),
+                 "generate", EXIT_DATA, "out of memory", id="synth-memory"),
+    pytest.param(("featurize", "--data", "{series}", "--channels", "hr"),
+                 ("featurize", "--data", "{series}"), None, EXIT_USAGE,
+                 "--channels is required", id="featurize-usage"),
+    pytest.param(("featurize", "--data", "{series}", "--channels", "hr"),
+                 ("featurize", "--data", "{absent}", "--channels", "hr"), None, EXIT_DATA,
+                 "absent.csv", id="featurize-data"),
+    pytest.param(("train", "--data", "{csv}", "--rounds", "3"), ("train", "--rounds", "3"),
+                 None, EXIT_USAGE, "--data is required", id="train-usage"),
+    pytest.param(("train", "--data", "{csv}", "--rounds", "3"),
+                 ("train", "--data", "{absent}", "--rounds", "3"), None, EXIT_DATA,
+                 "absent.csv", id="train-data"),
+    pytest.param(("train", "--data", "{csv}", "--rounds", "3"),
+                 ("train", "--data", "{csv}", "--rounds", "4"), "train_gbdt", EXIT_DATA,
+                 "out of memory", id="train-memory"),
+    pytest.param(("eval", "--data", "{csv}", "--model", "{model}"), ("eval", "--data", "{csv}"),
+                 None, EXIT_USAGE, "--model or --predictions is required", id="eval-usage"),
+    pytest.param(("eval", "--data", "{csv}", "--model", "{model}"),
+                 ("eval", "--data", "{absent}", "--model", "{model}"), None, EXIT_DATA,
+                 "absent.csv", id="eval-data"),
+    pytest.param(("explain", "--data", "{csv}", "--model", "{model}", *_NAT),
+                 ("explain", "--data", "{csv}", *_NAT), None, EXIT_USAGE,
+                 "--model or --predictions is required", id="explain-usage"),
+    pytest.param(("explain", "--data", "{const}", "--predictions", "{preds}", *_NAT),
+                 ("explain", "--data", "{const}", "--predictions", "{preds}", *_NAT,
+                  "--ridge-lambda", "0"), None, EXIT_NUMERICAL, "feature 'const'",
+                 id="explain-numerical"),
+    pytest.param(("mine", "--data", "{csv}", "--model", "{model}", *_NAT),
+                 ("mine", "--data", "{absent}", "--model", "{model}", *_NAT), None, EXIT_DATA,
+                 "absent.csv", id="mine-data"),
+    pytest.param(("mine", "--data", "{const}", "--predictions", "{preds}", *_NAT),
+                 ("mine", "--data", "{const}", "--predictions", "{preds}", *_NAT,
+                  "--ridge-lambda", "0"), None, EXIT_NUMERICAL, "feature 'const'",
+                 id="mine-numerical"),
+    pytest.param(("pipeline", "--data", "{csv}", "--rounds", "3", *_NAT),
+                 ("pipeline", "--rounds", "3", *_NAT), None, EXIT_USAGE,
+                 "--data is required", id="pipeline-usage"),
+    # fails in explain, after the command has written model.json
+    pytest.param(("pipeline", "--data", "{quick}", "--seed", "7"),
+                 ("pipeline", "--data", "{quick}", "--seed", "7", "--ridge-lambda", "0"), None,
+                 EXIT_NUMERICAL, "feature 'const'", id="pipeline-numerical"),
+])
+def test_a_failed_run_creates_no_out_dir_and_changes_no_file_of_an_earlier_run(
+    tmp_path, synth_dir, model_dir, capsys, monkeypatch, good, bad, patched, code, message,
+) -> None:
+    paths = _inputs(tmp_path, synth_dir, model_dir, good + bad)
+    good, bad = ([a.format(**paths) for a in argv] for argv in (good, bad))
+    earlier = tmp_path / "earlier"
+    assert run(*good, "--out-dir", str(earlier)) == EXIT_OK
+    before = _snapshot(earlier)
+    capsys.readouterr()
+    if patched is not None:
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(f"errlens.cli.{patched}", out_of_memory)
+    for out in (tmp_path / "absent", earlier):
+        assert run(*bad, "--out-dir", str(out)) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+    assert not (tmp_path / "absent").exists()
+    assert _snapshot(earlier) == before
+    assert not list(tmp_path.glob(".errlens-*"))

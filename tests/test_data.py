@@ -425,6 +425,9 @@ def test_featurize_drops_rows_without_full_history() -> None:
     # max(window) = 6 needs 5 steps of history; the first 5 rows drop
     assert table.n_rows == 5
     assert table.row_ids[0] == "e:1500"
+    # per channel: the value, every window's mean, then every window's std, then the lags
+    assert table.feature_names == ("hr", "hr_mean_3", "hr_mean_6", "hr_std_3", "hr_std_6",
+                                   "hr_lag_1", "hr_lag_2")
 
 
 def test_featurize_replicates_static_attributes_as_categorical() -> None:
