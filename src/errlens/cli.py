@@ -430,9 +430,11 @@ COMMANDS: dict[str, tuple[Callable[[RunConfig, str], str], str]] = {
 
 def _run(command: Callable[[RunConfig, str], str], cfg: RunConfig) -> str:
     """Run ``command`` into a hidden staging directory, then move its files and
-    ``run_config.json``, last, into --out-dir; if it raises, nothing moves.  The
-    directory sits inside an existing --out-dir, so that no move crosses a file
-    system (--out-dir may be a mount point), and beside an absent one."""
+    ``run_config.json``, last, into --out-dir; if it raises, nothing moves.  An
+    earlier ``run_config.json`` goes first, so a move that fails part-way leaves
+    no directory that looks finished.  The directory sits inside an existing
+    --out-dir, so that no move crosses a file system (--out-dir may be a mount
+    point), and beside an absent one."""
     out = cfg["out_dir"]
     parent = out if os.path.isdir(out) else os.path.dirname(os.path.normpath(out)) or os.curdir
     os.makedirs(parent, exist_ok=True)
@@ -442,6 +444,8 @@ def _run(command: Callable[[RunConfig, str], str], cfg: RunConfig) -> str:
         names = os.listdir(stage)
         dump_json(cfg.echo, os.path.join(stage, "run_config.json"))
         os.makedirs(out, exist_ok=True)
+        if os.path.lexists(config := os.path.join(out, "run_config.json")):
+            os.remove(config)
         for name in (*names, "run_config.json"):
             os.replace(os.path.join(stage, name), os.path.join(out, name))
     finally:

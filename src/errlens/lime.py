@@ -182,28 +182,20 @@ def fit_discretizer(train: LabeledTable) -> Discretizer:
             # create an empty top bin)
             if (not edges or e > edges[-1]) and e < sorted_col[-1]:
                 edges.append(e)
-        idx = np.searchsorted(edges, col, side="left")
-        freqs, means, stds, mins, maxs = [], [], [], [], []
+        # each bin is a slice of the sorted column, whatever the rows' order
+        cuts = [0, *np.searchsorted(sorted_col, edges, side="right").tolist(), n]
+        stats = []
         for b in range(len(edges) + 1):
-            members = col[idx == b]
+            members = sorted_col[cuts[b]:cuts[b + 1]]
             if members.size == 0:
                 # unreachable via sampling; park neutral stats at the midpoint
                 mid = (edges[b - 1] + edges[b]) / 2.0
-                freqs.append(0.0)
-                means.append(mid)
-                stds.append(0.0)
-                mins.append(mid)
-                maxs.append(mid)
+                stats.append((0.0, mid, 0.0, mid, mid))
             else:
-                freqs.append(members.size / n)
-                means.append(float(members.mean()))
-                stds.append(float(members.std()))
-                mins.append(float(members.min()))
-                maxs.append(float(members.max()))
-        per_feature.append(ContinuousBins(
-            edges=tuple(edges), frequencies=tuple(freqs), means=tuple(means),
-            stds=tuple(stds), mins=tuple(mins), maxs=tuple(maxs),
-        ))
+                stats.append((members.size / n, members.mean(), members.std(),
+                              members[0], members[-1]))
+        freqs, means, stds, mins, maxs = (tuple(map(float, stat)) for stat in zip(*stats))
+        per_feature.append(ContinuousBins(tuple(edges), freqs, means, stds, mins, maxs))
     return Discretizer(schema=train.schema, per_feature=tuple(per_feature))
 
 
@@ -288,8 +280,8 @@ def default_kernel_width(n_features: int) -> float:
 _PIVOT_RTOL = 1e-10
 
 
-def _factor(a: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factors of a stack of normal matrices.  A singular one
+def _factor(a: np.ndarray) -> None:
+    """Check the Cholesky pivots of a stack of normal matrices.  A singular one
     raises :class:`SingularSystem`: in a stack, the first, as it would alone."""
     try:
         u = np.linalg.cholesky(a, upper=True)
@@ -301,43 +293,20 @@ def _factor(a: np.ndarray) -> np.ndarray:
         # rounding
         kept = np.diagonal(u, axis1=-2, axis2=-1) ** 2 / np.diagonal(a, axis1=-2, axis2=-1)
         if not (kept <= _PIVOT_RTOL).any():
-            return u
-        why = f"surrogate column {int(np.argmin(kept))} is collinear"
+            return
+        why = None
     if a.ndim > 2:  # the first singular matrix of the stack raises
         for one in a.reshape(-1, *a.shape[-2:]):
             _factor(one)
-    raise SingularSystem(why)
+    raise SingularSystem(why or f"surrogate column {int(np.argmin(kept))} is collinear")
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solutions of a stack of normal equations ``a @ beta = b``, through
+    """Solve a stack of normal equations ``a @ beta = b`` by LAPACK, checked by
     :func:`_factor`; each equals its system's solution alone, bit for bit."""
-    u = _factor(a)
-    # a = u.T @ u: solve u.T @ t = b forward, then u @ beta = t backward,
-    # one step for every system of the stack at once: beta[i] holds entry i
-    # of each solution, and f[i, j] entry (i, j) of each factor.  Multiplying
-    # by the diagonal's reciprocals, as OpenBLAS's triangular solve does,
-    # keeps beta closer to scipy's cho_solve than dividing does.
-    k = b.shape[-1]
-    f = u.reshape(-1, k, k).transpose(1, 2, 0).copy()
-    beta = b.reshape(-1, k).T.copy()
-    inv = 1.0 / np.diagonal(f).T
-    # a step's row 0 is beta[i] and its rows 1.. the products it loses, so
-    # one subtract.reduce takes them away one after another, in j order
-    buf = np.empty_like(beta)
-    beta[0] *= inv[0]
-    for i in range(1, k):
-        buf[0] = beta[i]
-        np.multiply(f[:i, i], beta[:i], out=buf[1:i + 1])
-        np.subtract.reduce(buf[:i + 1], axis=0, out=beta[i])
-        beta[i] *= inv[i]
-    beta[k - 1] *= inv[k - 1]
-    for i in reversed(range(k - 1)):
-        buf[0] = beta[i]
-        np.multiply(f[i, i + 1:], beta[i + 1:], out=buf[1:k - i])
-        np.subtract.reduce(buf[:k - i], axis=0, out=beta[i])
-        beta[i] *= inv[i]
-    return beta.T.reshape(b.shape)
+    _factor(a)
+    # b as a stack of one-column matrices: numpy reads only a 1-D b as vectors
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 def _r2(varies: np.ndarray, ss_res: np.ndarray, ss_tot: np.ndarray, n: int,
@@ -359,8 +328,8 @@ def fit_local_model(
     ``z`` is ``(..., n, d)`` and ``y`` and ``weights`` are ``(..., n)``: the
     leading axes index independent fits, and a 2-D ``z`` is one fit.  Each
     solves its (d+1)-dimensional normal equations with ``ridge_lambda`` added
-    to the non-intercept diagonal, via a symmetric positive-definite
-    (Cholesky) solve.  Returns (coefficients ``(..., d)``, intercepts and
+    to the non-intercept diagonal, by a LAPACK solve after a Cholesky pivot
+    check.  Returns (coefficients ``(..., d)``, intercepts and
     weighted R^2 ``(...)``, floats for one fit); each fit of a stack equals
     that fit alone, bit for bit.  A column collinear with the intercept or the
     columns before it (say, a constant column with ``ridge_lambda`` 0) raises
@@ -612,9 +581,10 @@ class PerturbationPool:
 
     @cached_property
     def scored(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pool's codes (see :meth:`_codes`) and scores: an
-        :class:`ExternalPredictions`' own :meth:`~ExternalPredictions.sample_rows`,
-        else the predictor's scores of :func:`sample_perturbations`' rows."""
+        """The pool's codes (see :meth:`_codes`), in the narrowest unsigned
+        type, and scores: an :class:`ExternalPredictions`' own
+        :meth:`~ExternalPredictions.sample_rows`, else the predictor's scores
+        of :func:`sample_perturbations`' rows."""
         predictor, n, seed = self.predictor, self.config.n_samples, self.config.seed
         if isinstance(predictor, ExternalPredictions):
             if predictor.reference.schema != self.disc.schema:
@@ -629,7 +599,10 @@ class PerturbationPool:
         else:
             drawn, columns = sample_perturbations(self.disc, n, seed)
             probs = predictor.predict_rows(self.disc.schema, columns)
-        return drawn, check_probabilities(probs, len(drawn))
+        # the codes live as long as the pool, so they take as few bytes as the
+        # keys do: an eighth of intp's on the benchmark inputs
+        probs = check_probabilities(probs, len(drawn))
+        return drawn.astype(np.min_scalar_type(drawn.max())), probs
 
     def _codes(self, columns: Columns, n: int) -> np.ndarray:
         """Each feature's codes of ``n`` rows given as columns, contiguous in an

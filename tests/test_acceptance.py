@@ -149,7 +149,8 @@ def test_criterion_3_ridge_fit_matches_an_independent_lstsq_oracle() -> None:
     """The weighted ridge problem (intercept unpenalized) is restated as an
     ordinary least-squares system -- rows scaled by sqrt(weight) plus one
     sqrt(lambda) row per coefficient -- and solved with np.linalg.lstsq,
-    a different algorithm (SVD) from the production Cholesky path."""
+    a different algorithm (SVD) from the production solve of the normal
+    equations (LAPACK's LU, after a Cholesky pivot check)."""
     rng = np.random.default_rng(42)
     for _ in range(50):
         z = rng.integers(0, 2, size=(10, 6)).astype(float)

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_table_scores
 from errlens import ExternalPredictions, GbdtModel
@@ -363,21 +370,25 @@ def test_pipeline_scores_one_perturbation_pool_for_both_splits(
 
 
 def test_quick_start_explanations_keep_their_bytes(tmp_path) -> None:
-    # README's quick start; the digests were recorded when trees came to be
-    # grown level by level from 64-bin histograms
-    data, out = str(tmp_path / "data"), str(tmp_path / "run")
+    # README's quick start; the digests were recorded when the surrogates came
+    # to be solved by LAPACK.  The pipeline runs in a process of its own for
+    # each BLAS thread count, which OpenBLAS reads once, as it loads
+    data = str(tmp_path / "data")
     assert run("synth", "--rows", "2000", "--features", "6", "--flip-rate", "0.4",
                "--seed", "7", "--out-dir", data) == EXIT_OK
-    assert run("pipeline", "--data", f"{data}/synth.csv", "--seed", "7",
-               "--out-dir", out) == EXIT_OK
-    digests = {}
-    for name in ("train", "test"):
-        with open(f"{out}/explanations_{name}.jsonl", "rb") as fh:
-            digests[name] = hashlib.sha256(fh.read()).hexdigest()
-    assert digests == {
-        "train": "7dd56039cba7a7c2e4c9e5f4b45409a8fee8d7e4164918183b1d5c49232c4358",
-        "test": "b0c700ddb6fae912e1466d8d410d2ee47dfce62ce6a2237edc88fc3dfa4bfc16",
-    }
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for threads in ("1", "2"):
+        out = tmp_path / f"run{threads}"
+        subprocess.run([sys.executable, "-m", "errlens", "pipeline", "--data",
+                        f"{data}/synth.csv", "--seed", "7", "--out-dir", str(out)],
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                       capture_output=True, check=True, timeout=300)
+        digests = {name: hashlib.sha256((out / f"explanations_{name}.jsonl").read_bytes())
+                   .hexdigest() for name in ("train", "test")}
+        assert digests == {
+            "train": "1a94b498e91313c5b8ee8a95302ef43a691cc86af424aeb3a2eac639695d701f",
+            "test": "1beba285d34868883ee85a4e2e7a146a8698ea7db77ac2d2b538efe4aacc38e9",
+        }, f"OPENBLAS_NUM_THREADS={threads}"
 
 
 def test_mine_with_external_predictions_scores_the_table_once(
@@ -712,6 +723,23 @@ def test_run_config_json_is_published_last(tmp_path, synth_dir, model_dir,
     assert sorted(published) == sorted(os.listdir(out))
 
 
+def test_a_publish_that_fails_part_way_leaves_no_run_config_json(
+        tmp_path, synth_dir, model_dir, capsys) -> None:
+    # a directory in the way of report.json fails its move, after other files
+    # of the run may have replaced the earlier run's
+    out = tmp_path / "o"
+    argv = ("mine", "--data", f"{synth_dir}/synth.csv", "--model", f"{model_dir}/model.json",
+            "--out-dir", str(out))
+    assert run(*argv, "--n-samples", "200") == EXIT_OK
+    (out / "report.json").unlink()
+    (out / "report.json").mkdir()
+    capsys.readouterr()
+    assert run(*argv, "--n-samples", "300") == EXIT_DATA
+    assert "Is a directory" in capsys.readouterr().err
+    assert not (out / "run_config.json").exists()
+    assert not list(out.glob(".errlens-*"))
+
+
 # --- a failed run publishes nothing ------------------------------------------------
 
 
@@ -808,3 +836,110 @@ def test_a_failed_run_creates_no_out_dir_and_changes_no_file_of_an_earlier_run(
     assert not (tmp_path / "absent").exists()
     assert _snapshot(earlier) == before
     assert not list(tmp_path.glob(".errlens-*"))
+
+
+# --- a mutated input is an exit code, never a traceback ---------------------------
+
+
+# cell values that have broken readers before: empty, not finite, overflowing,
+# a signed zero, a NUL, a byte-order mark, wider than 64 bits, a quote, a newline
+_CELLS = ("", "nan", "inf", "1e400", "-0", "\x00", "\ufeff", "1" * 40, '"', "\n")
+_VALUES = (*_CELLS, None, True, -1, 0, 0.5, 2**63, math.inf, [], {})
+# small sizes, in the config file so that a mutated value of one replaces it
+_CONFIG = {"rows": 40, "features": 3, "rounds": 2, "max_depth": 2, "n_samples": 20,
+           "channels": ["hr"]}
+_FUZZED = (
+    ("synth",),
+    ("featurize", "--data", "{series}"),
+    ("train", "--data", "{csv}"),
+    ("eval", "--data", "{csv}", "--model", "{model}"),
+    ("mine", "--data", "{csv}", "--model", "{model}"),
+    ("mine", "--data", "{csv}", "--predictions", "{preds}"),
+    ("pipeline", "--data", "{csv}"),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory) -> dict[str, str]:
+    """The text of each input file the fuzzed commands read, and a directory
+    to run them in."""
+    base = tmp_path_factory.mktemp("fuzz")
+    assert run("synth", "--rows", "40", "--features", "3", "--seed", "7",
+               "--out-dir", str(base / "synth")) == EXIT_OK
+    assert run("train", "--data", str(base / "synth" / "synth.csv"), "--rounds", "2",
+               "--max-depth", "2", "--out-dir", str(base / "model")) == EXIT_OK
+    return {
+        "csv": (base / "synth" / "synth.csv").read_text(encoding="utf-8"),
+        "model": (base / "model" / "model.json").read_text(encoding="utf-8"),
+        "preds": "row_id,probability\n" + "".join(f"{i},0.{i % 10}\n" for i in range(40)),
+        "series": Path(_series_csv(base / "s.csv")).read_text(encoding="utf-8"),
+        "dir": str(base),
+    }
+
+
+def _mutate_csv(text: str, data) -> str:
+    """One cell replaced, one row cut short or made long, or one row
+    duplicated or dropped (the header included)."""
+    lines = text.split("\n")[:-1]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[i].split(",")
+    how = data.draw(st.sampled_from(("cell", "short", "long", "duplicate", "drop")))
+    if how == "cell":
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(_CELLS))
+        lines[i] = ",".join(cells)
+    elif how == "short":
+        lines[i] = ",".join(cells[:-1])
+    elif how == "long":
+        lines[i] += "," + data.draw(st.sampled_from(_CELLS))
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def _fields(obj, path=()):
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _fields(value, (*path, key))
+
+
+def _mutate_model(text: str, data) -> str:
+    """One field of ``model.json``, at any depth, given another value or
+    removed."""
+    model = json.loads(text)
+    *parent, key = data.draw(st.sampled_from(list(_fields(model))[1:]))
+    holder = model
+    for step in parent:
+        holder = holder[step]
+    if data.draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = data.draw(st.sampled_from(_VALUES))
+    return json.dumps(model)
+
+
+@settings(max_examples=150)
+@given(argv=st.sampled_from(_FUZZED), data=st.data())
+def test_a_mutated_input_exits_with_a_code_and_never_raises(fuzz_inputs, argv, data) -> None:
+    files = {name: text for name, text in fuzz_inputs.items() if f"{{{name}}}" in argv}
+    config = dict(_CONFIG)
+    target = data.draw(st.sampled_from((*files, "config")))
+    if target == "config":
+        config[data.draw(st.sampled_from([opt.key for opt in OPTIONS]))] = (
+            data.draw(st.sampled_from(_VALUES)))
+    elif target == "model":
+        files["model"] = _mutate_model(files["model"], data)
+    else:
+        files[target] = _mutate_csv(files[target], data)
+    with tempfile.TemporaryDirectory(dir=fuzz_inputs["dir"]) as d:
+        paths = {name: os.path.join(d, name) for name in (*files, "config")}
+        for name, text in files.items():
+            with open(paths[name], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        with open(paths["config"], "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code = run(*(a.format(**paths) for a in argv), "--config", paths["config"],
+                   "--out-dir", os.path.join(d, "out"))
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL)

@@ -97,6 +97,19 @@ def test_categorical_features_bin_by_category_frequency() -> None:
     assert bins.frequencies == (0.75, 0.25)
 
 
+@given(st.data())
+def test_a_discretizer_does_not_depend_on_the_order_of_the_rows(data) -> None:
+    # sums of a bin's values in another order round differently
+    n = data.draw(st.integers(1, 40))
+    values = st.sampled_from((0.1, 0.2, 0.3, 0.7)) | st.floats(-1e6, 1e6)
+    table = make_table(
+        [data.draw(st.lists(values, min_size=n, max_size=n)) for _ in range(2)]
+        + [data.draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))],
+        [0] * n, kinds=["continuous", "continuous", "categorical"])
+    perm = data.draw(st.permutations(range(n)))
+    assert fit_discretizer(table.subset(perm)) == fit_discretizer(table)
+
+
 def test_a_discretizer_checks_its_bins_when_it_is_built() -> None:
     # a category's code is found by binary search, so repeated or unsorted
     # categories would code a value as another category's, and a missing
@@ -433,48 +446,24 @@ def test_the_ridge_solve_matches_a_lapack_cholesky_solve() -> None:
         assert error <= 1e-13 * np.max(np.abs(expected))
 
 
-def scalar_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The substitution ``_solve`` ran before it worked on a block's systems
-    at once, kept as the oracle: one system at a time, in Python floats."""
-    u = lime_module._factor(a)
-    k = b.shape[-1]
-    betas = b.reshape(-1, k).tolist()
-    for f, beta in zip(u.reshape(-1, k, k).tolist(), betas):
-        inv = [1.0 / f[i][i] for i in range(k)]
-        for i in range(k):
-            for j in range(i):
-                beta[i] -= f[j][i] * beta[j]
-            beta[i] *= inv[i]
-        for i in reversed(range(k)):
-            for j in range(i + 1, k):
-                beta[i] -= f[i][j] * beta[j]
-            beta[i] *= inv[i]
-    return np.asarray(betas).reshape(b.shape)
-
-
-@pytest.mark.parametrize("k, rows", [(7, 23), (9, 14), (7, 1)])
-def test_the_block_substitution_is_the_scalar_one_bit_for_bit(k: int, rows: int) -> None:
-    # the planted and external workloads' surrogate sizes and block lengths
-    rng = np.random.default_rng(k * rows)
-    for scale in (1.0, 1e-6, 1e6):
-        x = rng.normal(scale=scale, size=(rows, 3 * k, k))
-        a = x.swapaxes(1, 2) @ x + np.eye(k)
-        b = rng.normal(scale=scale, size=(rows, k))
-        assert lime_module._solve(a, b).tobytes() == scalar_solve(a, b).tobytes()
-        assert lime_module._solve(a[0], b[0]).tobytes() == scalar_solve(a[0], b[0]).tobytes()
-
-
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(1, 12), rows=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]))
-def test_the_block_substitution_is_the_scalar_one_on_random_spd_stacks(
+def test_a_stacked_solve_is_each_solve_alone_and_a_cholesky_solve(
         k: int, rows: int, seed: int, scale: float) -> None:
     rng = np.random.default_rng(seed)
     x = rng.normal(scale=scale, size=(rows, k + 3, k))
     a = x.swapaxes(1, 2) @ x + scale * scale * np.eye(k)
     b = rng.normal(scale=scale, size=(rows, k))
-    assert lime_module._solve(a, b).tobytes() == scalar_solve(a, b).tobytes()
-    assert lime_module._solve(a[0], b[0]).tobytes() == scalar_solve(a[0], b[0]).tobytes()
+    beta = lime_module._solve(a, b)
+    assert beta.shape == b.shape
+    for r in range(rows):
+        assert beta[r].tobytes() == lime_module._solve(a[r], b[r]).tobytes()
+        # a backward-stable solve's error is within a few k * eps of the
+        # system's condition number, relative to the solution
+        expected = cho_solve(cho_factor(a[r]), b[r])
+        bound = 4 * k * np.finfo(np.float64).eps * np.linalg.cond(a[r])
+        assert np.abs(beta[r] - expected).max() <= bound * np.abs(expected).max()
 
 
 def test_non_finite_normal_equations_are_data_errors() -> None:
@@ -681,6 +670,7 @@ def test_one_pool_scores_its_samples_once_for_many_lone_explanations() -> None:
     for i in range(3):  # each scores its bare row; the first also the pool
         explain(pool, str(i), table.row_values(i), int(table.labels[i]))
     assert calls == [1, 99, 1, 1]
+    assert pool.scored[0].dtype == np.uint8  # quartile bins 0..3, kept for the pool's life
     calls.clear()
     for i in range(3):
         explain(pool, str(i), table.row_values(i), int(table.labels[i]), probability=0.5)
