@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, NoReturn, Sequence
 
@@ -99,7 +100,7 @@ class LabeledTable:
             raise DataError("a table needs at least one feature")
         names = [f.name for f in self.schema]
         if len(set(names)) != len(names):
-            raise DataError("feature names must be unique")
+            raise DataError(f"feature name {max(names, key=names.count)!r} repeats")
         if len(self.columns) != len(self.schema):
             raise DataError("one column per schema entry required")
         n = len(self.row_ids)
@@ -110,16 +111,11 @@ class LabeledTable:
             raise DataError("labels must be 0 or 1")
         cols = []
         for spec, col in zip(self.schema, self.columns):
-            if spec.kind == "continuous":
-                col = np.asarray(col, dtype=np.float64)
-                if col.shape != (n,):
-                    raise DataError(f"column {spec.name!r} must align with rows")
-                if not np.isfinite(col).all():
-                    raise DataError(f"column {spec.name!r} contains non-finite values")
-            else:
-                col = np.asarray(col, dtype=str)
-                if col.shape != (n,):
-                    raise DataError(f"column {spec.name!r} must align with rows")
+            col = np.asarray(col, dtype=np.float64 if spec.kind == "continuous" else str)
+            if col.shape != (n,):
+                raise DataError(f"column {spec.name!r} must align with rows")
+            if spec.kind == "continuous" and not np.isfinite(col).all():
+                raise DataError(f"column {spec.name!r} contains non-finite values")
             cols.append(_frozen(col))
         if len(set(self.row_ids)) != n:
             first: dict[str, int] = {}
@@ -303,23 +299,24 @@ def load_csv(path: str, *, label_column: str = "label", id_column: str | None = 
 
 
 def write_csv(table: LabeledTable, path: str, include_row_id: bool = False) -> None:
-    """Write a table as CSV (features in schema order, then the label).
-
-    Continuous cells use shortest round-trip formatting, so a write/load
-    cycle reproduces the table exactly.
-    """
+    """Write a table as CSV: ``row_id`` if ``include_row_id``, the features in
+    schema order, then ``label``.  Those two names are reserved: a feature
+    named ``label``, or ``row_id`` when ids are written, is a DataError raised
+    before ``path`` is opened.  Continuous cells use shortest round-trip
+    formatting, so a write/load cycle reproduces the table exactly."""
+    header = [*["row_id"] * include_row_id, *table.feature_names, "label"]
+    if clash := [name for name in table.feature_names if header.count(name) > 1]:
+        raise DataError(f"feature {clash[0]!r} would repeat the CSV's own {clash[0]!r} column")
+    # each cell is formatted as its row is written, by float's repr, not float64's
+    cells = [map(float.__repr__, col) if spec.kind == "continuous" else map(str, col)
+             for spec, col in zip(table.schema, table.columns)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["row_id"] if include_row_id else []
-        header += [f.name for f in table.schema] + ["label"]
+        # "\r\n" row ends make csv quote a lone "\r", which reads as a line end
+        rows = types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        writer = csv.writer(rows, lineterminator="\r\n")
         writer.writerow(header)
-        for i in range(table.n_rows):
-            row: list[str] = [table.row_ids[i]] if include_row_id else []
-            for spec, col in zip(table.schema, table.columns):
-                row.append(repr(float(col[i])) if spec.kind == "continuous"
-                           else str(col[i]))
-            row.append(str(int(table.labels[i])))
-            writer.writerow(row)
+        writer.writerows(zip(*[table.row_ids] * include_row_id, *cells,
+                             map(str, table.labels.tolist())))
 
 
 # --- time series -------------------------------------------------------------

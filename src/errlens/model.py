@@ -10,13 +10,15 @@ the same way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .data import FeatureSpec, LabeledTable, _frozen, category_codes, check_seed, read_csv
+from .data import (FeatureSpec, LabeledTable, _frozen, _read_columns, category_codes, check_seed,
+                   read_csv)
 from .errors import (
     DataError,
     DuplicateRowId,
@@ -765,18 +767,16 @@ class ExternalPredictions:
     """
 
     def __init__(self, probabilities: dict[str, float], reference: LabeledTable):
-        for rid in reference.row_ids:
-            if rid not in probabilities:
-                raise MissingRowId(f"no probability for row id {rid!r}")
         self.probabilities = dict(probabilities)
         self.reference = reference
-        self._ref_probs = np.asarray(
-            [probabilities[r] for r in reference.row_ids], dtype=np.float64
-        )
+        self._ref_probs = self._lookup(reference.row_ids)
 
     def predict_table(self, table: LabeledTable) -> np.ndarray:
+        return self._lookup(table.row_ids)
+
+    def _lookup(self, row_ids: Sequence[str]) -> np.ndarray:
         try:
-            return np.asarray([self.probabilities[r] for r in table.row_ids])
+            return np.asarray([self.probabilities[r] for r in row_ids], dtype=np.float64)
         except KeyError as exc:
             raise MissingRowId(f"no probability for row id {exc.args[0]!r}") from None
 
@@ -796,23 +796,25 @@ class ExternalPredictions:
 
 
 def load_external_predictions(path: str, table: LabeledTable) -> ExternalPredictions:
-    """Read a ``row_id,probability`` CSV covering every row of ``table``."""
+    """Read a ``row_id,probability`` CSV covering every row of ``table``: cells as
+    by :func:`load_csv`, then the first repeated id or value outside [0, 1]."""
     rows = read_csv(path, ("row_id", "probability"))
     header = next(rows)
     if header != ["row_id", "probability"]:
         raise MissingColumn(f"expected header row_id,probability, got {header!r}")
-    probs: dict[str, float] = {}
-    for rid, cell in rows:
-        if rid in probs:
-            raise DuplicateRowId(f"{path}: row id {rid!r} repeats")
-        try:
-            p = float(cell)
-        except ValueError:
-            p = math.nan
-        if not 0.0 <= p <= 1.0:
-            raise ProbabilityOutOfRange(
-                f"{path}: row id {rid!r}: {cell!r} is not a probability within [0, 1]")
-        probs[rid] = p
+    ids, p = _read_columns(path, header, rows, [("row_id", "text"), ("probability", "continuous")])
+    probs = dict(zip(ids := ids.tolist(), p.tolist()))
+    # the row of the first repeated id and of the first value outside [0, 1]
+    first: dict[str, int] = {}
+    repeat = len(ids) if len(probs) == len(ids) else next(
+        i for i, rid in enumerate(ids) if first.setdefault(rid, i) != i)
+    bad = min(np.flatnonzero((p < 0.0) | (p > 1.0)), default=len(ids))
+    if repeat < len(ids) and repeat <= bad:
+        raise DuplicateRowId(f"{path}: row id {ids[repeat]!r} repeats")
+    if bad < len(ids):
+        cell = next(itertools.islice(read_csv(path), bad + 1, None))[1]
+        raise ProbabilityOutOfRange(
+            f"{path}: row id {ids[bad]!r}: {cell!r} is not a probability within [0, 1]")
     try:
         return ExternalPredictions(probs, table)
     except MissingRowId as exc:

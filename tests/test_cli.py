@@ -169,6 +169,31 @@ def test_featurize_turns_series_into_a_feature_table(tmp_path, capsys) -> None:
 
 
 
+@pytest.mark.parametrize("header, channels, statics, message", [
+    pytest.param("entity_id,timestamp_s,hr,label", "hr", ["--static-columns", "label"],
+                 "feature 'label' would repeat the CSV's own 'label' column", id="label"),
+    pytest.param("entity_id,timestamp_s,row_id,label", "row_id", [],
+                 "feature 'row_id' would repeat the CSV's own 'row_id' column", id="row_id"),
+    pytest.param("entity_id,timestamp_s,hr,hr_lag_1,label", "hr,hr_lag_1", [],
+                 "feature name 'hr_lag_1' repeats", id="lag_feature"),
+])
+def test_featurize_refuses_a_table_it_could_not_read_back(tmp_path, capsys, header: str,
+                                                           channels: str, statics: list[str],
+                                                           message: str) -> None:
+    # a header naming one column twice is refused by every reader, so it is
+    # refused before it is written, and nothing is published
+    data = tmp_path / "s.csv"
+    cells = {"entity_id": "a", "label": "1"}
+    rows = [",".join(cells.get(name, str(t)) for name in header.split(","))
+            for t in range(0, 2100, 300)]
+    data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run("featurize", "--data", str(data), "--channels", channels, *statics,
+               "--out-dir", str(out)) == EXIT_DATA
+    assert capsys.readouterr().err == f"errlens: data error: {message}\n"
+    assert not out.exists()
+
+
 def test_featurize_reports_a_timestamp_beyond_int64_as_a_bad_cell(tmp_path, capsys) -> None:
     data = tmp_path / "s.csv"
     data.write_text("entity_id,timestamp_s,hr,label\na,0,1.0,1\na,99999999999999999999,2.0,1\n",
@@ -665,7 +690,20 @@ def test_csv_row_errors_name_their_file(tmp_path, capsys) -> None:
             ("short.csv", b"row_id,probability\n0,0.5\n", predict,
              "short.csv: no probability for row id '1'"),
             ("range.csv", b"row_id,probability\n0,1.5\n1,0.5\n", predict,
-             "range.csv: row id '0': '1.5' is not a probability within [0, 1]")]:
+             "range.csv: row id '0': '1.5' is not a probability within [0, 1]"),
+            *((f"cell_{i}.csv", b"row_id,probability\n0,0.5\n1," + cell + b"\n", predict,
+               f"cell_{i}.csv: row 1, column 'probability': {cell.decode()!r}")
+              for i, cell in enumerate([b"abc", b"nan", b"inf", b""])),
+            # a short row is found as its 256-row chunk is read, before its cells convert
+            ("chunk.csv", b"row_id,probability\n0,abc\n1\n", predict,
+             "chunk.csv: row 1: expected 2 cells"),
+            # a repeated id and a value outside [0, 1]: the earlier in the file
+            ("range_first.csv", b"row_id,probability\n0,-0.5\n1,0.5\n1,0.5\n", predict,
+             "range_first.csv: row id '0': '-0.5' is not a probability within [0, 1]"),
+            ("twice_first.csv", b"row_id,probability\n0,0.5\n0,0.5\n1,2\n", predict,
+             "twice_first.csv: row id '0' repeats"),
+            ("twice_out.csv", b"row_id,probability\n1,0.5\n0,0.5\n1,7e0\n", predict,
+             "twice_out.csv: row id '1' repeats")]:
         (tmp_path / name).write_bytes(content)
         assert run(*argv, str(tmp_path / name),
                    "--out-dir", str(tmp_path / "o")) == EXIT_DATA

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import tempfile
@@ -115,7 +116,7 @@ def test_concat_requires_matching_schemas() -> None:
 
 def test_csv_round_trip_preserves_values_exactly(tmp_path) -> None:
     table = make_table(
-        [[0.1 + 0.2, 1.0 / 3.0, -1e-17], ["a", "b", "a"]],
+        [[0.1 + 0.2, 1.0 / 3.0, -1e-17], ["a", "b\rc", "u\r\nv"]],
         [0, 1, 1],
         kinds=["continuous", "categorical"],
         names=["x", "c"],
@@ -123,6 +124,10 @@ def test_csv_round_trip_preserves_values_exactly(tmp_path) -> None:
     )
     path = str(tmp_path / "t.csv")
     write_csv(table, path, include_row_id=True)
+    # a lone "\r", which a reader takes for a line end, is quoted like "\r\n"
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == ("row_id,x,c,label\nr0,0.30000000000000004,a,0\n"
+                             'r1,0.3333333333333333,"b\rc",1\nr2,-1e-17,"u\r\nv",1\n')
     back = load_csv(path, id_column="row_id", categorical=["c"])
     assert back.schema == table.schema
     assert back.row_ids == table.row_ids
@@ -138,6 +143,69 @@ def test_csv_without_id_column_numbers_rows(tmp_path) -> None:
     back = load_csv(path)
     assert back.schema == table.schema
     assert back.row_ids == ("0", "1")
+
+
+def write_csv_per_row(table: LabeledTable, path: str, include_row_id: bool) -> None:
+    """``write_csv`` as it wrote a table before it went a column at a time:
+    a row at a time, cell by cell.  Each row is formatted with a "\r\n" line
+    end, so that a cell holding a lone "\r" is quoted, and written with "\n"."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        def writerow(row: list[str]) -> None:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(row)
+            fh.write(line.getvalue().removesuffix("\r\n") + "\n")
+
+        header = ["row_id"] if include_row_id else []
+        header += [f.name for f in table.schema] + ["label"]
+        writerow(header)
+        for i in range(table.n_rows):
+            row: list[str] = [table.row_ids[i]] if include_row_id else []
+            for spec, col in zip(table.schema, table.columns):
+                row.append(repr(float(col[i])) if spec.kind == "continuous"
+                           else str(col[i]))
+            row.append(str(int(table.labels[i])))
+            writerow(row)
+
+
+# cells a CSV writer must quote, or keep as they are, around text and numbers
+AWKWARD_TEXT = st.one_of(st.sampled_from(["", "icu,a", 'ward "b"', "ünit\r\nx", " a ", "\r",
+                                          "\n", '"', ",", "ß"]),
+                         st.text(st.sampled_from('ab ,"\r\nü'), max_size=4))
+AWKWARD_FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e16, 0.1 + 0.2]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(kinds=st.lists(st.booleans(), min_size=1, max_size=4), n=st.integers(0, 12),
+       data=st.data())
+def test_write_csv_matches_the_per_row_writer_and_reads_back(kinds: list[bool], n: int,
+                                                             data) -> None:
+    names = [f"f{j}" for j in range(len(kinds))]
+    columns = [data.draw(st.lists(AWKWARD_TEXT if cat else AWKWARD_FLOATS,
+                                  min_size=n, max_size=n)) for cat in kinds]
+    table = make_table(columns, data.draw(st.lists(st.sampled_from([0, 1]), min_size=n,
+                                                   max_size=n)),
+                       kinds=["categorical" if cat else "continuous" for cat in kinds],
+                       names=names,
+                       row_ids=data.draw(st.lists(AWKWARD_TEXT, min_size=n, max_size=n,
+                                                  unique=True)))
+    categorical = [name for name, cat in zip(names, kinds) if cat]
+    with tempfile.TemporaryDirectory() as tmp:
+        for include_row_id in (False, True):
+            path, oracle = os.path.join(tmp, "t.csv"), os.path.join(tmp, "oracle.csv")
+            write_csv(table, path, include_row_id=include_row_id)
+            write_csv_per_row(table, oracle, include_row_id)
+            with open(path, "rb") as got, open(oracle, "rb") as expected:
+                assert got.read() == expected.read()
+            back = load_csv(path, id_column="row_id" if include_row_id else None,
+                            categorical=categorical)
+            assert back.schema == table.schema
+            assert back.labels.tolist() == table.labels.tolist()
+            assert back.row_ids == (table.row_ids if include_row_id
+                                    else tuple(map(str, range(n))))
+            for got_col, col in zip(back.columns, table.columns):
+                assert got_col.dtype.kind == col.dtype.kind
+                assert (got_col.tobytes() == col.tobytes() if col.dtype.kind == "f"
+                        else got_col.tolist() == col.tolist())
 
 
 def test_load_csv_rejects_missing_column_bad_label_and_ragged_row(tmp_path) -> None:
@@ -444,6 +512,11 @@ def test_featurize_rejects_short_and_irregular_series() -> None:
         featurize_rolling(series([0, 300], [1, 2]), windows=(6,), lags=(1,))
     with pytest.raises(DataError):
         featurize_rolling(series([0, 300, 500], [1, 2, 3]), windows=(2,), lags=(1,))
+    # a channel named like another channel's feature
+    twin = SeriesFrame("e", np.asarray([0, 300, 600]), {"hr": [1, 2, 3], "hr_lag_1": [4, 5, 6]},
+                       label=0)
+    with pytest.raises(DataError, match="^feature name 'hr_lag_1' repeats$"):
+        featurize_rolling(twin, windows=(2,), lags=(1,))
 
 
 def test_load_series_csv_groups_sorts_and_validates(tmp_path) -> None:
