@@ -27,8 +27,6 @@ from .lime import (
     Explanation,
     LimeConfig,
     PerturbationPool,
-    condition_for,
-    explain,
     fit_discretizer,
     fit_local_model,
     kernel_weights,
@@ -85,9 +83,7 @@ __all__ = [
     "SeriesFrame",
     "SynthSpec",
     "concat_tables",
-    "condition_for",
     "default_spec",
-    "explain",
     "explain_misclassified",
     "featurize_rolling",
     "find_misclassified",

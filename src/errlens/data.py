@@ -310,13 +310,17 @@ def write_csv(table: LabeledTable, path: str, include_row_id: bool = False) -> N
     # each cell is formatted as its row is written, by float's repr, not float64's
     cells = [map(float.__repr__, col) if spec.kind == "continuous" else map(str, col)
              for spec, col in zip(table.schema, table.columns)]
+    write_csv_rows(path, itertools.chain([header], zip(
+        *[table.row_ids] * include_row_id, *cells, map(str, table.labels.tolist()))))
+
+
+def write_csv_rows(path: str, rows: Iterable[Sequence[str]]) -> None:
+    """Write rows of cells as CSV lines, each ending in a line feed, and quote
+    every cell that holds a comma, a quote, a carriage return or a line feed."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         # "\r\n" row ends make csv quote a lone "\r", which reads as a line end
-        rows = types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
-        writer = csv.writer(rows, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(zip(*[table.row_ids] * include_row_id, *cells,
-                             map(str, table.labels.tolist())))
+        out = types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        csv.writer(out, lineterminator="\r\n").writerows(rows)
 
 
 # --- time series -------------------------------------------------------------

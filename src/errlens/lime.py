@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureSpec, LabeledTable, category_codes, check_seed, feature_index
+from .data import FeatureSpec, LabeledTable, category_codes, check_seed
 from .errors import DataError, EmptyTable, SchemaMismatch, SingularSystem
 from .model import Columns, ExternalPredictions, Predictor, check_probabilities
 from .serialize import canonical_json_line
@@ -156,9 +156,6 @@ class Discretizer:
                 raise DataError(f"feature {spec.name!r}: categories are not distinct "
                                 "and in ascending order")
 
-    def index_of(self, feature: str) -> int:
-        return feature_index(self.schema, feature)
-
 
 def fit_discretizer(train: LabeledTable) -> Discretizer:
     """Learn per-feature bins and sampling statistics from training data."""
@@ -209,14 +206,6 @@ def _bin_condition(feature: str, edges: tuple[float, ...], b: int) -> Condition:
     if b == len(edges):
         return Condition(feature=feature, low=edges[-1])
     return Condition(feature=feature, low=edges[b - 1], high=edges[b])
-
-
-def condition_for(disc: Discretizer, feature: str, value: float | str) -> Condition:
-    """The canonical condition describing ``value``'s bin of ``feature``."""
-    bins = disc.per_feature[disc.index_of(feature)]
-    if isinstance(bins, CategoricalBins):
-        return Condition(feature=feature, category=str(value))
-    return _bin_condition(feature, bins.edges, bins.bin_of(value))
 
 
 # --- perturbation sampling -------------------------------------------------------
@@ -492,37 +481,6 @@ def write_explanations_jsonl(explanations: Sequence[Explanation], path: str) -> 
             fh.write(canonical_json_line(exp.to_json_obj()))
 
 
-def explain(
-    pool: PerturbationPool,
-    row_id: str,
-    instance: Sequence[float | str],
-    true_label: int,
-    threshold: float = 0.5,
-    *,
-    probability: float | None = None,
-) -> Explanation:
-    """Explain one prediction of ``pool.predictor`` with a locally weighted
-    ridge surrogate: the pool's :meth:`~PerturbationPool.explain_rows` of the
-    one row, so lone explanations through one pool score its samples once.
-
-    ``probability``, when given, is the score a scoring pass already gave
-    the instance: sample 0, the unperturbed instance, is fitted to it and
-    the explanation states it; it is checked like the predictor's answers.
-    Without it, both use the predictor's answer for the bare instance; an
-    :class:`ExternalPredictions` answers no bare row, so it needs
-    ``probability``, else DataError.
-    """
-    disc = pool.disc
-    if len(instance) != len(disc.schema):
-        raise DataError("instance does not match the discretizer schema")
-    row = [np.asarray([v], dtype=str if isinstance(b, CategoricalBins) else float)
-           for b, v in zip(disc.per_feature, instance)]
-    if probability is None:
-        probability = check_probabilities(pool.predictor.predict_rows(disc.schema, row), 1)[0]
-    (exp,) = pool.explain_rows([row_id], row, [true_label], [probability], threshold)
-    return exp
-
-
 # A block of rows shares one stacked surrogate fit, whose arrays (the pool's
 # ``row_bytes`` per row) stay within this budget, so that a block's few
 # temporaries of that size stay near what one row of a per-sample fit at the
@@ -620,19 +578,25 @@ class PerturbationPool:
                      true_labels: Sequence[int], probabilities: Sequence[float],
                      threshold: float = 0.5) -> list[Explanation]:
         """Explain rows, given as one column per feature, each with the score
-        a scoring pass gave it.
+        a scoring pass gave it: sample 0, the unperturbed row, is fitted to
+        that score, and the explanation states it.
 
         Rows are fitted in blocks of at most :data:`_BLOCK_BYTES`, at
         :attr:`row_bytes` per row, one stacked surrogate fit each; each
-        explanation equals its row's lone :func:`explain`, bit for bit: the
+        explanation equals a one-row call's for its row, bit for bit: the
         fit of a stack is each of its fits alone.  No rows score no pool.  A
-        ``threshold`` outside [0, 1] is a DataError.  With ``ridge_lambda`` 0,
-        a feature that every sample of a row matches is a SingularSystem
+        ``threshold`` outside [0, 1], or a column, label or probability
+        count other than ``row_ids``', is a DataError.  With ``ridge_lambda``
+        0, a feature that every sample of a row matches is a SingularSystem
         naming it and the first such row.
         """
         if not 0.0 <= threshold <= 1.0:
             raise DataError(f"threshold {threshold!r} is not within [0, 1]")
         config, n = self.config, len(row_ids)
+        for name, values in (("true_labels", true_labels), ("probabilities", probabilities),
+                             *((f"columns[{j}]", c) for j, c in enumerate(columns))):
+            if (shape := np.shape(values))[:1] != (n,):
+                raise DataError(f"{name} has shape {shape} for {n} row_ids")
         codes = self._codes(columns, n)
         probabilities = check_probabilities(probabilities, n)
         if n and config.ridge_lambda == 0:

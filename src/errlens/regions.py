@@ -83,10 +83,10 @@ def explain_misclassified(
     Each explanation states the probability ``misclassified``'s scoring pass
     gave its row, and fits its unperturbed sample 0 to it.  Samples 1..n-1
     are ``pool``'s, drawn and scored once for all its passes (see
-    :attr:`PerturbationPool.scored`); so each equals the row's lone
-    :func:`explain` through the pool with that probability, whatever the
-    order, block or other rows.  Results are in ``misclassified.row_ids``
-    order.
+    :attr:`PerturbationPool.scored`); so each equals the pool's one-row
+    :meth:`~PerturbationPool.explain_rows` of its row with that probability,
+    whatever the order, block or other rows.  Results are in
+    ``misclassified.row_ids`` order.
     """
     table, rows = misclassified.table, np.flatnonzero(misclassified.wrong)
     return tuple(pool.explain_rows(misclassified.row_ids,

@@ -11,9 +11,9 @@ the JSON keeps full precision.
 
 from __future__ import annotations
 
-import csv
 import os
 
+from .data import write_csv_rows
 from .regions import RegionReport
 from .serialize import canonical_json, write_text
 
@@ -27,8 +27,10 @@ _BAR_COLOR = "#4a90d9"
 _BASELINE_COLOR = "#c0392b"
 _AXIS_COLOR = "#333333"
 _MAX_REGIONS = 20
-# what ``html.escape(text, quote=False)`` replaces, for text between SVG tags
-_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+# what ``html.escape(text, quote=False)`` replaces, for text between SVG tags,
+# and U+FFFD for each character that XML 1.0 forbids in a document
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkeys(
+    [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")})
 
 
 def _num(x: float) -> str:
@@ -146,10 +148,7 @@ def render_text_table(report: RegionReport) -> str:
 
 
 def write_report_csv(report: RegionReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COLUMNS)
-        writer.writerows(_table_rows(report))
+    write_csv_rows(path, [_COLUMNS, *_table_rows(report)])
 
 
 def write_report_files(report: RegionReport, out_dir: str) -> dict[str, str]:

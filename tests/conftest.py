@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import settings
 
 from errlens import (
+    Explanation,
     FeatureSpec,
     LabeledTable,
     LimeConfig,
@@ -17,6 +18,7 @@ from errlens import (
     report_from_explanations,
 )
 from errlens.lime import PerturbationPool
+from errlens.model import check_probabilities
 
 # random in CI too, where the profile would otherwise inherit Hypothesis's
 # derandomized "ci" profile; a failure prints the @reproduce_failure blob
@@ -64,6 +66,21 @@ BAD_PREDICTOR_OUTPUTS = {
     "outside_unit_interval": lambda cols: 3.0 * np.asarray(cols[0], dtype=float) - 1.0,
     "wrong_length": lambda cols: np.full(len(cols[0]) - 1, 0.5),
 }
+
+
+def explain_one(pool: PerturbationPool, row_id: str, instance: Sequence[float | str],
+                true_label: int, threshold: float = 0.5, *,
+                probability: float | None = None) -> Explanation:
+    """The pool's one-row ``explain_rows`` of ``instance``, a row of values in
+    schema order, typed as a table's columns are.  Without ``probability``,
+    the row's score is the predictor's for the bare row, scored first."""
+    columns = [np.asarray([value], dtype=str if spec.kind == "categorical" else np.float64)
+               for spec, value in zip(pool.disc.schema, instance)]
+    if probability is None:
+        probs = pool.predictor.predict_rows(pool.disc.schema, columns)
+        probability = check_probabilities(probs, 1)[0]
+    (exp,) = pool.explain_rows([row_id], columns, [true_label], [probability], threshold)
+    return exp
 
 
 def find_explain_report(predictor, disc, table: LabeledTable, split: str = "test",

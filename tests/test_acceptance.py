@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import explain_one, make_table
 from errlens import (
     Condition,
     Explanation,
@@ -33,7 +33,6 @@ from errlens import (
     Predictor,
     RegionReport,
     default_spec,
-    explain,
     explain_misclassified,
     find_misclassified,
     fit_discretizer,
@@ -232,7 +231,7 @@ def test_criterion_5a_constant_predictor_yields_no_weights() -> None:
                                  lambda c: np.full(len(c[0]), 0.7))
     pool = PerturbationPool(constant, fit_discretizer(table), LimeConfig(n_samples=1000, seed=0))
     for i in range(10):
-        result = explain(pool, str(i), table.row_values(i), 0)
+        result = explain_one(pool, str(i), table.row_values(i), 0)
         assert all(abs(w) < 1e-6 for _, w in result.terms)
 
 
@@ -246,7 +245,7 @@ def signed_agreements(literal: bool) -> tuple[int, int]:
     agree = total = 0
     for i in range(100):
         instance = table.row_values(i)
-        result = explain(pool, str(i), instance, 0)
+        result = explain_one(pool, str(i), instance, 0)
         for cond, weight in result.terms:
             j = table.index_of(cond.feature)
             if literal:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -428,6 +429,28 @@ def test_mine_with_external_predictions_scores_the_table_once(
                str(preds), "--n-samples", "50", "--out-dir", out) == EXIT_OK
     assert calls == [120]
     assert read_json(f"{out}/report.json")["regions"]
+
+
+def test_a_category_holding_a_lone_carriage_return_keeps_report_csv_rows_whole(
+    tmp_path,
+) -> None:
+    # the rows of category "a\rb" are the misclassified ones, so "c = a\rb"
+    # is a region, and its cell must be quoted to read back as one
+    cats = ["a\rb", "d", "e", "f"]
+    with open(tmp_path / "d.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,c,label\n" + "".join(
+            f'{i / 400!r},"{cats[i % 4]}",{i % 2}\n' for i in range(400)))
+    (tmp_path / "p.csv").write_text("row_id,probability\n" + "".join(
+        f"{i},{0.9 if i % 4 == 0 else (0.8 if i % 2 else 0.2)}\n" for i in range(400)),
+        encoding="utf-8")
+    out = tmp_path / "mine"
+    assert run("mine", "--data", str(tmp_path / "d.csv"), "--predictions",
+               str(tmp_path / "p.csv"), "--categorical", "c", "--n-samples", "100",
+               "--out-dir", str(out)) == EXIT_OK
+    with open(out / "report.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [5] * len(rows)
+    assert ["c = a\rb"] == [row[0] for row in rows if "\r" in row[0]]
 
 
 # --- exit codes -------------------------------------------------------------------

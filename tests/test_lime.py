@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import BAD_PREDICTOR_OUTPUTS, make_table
+from conftest import BAD_PREDICTOR_OUTPUTS, explain_one, make_table
 from errlens import (
     CategoricalBins,
     Condition,
@@ -22,8 +22,6 @@ from errlens import (
     FunctionPredictor,
     GbdtParams,
     LimeConfig,
-    condition_for,
-    explain,
     fit_discretizer,
     find_misclassified,
     explain_misclassified,
@@ -33,6 +31,7 @@ from errlens import (
     write_explanations_jsonl,
 )
 from errlens import lime as lime_module
+from errlens.data import feature_index
 from errlens.errors import (
     DataError,
     EmptyTable,
@@ -141,7 +140,7 @@ def test_a_discretizer_needs_one_statistic_per_bin(feature: str, stat: str, chan
     disc = fit_discretizer(make_table([[0.0, 0.2, 0.4, 0.6, 0.8, 1.0], list("aabbbc")],
                                       [0, 1] * 3, kinds=["continuous", "categorical"],
                                       names=["x", "c"]))
-    j = disc.index_of(feature)
+    j = feature_index(disc.schema, feature)
     bins = disc.per_feature[j]
     n_bins = len(getattr(bins, stat))
     assert n_bins == (len(bins.edges) + 1 if feature == "x" else len(bins.categories)) > 2
@@ -156,23 +155,31 @@ def test_a_discretizer_needs_one_statistic_per_bin(feature: str, stat: str, chan
 def test_unknown_feature_lookup_raises() -> None:
     disc = fit_discretizer(make_table([[1.0, 2.0]], [0, 1]))
     with pytest.raises(UnknownFeature):
-        disc.index_of("nope")
+        feature_index(disc.schema, "nope")
 
 
 # --- canonical conditions ----------------------------------------------------------
 
 
+def term_condition(disc, value: float | str) -> Condition:
+    """The condition of the lone term of a one-feature row's explanation."""
+    predictor = FunctionPredictor(disc.schema, lambda cols: np.full(len(cols[0]), 0.5))
+    pool = PerturbationPool(predictor, disc, LimeConfig(n_samples=10, top_k=1))
+    ((cond, _),) = explain_one(pool, "r", (value,), 0, probability=0.5).terms
+    return cond
+
+
 def test_conditions_for_each_quartile_of_one_through_twelve() -> None:
     disc = fit_discretizer(make_table([list(range(1, 13))], [0] * 12))
-    assert condition_for(disc, "f0", 2).text == "f0 <= 3.75"
-    assert condition_for(disc, "f0", 7).text == "6.5 < f0 <= 9.25"
-    assert condition_for(disc, "f0", 100).text == "f0 > 9.25"
-    assert condition_for(disc, "f0", 3.75).text == "f0 <= 3.75"
+    assert term_condition(disc, 2).text == "f0 <= 3.75"
+    assert term_condition(disc, 7).text == "6.5 < f0 <= 9.25"
+    assert term_condition(disc, 100).text == "f0 > 9.25"
+    assert term_condition(disc, 3.75).text == "f0 <= 3.75"
 
 
 def test_condition_for_constant_feature_covers_everything() -> None:
     disc = fit_discretizer(make_table([[7.0, 7.0]], [0, 1]))
-    cond = condition_for(disc, "f0", 7.0)
+    cond = term_condition(disc, 7.0)
     assert cond.text == "f0 > -inf"
     assert cond.matches(np.asarray([-1e300, 0.0, 1e300])).all()
 
@@ -181,7 +188,7 @@ def test_condition_for_categorical_value() -> None:
     disc = fit_discretizer(make_table(
         [["red", "blue"]], [0, 1], kinds=["categorical"], names=["c"],
     ))
-    assert condition_for(disc, "c", "red").text == "c = red"
+    assert term_condition(disc, "red").text == "c = red"
 
 
 def test_condition_bounds_render_with_full_float_precision() -> None:
@@ -518,8 +525,8 @@ def test_sampling_keeps_the_instance_as_the_first_row(mixed_table) -> None:
         asked.append(cols)
         return np.full(len(cols[0]), 0.5)
 
-    explain(PerturbationPool(FunctionPredictor(mixed_table.schema, record), disc,
-                             LimeConfig(n_samples=50, seed=9)), "r", (4.2, "b"), 0)
+    explain_one(PerturbationPool(FunctionPredictor(mixed_table.schema, record), disc,
+                                 LimeConfig(n_samples=50, seed=9)), "r", (4.2, "b"), 0)
     instance, pool = asked
     assert [c.tolist() for c in instance] == [[4.2], ["b"]]
     assert all(np.array_equal(c, p) for c, p in zip(pool, columns))
@@ -601,7 +608,7 @@ def test_sampling_draws_what_numpys_choice_and_normal_draw(mixed_table) -> None:
 def test_bins_that_cannot_be_sampled_are_data_errors(feature, field, values) -> None:
     disc = fit_discretizer(make_table([[0, 0, 0, 0, 1], list("aabbb")], [0] * 5,
                                       kinds=["continuous", "categorical"], names=["x", "c"]))
-    j = disc.index_of(feature)
+    j = feature_index(disc.schema, feature)
     per_feature = list(disc.per_feature)
     assert len(getattr(per_feature[j], field)) == len(values)
     per_feature[j] = dataclasses.replace(per_feature[j], **{field: values})
@@ -613,8 +620,9 @@ def test_bins_that_cannot_be_sampled_are_data_errors(feature, field, values) -> 
 def test_sampling_validates_instance_shape_and_count(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
     predictor = FunctionPredictor(mixed_table.schema, lambda cols: np.full(len(cols[0]), 0.5))
-    with pytest.raises(DataError):
-        explain(PerturbationPool(predictor, disc, LimeConfig(n_samples=10)), "r", (4.2,), 0)
+    with pytest.raises(DataError, match="discretizer schema"):
+        PerturbationPool(predictor, disc, LimeConfig(n_samples=10)).explain_rows(
+            ["r"], [np.asarray([4.2])], [0], [0.5])
     with pytest.raises(DataError):
         sample_perturbations(disc, n_samples=0, seed=0)
 
@@ -641,8 +649,8 @@ def test_explanations_are_deterministic_and_ranked_by_weight() -> None:
     config = LimeConfig(n_samples=400, top_k=2, seed=5)
     instance = table.row_values(7)
 
-    first = explain(PerturbationPool(predictor, disc, config), "7", instance, true_label=1)
-    second = explain(PerturbationPool(predictor, disc, config), "7", instance, true_label=1)
+    first = explain_one(PerturbationPool(predictor, disc, config), "7", instance, true_label=1)
+    second = explain_one(PerturbationPool(predictor, disc, config), "7", instance, true_label=1)
     assert first == second
     assert len(first.terms) == 2
     magnitudes = [abs(w) for _, w in first.terms]
@@ -668,12 +676,12 @@ def test_one_pool_scores_its_samples_once_for_many_lone_explanations() -> None:
     pool = PerturbationPool(FunctionPredictor(table.schema, score), fit_discretizer(table),
                             LimeConfig(n_samples=100))
     for i in range(3):  # each scores its bare row; the first also the pool
-        explain(pool, str(i), table.row_values(i), int(table.labels[i]))
+        explain_one(pool, str(i), table.row_values(i), int(table.labels[i]))
     assert calls == [1, 99, 1, 1]
     assert pool.scored[0].dtype == np.uint8  # quartile bins 0..3, kept for the pool's life
     calls.clear()
     for i in range(3):
-        explain(pool, str(i), table.row_values(i), int(table.labels[i]), probability=0.5)
+        explain_one(pool, str(i), table.row_values(i), int(table.labels[i]), probability=0.5)
     assert calls == []
 
 
@@ -682,8 +690,8 @@ def test_explain_rejects_predictor_outputs_that_are_not_probabilities(bad: str) 
     table = make_table([np.linspace(0.0, 1.0, 40).tolist()], [0, 1] * 20)
     predictor = FunctionPredictor(table.schema, BAD_PREDICTOR_OUTPUTS[bad])
     with pytest.raises(DataError, match="predictor"):
-        explain(PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=50)),
-                "0", table.row_values(0), 0)
+        explain_one(PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=50)),
+                    "0", table.row_values(0), 0)
 
 
 @pytest.mark.parametrize("probability", [1.5, -0.25, math.nan])
@@ -693,8 +701,30 @@ def test_explain_rejects_a_stated_probability_outside_the_unit_interval(
     table = make_table([np.linspace(0.0, 1.0, 40).tolist()], [0, 1] * 20)
     predictor = FunctionPredictor(table.schema, lambda cols: np.full(len(cols[0]), 0.5))
     with pytest.raises(ProbabilityOutOfRange):
-        explain(PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=50)),
-                "0", table.row_values(0), 0, probability=probability)
+        explain_one(PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=50)),
+                    "0", table.row_values(0), 0, probability=probability)
+
+
+@pytest.mark.parametrize("override, error, message", [
+    ({"true_labels": [0]}, DataError, r"true_labels has shape \(1,\) for 3 row_ids"),
+    ({"columns": [[0.1, 0.5, 0.9], ["a", "b"]]}, DataError,
+     r"columns\[1\] has shape \(2,\) for 3 row_ids"),
+    ({"probabilities": [0.5]}, DataError, r"probabilities has shape \(1,\) for 3 row_ids"),
+    # of the right length, a bad output is still the predictor's
+    ({"probabilities": [[0.5]] * 3}, DataError, r"predictor returned shape \(3, 1\) for 3 rows"),
+    ({"probabilities": [0.5, math.nan, 0.5]}, ProbabilityOutOfRange, "predictor returned nan"),
+])
+def test_explain_rows_names_a_per_row_argument_that_is_not_one_per_row(
+    override: dict, error: type, message: str,
+) -> None:
+    table = make_table([[0.1, 0.5, 0.9, 0.3], list("abab")], [0, 1, 0, 1],
+                       kinds=["continuous", "categorical"])
+    predictor = FunctionPredictor(table.schema, lambda cols: np.full(len(cols[0]), 0.5))
+    pool = PerturbationPool(predictor, fit_discretizer(table), LimeConfig(n_samples=20))
+    args = {"columns": [column[:3] for column in table.columns], "true_labels": [0, 1, 0],
+            "probabilities": [0.5, 0.5, 0.5]}
+    with pytest.raises(error, match=message):
+        pool.explain_rows(["0", "1", "2"], **(args | override))
 
 
 # --- outside models: a pool of table rows -------------------------------------------
@@ -726,9 +756,9 @@ def test_a_lone_explanation_of_an_outside_model_needs_the_rows_probability() -> 
     predictor, disc = outside_model()
     table, pool = predictor.reference, PerturbationPool(predictor, disc, LimeConfig(n_samples=60))
     with pytest.raises(DataError, match="only its table's rows"):
-        explain(pool, "3", table.row_values(3), int(table.labels[3]))
-    exp = explain(pool, "3", table.row_values(3), int(table.labels[3]),
-                  probability=predictor.probabilities["3"])
+        explain_one(pool, "3", table.row_values(3), int(table.labels[3]))
+    exp = explain_one(pool, "3", table.row_values(3), int(table.labels[3]),
+                      probability=predictor.probabilities["3"])
     assert exp.predicted_probability == predictor.probabilities["3"]
 
 
@@ -771,9 +801,9 @@ def test_a_lone_explanation_equals_the_rows_explanation_in_any_batch() -> None:
     for exp in reversed(batch):  # another order, one row at a time
         i = rows[exp.row_id]
         # each through its own pool: one drawn independently gives the same
-        lone = explain(PerturbationPool(predictor, disc, config), exp.row_id,
-                       table.row_values(i), int(table.labels[i]),
-                       probability=float(mis.probabilities[i]))
+        lone = explain_one(PerturbationPool(predictor, disc, config), exp.row_id,
+                           table.row_values(i), int(table.labels[i]),
+                           probability=float(mis.probabilities[i]))
         assert lone == exp
     # a batch of other rows leaves each row's explanation as it was
     keep = [rows[rid] for rid in mis.row_ids[::2]]
@@ -1043,7 +1073,7 @@ def test_explanations_round_trip_through_jsonl(tmp_path) -> None:
     )
     config = LimeConfig(n_samples=150, seed=1)
     pool = PerturbationPool(predictor, disc, config)
-    explanations = [explain(pool, rid, table.row_values(i), int(table.labels[i]))
+    explanations = [explain_one(pool, rid, table.row_values(i), int(table.labels[i]))
                     for i, rid in enumerate(table.row_ids[:5])]
     path = str(tmp_path / "e.jsonl")
     write_explanations_jsonl(explanations, path)

@@ -91,6 +91,11 @@ def test_the_readme_quick_start_prints_what_it_says(tmp_path) -> None:
                               .splitlines(keepends=True)[:lines])
         assert printed == expected
 
+def _trees() -> dict[str, ast.AST]:
+    src = Path(errlens.__file__).resolve().parent
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+
+
 def _reads_files(tree: ast.AST) -> bool:
     """Whether a module opens a file for reading or parses CSV or JSON input."""
     for node in ast.walk(tree):
@@ -111,7 +116,25 @@ def _reads_files(tree: ast.AST) -> bool:
 
 def test_only_the_two_readers_read_input_files() -> None:
     # every input file goes through data.read_csv or serialize.load_json
-    src = Path(errlens.__file__).resolve().parent
-    readers = {path.name for path in src.glob("*.py")
-               if _reads_files(ast.parse(path.read_text(encoding="utf-8")))}
+    readers = {name for name, tree in _trees().items() if _reads_files(tree)}
     assert readers == {"data.py", "serialize.py"}
+
+
+def test_only_data_constructs_a_csv_writer() -> None:
+    # every CSV goes through data.write_csv_rows, whose "\r\n" row ends make
+    # csv quote a lone "\r"
+    writers = {name for name, tree in _trees().items() if any(
+        isinstance(node, ast.Attribute) and node.attr == "writer"
+        and isinstance(node.value, ast.Name) and node.value.id == "csv"
+        for node in ast.walk(tree))}
+    assert writers == {"data.py"}
+
+
+def test_every_exported_name_is_used_by_the_program_or_named_in_the_readme() -> None:
+    # a name neither the program nor README uses is surface kept for nothing
+    used = {getattr(node, "id", None) or getattr(node, "attr", None)
+            for name, tree in _trees().items() if name != "__init__.py"
+            for node in ast.walk(tree)}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert [name for name in errlens.__all__
+            if name not in used and not re.search(rf"\b{name}\b", readme)] == []

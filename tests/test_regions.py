@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     BAD_PREDICTOR_OUTPUTS,
     count_table_scores,
+    explain_one,
     find_explain_report,
     make_table,
     random_table,
@@ -27,7 +28,6 @@ from errlens import (
     LimeConfig,
     MisclassifiedSet,
     RegionReport,
-    explain,
     explain_misclassified,
     find_misclassified,
     fit_discretizer,
@@ -81,7 +81,7 @@ def test_a_threshold_outside_the_unit_interval_is_a_data_error(threshold: float)
     pool = PerturbationPool(fixed_predictor(table, [0.2] * 9), fit_discretizer(table),
                             LimeConfig(n_samples=10))
     with pytest.raises(DataError, match="threshold"):
-        explain(pool, "0", table.row_values(0), 0, threshold, probability=0.2)
+        explain_one(pool, "0", table.row_values(0), 0, threshold, probability=0.2)
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_PREDICTOR_OUTPUTS))

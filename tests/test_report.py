@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import re
+import xml.dom.minidom
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -88,6 +89,20 @@ def test_chart_escapes_markup_in_category_labels() -> None:
     assert "a<b&c" not in svg
     assert "a&lt;b&amp;c" in svg
     ET.fromstring(svg)
+
+
+def test_chart_stays_well_formed_xml_whatever_a_category_holds(tmp_path) -> None:
+    # XML 1.0 forbids most control characters and U+FFFE/U+FFFF even escaped
+    forbidden = "".join(map(chr, [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF]))
+    stats = [ConditionStats(condition=Condition(feature="c", category=f"a{ch}b"),
+                            support=1, support_fraction=1.0, coverage=2,
+                            errors_in_region=1, error_rate=0.5) for ch in forbidden]
+    for start in range(0, len(stats), 20):  # the chart draws 20 regions at most
+        report = report_with(tuple(stats[start:start + 20]))
+        svg = write_report_files(report, str(tmp_path))["svg"]
+        labels = [node.firstChild.data for node in xml.dom.minidom.parse(svg)
+                  .getElementsByTagName("text") if node.firstChild.data.startswith("c = ")]
+        assert labels == [f"c = a\ufffdb  (rate 0.500, n=2)"] * len(report.regions)
 
 
 def test_error_rates_display_with_three_decimals() -> None:
