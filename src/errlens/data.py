@@ -273,7 +273,9 @@ def load_csv(path: str, *, label_column: str = "label", id_column: str | None = 
     Every column but the label and id columns is a feature, in header order:
     categorical if named in ``categorical``, else continuous.  Continuous
     cells must parse as finite numbers, labels must be 0 or 1.  Without
-    ``id_column``, row ids are the 0-based data-row indices.
+    ``id_column``, row ids are the 0-based data-row indices.  ``categorical``
+    naming the label or id column is a DataError raised before ``path`` is
+    opened.
 
     Rows are parsed a chunk of 256 at a time, column by column, so a short
     row (or a file that is not UTF-8 CSV) later in the same chunk is
@@ -281,6 +283,9 @@ def load_csv(path: str, *, label_column: str = "label", id_column: str | None = 
     bad cell or label in row order is reported.
     """
     keys = (label_column,) if id_column is None else (label_column, id_column)
+    if clash := [name for name in categorical if name in keys]:
+        raise DataError(f"categorical names {clash[0]!r}, the "
+                        f"{'label' if clash[0] == label_column else 'id'} column, not a feature")
     rows = read_csv(path, (*keys, *categorical))
     header = next(rows)
     schema = tuple(FeatureSpec(name, "categorical" if name in categorical else "continuous")

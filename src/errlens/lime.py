@@ -128,8 +128,9 @@ class CategoricalBins:
 class Discretizer:
     """Per schema feature, its bins of that feature's kind with one entry per
     bin in each statistic (a categorical feature's bins are its categories),
-    and a categorical feature's categories distinct and in ascending order,
-    else DataError."""
+    a categorical feature's categories distinct and in ascending order, and a
+    continuous bin of positive frequency observed within its edges, else
+    DataError."""
 
     schema: tuple[FeatureSpec, ...]
     per_feature: tuple[ContinuousBins | CategoricalBins, ...]
@@ -155,6 +156,16 @@ class Discretizer:
             if (cats[1:] <= cats[:-1]).any():
                 raise DataError(f"feature {spec.name!r}: categories are not distinct "
                                 "and in ascending order")
+            if kind is ContinuousBins:
+                # a draw, clipped to its bin's range, codes back to its bin;
+                # a bin of frequency 0 is never drawn
+                lo, hi = (-math.inf, *bins.edges), (*bins.edges, math.inf)
+                out = np.greater(bins.frequencies, 0) & ~(np.less(lo, bins.mins) & np.less_equal(
+                    bins.mins, bins.maxs) & np.less_equal(bins.maxs, hi))
+                if out.any():
+                    b = int(out.argmax())
+                    raise DataError(f"feature {spec.name!r}: bin {b} holds [{bins.mins[b]!r}, "
+                                    f"{bins.maxs[b]!r}], not within ({lo[b]!r}, {hi[b]!r}]")
 
 
 def fit_discretizer(train: LabeledTable) -> Discretizer:
@@ -211,29 +222,25 @@ def _bin_condition(feature: str, edges: tuple[float, ...], b: int) -> Condition:
 # --- perturbation sampling -------------------------------------------------------
 
 
-def sample_perturbations(
-    disc: Discretizer, n_samples: int, seed: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def sample_perturbations(disc: Discretizer, n_samples: int, seed: int) -> list[np.ndarray]:
     """Draw perturbed samples 1..n-1, which no explained row affects.
 
     Each continuous feature draws a bin by training frequency, then a value
     from that bin's normal(mean, std) clamped to the bin's observed range;
-    categorical features draw a category by frequency.  Returns the
-    ``(n-1, d)`` drawn bins (category codes for categorical features) and
-    each feature's drawn values.  The RNG is consumed feature by feature.
-    DataError names a feature whose bins cannot be sampled: frequencies that
-    are not a distribution, or a negative std.
+    categorical features draw a category by frequency.  Returns each
+    feature's drawn values, which code back to their drawn bins (the
+    discretizer keeps a bin's range within its edges).  The RNG is consumed
+    feature by feature.  DataError names a feature whose bins cannot be
+    sampled: frequencies that are not a distribution, or a negative std.
     """
     if n_samples < 1:
         raise DataError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     m = n_samples - 1
-    # a feature's draws are contiguous: rows are matched feature by feature
-    drawn = np.empty((len(disc.schema), m), dtype=np.intp).T
     columns: list[np.ndarray] = []
     for j, bins in enumerate(disc.per_feature):
         try:
-            b = drawn[:, j] = rng.choice(len(bins.frequencies), size=m, p=bins.frequencies)
+            b = rng.choice(len(bins.frequencies), size=m, p=bins.frequencies)
             if isinstance(bins, ContinuousBins):
                 raw = rng.normal(np.asarray(bins.means)[b], np.asarray(bins.stds)[b])
         except ValueError as exc:
@@ -243,7 +250,7 @@ def sample_perturbations(
             columns.append(np.asarray(bins.categories, dtype=str)[b])
         else:
             columns.append(np.clip(raw, np.asarray(bins.mins)[b], np.asarray(bins.maxs)[b]))
-    return drawn, columns
+    return columns
 
 
 def kernel_weights(z: np.ndarray, kernel_width: float) -> np.ndarray:
@@ -309,6 +316,33 @@ def _r2(varies: np.ndarray, ss_res: np.ndarray, ss_tot: np.ndarray, n: int,
         return np.where(varies & (ss_tot > floor), 1.0 - ss_res / ss_tot, 1.0)
 
 
+def _fit_sums(design: np.ndarray, count: np.ndarray | float, w: np.ndarray, sy: np.ndarray,
+              syy: np.ndarray, ridge_lambda: float, varies: np.ndarray, n: int,
+              y_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted ridge fits, and R^2 by :func:`_r2`, of classes of samples that
+    share a ``design`` row (``(m, d+1)``, or ``(..., m, d+1)`` per fit), from
+    each class's count, kernel weight ``w``, target sum ``sy`` and squared
+    target sum ``syy``.  Each fit of a stack equals that fit alone, bit for bit."""
+    # each fit's design.T * count * w with a lone fit's strides, so that the
+    # stacked products make a lone fit's BLAS calls, one per fit
+    cw, wsy = count * w, sy * w
+    a = (design.swapaxes(-1, -2) * cw[..., None, :]) @ design
+    a[..., 1:, 1:] += ridge_lambda * np.eye(design.shape[-1] - 1)
+    b = (wsy[..., None, :] @ design)[..., 0, :]
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("the weighted normal equations are not finite")
+    beta = _solve(a, b)
+
+    # the squared deviations of a class's samples from v sum to
+    # syy - v * (2 * sy - count * v)
+    fit = (design @ beta[..., None])[..., 0]
+    w_sum, sy2 = cw.sum(axis=-1), 2.0 * sy
+    y_bar = (wsy.sum(axis=-1) / w_sum)[..., None]
+    ss_tot = (w * (syy - y_bar * (sy2 - count * y_bar))).sum(axis=-1)
+    ss_res = (w * (syy - fit * (sy2 - count * fit))).sum(axis=-1)
+    return beta, _r2(varies, ss_res, ss_tot, n, y_max, w_sum)
+
+
 def fit_local_model(
     z: np.ndarray, y: np.ndarray, weights: np.ndarray, ridge_lambda: float
 ) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
@@ -334,25 +368,13 @@ def fit_local_model(
     if not ridge_lambda >= 0:
         raise DataError("ridge_lambda must be non-negative")
 
-    x = np.concatenate([np.ones((*y.shape, 1)), z], axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # each fit's x.T * w with a lone fit's strides, so that the stacked
-        # products make a lone fit's BLAS calls, one per fit
-        xtw = (x * w[..., None]).swapaxes(-1, -2)
-        a = xtw @ x
-        a[..., 1:, 1:] += ridge_lambda * np.eye(z.shape[-1])
-        b = (xtw @ y[..., None])[..., 0]
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DataError("the weighted normal equations are not finite")
-    beta = _solve(a, b)
-
+    # each sample is its own class; the finite check stops a fit that overflows
     pos = w > 0
     varies = np.where(pos, y, -np.inf).max(axis=-1) > np.where(pos, y, np.inf).min(axis=-1)
     with np.errstate(all="ignore"):
-        y_bar = np.sum(w * y, axis=-1) / np.sum(w, axis=-1)
-        ss_tot = np.sum(w * (y - y_bar[..., None]) ** 2, axis=-1)
-        ss_res = np.sum(w * (y - (x @ beta[..., None])[..., 0]) ** 2, axis=-1)
-    r2 = _r2(varies, ss_res, ss_tot, y.shape[-1], np.abs(y).max(axis=-1), np.sum(w, axis=-1))
+        beta, r2 = _fit_sums(np.concatenate([np.ones((*y.shape, 1)), z], axis=-1), 1.0, w,
+                             y, y * y, ridge_lambda, varies, y.shape[-1],
+                             np.abs(y).max(axis=-1))
     if y.ndim == 1:
         return beta[1:], float(beta[0]), float(r2)
     return beta[..., 1:], beta[..., 0], r2
@@ -369,10 +391,8 @@ def _fit_patterns(keys: np.ndarray, y0: np.ndarray, y: np.ndarray, design: np.nd
     feature and has target ``y0[r]``, and the pool's samples, with targets
     ``y`` and match patterns ``keys[r]`` (bit j set where feature j
     matches).  ``design`` holds each pattern's row (1, then its bits) and
-    ``w`` its kernel weight, so the weighted normal equations are
-    design' diag(count * w) design + ridge against design' (w * sum y).
-    Each fit of a stack equals that fit alone, bit for bit, and differs from
-    the per-sample fit by rounding only.
+    ``w`` its kernel weight.  Each fit of a stack equals that fit alone, bit
+    for bit, and differs from the per-sample fit by rounding only.
     """
     rows, m = len(keys), len(design)
     # targets less the pool's mean, so that the sums of squares do not
@@ -389,16 +409,6 @@ def _fit_patterns(keys: np.ndarray, y0: np.ndarray, y: np.ndarray, design: np.nd
     sy[:, -1] += dev0
     syy[:, -1] += dev0 * dev0
 
-    # each row's design.T * count * w is a lone row's array, so that the
-    # stacked products make a lone row's BLAS calls, one per row
-    cw = count * w
-    a = (design.T * cw[:, None, :]) @ design
-    a[:, 1:, 1:] += ridge_lambda * np.eye(design.shape[1] - 1)
-    wsy = sy * w
-    beta = _solve(a, (wsy[:, None, :] @ design)[:, 0])
-
-    # R^2 by fit_local_model's rule: the squared deviations of a pattern's
-    # samples from c + v sum to syy - v * (2 * sy - count * v)
     if (w > 0).all():
         lo = np.minimum(y.min(), y0)
         hi = np.maximum(y.max(), y0)
@@ -406,12 +416,8 @@ def _fit_patterns(keys: np.ndarray, y0: np.ndarray, y: np.ndarray, design: np.nd
         counted = (w > 0)[keys]
         lo = np.minimum(np.where(counted, y, np.inf).min(axis=1), y0)
         hi = np.maximum(np.where(counted, y, -np.inf).max(axis=1), y0)
-    fit = (design @ beta[..., None])[..., 0]
-    y_bar = (wsy.sum(axis=1) / cw.sum(axis=1))[:, None]
-    ss_tot = (w * (syy - y_bar * (2.0 * sy - count * y_bar))).sum(axis=1)
-    ss_res = (w * (syy - fit * (2.0 * sy - count * fit))).sum(axis=1)
-    r2 = _r2(hi > lo, ss_res, ss_tot, len(y) + 1,
-             np.maximum(np.abs(y).max(), np.abs(y0)), cw.sum(axis=1))
+    beta, r2 = _fit_sums(design, count, w, sy, syy, ridge_lambda, hi > lo, len(y) + 1,
+                         np.maximum(np.abs(y).max(), np.abs(y0)))
     return beta[:, 1:], beta[:, 0] + c, r2
 
 
@@ -548,18 +554,18 @@ class PerturbationPool:
             if predictor.reference.schema != self.disc.schema:
                 raise SchemaMismatch("the reference table does not match the discretizer schema")
             columns, probs = predictor.sample_rows(n - 1, seed)
-            drawn = self._codes(columns, n - 1)
-            # a drawn -1 would match every explained row's unseen category
-            unseen = (drawn < 0).any(axis=0)
-            if unseen.any():
-                raise DataError(f"feature {self.disc.schema[int(unseen.argmax())].name!r}: a "
-                                "table row holds a category the discretizer never saw")
         else:
-            drawn, columns = sample_perturbations(self.disc, n, seed)
+            columns = sample_perturbations(self.disc, n, seed)
             probs = predictor.predict_rows(self.disc.schema, columns)
+        drawn = self._codes(columns, n - 1)
+        # a drawn -1 would match every explained row's unseen category
+        unseen = (drawn < 0).any(axis=0)
+        if unseen.any():
+            raise DataError(f"feature {self.disc.schema[int(unseen.argmax())].name!r}: a "
+                            "table row holds a category the discretizer never saw")
         # the codes live as long as the pool, so they take as few bytes as the
         # keys do: an eighth of intp's on the benchmark inputs
-        probs = check_probabilities(probs, len(drawn))
+        probs = check_probabilities(probs, n - 1)
         return drawn.astype(np.min_scalar_type(drawn.max())), probs
 
     def _codes(self, columns: Columns, n: int) -> np.ndarray:

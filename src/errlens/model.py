@@ -594,14 +594,21 @@ class GbdtModel:
         return raw
 
     def predict_rows(self, schema: tuple[FeatureSpec, ...], columns: Columns) -> np.ndarray:
-        """Probabilities for bare rows.  Raises SchemaMismatch unless ``schema``
-        is the model's, and DataError unless there is one column per feature,
+        """Probabilities for bare rows.  Raises SchemaMismatch, naming the first
+        feature whose name or kind differs, unless ``schema`` is the model's,
+        and DataError unless there is one column per feature,
         all one-dimensional and of one length, with numeric cells that are not
         NaN where the feature is continuous.  Infinite values are ordered like
         any other, so they are scored."""
-        if tuple(schema) != self.schema:
-            raise SchemaMismatch(f"rows have features {[f.name for f in schema]}, "
-                                 f"expected {[f.name for f in self.schema]}")
+        if (rows := tuple(schema)) != self.schema:
+            # None stands in for a feature one side lacks
+            j = next(j for j, (a, b) in enumerate(itertools.zip_longest(rows, self.schema))
+                     if a != b)
+            got, want = (f"{s[j].name!r} ({s[j].kind})" if j < len(s) else "absent"
+                         for s in (rows, self.schema))
+            raise SchemaMismatch(f"rows have features {[f.name for f in rows]}, expected "
+                                 f"{[f.name for f in self.schema]}: feature {j} is {got} in "
+                                 f"the rows, {want} in the model")
         if len(columns) != len(self.schema):
             raise DataError(f"expected {len(self.schema)} columns, got {len(columns)}")
         if any(np.ndim(col) != 1 or len(col) != len(columns[0]) for col in columns):

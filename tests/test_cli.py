@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_table_scores
-from errlens import ExternalPredictions, GbdtModel
+from errlens import ExternalPredictions, GbdtModel, lime
 from errlens.cli import (
     COMMANDS,
     EXIT_DATA,
@@ -341,6 +341,70 @@ def test_custom_column_names_and_categorical_kinds(tmp_path) -> None:
     schema = read_json(f"{out}/model.json")["schema"]
     assert schema == [{"name": "x", "kind": "continuous"},
                       {"name": "grp", "kind": "categorical"}]
+
+
+def test_a_schema_mismatch_names_the_feature_that_differs(tmp_path, capsys) -> None:
+    # c's categories read as numbers, so a run that forgets --categorical c
+    # reads it as a continuous feature of the same name
+    data = tmp_path / "d.csv"
+    data.write_text("f0,c,label\n" + "".join(f"{i}.0,{i % 3},{i % 2}\n" for i in range(20)),
+                    encoding="utf-8")
+    model = str(tmp_path / "m")
+    assert run("train", "--data", str(data), "--categorical", "c", "--rounds", "2",
+               "--out-dir", model) == EXIT_OK
+    capsys.readouterr()
+    for command in ("eval", "mine"):
+        assert run(command, "--data", str(data), "--model", f"{model}/model.json",
+                   "--out-dir", str(tmp_path / command)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ("feature 1 is 'c' (continuous) in the rows, "
+                                         "'c' (categorical) in the model") in err
+    (tmp_path / "short.csv").write_text("f0,label\n1.0,0\n2.0,1\n", encoding="utf-8")
+    assert run("eval", "--data", str(tmp_path / "short.csv"), "--model", f"{model}/model.json",
+               "--out-dir", str(tmp_path / "short")) == EXIT_DATA
+    assert "feature 1 is absent in the rows, 'c' (categorical)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--categorical", "label"], "categorical names 'label', the label column"),
+    (["--label-column", "f0", "--categorical", "f0"], "categorical names 'f0', the label"),
+    (["--id-column", "f1", "--categorical", "f1"], "categorical names 'f1', the id column"),
+])
+def test_categorical_may_not_name_the_label_or_id_column(tmp_path, capsys, flags,
+                                                         message) -> None:
+    data = tmp_path / "d.csv"
+    data.write_text("f0,f1,label\n" + "".join(f"{i % 2},r{i},{i % 2}\n" for i in range(20)),
+                    encoding="utf-8")
+    # the names are checked before the file is opened
+    for path in (data, tmp_path / "absent.csv"):
+        assert run("train", "--data", str(path), *flags, "--rounds", "2",
+                   "--out-dir", str(tmp_path / "o")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "o").exists()
+
+
+def test_a_wide_table_is_explained_the_same_way_twice(tmp_path, monkeypatch) -> None:
+    # 2^9 match patterns are more than the 200 samples, so every row is fitted
+    # on its per-sample design by fit_local_model
+    data = str(tmp_path / "data")
+    assert run("synth", "--rows", "300", "--features", "9", "--seed", "3",
+               "--out-dir", data) == EXIT_OK
+    fits = []
+    original = lime.fit_local_model
+
+    def counting(*args, **kwargs):
+        fits.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lime, "fit_local_model", counting)
+    outs = [tmp_path / f"run{i}" for i in range(2)]
+    for out in outs:
+        assert run("pipeline", "--data", f"{data}/synth.csv", "--rounds", "8",
+                   "--n-samples", "200", "--seed", "7", "--out-dir", str(out)) == EXIT_OK
+    assert fits and all(shape[-2:] == (200, 9) for shape in fits)
+    assert read_lines(f"{outs[0]}/explanations_train.jsonl")
+    assert _snapshot(outs[0]) == _snapshot(outs[1])
 
 
 # --- external predictions -------------------------------------------------------

@@ -127,6 +127,19 @@ def test_a_discretizer_checks_its_bins_when_it_is_built() -> None:
     with pytest.raises(DataError, match="3 bins for 2 features"):
         dataclasses.replace(disc, per_feature=(x, c, c))
     assert dataclasses.replace(disc, per_feature=(x, c)) == disc
+    # a draw is clipped into its bin's observed range, which must lie within
+    # the bin's edges for the pool to code the draw as its bin; x's bin 2,
+    # (0.5, 0.75], is empty and never drawn
+    assert x.edges == (0.25, 0.5, 0.75) and x.frequencies[2] == 0.0
+    for b, low, high in [(0, 0.6, 0.9), (1, 0.25, 0.5), (1, 0.5, 0.4), (3, 0.75, 1.0),
+                         (0, math.nan, 0.0)]:
+        mins, maxs = list(x.mins), list(x.maxs)
+        mins[b], maxs[b] = low, high
+        with pytest.raises(DataError, match=f"feature 'x': bin {b} holds"):
+            dataclasses.replace(disc, per_feature=(
+                dataclasses.replace(x, mins=tuple(mins), maxs=tuple(maxs)), c))
+    parked = dataclasses.replace(x, mins=(0.0, 0.5, 9.0, 1.0), maxs=(0.0, 0.5, -9.0, 1.0))
+    assert dataclasses.replace(disc, per_feature=(parked, c)).per_feature[0] == parked
 
 
 @pytest.mark.parametrize("feature, stat", [
@@ -513,11 +526,16 @@ def mixed_table():
     )
 
 
+def pool_codes(disc, n_samples: int, seed: int) -> np.ndarray:
+    """The pool's codes of sample_perturbations' rows."""
+    predictor = FunctionPredictor(disc.schema, lambda cols: np.full(len(cols[0]), 0.5))
+    return PerturbationPool(predictor, disc, LimeConfig(n_samples=n_samples, seed=seed)).scored[0]
+
+
 def test_sampling_keeps_the_instance_as_the_first_row(mixed_table) -> None:
     # the pool is samples 1..n-1; a lone explanation scores its instance first
     disc = fit_discretizer(mixed_table)
-    drawn, columns = sample_perturbations(disc, n_samples=50, seed=9)
-    assert drawn.shape == (49, 2)
+    columns = sample_perturbations(disc, n_samples=50, seed=9)
     assert [len(c) for c in columns] == [49, 49]
     asked = []
 
@@ -525,32 +543,32 @@ def test_sampling_keeps_the_instance_as_the_first_row(mixed_table) -> None:
         asked.append(cols)
         return np.full(len(cols[0]), 0.5)
 
-    explain_one(PerturbationPool(FunctionPredictor(mixed_table.schema, record), disc,
-                                 LimeConfig(n_samples=50, seed=9)), "r", (4.2, "b"), 0)
-    instance, pool = asked
+    pool = PerturbationPool(FunctionPredictor(mixed_table.schema, record), disc,
+                            LimeConfig(n_samples=50, seed=9))
+    explain_one(pool, "r", (4.2, "b"), 0)
+    instance, pooled = asked
     assert [c.tolist() for c in instance] == [[4.2], ["b"]]
-    assert all(np.array_equal(c, p) for c, p in zip(pool, columns))
+    assert all(np.array_equal(c, p) for c, p in zip(pooled, columns))
+    assert pool.scored[0].shape == (49, 2)
 
 
 def test_sampling_is_deterministic_in_the_seed(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
-    z1, cols1 = sample_perturbations(disc, n_samples=40, seed=9)
-    z2, cols2 = sample_perturbations(disc, n_samples=40, seed=9)
-    z3, _ = sample_perturbations(disc, n_samples=40, seed=10)
-    assert np.array_equal(z1, z2)
+    cols1 = sample_perturbations(disc, n_samples=40, seed=9)
+    cols2 = sample_perturbations(disc, n_samples=40, seed=9)
     assert all(np.array_equal(a, b) for a, b in zip(cols1, cols2))
-    assert not np.array_equal(z1, z3)
+    assert np.array_equal(pool_codes(disc, 40, 9), pool_codes(disc, 40, 9))
+    assert not np.array_equal(pool_codes(disc, 40, 9), pool_codes(disc, 40, 10))
 
 
 def test_sampled_values_stay_inside_observed_bin_ranges(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
     bins = disc.per_feature[0]
-    drawn, columns = sample_perturbations(disc, n_samples=500, seed=3)
-    values = columns[0]
+    values = sample_perturbations(disc, n_samples=500, seed=3)[0]
     assert values.min() >= min(bins.mins)
     assert values.max() <= max(bins.maxs)
     inst_bin = bins.bin_of(4.2)
-    same = values[drawn[:, 0] == inst_bin]
+    same = values[pool_codes(disc, 500, 3)[:, 0] == inst_bin]
     assert same.size > 0
     assert same.min() >= bins.mins[inst_bin]
     assert same.max() <= bins.maxs[inst_bin]
@@ -558,15 +576,16 @@ def test_sampled_values_stay_inside_observed_bin_ranges(mixed_table) -> None:
 
 def test_categorical_similarity_column_is_exact_equality(mixed_table) -> None:
     disc = fit_discretizer(mixed_table)
-    drawn, columns = sample_perturbations(disc, n_samples=300, seed=3)
+    categories = sample_perturbations(disc, n_samples=300, seed=3)[1]
     b = disc.per_feature[1].categories.index("b")
-    assert np.array_equal(drawn[:, 1] == b, columns[1] == "b")
-    assert set(np.unique(columns[1])) <= {"a", "b", "c"}
+    assert np.array_equal(pool_codes(disc, 300, 3)[:, 1] == b, categories == "b")
+    assert set(np.unique(categories)) <= {"a", "b", "c"}
 
 
 def numpy_perturbations(disc, n_samples: int, seed: int):
     """sample_perturbations as drawn by numpy's own ``rng.choice(..., p=...)``
-    and ``rng.normal(loc, scale)``: the oracle of its inlined draws."""
+    and ``rng.normal(loc, scale)``: the oracle of its inlined draws, with the
+    bins it drew."""
     rng = np.random.default_rng(seed)
     drawn = np.empty((n_samples - 1, len(disc.schema)), dtype=int)
     columns = []
@@ -584,20 +603,44 @@ def numpy_perturbations(disc, n_samples: int, seed: int):
     return drawn, columns
 
 
+def empty_bin_table():
+    """A table whose f0 has an empty interior bin: its quartiles are 0.175,
+    0.5 and 0.6, and no value lies in (0.5, 0.6]."""
+    return make_table([[0.0, 0.5, 0.5, 1.0, 0.2, 0.9, 0.5, 0.1],
+                       list("xyyzxyzz"), [3.0, -1.0, 2.5, 7.0, 0.0, 1.0, 2.0, 4.0]],
+                      [0, 1, 0, 1, 0, 1, 0, 1], kinds=["continuous", "categorical",
+                                                        "continuous"])
+
+
 def test_sampling_draws_what_numpys_choice_and_normal_draw(mixed_table) -> None:
-    # f0's quartiles are 0.175, 0.5 and 0.6, and no value lies in (0.5, 0.6]
-    table = make_table([[0.0, 0.5, 0.5, 1.0, 0.2, 0.9, 0.5, 0.1],
-                        list("xyyzxyzz"), [3.0, -1.0, 2.5, 7.0, 0.0, 1.0, 2.0, 4.0]],
-                       [0, 1, 0, 1, 0, 1, 0, 1], kinds=["continuous", "categorical",
-                                                         "continuous"])
-    disc = fit_discretizer(table)
+    disc = fit_discretizer(empty_bin_table())
     assert 0.0 in disc.per_feature[0].frequencies[1:-1]  # an empty interior bin
     for d in (disc, fit_discretizer(mixed_table)):
         for seed in (0, 3, 2 ** 64 - 1):
-            drawn, columns = sample_perturbations(d, n_samples=700, seed=seed)
+            columns = sample_perturbations(d, n_samples=700, seed=seed)
             drawn_ref, columns_ref = numpy_perturbations(d, 700, seed)
-            assert np.array_equal(drawn, drawn_ref)
             assert all(np.array_equal(a, b) for a, b in zip(columns, columns_ref))
+            assert np.array_equal(pool_codes(d, 700, seed), drawn_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.lists(st.sampled_from([-1.5, 0.0, 0.1, 0.2, 0.5, 0.9, 1.0, 1e9]),
+                                min_size=8, max_size=8), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 64 - 1))
+@example(values=[empty_bin_table().columns[0].tolist()], seed=0)
+def test_the_pool_codes_each_draw_as_the_bin_it_was_drawn_from(values, seed) -> None:
+    # the pool codes its draws as it codes explained rows, which is exact
+    # because a draw is clipped into its bin's observed range, within the
+    # bin's edges.  Beside the drawn features (the example's has an empty
+    # interior bin): a one-bin feature and a categorical feature
+    table = make_table([*values, [7.0] * 8, list("aabbbcca")], [0] * 8,
+                       kinds=["continuous"] * (len(values) + 1) + ["categorical"])
+    disc = fit_discretizer(table)
+    assert disc.per_feature[-2].n_bins == 1
+    drawn, columns = numpy_perturbations(disc, 300, seed)
+    pool = PerturbationPool(FunctionPredictor(disc.schema, lambda c: np.full(len(c[0]), 0.5)),
+                            disc, LimeConfig(n_samples=300, seed=seed))
+    assert np.array_equal(pool._codes(columns, 299), drawn)
 
 
 @pytest.mark.parametrize("feature, field, values", [
